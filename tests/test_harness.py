@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -175,6 +176,53 @@ def test_class_path_generic(tmp_path):
     rec = run_experiment(_cfg(task="generic", n=12, class_path=path))
     assert rec.task_info["class_size"] == len(cls)
     assert rec.task_info["vc_dim"] == 2
+
+
+# Small configs that reach every ERM path (exact and local search for both
+# pair tasks, the class-wide argmin, the planar-order argmin) with sampled
+# bands, clusters and annuli.  The digests were taken from the code before the
+# shared enumeration kernel replaced the per-module argmin loops; a refactor
+# of the learner must keep every record byte-identical.
+_GOLDEN_GRID = {
+    ("ranking", "exact"): dict(n=8, force_p=2),
+    ("ranking", "local_search"): dict(n=24, force_p=3, restarts=2),
+    ("clustering", "exact"): dict(n=10, k=3, force_q=2),
+    ("clustering", "local_search"): dict(n=16, k=3, force_q=3, restarts=2),
+    ("generic", "exact"): dict(n=30, force_m=4),
+    ("geometric", "exact"): dict(n=8, force_p=2),
+}
+_GOLDEN_DIGESTS = {
+    ("ranking", "exact", 0): "a699bccfd5abfff53677c9a97747480c675425dd38d73023933a854152988cf8",
+    ("ranking", "exact", 1): "85a22d706f79d9aeeec1c04db259a01fe38e65f6042d383bdc47d63a79b0308c",
+    ("ranking", "exact", 2): "c202b67dbdc322a1ca2aa89b17d06928ed55bbb4c855329cb0c08241051dd8b3",
+    ("ranking", "local_search", 0): "2d0e7298d49320507a951b5289f281400122512b7a2ecfb20926b20d095a10ad",
+    ("ranking", "local_search", 1): "29f2c8dea6b557d3f54f05f2f164a23c09f49b686399e088b74f09447e69b703",
+    ("ranking", "local_search", 2): "a5e5b37ac9c08a6f11c397a240a84f99bf7db6e8474d671bb94f87f05ed66c87",
+    ("clustering", "exact", 0): "3fa8f1b37e85ae3a12d3cfb870292540d962e6f5fbd71b490e3bbf3338895476",
+    ("clustering", "exact", 1): "5b65b16676364e4bae663b8f36e572d024ae90d8dc42fb297516ee8c43b8ed5a",
+    ("clustering", "exact", 2): "e9a609ec819a6e951d5376a3ba6142140eb65565228f0bb6c4aef4b6457b40a8",
+    ("clustering", "local_search", 0): "1ceb20277d532a3c0820b3b0fdac781269130af4d56adc9c6df7f7cf3cd09745",
+    ("clustering", "local_search", 1): "cde42aa3fb3f9bc989fa9b7254406b3da73f1291c14a91ba16d45f243a8588ea",
+    ("clustering", "local_search", 2): "cdff5a079cf9e77966a325dbc8e7e6f0049530a49dc43426a46aad657cf614c8",
+    ("generic", "exact", 0): "d0fe74747fcca09f28f8ca6ce8250b0db090e5a18d50d1ce3e50aaeaba15896d",
+    ("generic", "exact", 1): "493893b894130bbfda981c07e4c0b0cbd52a51d7754953df351b040cc2344b34",
+    ("generic", "exact", 2): "a791236149e71f57fc53739bda707dd8b387146b3f7f5f66473ccc3055818eba",
+    ("geometric", "exact", 0): "075e2e936d712d02a1ca25904a2c6dbe99e48ff2c1bb7dc2f95bc7af6bfbd085",
+    ("geometric", "exact", 1): "eb16948e100e9c6baa9d89ed297d1ead0694e56620110d1e5ab97b699a66f874",
+    ("geometric", "exact", 2): "03d286402b7d2dac9fd27fe058db97486288a23cdd27f080954179b9fbd4d987",
+}
+
+
+@pytest.mark.parametrize("task, erm, seed", list(_GOLDEN_DIGESTS))
+def test_record_digest_golden(task, erm, seed):
+    cfg = ExperimentConfig(
+        task=task, erm=erm,
+        params=Params(epsilon=0.3, iterations=2, master_seed=seed),
+        noise=NoiseSpec(kind="uniform_flip", eta=0.1),
+        **_GOLDEN_GRID[task, erm],
+    )
+    record = json.dumps(run_experiment(cfg).to_dict(), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == _GOLDEN_DIGESTS[task, erm, seed]
 
 
 # ---------------------------------------------------------------- artifacts
