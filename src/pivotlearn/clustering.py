@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Params, PoolMismatchError, RegretEstimator
+from .core import (
+    Params,
+    PoolMismatchError,
+    RegretEstimator,
+    pair_estimator,
+    stratum_sample,
+    weighted_mismatch_argmin,
+)
 from .seeding import derive_rng
 
 __all__ = [
@@ -151,45 +158,16 @@ def build_clustering_estimator(
         rng = derive_rng(params.master_seed, "clustering-build")
     ordered = pivot.clusters_by_size()
     members = {cid: np.sort(pivot.members(cid)) for cid in ordered}
-    us_parts, vs_parts, w_parts = [], [], []
-
-    def emit(u: int, items: np.ndarray, w_num: int):
-        us_parts.append(np.full(len(items), u, dtype=np.int32))
-        vs_parts.append(items.astype(np.int32))
-        w_parts.append(np.full(len(items), w_num, dtype=np.int64))
-
+    draws = []
     for ci, cid in enumerate(ordered):
         group = members[cid]
         later = [members[other] for other in ordered[ci + 1 :]]
         for u in group.tolist():
-            own = group[group != u]
-            if len(own):
-                if len(own) <= q:
-                    emit(u, own, q)
-                else:
-                    emit(u, own[rng.integers(0, len(own), size=q)], len(own))
+            draws.append((u, *stratum_sample(group[group != u], q, rng)))
             for other in later:
-                if len(other) <= q:
-                    emit(u, other, 2 * q)
-                else:
-                    emit(u, other[rng.integers(0, len(other), size=q)], 2 * len(other))
-
-    us = np.concatenate(us_parts)
-    vs = np.concatenate(vs_parts)
-    w_num = np.concatenate(w_parts)
-    labels = oracle.query_many(us, vs)
-    pivot_costs = (pivot.pair_values(us, vs) != labels).astype(np.uint8)
-    return RegretEstimator(
-        pivot,
-        us,
-        vs,
-        w_num,
-        q,
-        labels,
-        pivot_costs,
-        measure_count=n * (n - 1),
-        n_items=n,
-    )
+                sample, w_num = stratum_sample(other, q, rng)
+                draws.append((u, sample, 2 * w_num))
+    return pair_estimator(pivot, oracle, draws, q)
 
 
 # -- enumeration of partitions into at most k blocks ---------------------------
@@ -246,38 +224,18 @@ def all_assignments(n: int, k: int) -> np.ndarray:
     return cached
 
 
-def _enumeration_argmin(n, k, us, vs, labels, weight_num):
-    assigns = all_assignments(n, k)
-    labels = np.asarray(labels, dtype=np.uint8)
-    w = np.asarray(weight_num, dtype=np.float64)
-    n_samples = max(1, len(us))
-    chunk = max(1024, min(1 << 16, 8_000_000 // n_samples))
-    best_val = math.inf
-    best_row = 0
-    for start in range(0, len(assigns), chunk):
-        block = assigns[start : start + chunk]
-        if len(us):
-            same = block[:, us] == block[:, vs]
-            mismatch = same != labels
-            values = mismatch.astype(np.float64) @ w
-        else:
-            values = np.zeros(len(block))
-        idx = int(np.argmin(values))
-        if values[idx] < best_val:
-            best_val = float(values[idx])
-            best_row = start + idx
-    return best_val, best_row
-
-
 def exact_erm_with_value(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = None):
     """Global estimator minimizer over all <=k-partitions, plus its value.
 
     Ties resolve to the lexicographically smallest canonical assignment.
     """
     k = k if k is not None else est.pivot.k
-    val, row = _enumeration_argmin(est.n_items, k, est.us, est.vs, est.labels, est.weight_num)
-    clu = Clustering(all_assignments(est.n_items, k)[row], k)
-    return clu, (val - est._pivot_int) * est.scale
+    assigns = all_assignments(est.n_items, k)
+    row, _ = weighted_mismatch_argmin(
+        assigns, lambda block: block[:, est.us] == block[:, est.vs], est.labels, est.weight_num
+    )
+    clu = Clustering(assigns[row], k)
+    return clu, est.evaluate(clu)
 
 
 def exact_erm(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = None) -> Clustering:
@@ -291,8 +249,11 @@ def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
     n = oracle.n
     us, vs = Pool(n).all_pairs()
     labels = oracle.verification_labels(us, vs)
-    val, row = _enumeration_argmin(n, k, us, vs, labels, np.ones(len(us), dtype=np.int64))
-    return val / Pool(n).pair_count, Clustering(all_assignments(n, k)[row], k)
+    assigns = all_assignments(n, k)
+    row, val = weighted_mismatch_argmin(
+        assigns, lambda block: block[:, us] == block[:, vs], labels, np.ones(len(us), np.int64)
+    )
+    return val / Pool(n).pair_count, Clustering(assigns[row], k)
 
 
 # -- local search --------------------------------------------------------------

@@ -15,6 +15,7 @@ pivot always evaluates to exactly 0.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -51,6 +52,11 @@ class ErmFailedError(RuntimeError):
     def __init__(self, message: str, trajectory: "Trajectory"):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+def is_integer(value) -> bool:
+    """True for Python and NumPy integers; bools and integral floats do not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,9 @@ class Params:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "master_seed"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.mu is not None and not (0.0 < self.mu <= 1.0):
@@ -106,7 +115,7 @@ class Params:
         for name in ("c1", "c2", "c3"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
     def resolved_mu(self, measure_count: int) -> float:
@@ -288,6 +297,63 @@ def _moved_pair_values(h, move, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported move type {type(move)!r}")
 
 
+# Rows per enumeration block are sized so one block's mismatch table holds
+# about this many (row, sample) cells, clamped to 1024..65536 rows.
+_ARGMIN_BLOCK_CELLS = 8_000_000
+
+
+def weighted_mismatch_argmin(rows, predicate, labels, weight_num) -> tuple[int, int]:
+    """(index, value) of the first row with the least weighted label mismatch.
+
+    predicate(block) maps a block of `rows` to each row's 0/1 predictions on
+    the samples; a row's value is the total integer weight of the samples
+    where its prediction differs from `labels`.  Rows are scanned in blocks
+    and ties go to the smallest index, so callers that enumerate rows in a
+    fixed order get a reproducible first minimizer.  The float64 product is
+    exact because every partial sum is an integer far below 2**53.
+    """
+    labels = np.asarray(labels, dtype=np.uint8)
+    w = np.asarray(weight_num, dtype=np.float64)
+    chunk = max(1024, min(1 << 16, _ARGMIN_BLOCK_CELLS // max(1, len(labels))))
+    best_val, best_row = math.inf, 0
+    for start in range(0, len(rows), chunk):
+        values = (predicate(rows[start : start + chunk]) != labels).astype(np.float64) @ w
+        idx = int(np.argmin(values))
+        if values[idx] < best_val:
+            best_val, best_row = float(values[idx]), start + idx
+    return best_row, int(best_val)
+
+
+def stratum_sample(items: np.ndarray, q: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """(sample, weight numerator) of one stratum against weight denominator q.
+
+    A stratum of at most q members is taken whole at unit weight; a larger
+    one gives q uniform draws with repetition, each standing for len(items)/q.
+    """
+    if len(items) <= q:
+        return items, q
+    return items[rng.integers(0, len(items), size=q)], len(items)
+
+
+def pair_estimator(pivot, oracle, draws: list, weight_denom: int) -> RegretEstimator:
+    """Label sampled pairs in one batch and centre them on a pivot hypothesis.
+
+    draws lists (u, partners, w_num) in sampling order: one sample (u, v) of
+    weight numerator w_num for each v in partners.
+    """
+    counts = [len(partners) for _, partners, _ in draws]
+    us = np.repeat(np.array([u for u, _, _ in draws], dtype=np.int32), counts)
+    vs = np.concatenate([partners for _, partners, _ in draws]).astype(np.int32)
+    w_num = np.repeat(np.array([w for _, _, w in draws], dtype=np.int64), counts)
+    labels = oracle.query_many(us, vs)
+    pivot_costs = (pivot.pair_values(us, vs) != labels).astype(np.uint8)
+    n = pivot.n_items
+    return RegretEstimator(
+        pivot, us, vs, w_num, weight_denom, labels, pivot_costs,
+        measure_count=n * (n - 1), n_items=n,
+    )
+
+
 def distance(h1, h2) -> float:
     """Normalized pair-disagreement pseudometric between two hypotheses."""
     n = getattr(h1, "n_items", None)
@@ -354,8 +420,6 @@ def run_erm_iteration(
     params: Params,
     builder: BuilderFn,
     erm: ErmFn,
-    *,
-    record_errors: bool = True,
 ) -> Trajectory:
     """Iterate estimator construction and ERM for params.iterations rounds.
 
@@ -363,11 +427,13 @@ def run_erm_iteration(
     to the estimator's minimizer.  Per-round distinct query counts are taken
     from the oracle's counters.  On oracle budget exhaustion the loop stops
     with status "budget_exhausted" and the partial trajectory; an ERM failure
-    raises ErmFailedError carrying the partial trajectory.
+    raises ErmFailedError carrying the partial trajectory.  Errors are
+    recorded only against an unbudgeted oracle, because true_error refuses a
+    budgeted one.
     """
     from .oracles import BudgetExceededError  # local import, no cycle at module load
 
-    record_errors = record_errors and getattr(oracle, "budget", None) is None
+    record_errors = getattr(oracle, "budget", None) is None
     seed = params.master_seed
     traj = Trajectory()
     err0 = true_error(h0, oracle) if record_errors else None

@@ -17,7 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Params, PoolMismatchError, RegretEstimator
+from .core import (
+    Params,
+    PoolMismatchError,
+    RegretEstimator,
+    stratum_sample,
+    weighted_mismatch_argmin,
+)
 from .seeding import derive_rng
 
 __all__ = [
@@ -295,21 +301,11 @@ def build_generic_estimator(
     plan = annulus_plan(cls, pivot_idx, mu)
     idx_parts, w_parts = [], []
     for shell in plan.annuli:
-        size = len(shell)
-        if size == 0:
-            continue
-        if size <= m:
-            idx_parts.append(shell)
-            w_parts.append(np.full(size, m, dtype=np.int64))
-        else:
-            idx_parts.append(shell[rng.integers(0, size, size=m)])
-            w_parts.append(np.full(m, size, dtype=np.int64))
-    if idx_parts:
-        instances = np.concatenate(idx_parts)
-        w_num = np.concatenate(w_parts)
-    else:
-        instances = np.array([], dtype=np.int64)
-        w_num = np.array([], dtype=np.int64)
+        sample, w = stratum_sample(shell, m, rng)
+        idx_parts.append(sample)
+        w_parts.append(np.full(len(sample), w, dtype=np.int64))
+    instances = np.concatenate(idx_parts)
+    w_num = np.concatenate(w_parts)
     labels = oracle.query_many(instances)
     pivot_row = cls.labels[pivot_idx]
     pivot_costs = (pivot_row[instances] != labels).astype(np.uint8)
@@ -333,13 +329,10 @@ def class_argmin(cls: FiniteClass, est: RegretEstimator) -> tuple[int, float]:
     """
     if est.is_pair_mode:
         raise ValueError("class_argmin expects an indexed-mode estimator")
-    if len(est.us):
-        mismatch = cls.labels[:, est.us] != est.labels
-        values = mismatch.astype(np.float64) @ est.weight_num.astype(np.float64)
-    else:
-        values = np.zeros(len(cls))
-    idx = int(np.argmin(values))
-    return idx, (float(values[idx]) - est._pivot_int) * est.scale
+    idx, _ = weighted_mismatch_argmin(
+        cls.labels, lambda block: block[:, est.us], est.labels, est.weight_num
+    )
+    return idx, est.evaluate(cls.labels[idx])
 
 
 # -- synthetic classes ----------------------------------------------------------

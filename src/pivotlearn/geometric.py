@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RegretEstimator
+from .core import RegretEstimator, weighted_mismatch_argmin
 from .ranking import Permutation, kendall_distance
 from .seeding import derive_rng
 
@@ -205,8 +205,11 @@ def geometric_erm_2d(est: RegretEstimator, features: FeatureSet) -> Permutation:
     Ties resolve to the order with the smallest witness angle.
     """
     orders, _ = enumerate_orders_2d(features)
-    values = [est.evaluate_int(o) for o in orders]
-    return orders[int(np.argmin(values))]
+    ranks = np.stack([o.rank for o in orders])
+    row, _ = weighted_mismatch_argmin(
+        ranks, lambda block: block[:, est.us] < block[:, est.vs], est.labels, est.weight_num
+    )
+    return orders[row]
 
 
 def sampled_directions_erm(

@@ -24,7 +24,7 @@ from . import clustering as clu
 from . import generic as gen
 from . import geometric as geo
 from . import ranking as rk
-from .core import Params, Trajectory, TrajectoryRow, run_erm_iteration, true_error
+from .core import Params, Trajectory, TrajectoryRow, is_integer, run_erm_iteration, true_error
 from .oracles import (
     InstanceOracle,
     NoiseSpec,
@@ -83,6 +83,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}, got {self.task!r}")
+        for name in ("n", "k", "d", "restarts", "force_p", "force_q", "force_m"):
+            value = getattr(self, name)
+            if not (is_integer(value) or (value is None and name not in ("n", "restarts"))):
+                raise ConfigError(name, f"must be an integer, got {value!r}")
         if self.n < 2:
             raise ConfigError("n", "must be >= 2")
         if self.task == "clustering":

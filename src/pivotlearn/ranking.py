@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Insertion, Params, PoolMismatchError, RegretEstimator
+from .core import (
+    Params,
+    PoolMismatchError,
+    RegretEstimator,
+    pair_estimator,
+    stratum_sample,
+    weighted_mismatch_argmin,
+)
 from .seeding import derive_rng
 
 __all__ = [
@@ -159,18 +166,14 @@ def sample_size_p(n: int, epsilon: float, c1: float = 1.0) -> int:
     return max(1, math.ceil(c1 * epsilon**-3 * math.log2(n) ** 3))
 
 
-def _side_ranges(pos: int, lo_gap: int, hi_gap: int, n: int):
-    """1-based position ranges at distance gap in [lo_gap, hi_gap] from pos."""
-    left = (max(1, pos - hi_gap), pos - lo_gap)
-    right = (pos + lo_gap, min(n, pos + hi_gap))
-    left = left if left[0] <= left[1] else None
-    right = right if right[0] <= right[1] else None
-    return left, right
-
-
 @dataclass(frozen=True)
 class BandPlan:
-    """Near sets and geometric distance bands induced by a pivot and p."""
+    """Near sets and geometric distance bands induced by a pivot and p.
+
+    The near set of u holds the items at pivot-rank distance 1..p-1 from u;
+    band i holds those at distance 2^i*p..2^(i+1)*p-1.  Items are listed by
+    pivot rank, the side before u first.
+    """
 
     pivot: Permutation
     p: int
@@ -184,36 +187,20 @@ class BandPlan:
         """Band indices run 0..ceil(log2 n), most of the top ones empty."""
         return math.ceil(math.log2(self.n_items)) + 1
 
-    def _ranges(self, u: int, i: int):
-        lo_gap = (1 << i) * self.p
-        hi_gap = (1 << (i + 1)) * self.p - 1
-        return _side_ranges(int(self.pivot.rank[u]), lo_gap, hi_gap, self.n_items)
+    def _ring(self, u: int, lo_gap: int, hi_gap: int) -> np.ndarray:
+        pos = int(self.pivot.rank[u]) - 1
+        order = self.pivot.order
+        left = order[max(0, pos - hi_gap) : max(0, pos - lo_gap + 1)]
+        return np.concatenate([left, order[pos + lo_gap : pos + hi_gap + 1]])
 
     def near_items(self, u: int) -> np.ndarray:
-        left, right = _side_ranges(int(self.pivot.rank[u]), 1, self.p - 1, self.n_items)
-        return self._collect(left, right)
-
-    def band_size(self, u: int, i: int) -> int:
-        left, right = self._ranges(u, i)
-        size = 0
-        for rng_ in (left, right):
-            if rng_ is not None:
-                size += rng_[1] - rng_[0] + 1
-        return size
+        return self._ring(u, 1, self.p - 1)
 
     def band_items(self, u: int, i: int) -> np.ndarray:
-        left, right = self._ranges(u, i)
-        return self._collect(left, right)
+        return self._ring(u, (1 << i) * self.p, (1 << (i + 1)) * self.p - 1)
 
-    def _collect(self, left, right) -> np.ndarray:
-        order = self.pivot.order
-        parts = []
-        for rng_ in (left, right):
-            if rng_ is not None:
-                parts.append(order[rng_[0] - 1 : rng_[1]])
-        if not parts:
-            return np.empty(0, dtype=np.int32)
-        return np.concatenate(parts)
+    def band_size(self, u: int, i: int) -> int:
+        return len(self.band_items(u, i))
 
 
 def band_plan(pivot: Permutation, p: int) -> BandPlan:
@@ -247,70 +234,16 @@ def build_ranking_estimator(
         p = sample_size_p(n, params.epsilon, params.c1)
     if rng is None:
         rng = derive_rng(params.master_seed, "ranking-build")
-    order = pivot.order
-    rank = pivot.rank
-    n_bands = math.ceil(math.log2(n)) + 1
-    us_parts, vs_parts, w_parts = [], [], []
-
-    def emit(u: int, items: np.ndarray, w_num: int):
-        us_parts.append(np.full(len(items), u, dtype=np.int32))
-        vs_parts.append(items.astype(np.int32))
-        w_parts.append(np.full(len(items), w_num, dtype=np.int64))
-
+    plan = band_plan(pivot, p)
+    draws = []
     for u in range(n):
-        pos = int(rank[u])
-        left, right = _side_ranges(pos, 1, p - 1, n)
-        near = _collect_ranges(order, left, right)
-        if len(near):
-            emit(u, near, p)
-        for i in range(n_bands):
-            lo_gap = (1 << i) * p
-            if lo_gap > n - 1:
-                break
-            hi_gap = (1 << (i + 1)) * p - 1
-            left, right = _side_ranges(pos, lo_gap, hi_gap, n)
-            szl = 0 if left is None else left[1] - left[0] + 1
-            szr = 0 if right is None else right[1] - right[0] + 1
-            size = szl + szr
-            if size == 0:
-                continue
-            if size <= p:
-                emit(u, _collect_ranges(order, left, right), p)
-            else:
-                draws = rng.integers(0, size, size=p)
-                positions = np.where(
-                    draws < szl,
-                    (0 if left is None else left[0]) + draws,
-                    (0 if right is None else right[0]) + draws - szl,
-                )
-                emit(u, order[positions - 1], size)
-
-    us = np.concatenate(us_parts)
-    vs = np.concatenate(vs_parts)
-    w_num = np.concatenate(w_parts)
-    labels = oracle.query_many(us, vs)
-    pivot_costs = (pivot.pair_values(us, vs) != labels).astype(np.uint8)
-    return RegretEstimator(
-        pivot,
-        us,
-        vs,
-        w_num,
-        p,
-        labels,
-        pivot_costs,
-        measure_count=n * (n - 1),
-        n_items=n,
-    )
-
-
-def _collect_ranges(order: np.ndarray, left, right) -> np.ndarray:
-    parts = []
-    for rng_ in (left, right):
-        if rng_ is not None:
-            parts.append(order[rng_[0] - 1 : rng_[1]])
-    if not parts:
-        return np.empty(0, dtype=np.int32)
-    return np.concatenate(parts)
+        draws.append((u, plan.near_items(u), p))
+        for i in range(plan.n_bands):
+            band = plan.band_items(u, i)
+            if len(band) == 0:
+                break  # bands only move further out, so every later one is empty too
+            draws.append((u, *stratum_sample(band, p, rng)))
+    return pair_estimator(pivot, oracle, draws, p)
 
 
 # -- exact ERM by lexicographic enumeration ----------------------------------
@@ -338,42 +271,18 @@ def all_rank_arrays(n: int) -> np.ndarray:
     return cached
 
 
-def _enumeration_argmin(n, us, vs, labels, weight_num):
-    """(best_value, first_minimizer_row) of the weighted mismatch objective."""
-    ranks = all_rank_arrays(n)
-    us = np.asarray(us)
-    vs = np.asarray(vs)
-    labels = np.asarray(labels, dtype=np.uint8)
-    w = np.asarray(weight_num, dtype=np.float64)
-    n_samples = max(1, len(us))
-    chunk = max(1024, min(1 << 16, 8_000_000 // n_samples))
-    best_val = math.inf
-    best_row = 0
-    for start in range(0, len(ranks), chunk):
-        block = ranks[start : start + chunk]
-        if len(us):
-            pred = block[:, us] < block[:, vs]
-            mismatch = pred != labels
-            values = mismatch.astype(np.float64) @ w
-        else:
-            values = np.zeros(len(block))
-        idx = int(np.argmin(values))
-        if values[idx] < best_val:
-            best_val = float(values[idx])
-            best_row = start + idx
-    return best_val, best_row
-
-
 def exact_erm_with_value(est: RegretEstimator, start=None, *, rng=None):
     """Global estimator minimizer over all permutations, plus its objective.
 
     Ties resolve to the lexicographically smallest rank array because the
     enumeration is lexicographic and the scan keeps the first minimum.
     """
-    n = est.n_items
-    val, row = _enumeration_argmin(n, est.us, est.vs, est.labels, est.weight_num)
-    perm = Permutation(all_rank_arrays(n)[row])
-    return perm, (val - est._pivot_int) * est.scale
+    ranks = all_rank_arrays(est.n_items)
+    row, _ = weighted_mismatch_argmin(
+        ranks, lambda block: block[:, est.us] < block[:, est.vs], est.labels, est.weight_num
+    )
+    perm = Permutation(ranks[row])
+    return perm, est.evaluate(perm)
 
 
 def exact_erm(est: RegretEstimator, start=None, *, rng=None) -> Permutation:
@@ -391,8 +300,11 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
     n = oracle.n
     us, vs = Pool(n).all_pairs()
     labels = oracle.verification_labels(us, vs)
-    val, row = _enumeration_argmin(n, us, vs, labels, np.ones(len(us), dtype=np.int64))
-    return val / Pool(n).pair_count, Permutation(all_rank_arrays(n)[row])
+    ranks = all_rank_arrays(n)
+    row, val = weighted_mismatch_argmin(
+        ranks, lambda block: block[:, us] < block[:, vs], labels, np.ones(len(us), np.int64)
+    )
+    return val / Pool(n).pair_count, Permutation(ranks[row])
 
 
 # -- local search ERM ---------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from pivotlearn.cli import main
+from pivotlearn.verify import SUITES, run_suite
 
 
 def test_version(capsys):
@@ -61,6 +62,20 @@ def test_run_bad_epsilon_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("patch", [
+    {"n": "8"}, {"n": 8.5}, {"restarts": "3"}, {"force_p": 2.5},
+    {"params": {"epsilon": 0.3, "iterations": 2.5}},
+    {"params": {"epsilon": 0.3, "master_seed": 1.5}},
+])
+def test_run_config_non_integer_is_config_error(tmp_path, capsys, patch):
+    cfg = {"task": "ranking", "n": 6, "params": {"epsilon": 0.3}, **patch}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "must be an integer" in err
+
+
 def test_sweep_prints_table(tmp_path, capsys):
     out = str(tmp_path / "sw")
     code = main(["sweep", "--task", "ranking", "--n", "6", "--epsilon", "0.3",
@@ -71,6 +86,12 @@ def test_sweep_prints_table(tmp_path, capsys):
     assert "final_err" in text
     assert os.path.exists(os.path.join(out, "summary.csv"))
     assert os.path.isdir(os.path.join(out, "point-00-n-6"))
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_verify_suite_passes(suite):
+    report = run_suite(suite)
+    assert report.passed, [(r.name, r.detail) for r in report.results if not r.passed]
 
 
 def test_verify_selected_suite(capsys):

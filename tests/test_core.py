@@ -19,6 +19,8 @@ from pivotlearn import (
     true_error,
 )
 from pivotlearn import clustering as clu
+from pivotlearn import generic as gen
+from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
 from pivotlearn.seeding import derive_rng
 
@@ -302,3 +304,33 @@ def test_budget_error_propagates_from_oracle():
     oracle = _ranking_setup(6, 25, budget=3)
     with pytest.raises(BudgetExceededError):
         oracle.query_many(np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("task", ["ranking", "clustering", "generic", "geometric"])
+def test_exact_erm_first_minimizer_tie_break(task):
+    """With an empty sample every hypothesis ties at 0; the first row wins."""
+    empty = dict(
+        us=np.array([], dtype=np.int64), labels=np.array([], dtype=np.uint8),
+        weight_num=np.array([], dtype=np.int64), weight_denom=1,
+        pivot_costs=np.array([], dtype=np.uint8),
+    )
+    if task == "generic":
+        cls = gen.thresholds_class(6)
+        est = RegretEstimator(cls.labels[3], vs=None, measure_count=6, n_items=6, **empty)
+        assert gen.class_argmin(cls, est) == (0, 0.0)
+        return
+    pair = dict(vs=np.array([], dtype=np.int64), **empty)
+    if task == "ranking":
+        # 9! rows span several enumeration blocks, so the tie crosses blocks
+        pivot = rk.Permutation(np.arange(9, 0, -1))
+        est = RegretEstimator(pivot, measure_count=72, n_items=9, **pair)
+        assert rk.exact_erm(est).rank.tolist() == list(range(1, 10))
+    elif task == "clustering":
+        pivot = clu.Clustering([1, 2, 3, 1, 2], 3)
+        est = RegretEstimator(pivot, measure_count=20, n_items=5, **pair)
+        assert clu.exact_erm(est).assign.tolist() == [1] * 5
+    else:
+        feats = geo.random_features(6, 2, derive_rng(3, "tie"))
+        orders, _ = geo.enumerate_orders_2d(feats)
+        est = RegretEstimator(orders[-1], measure_count=30, n_items=6, **pair)
+        assert geo.geometric_erm_2d(est, feats) == orders[0]

@@ -45,6 +45,7 @@ def test_config_validation():
         _cfg(erm="annealing")
     with pytest.raises(ConfigError):
         _cfg(restarts=0)
+    assert _cfg(n=np.int64(7)).n == 7  # NumPy integers count as integers
 
 
 def test_config_geometric_defaults_d():
@@ -83,6 +84,31 @@ def test_config_from_dict_nested_error_path():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict(d)
     assert exc.value.field.startswith("params")
+
+
+# (field path in the config dict, bad value, field the error must name)
+_NON_INTEGER_FIELDS = [
+    (("n",), "8", "n"),
+    (("n",), 8.5, "n"),
+    (("restarts",), "3", "restarts"),
+    (("force_p",), 2.5, "force_p"),
+    (("force_q",), 2.0, "force_q"),
+    (("force_m",), 2.0, "force_m"),
+    (("k",), "3", "k"),
+    (("d",), 2.0, "d"),
+    (("params", "iterations"), 2.5, "iterations"),
+    (("params", "master_seed"), 1.5, "master_seed"),
+    (("n",), True, "n"),
+]
+
+
+@pytest.mark.parametrize("path, value, name", _NON_INTEGER_FIELDS)
+def test_config_from_dict_rejects_non_integers(path, value, name):
+    d = _cfg().to_dict()
+    d[path[0]] = value if len(path) == 1 else {**d[path[0]], path[1]: value}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert name in str(exc.value) and "must be an integer" in str(exc.value)
 
 
 # --------------------------------------------------------------------- runs

@@ -230,22 +230,6 @@ def test_exact_erm_matches_brute_force():
     assert est.evaluate(best) == pytest.approx(brute, abs=1e-15)
 
 
-def test_exact_erm_first_minimizer_tie_break():
-    """With an empty sample every permutation ties at 0; lexicographic first wins."""
-    from pivotlearn import RegretEstimator
-
-    est = RegretEstimator(
-        pivot=rk.Permutation.identity(4),
-        us=np.array([], dtype=np.int64), vs=np.array([], dtype=np.int64),
-        labels=np.array([], dtype=np.uint8),
-        weight_num=np.array([], dtype=np.int64),
-        weight_denom=1, pivot_costs=np.array([], dtype=np.uint8),
-        measure_count=12, n_items=4,
-    )
-    best = rk.exact_erm(est)
-    assert best.rank.tolist() == [1, 2, 3, 4]
-
-
 def test_exact_min_error_finds_truth_when_noiseless():
     n = 5
     truth = rk.random_permutation(n, derive_rng(38, "t"))
