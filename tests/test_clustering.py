@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -244,6 +245,43 @@ def test_local_search_never_worse_than_start():
                                          rng=derive_rng(77, "b"))
     found = clu.local_search_erm(est, pivot, restarts=3, rng=derive_rng(77, "ls"))
     assert est.evaluate_int(found) <= est.evaluate_int(pivot)
+
+
+# Returned assignments of local search over a grid of pool sizes, cluster
+# counts, restarts, seeds and noise levels.  The digests were taken from the
+# per-pair swap scan before the gain table replaced it; a rewrite of the
+# search must keep every returned assignment byte-identical.
+_LS_GOLDEN_DIGESTS = {
+    (13, 2): "d6f252dba872e2265d713e2db7572e14e27d7c209af92d9c111170ea988162c1",
+    (13, 3): "6c4a10034568d55e32d7440cbc98df5fb302e5620dd9679c78c7935a4b249880",
+    (13, 4): "ac089a1730e5a0a3437d44ed768b6293c9d16f2174496fd2acc75d940b252ea8",
+    (13, 6): "233fd9305a3b34f149b11efbee6551bd3db5925de51bc222443ce850819dfaff",
+    (40, 2): "84669f5fd1882c910d3dfe7dc28ac6050b08afa4a41754874c216f1115ac3921",
+    (40, 3): "b0e588e8ed0c560c6c020e331addce110ff73d3a07836e44a8c7cd70c961a5ea",
+    (40, 4): "12a7995ff9ac92b3fa536441d58687c5d502152d5c200cebdd87ab6951dd900a",
+    (40, 6): "2f5bd2d1b91ca20e75052582792edf29ca74dd572527e5b2cbc3bc0cb2cb364a",
+    (90, 2): "bdc5ac3b7a69f7c0af304d59f8d10c21d823b6cd877f10489cf15929025fcfa6",
+    (90, 3): "5f64a790cd477c84165056dc727a2510a46eb2d4835ccaac2acd6cf20869a323",
+    (90, 4): "3cd28e2d2ca52ba73532ab918f4928438ba18589d6b4fcb063613a31db2dd361",
+    (90, 6): "0443f33804b19551cd8ff797d6b4ce4da3fdc666b19b4f22616b6ca85abee596",
+}
+
+
+def _ls_grid_digest(n, k):
+    digest = hashlib.sha256()
+    for restarts, seed, eta in itertools.product((1, 3), (0, 1), (0.1, 0.3)):
+        oracle, pivot = _fixture(n, k, 500 + seed, eta=eta)
+        est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.3), q=5,
+                                             rng=derive_rng(seed, "b"))
+        found = clu.local_search_erm(est, pivot, restarts=restarts,
+                                     rng=derive_rng(seed, "ls"))
+        digest.update(found.assign.astype(np.int32).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n, k", list(_LS_GOLDEN_DIGESTS))
+def test_local_search_golden(n, k):
+    assert _ls_grid_digest(n, k) == _LS_GOLDEN_DIGESTS[n, k]
 
 
 def test_enumerate_partitions_class():
