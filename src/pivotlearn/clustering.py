@@ -259,67 +259,106 @@ def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
 # -- local search --------------------------------------------------------------
 
 
-def _touching(est: RegretEstimator, item: int):
-    idx = est.per_item_index[item]
-    partners = np.where(est.us[idx] == item, est.vs[idx], est.us[idx])
-    return idx, partners
+class _GainTable:
+    """Exact integer gain table over the pair samples of an estimator.
+
+    cost[u, c] is the total weight of u's samples that would be mismatched
+    if u sat in cluster c, the others staying put (Kernighan and Lin, 1970).
+    A sample (u, v, w, y) adds w*y to every entry of both rows and
+    w*(1 - 2y) at the column of the partner's cluster, so moving an item
+    changes only its partners' rows, and a move's objective change is a
+    read of O(1) entries.  `assign` is updated in place.
+    """
+
+    __slots__ = ("assign", "cost", "partners", "signed", "bounds")
+
+    def __init__(self, est: RegretEstimator, assign: np.ndarray, k: int):
+        n = est.n_items
+        ends = np.concatenate([est.us, est.vs])
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        weight = np.concatenate([est.weight_num] * 2)[order]
+        label = np.concatenate([est.labels] * 2)[order].astype(np.int64)
+        self.partners = np.concatenate([est.vs, est.us])[order]
+        self.signed = weight * (1 - 2 * label)
+        self.bounds = np.searchsorted(ends, np.arange(n + 1))
+        self.assign = assign
+        base = np.zeros(n, dtype=np.int64)
+        np.add.at(base, ends, weight * label)
+        self.cost = np.repeat(base[:, None], k + 1, axis=1)
+        np.add.at(self.cost, (ends, assign[self.partners]), self.signed)
+
+    def _edges(self, item: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.bounds[item], self.bounds[item + 1]
+        return self.partners[lo:hi], self.signed[lo:hi]
+
+    def move(self, item: int, cid: int) -> None:
+        """Put `item` in cluster `cid` and update its partners' rows."""
+        partners, signed = self._edges(item)
+        np.add.at(self.cost, (partners, self.assign[item]), -signed)
+        np.add.at(self.cost, (partners, cid), signed)
+        self.assign[item] = cid
+
+    def pair_weights(self, a: int) -> np.ndarray:
+        """Sum of w*(1 - 2y) over the samples on each pair {a, b}, indexed by b."""
+        out = np.zeros(len(self.assign), dtype=np.int64)
+        np.add.at(out, *self._edges(a))
+        return out
+
+    def swap_deltas(self, a: int, lo: int, pair_w: np.ndarray) -> np.ndarray:
+        """Objective change of swapping a with each b >= lo in another cluster.
+
+        The two row differences each count the samples on {a, b} once with
+        b (resp. a) unmoved; those samples keep their value, as a and b stay
+        in different clusters, hence the correction.
+        """
+        ca = self.assign[a]
+        cb = self.assign[lo:]
+        rows = np.arange(lo, len(self.assign))
+        return (
+            self.cost[a, cb] - self.cost[a, ca]
+            + self.cost[rows, ca] - self.cost[rows, cb]
+            - 2 * pair_w[lo:]
+        )
 
 
-def _reassign_pass(est, assign: np.ndarray, k: int) -> tuple[int, bool]:
+def _reassign_pass(table: _GainTable) -> tuple[int, bool]:
     """One item-major first-improvement sweep of single reassignments."""
     gained = 0
     moved = False
+    assign = table.assign
     for u in range(len(assign)):
-        idx, partners = _touching(est, u)
-        if len(idx) == 0:
-            continue
-        w = est.weight_num[idx]
-        y = est.labels[idx]
-        pa = assign[partners]
-        w0 = np.zeros(k + 1, dtype=np.int64)
-        w1 = np.zeros(k + 1, dtype=np.int64)
-        np.add.at(w0, pa[y == 0], w[y == 0])
-        np.add.at(w1, pa[y == 1], w[y == 1])
-        total_one = int(w[y == 1].sum())
-        cost = w0[1:] + (total_one - w1[1:])
-        delta = cost - cost[assign[u] - 1]
+        row = table.cost[u, 1:]
+        delta = row - row[assign[u] - 1]
         c = int(np.argmin(delta))
         if delta[c] < 0:
-            assign[u] = c + 1
+            table.move(u, c + 1)
             gained += int(delta[c])
             moved = True
     return gained, moved
 
 
-def _swap_delta(est, assign: np.ndarray, a: int, b: int) -> int:
-    idx = np.union1d(est.per_item_index[a], est.per_item_index[b])
-    if len(idx) == 0:
-        return 0
-    us = est.us[idx]
-    vs = est.vs[idx]
-    w = est.weight_num[idx]
-    y = est.labels[idx].astype(np.int64)
-    swapped = assign.copy()
-    swapped[[a, b]] = assign[[b, a]]
-    old = (assign[us] == assign[vs]).astype(np.int64)
-    new = (swapped[us] == swapped[vs]).astype(np.int64)
-    return int(w @ ((new != y).astype(np.int64) - (old != y).astype(np.int64)))
-
-
-def _swap_pass(est, assign: np.ndarray) -> tuple[int, bool]:
+def _swap_pass(table: _GainTable) -> tuple[int, bool]:
     """First-improvement sweep over cross-cluster item swaps in lex order."""
     gained = 0
     moved = False
+    assign = table.assign
     n = len(assign)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if assign[a] == assign[b]:
-                continue
-            delta = _swap_delta(est, assign, a, b)
-            if delta < 0:
-                assign[[a, b]] = assign[[b, a]]
-                gained += delta
-                moved = True
+    for a in range(n - 1):
+        pair_w = table.pair_weights(a)
+        lo = a + 1
+        while lo < n:
+            delta = table.swap_deltas(a, lo, pair_w)
+            hits = np.flatnonzero((assign[lo:] != assign[a]) & (delta < 0))
+            if len(hits) == 0:
+                break
+            b = lo + int(hits[0])
+            ca, cb = int(assign[a]), int(assign[b])
+            table.move(a, cb)
+            table.move(b, ca)
+            gained += int(delta[hits[0]])
+            moved = True
+            lo = b + 1
     return gained, moved
 
 
@@ -333,8 +372,9 @@ def local_search_erm(
     """Reassignment plus swap local search, best of `restarts` seeded starts.
 
     Each restart alternates first-improvement reassignment sweeps with
-    cross-cluster swap sweeps until neither improves.  Restart 0 starts from
-    `start`, so the result never evaluates worse than it.
+    cross-cluster swap sweeps until neither improves; moves are scored from
+    one gain table per restart.  Restart 0 starts from `start`, so the
+    result never evaluates worse than it.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -342,20 +382,21 @@ def local_search_erm(
         rng = derive_rng(0, "local-search")
     k = start.k
     n = est.n_items
-    best: tuple[int, int, np.ndarray] | None = None
+    best: tuple[int, np.ndarray] | None = None
     for r in range(restarts):
         assign = (start.assign if r == 0 else random_clustering(n, k, rng).assign).copy()
         obj = est.evaluate_int(Clustering(assign, k))
+        table = _GainTable(est, assign, k)
         while True:
-            gained, moved_a = _reassign_pass(est, assign, k)
+            gained, moved_a = _reassign_pass(table)
             obj += gained
-            gained, moved_b = _swap_pass(est, assign)
+            gained, moved_b = _swap_pass(table)
             obj += gained
             if not (moved_a or moved_b):
                 break
         if best is None or obj < best[0]:
-            best = (obj, r, assign.copy())
-    return Clustering(best[2], k)
+            best = (obj, assign.copy())
+    return Clustering(best[1], k)
 
 
 # -- enumeration as a finite class ---------------------------------------------

@@ -87,6 +87,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (is_integer(value) or (value is None and name not in ("n", "restarts"))):
                 raise ConfigError(name, f"must be an integer, got {value!r}")
+        for name in ("oracle_path", "class_path", "output_dir"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise ConfigError(name, f"must be a path string, got {value!r}")
         if self.n < 2:
             raise ConfigError("n", "must be >= 2")
         if self.task == "clustering":

@@ -76,6 +76,15 @@ def test_run_config_non_integer_is_config_error(tmp_path, capsys, patch):
     assert "config error" in err and "must be an integer" in err
 
 
+def test_run_config_non_string_path_is_config_error(tmp_path, capsys):
+    cfg = {"task": "generic", "n": 12, "params": {"epsilon": 0.3}, "class_path": 7}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "class_path" in err
+
+
 def test_sweep_prints_table(tmp_path, capsys):
     out = str(tmp_path / "sw")
     code = main(["sweep", "--task", "ranking", "--n", "6", "--epsilon", "0.3",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotlearn import NoiseSpec, Params, Pool, make_clustering_oracle
+from pivotlearn import NoiseSpec, Params, Pool, Reassignment, make_clustering_oracle
 from pivotlearn import clustering as clu
 from pivotlearn.seeding import derive_rng
 
@@ -245,6 +245,37 @@ def test_local_search_never_worse_than_start():
                                          rng=derive_rng(77, "b"))
     found = clu.local_search_erm(est, pivot, restarts=3, rng=derive_rng(77, "ls"))
     assert est.evaluate_int(found) <= est.evaluate_int(pivot)
+
+
+@given(st.integers(3, 20), st.integers(2, 5), st.integers(1, 6), st.integers(0, 10_000),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 999), st.integers(0, 999)),
+                max_size=25))
+@settings(max_examples=60, deadline=None)
+def test_gain_table_tracks_moves(n, k, q, seed, moves):
+    """Incremental gain-table updates match a rebuild, and its deltas match evaluate_int."""
+    oracle, pivot = _fixture(n, k, seed, eta=0.3)
+    est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.3), q=q,
+                                         rng=derive_rng(seed, "b"))
+    assign = clu.random_clustering(n, k, derive_rng(seed, "h")).assign.copy()
+    table = clu._GainTable(est, assign, k)
+    for is_swap, x, y in moves:
+        before = est.evaluate_int(clu.Clustering(assign, k))
+        if is_swap:
+            a, b = sorted((x % n, y % n))
+            if assign[a] == assign[b]:
+                continue
+            delta = int(table.swap_deltas(a, b, table.pair_weights(a))[0])
+            ca, cb = int(assign[a]), int(assign[b])
+            table.move(a, cb)
+            table.move(b, ca)
+        else:
+            u, cid = x % n, y % k + 1
+            delta = int(table.cost[u, cid] - table.cost[u, assign[u]])
+            h = clu.Clustering(assign.copy(), k)
+            assert delta == est.evaluate_delta_int(h, Reassignment(u, cid))
+            table.move(u, cid)
+        assert delta == est.evaluate_int(clu.Clustering(assign, k)) - before
+        np.testing.assert_array_equal(table.cost, clu._GainTable(est, assign.copy(), k).cost)
 
 
 # Returned assignments of local search over a grid of pool sizes, cluster

@@ -48,6 +48,22 @@ def test_config_validation():
     assert _cfg(n=np.int64(7)).n == 7  # NumPy integers count as integers
 
 
+@pytest.mark.parametrize("field, value", [
+    ("class_path", 7), ("oracle_path", 3.5), ("output_dir", 5), ("output_dir", b"out"),
+])
+def test_config_paths_must_be_strings(field, value):
+    # an integer would reach open() as a file descriptor
+    with pytest.raises(ConfigError) as exc:
+        _cfg(**{field: value})
+    assert exc.value.field == field
+    assert "must be a path string" in str(exc.value)
+
+
+def test_config_paths_accept_strings_and_none():
+    cfg = _cfg(oracle_path="labels.csv", class_path=None, output_dir="out")
+    assert (cfg.oracle_path, cfg.class_path, cfg.output_dir) == ("labels.csv", None, "out")
+
+
 def test_config_geometric_defaults_d():
     cfg = _cfg(task="geometric", n=6)
     assert cfg.d == 2
