@@ -23,6 +23,7 @@ from .core import (
     RegretEstimator,
     pair_estimator,
     stratum_sample,
+    unordered_verification_labels,
     weighted_mismatch_argmin,
 )
 from .seeding import derive_rng
@@ -247,13 +248,13 @@ def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
     from .core import Pool
 
     n = oracle.n
-    us, vs = Pool(n).all_pairs()
-    labels = oracle.verification_labels(us, vs)
+    us, vs = np.triu_indices(n, k=1)
+    labels = unordered_verification_labels(oracle, us, vs)
     assigns = all_assignments(n, k)
-    row, val = weighted_mismatch_argmin(
+    row, half = weighted_mismatch_argmin(
         assigns, lambda block: block[:, us] == block[:, vs], labels, np.ones(len(us), np.int64)
     )
-    return val / Pool(n).pair_count, Clustering(assigns[row], k)
+    return 2 * half / Pool(n).pair_count, Clustering(assigns[row], k)
 
 
 # -- local search --------------------------------------------------------------

@@ -367,21 +367,58 @@ def distance(h1, h2) -> float:
     return float(np.count_nonzero(diff)) / Pool(n).pair_count
 
 
+def unordered_verification_labels(oracle, us, vs) -> np.ndarray:
+    """Verification labels of pairs u < v, each read charged for both orientations.
+
+    Pair labels and pair hypotheses are symmetric (clustering) or
+    skew-symmetric (ranking), so (u, v) and (v, u) are mismatched together
+    and a scan over ordered pairs counts exactly twice a scan over unordered
+    ones.  verification_reads still grows by two per pair: a full scan costs
+    n*(n-1) reads however it is walked.
+    """
+    labels = oracle.verification_labels(us, vs)
+    oracle.counters.verification_reads += len(labels)
+    return labels
+
+
+# Pairs per true_error block: enough to amortize per-call numpy overhead,
+# few enough that a block's temporaries take a few megabytes.
+_SCAN_BLOCK_PAIRS = 1 << 16
+
+
+def _unordered_pair_blocks(n: int):
+    """Yield (us, vs) over every pair u < v, whole rows of about _SCAN_BLOCK_PAIRS pairs."""
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..u
+    row = 0
+    while row < n - 1:
+        done = int(ends[row - 1]) if row else 0
+        stop = max(row + 1, int(np.searchsorted(ends, done + _SCAN_BLOCK_PAIRS, side="right")))
+        rows = np.arange(row, stop)
+        counts = n - 1 - rows
+        us = np.repeat(rows, counts)
+        offsets = np.arange(len(us)) - np.repeat(np.cumsum(counts) - counts, counts)
+        yield us, us + 1 + offsets
+        row = stop
+
+
 def true_error(h, oracle) -> float:
     """err(h): disagreement of h with the oracle over all N ordered pairs.
 
-    Reads the full label table through the verification counter; refuses to
-    run against a budget-capped oracle.
+    Walks the unordered pairs in row blocks, so memory stays flat in n; by
+    (skew-)symmetry each mismatch there stands for two ordered ones.  Reads
+    the full label table through the verification counter; refuses to run
+    against a budget-capped oracle.
     """
     if getattr(oracle, "budget", None) is not None:
         raise ValueError("true_error needs an unrestricted oracle (budget is set)")
     n = oracle.n
     if getattr(h, "n_items", n) != n:
         raise PoolMismatchError("hypothesis item count does not match oracle")
-    us, vs = Pool(n).all_pairs()
-    labels = oracle.verification_labels(us, vs)
-    pred = h.pair_values(us, vs)
-    return float(np.count_nonzero(pred != labels)) / Pool(n).pair_count
+    mismatches = 0
+    for us, vs in _unordered_pair_blocks(n):
+        labels = unordered_verification_labels(oracle, us, vs)
+        mismatches += int(np.count_nonzero(h.pair_values(us, vs) != labels))
+    return float(2 * mismatches) / Pool(n).pair_count
 
 
 def regret(h_pivot, h, oracle) -> float:
@@ -429,7 +466,8 @@ def run_erm_iteration(
     with status "budget_exhausted" and the partial trajectory; an ERM failure
     raises ErmFailedError carrying the partial trajectory.  Errors are
     recorded only against an unbudgeted oracle, because true_error refuses a
-    budgeted one.
+    budgeted one.  A row's wall_ms covers the build and the ERM step, not
+    the error scan.
     """
     from .oracles import BudgetExceededError  # local import, no cycle at module load
 
@@ -455,8 +493,8 @@ def run_erm_iteration(
             raise ErmFailedError(f"ERM failed at iteration {i}: {exc}", traj) from exc
         spent = oracle.counters.distinct_labeled - before
         cumulative = oracle.counters.distinct_labeled
-        err_i = true_error(h_next, oracle) if record_errors else None
         wall_ms = (time.perf_counter() - t0) * 1000.0
+        err_i = true_error(h_next, oracle) if record_errors else None
         traj.rows.append(
             TrajectoryRow(i, h_next, err_i, est.evaluate(h_next), spent, cumulative, wall_ms)
         )

@@ -12,7 +12,10 @@ Counters:
   complexity that the budget caps),
 * raw_calls         - every query call, repeats included,
 * verification_reads - full-table reads used by true_error and friends,
-  charged separately and never counted against the budget.
+  charged separately and never counted against the budget.  A full scan
+  is charged n*(n-1), one per ordered pair, even where it reads each
+  unordered pair once and lets it stand for both orientations
+  (core.unordered_verification_labels).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from .core import (
     RegretEstimator,
     pair_estimator,
     stratum_sample,
+    unordered_verification_labels,
     weighted_mismatch_argmin,
 )
 from .seeding import derive_rng
@@ -298,13 +299,13 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
     from .core import Pool
 
     n = oracle.n
-    us, vs = Pool(n).all_pairs()
-    labels = oracle.verification_labels(us, vs)
+    us, vs = np.triu_indices(n, k=1)
+    labels = unordered_verification_labels(oracle, us, vs)
     ranks = all_rank_arrays(n)
-    row, val = weighted_mismatch_argmin(
+    row, half = weighted_mismatch_argmin(
         ranks, lambda block: block[:, us] < block[:, vs], labels, np.ones(len(us), np.int64)
     )
-    return val / Pool(n).pair_count, Permutation(ranks[row])
+    return 2 * half / Pool(n).pair_count, Permutation(ranks[row])
 
 
 # -- local search ERM ---------------------------------------------------------

@@ -22,6 +22,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import generic as gen
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
+from pivotlearn.oracles import load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng
 
 
@@ -191,18 +192,62 @@ def test_distance_pool_mismatch_and_cross_type():
 
 # ------------------------------------------------------- error/regret oracle
 
-def test_true_error_against_direct_scan():
-    n = 6
-    rng = derive_rng(9, "err")
-    truth = rk.random_permutation(n, rng)
-    oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.3), seed=9)
-    h = rk.random_permutation(n, rng)
+_ERROR_ORACLES = [
+    ("ranking", NoiseSpec(kind="none"), False),
+    ("ranking", NoiseSpec(kind="uniform_flip", eta=0.3), False),
+    ("ranking", NoiseSpec(kind="distance_decay", rho=0.7, scale=0.6), False),
+    ("clustering", NoiseSpec(kind="none"), False),
+    ("clustering", NoiseSpec(kind="uniform_flip", eta=0.3), False),
+    ("ranking", NoiseSpec(kind="uniform_flip", eta=0.2), True),
+    ("clustering", NoiseSpec(kind="uniform_flip", eta=0.2), True),
+]
+
+
+# n = 400 has 79,800 unordered pairs, more than one scan block
+@pytest.mark.parametrize("n", [2, 3, 400])
+@pytest.mark.parametrize("mode,noise,table", _ERROR_ORACLES,
+                         ids=[f"{m}-{s.kind}{'-table' if t else ''}" for m, s, t in _ERROR_ORACLES])
+def test_true_error_against_direct_scan(mode, noise, table, n, tmp_path):
+    rng = derive_rng(9, "err", mode, n)
+    if mode == "ranking":
+        oracle = make_ranking_oracle(rk.random_permutation(n, rng), noise, seed=9)
+        h = rk.random_permutation(n, rng)
+    else:
+        oracle = make_clustering_oracle(clu.random_clustering(n, 3, rng), noise, seed=9)
+        h = clu.random_clustering(n, 3, rng)
+    if table:
+        path = str(tmp_path / "labels.csv")
+        save_oracle(oracle, path)
+        oracle = load_oracle(path)
     us, vs = Pool(n).all_pairs()
-    ref = np.mean(oracle.verification_labels(us, vs) != h.pair_values(us, vs))
-    assert true_error(h, oracle) == pytest.approx(ref, abs=1e-15)
+    mismatches = np.count_nonzero(oracle.verification_labels(us, vs) != h.pair_values(us, vs))
+    ref = float(mismatches) / Pool(n).pair_count
+    for _ in range(2):
+        reads = oracle.counters.verification_reads
+        assert true_error(h, oracle) == ref
+        # one read per ordered pair, whichever way the scan walks the table
+        assert oracle.counters.verification_reads - reads == n * (n - 1)
     # verification reads never touch the labeled-query counters
     assert oracle.counters.distinct_labeled == 0
-    assert oracle.counters.verification_reads > 0
+    assert oracle.counters.raw_calls == 0
+
+
+def test_true_error_memory_is_flat_in_n():
+    import tracemalloc
+
+    n = 2000
+    rng = derive_rng(3, "err-mem")
+    oracle = make_ranking_oracle(rk.random_permutation(n, rng),
+                                 NoiseSpec(kind="uniform_flip", eta=0.1), seed=3)
+    h = rk.random_permutation(n, rng)
+    tracemalloc.start()
+    try:
+        true_error(h, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an ordered-pair scan holds several arrays of n*(n-1) ~ 4e6 entries
+    assert peak < 16 * 2**20
 
 
 def test_true_error_refuses_budget_capped_oracle():
@@ -247,6 +292,29 @@ def test_run_erm_iteration_row_shape():
     cums = [r.cumulative_queries for r in traj.rows]
     assert cums == sorted(cums)
     assert traj.final_hypothesis.n_items == n
+
+
+def test_run_erm_iteration_wall_ms_excludes_error_scan(monkeypatch):
+    import time
+
+    from pivotlearn import core
+
+    scan = core.true_error
+
+    def slow_true_error(h, oracle):
+        time.sleep(0.3)
+        return scan(h, oracle)
+
+    monkeypatch.setattr(core, "true_error", slow_true_error)
+    n = 6
+    traj = run_erm_iteration(
+        h0=rk.Permutation.identity(n), oracle=_ranking_setup(n, 21),
+        params=Params(epsilon=0.25, iterations=2, master_seed=21),
+        builder=lambda h, orc, prm, rng=None: rk.build_ranking_estimator(h, orc, prm, p=2, rng=rng),
+        erm=lambda est, start, rng=None: rk.exact_erm(est, start, rng=rng),
+    )
+    assert all(r.err is not None for r in traj.rows)
+    assert all(0.0 < r.wall_ms < 300.0 for r in traj.rows[1:])
 
 
 def test_run_erm_iteration_deterministic():
