@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -257,6 +258,41 @@ def test_local_search_never_worse_than_start():
                                      rng=derive_rng(50, "b"))
     found = rk.local_search_erm(est, pivot, restarts=3, rng=derive_rng(50, "ls"))
     assert est.evaluate_int(found) <= est.evaluate_int(pivot)
+
+
+# Returned rank arrays of local search over a grid of pool sizes, starts,
+# restarts, seeds and noise levels.  The "identity" start is the harness's
+# first iteration, where consecutive ids are near-set partners; "random"
+# builds around and starts from a random pivot.  The digests were taken from
+# the dense per-item climb; a rewrite of the climb must keep every returned
+# permutation byte-identical.
+_LS_GOLDEN_DIGESTS = {
+    (9, "identity"): "6794b18d14579a82a2eb24a62675c4b4bc405b904e66dcb05efa7895c0f57346",
+    (9, "random"): "037184389f4d193dc9934a8d39b4f27954bcebbdbdfe6767e0f6443b51f33291",
+    (40, "identity"): "f347836b6ddee7afcd2c54365a5de0aa704795c77f5b28c02b5a78d551d7f083",
+    (40, "random"): "ac4fd2b5311a78da36546b658bfae66a507eee218ea4b9821a6589a73e5037c6",
+    (150, "identity"): "43f505f43a3ae13c78101d43e603fc0a3860474902786e0eb52ec1f056d8fdd5",
+    (150, "random"): "ba82f97d3a0a72ac00bad261386e48a8b82b9076ba03f4c32ddb2ad23bb07695",
+}
+
+
+def _ls_grid_digest(n, start):
+    digest = hashlib.sha256()
+    for restarts, seed, eta in itertools.product((1, 3), (0, 1), (0.1, 0.3)):
+        oracle, pivot = _fixture(n, 600 + seed, eta=eta)
+        if start == "identity":
+            pivot = rk.Permutation.identity(n)
+        est = rk.build_ranking_estimator(pivot, oracle, Params(epsilon=0.3), p=3,
+                                         rng=derive_rng(seed, "b"))
+        found = rk.local_search_erm(est, pivot, restarts=restarts,
+                                    rng=derive_rng(seed, "ls"))
+        digest.update(found.rank.astype(np.int32).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n, start", list(_LS_GOLDEN_DIGESTS))
+def test_local_search_golden(n, start):
+    assert _ls_grid_digest(n, start) == _LS_GOLDEN_DIGESTS[n, start]
 
 
 def test_regret_helper_agrees_with_scan():
