@@ -168,7 +168,11 @@ def build_clustering_estimator(
             for other in later:
                 sample, w_num = stratum_sample(other, q, rng)
                 draws.append((u, sample, 2 * w_num))
-    return pair_estimator(pivot, oracle, draws, q)
+    counts = [len(partners) for _, partners, _ in draws]
+    us = np.repeat([u for u, _, _ in draws], counts)
+    vs = np.concatenate([partners for _, partners, _ in draws])
+    w_num = np.repeat([w for _, _, w in draws], counts)
+    return pair_estimator(pivot, oracle, us, vs, w_num, q)
 
 
 # -- enumeration of partitions into at most k blocks ---------------------------

@@ -335,16 +335,12 @@ def stratum_sample(items: np.ndarray, q: int, rng: np.random.Generator) -> tuple
     return items[rng.integers(0, len(items), size=q)], len(items)
 
 
-def pair_estimator(pivot, oracle, draws: list, weight_denom: int) -> RegretEstimator:
+def pair_estimator(pivot, oracle, us, vs, w_num, weight_denom: int) -> RegretEstimator:
     """Label sampled pairs in one batch and centre them on a pivot hypothesis.
 
-    draws lists (u, partners, w_num) in sampling order: one sample (u, v) of
-    weight numerator w_num for each v in partners.
+    Sample i is the pair (us[i], vs[i]) at weight numerator w_num[i], in
+    sampling order.
     """
-    counts = [len(partners) for _, partners, _ in draws]
-    us = np.repeat(np.array([u for u, _, _ in draws], dtype=np.int32), counts)
-    vs = np.concatenate([partners for _, partners, _ in draws]).astype(np.int32)
-    w_num = np.repeat(np.array([w for _, _, w in draws], dtype=np.int64), counts)
     labels = oracle.query_many(us, vs)
     pivot_costs = (pivot.pair_values(us, vs) != labels).astype(np.uint8)
     n = pivot.n_items

@@ -13,6 +13,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,8 +22,8 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    is_integer,
     pair_estimator,
-    stratum_sample,
     unordered_verification_labels,
     weighted_mismatch_argmin,
 )
@@ -52,19 +53,31 @@ __all__ = [
 _EXACT_ERM_MAX_N = 10
 
 
+def _integer_array(values) -> np.ndarray:
+    """values as a 1-d integer array; floats and bools are refused, never truncated."""
+    arr = np.asarray(values)
+    if isinstance(values, np.ndarray):
+        exact = arr.dtype.kind in "iu"
+    else:
+        exact = all(map(is_integer, values))
+    if arr.ndim != 1 or not exact:
+        raise ValueError("expected a 1-d sequence of integers")
+    return arr
+
+
 class Permutation:
     """Total order on items 0..n-1, stored as a rank array (positions 1..n)."""
 
     __slots__ = ("rank", "_order")
 
     def __init__(self, rank):
-        rank = np.asarray(rank, dtype=np.int32)
+        rank = _integer_array(rank)
         n = len(rank)
         if n < 2:
             raise ValueError("permutation needs at least 2 items")
         if sorted(rank.tolist()) != list(range(1, n + 1)):
             raise ValueError("rank array must be a permutation of 1..n")
-        self.rank = rank
+        self.rank = rank.astype(np.int32)
         self._order = None
 
     @classmethod
@@ -73,7 +86,9 @@ class Permutation:
 
     @classmethod
     def from_order(cls, items) -> "Permutation":
-        items = np.asarray(items, dtype=np.int64)
+        items = _integer_array(items)
+        if sorted(items.tolist()) != list(range(len(items))):
+            raise ValueError("order must list each item 0..n-1 exactly once")
         rank = np.empty(len(items), dtype=np.int32)
         rank[items] = np.arange(1, len(items) + 1)
         return cls(rank)
@@ -188,17 +203,37 @@ class BandPlan:
         """Band indices run 0..ceil(log2 n), most of the top ones empty."""
         return math.ceil(math.log2(self.n_items)) + 1
 
-    def _ring(self, u: int, lo_gap: int, hi_gap: int) -> np.ndarray:
-        pos = int(self.pivot.rank[u]) - 1
+    @cached_property
+    def ring_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) pivot positions of every item's rings, each of shape (n, n_bands + 1, 2).
+
+        Ring 0 is the near set and ring i + 1 is band i.  Arm 0 is the slice
+        order[lo:hi] before the item in pivot order and arm 1 the slice after
+        it, both clipped to the pool, so every arm has hi >= lo.
+        """
+        edges = self.p << np.arange(self.n_bands + 1)
+        inner = np.concatenate([[1], edges[:-1]])  # least pivot-rank gap of each ring
+        outer = edges - 1  # greatest
+        pos = self.pivot.rank.astype(np.int64)[:, None, None] - 1
+        n = self.n_items
+        lo = np.minimum(np.maximum(pos + np.array([-outer, inner]).T, 0), n)
+        hi = np.minimum(np.maximum(pos + np.array([1 - inner, outer + 1]).T, 0), n)
+        return lo, hi
+
+    def _ring(self, u: int, ring: int) -> np.ndarray:
+        (l0, l1), (h0, h1) = (b[u, ring] for b in self.ring_bounds)
         order = self.pivot.order
-        left = order[max(0, pos - hi_gap) : max(0, pos - lo_gap + 1)]
-        return np.concatenate([left, order[pos + lo_gap : pos + hi_gap + 1]])
+        return np.concatenate([order[l0:h0], order[l1:h1]])
 
     def near_items(self, u: int) -> np.ndarray:
-        return self._ring(u, 1, self.p - 1)
+        return self._ring(u, 0)
 
     def band_items(self, u: int, i: int) -> np.ndarray:
-        return self._ring(u, (1 << i) * self.p, (1 << (i + 1)) * self.p - 1)
+        if i < 0:
+            raise ValueError("band index must be non-negative")
+        if i >= self.n_bands:
+            return self.pivot.order[:0]  # gaps of at least n*p: always empty
+        return self._ring(u, i + 1)
 
     def band_size(self, u: int, i: int) -> int:
         return len(self.band_items(u, i))
@@ -223,8 +258,8 @@ def build_ranking_estimator(
     Pairs closer than p under the pivot enter deterministically at weight 1;
     each nonempty band contributes p draws with repetition at weight
     band_size / p (or all its pairs at weight 1 when band_size <= p).
-    Sampling is sequential over items, so the result depends only on the
-    provided stream, never on scheduling.
+    Draws are taken in one call, in (item, band) order, so the result
+    depends only on the provided stream, never on scheduling.
     """
     n = pivot.n_items
     if oracle.n != n:
@@ -235,16 +270,23 @@ def build_ranking_estimator(
         p = sample_size_p(n, params.epsilon, params.c1)
     if rng is None:
         rng = derive_rng(params.master_seed, "ranking-build")
-    plan = band_plan(pivot, p)
-    draws = []
-    for u in range(n):
-        draws.append((u, plan.near_items(u), p))
-        for i in range(plan.n_bands):
-            band = plan.band_items(u, i)
-            if len(band) == 0:
-                break  # bands only move further out, so every later one is empty too
-            draws.append((u, *stratum_sample(band, p, rng)))
-    return pair_estimator(pivot, oracle, draws, p)
+    lo, hi = band_plan(pivot, p).ring_bounds
+    lo = lo.reshape(-1, 2)
+    arm = hi.reshape(-1, 2) - lo
+    size = arm[:, 0] + arm[:, 1]
+    drawn = size > p
+    drawn[:: hi.shape[1]] = False  # the near set always enters whole
+    count = np.where(drawn, p, size)
+    # offset of each sample within its ring's items, left arm first
+    offset = np.arange(count.sum()) - (count.cumsum() - count).repeat(count)
+    offset[drawn.repeat(count)] = rng.integers(0, size[drawn].repeat(p))
+    left = arm[:, 0].repeat(count)
+    spot = np.where(
+        offset < left, lo[:, 0].repeat(count) + offset, lo[:, 1].repeat(count) + offset - left
+    )
+    us = np.arange(n).repeat(count.reshape(n, -1).sum(axis=1))
+    w_num = np.where(drawn, size, p).repeat(count)
+    return pair_estimator(pivot, oracle, us, pivot.order[spot], w_num, p)
 
 
 # -- exact ERM by lexicographic enumeration ----------------------------------
@@ -312,53 +354,85 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
 
 
 def _insertion_csr(est: RegretEstimator):
-    """Per-item partner/delta arrays for insertion moves.
+    """Per-item merged partner/delta arrays for insertion moves, as CSR.
 
-    For each sample (a, b, y, w), moving endpoint u past its partner flips
-    the predicate; the objective change of "u after partner" minus "u before
-    partner" is +w when y says u should win and -w otherwise.
+    For each sample (a, b, y, w), moving endpoint u from before its partner
+    to after it changes the objective by +w when y says u should win and -w
+    otherwise.  All samples on one pair are merged into one exact int64
+    delta per endpoint; a pair whose delta sums to 0 changes no insertion
+    objective and is dropped.
     """
-    s = np.sign(2 * est.labels.astype(np.int64) - 1)
-    endpoints = np.concatenate([est.us, est.vs])
-    partners = np.concatenate([est.vs, est.us])
-    deltas = np.concatenate([est.weight_num * s, -est.weight_num * s])
-    order = np.argsort(endpoints, kind="stable")
-    endpoints = endpoints[order]
-    partners = partners[order].astype(np.int64)
-    deltas = deltas[order]
-    bounds = np.searchsorted(endpoints, np.arange(est.n_items + 1))
-    return partners, deltas, bounds
+    n = est.n_items
+    w = est.weight_num * (2 * est.labels.astype(np.int64) - 1)
+    keys = np.concatenate([est.us * n + est.vs, est.vs * n + est.us])
+    deltas = np.concatenate([w, -w])
+    by_key = np.argsort(keys)
+    keys, deltas = keys[by_key], deltas[by_key]
+    del by_key
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    deltas = np.add.reduceat(deltas, first)
+    keys = keys[first]
+    keep = deltas != 0
+    items, partners = np.divmod(keys[keep], n)
+    return partners, deltas[keep], np.searchsorted(items, np.arange(n + 1)).tolist()
 
 
 def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutation, int]:
+    """First-improvement insertion climb from `start`; returns (local optimum, evaluate_int).
+
+    Item u is scored over its own partners only: with them sorted by
+    current rank, the objective of putting u after the first k of them is
+    the k-th prefix sum of their deltas, so u's best slot is the first
+    minimum, either the front or right after one partner.  Moving an item
+    that is not u's partner changes neither those sums nor which slot is
+    first, so u stays settled (no improving move) until it or one of its
+    partners moves; a moved item is settled, since it sits at its first
+    minimum.  Moves shift only the span of order/rank0 between the old and
+    new position.
+    """
     n = est.n_items
-    order = start.order.astype(np.int64).copy()
+    order = start.order.astype(np.int64)
     rank0 = np.empty(n, dtype=np.int64)
     rank0[order] = np.arange(n)
     obj = est.evaluate_int(start)
+    settled = np.zeros(n, dtype=bool)
     moved = True
     while moved:
         moved = False
         for u in range(n):
+            if settled[u]:
+                continue
+            settled[u] = True
             lo, hi = bounds[u], bounds[u + 1]
             if lo == hi:
                 continue
-            g = np.zeros(n, dtype=np.int64)
-            np.add.at(g, rank0[partners[lo:hi]], deltas[lo:hi])
-            prefix = np.cumsum(g)
-            i = rank0[u]
-            move_val = np.zeros(n, dtype=np.int64)
-            if i + 1 < n:
-                move_val[i + 1 :] = prefix[i + 1 :] - prefix[i]
-            if i > 0:
-                left_prefix = np.concatenate([[0], prefix[: i - 1]]) if i > 1 else np.array([0])
-                move_val[:i] = left_prefix - prefix[i - 1]
-            j = int(np.argmin(move_val))
-            if move_val[j] < 0:
-                order = np.insert(np.delete(order, i), j, u)
-                rank0[order] = np.arange(n)
-                obj += int(move_val[j])
-                moved = True
+            mine = partners[lo:hi]
+            ranks = rank0[mine]
+            by_rank = ranks.argsort()
+            prefix = deltas[lo:hi][by_rank].cumsum()
+            i = int(rank0[u])
+            before = int(np.count_nonzero(ranks < i))
+            k = int(prefix.argmin())
+            best = min(int(prefix[k]), 0)
+            gain = best - (int(prefix[before - 1]) if before else 0)
+            if gain >= 0:
+                continue
+            if best == 0:
+                j = 0
+            else:
+                x = int(ranks[by_rank[k]])
+                j = x + 1 if x < i else x
+            if j < i:
+                order[j + 1 : i + 1] = order[j:i]
+                order[j] = u
+                rank0[order[j : i + 1]] = np.arange(j, i + 1)
+            else:
+                order[i:j] = order[i + 1 : j + 1]
+                order[j] = u
+                rank0[order[i : j + 1]] = np.arange(i, j + 1)
+            settled[mine] = False
+            obj += gain
+            moved = True
     return Permutation.from_order(order), obj
 
 
@@ -374,7 +448,9 @@ def local_search_erm(
     Items are scanned in id order; the first item with an improving insertion
     is moved to its best target (ties to the smallest position).  Restart 0
     starts from `start`, the rest from stream-seeded random permutations, so
-    the result never evaluates worse than the start.
+    the result never evaluates worse than the start.  Each item is scored
+    over its merged partner list only (samples on one pair summed into one
+    delta), and its result is cached until it or one of its partners moves.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

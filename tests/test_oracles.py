@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotlearn import (
     BudgetExceededError,
@@ -123,6 +125,44 @@ def test_budget_check_is_atomic():
     assert oracle.counters.distinct_labeled == 3
     with pytest.raises(BudgetExceededError):
         oracle.query_many(np.array([6]), np.array([7]))
+
+
+def _seen_pairs(oracle):
+    return {tuple(pair) for pair in np.argwhere(oracle._seen).tolist()}
+
+
+@given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10_000),
+       st.lists(st.tuples(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                                   min_size=1, max_size=10),
+                          st.integers(0, 10)),
+                max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_query_many_batches_are_atomic(n, budget, seed, batches):
+    """Batches with duplicate and reversed pairs under a budget: a rejected
+    batch leaves the counters and the seen set as they were; an accepted one
+    adds exactly its new unordered pairs and len(us) raw calls."""
+    oracle = make_ranking_oracle(_perm(n, seed), NoiseSpec(kind="uniform_flip", eta=0.2),
+                                 seed=seed, budget=budget)
+    for raw, mirrored in batches:
+        pairs = [(u % n, v % n) for u, v in raw if u % n != v % n]
+        pairs += [(v, u) for u, v in pairs[:mirrored]]
+        if not pairs:
+            continue
+        us = np.array([u for u, _ in pairs])
+        vs = np.array([v for _, v in pairs])
+        before, seen = oracle.counters.snapshot(), _seen_pairs(oracle)
+        new = {(min(u, v), max(u, v)) for u, v in pairs} - seen
+        if before.distinct_labeled + len(new) > budget:
+            with pytest.raises(BudgetExceededError):
+                oracle.query_many(us, vs)
+            assert oracle.counters == before
+            assert _seen_pairs(oracle) == seen
+            continue
+        assert len(oracle.query_many(us, vs)) == len(us)
+        assert oracle.counters.distinct_labeled == before.distinct_labeled + len(new)
+        assert oracle.counters.raw_calls == before.raw_calls + len(us)
+        assert oracle.counters.verification_reads == before.verification_reads
+        assert _seen_pairs(oracle) == seen | new
 
 
 def test_verification_is_uncapped_and_counted_separately():

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotlearn import NoiseSpec, Params, Pool, make_ranking_oracle, regret
+from pivotlearn import NoiseSpec, Params, Pool, RegretEstimator, make_ranking_oracle, regret
 from pivotlearn import ranking as rk
 from pivotlearn.seeding import derive_rng
 
@@ -49,6 +50,20 @@ def test_permutation_validation():
         rk.Permutation([1, 1, 3])
     with pytest.raises(ValueError):
         rk.Permutation([0, 1, 2])  # ranks are 1-based
+
+
+@pytest.mark.parametrize("kind, values", [
+    ("rank", [1.7, 2.2, 3.9]),
+    ("order", [0.5, 1.5, 2.2]),
+    ("rank", [True, 2]),
+    ("rank", np.array([1, 2, 2**32 + 3])),  # would wrap to [1, 2, 3] in int32
+    ("order", [-1, 0, 1]),  # would index from the end
+    ("order", [0, 0, 1]),
+])
+def test_permutation_refuses_non_integer_or_out_of_range(kind, values):
+    make = rk.Permutation if kind == "rank" else rk.Permutation.from_order
+    with pytest.raises(ValueError):
+        make(values)
 
 
 def test_pair_values_definition():
@@ -127,6 +142,9 @@ def test_band_plan_frozen_example():
     assert sorted(plan.near_items(u).tolist()) == [2, 3, 5, 6]
     assert sorted(plan.band_items(u, 0).tolist()) == [0, 1, 7, 8, 9]
     assert plan.band_size(u, 1) == 0
+    assert plan.band_size(u, plan.n_bands + 2) == 0  # past the last band
+    with pytest.raises(ValueError):
+        plan.band_items(u, -1)
 
 
 def test_band_plan_partitions_everything():
@@ -150,6 +168,75 @@ def test_band_gaps_form_geometric_ladder():
 
 
 # ---------------------------------------------------------------- estimator
+
+def _loop_build(pivot, oracle, p, rng):
+    """Reference builder: a per-(item, band) loop with its own gap slicing.
+
+    Near set whole at weight p, then each band until the first empty one:
+    whole at weight p when it has at most p items, else p draws with
+    repetition at weight len(band).  Returns (us, vs, w_num, labels).
+    """
+    n = pivot.n_items
+    order = pivot.order
+
+    def ring(u, lo_gap, hi_gap):
+        pos = int(pivot.rank[u]) - 1
+        left = order[max(0, pos - hi_gap) : max(0, pos - lo_gap + 1)]
+        return np.concatenate([left, order[pos + lo_gap : pos + hi_gap + 1]])
+
+    us, vs, w_num = [], [], []
+    for u in range(n):
+        strata = [(ring(u, 1, p - 1), p)]
+        for i in range(math.ceil(math.log2(n)) + 1):
+            band = ring(u, (1 << i) * p, (1 << (i + 1)) * p - 1)
+            if len(band) == 0:
+                break
+            if len(band) <= p:
+                strata.append((band, p))
+            else:
+                strata.append((band[rng.integers(0, len(band), size=p)], len(band)))
+        for items, w in strata:
+            us += [u] * len(items)
+            vs += items.tolist()
+            w_num += [w] * len(items)
+    us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    return us, vs, np.array(w_num, dtype=np.int64), oracle.query_many(us, vs)
+
+
+# p >= n (all exact), n = 2, n not a power of two, and pools where middle
+# items have bands clipped on both sides
+_BUILD_GRID = [(2, 1), (2, 3), (5, 5), (6, 11), (8, 2), (13, 2), (37, 3), (64, 1), (100, 7)]
+
+
+@pytest.mark.parametrize("n, p", _BUILD_GRID)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_build_matches_loop_reference(n, p, seed):
+    truth = rk.random_permutation(n, derive_rng(seed, "t"))
+    noise = NoiseSpec(kind="uniform_flip", eta=0.2)
+    pivot = rk.random_permutation(n, derive_rng(seed, "p"))
+    rng, ref_rng = derive_rng(seed, "b"), derive_rng(seed, "b")
+    est = rk.build_ranking_estimator(pivot, make_ranking_oracle(truth, noise, seed=seed),
+                                     Params(epsilon=0.2), p=p, rng=rng)
+    us, vs, w_num, labels = _loop_build(pivot, make_ranking_oracle(truth, noise, seed=seed),
+                                        p, ref_rng)
+    np.testing.assert_array_equal(est.us, us)
+    np.testing.assert_array_equal(est.vs, vs)
+    np.testing.assert_array_equal(est.weight_num, w_num)
+    np.testing.assert_array_equal(est.labels, labels)
+    assert est.weight_denom == p
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same stream left
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+def test_one_draw_matches_sequential_draws(p):
+    """rng.integers(0, highs) is the concatenation of per-high draws of size p."""
+    highs = np.array([1, 2, 5, 9, 100, 3, 2**31 + 5, 2**40], dtype=np.int64)
+    seq, one = derive_rng(p, "draw"), derive_rng(p, "draw")
+    expected = np.concatenate([seq.integers(0, h, size=p) for h in highs])
+    np.testing.assert_array_equal(one.integers(0, highs.repeat(p)), expected)
+    assert len(one.integers(0, highs[:0])) == 0  # an empty draw consumes nothing
+    assert one.integers(0, 2**62) == seq.integers(0, 2**62)
+
 
 def _fixture(n, seed, eta=0.2):
     truth = rk.random_permutation(n, derive_rng(seed, "t"))
@@ -258,6 +345,70 @@ def test_local_search_never_worse_than_start():
                                      rng=derive_rng(50, "b"))
     found = rk.local_search_erm(est, pivot, restarts=3, rng=derive_rng(50, "ls"))
     assert est.evaluate_int(found) <= est.evaluate_int(pivot)
+
+
+def _dense_climb(est, start):
+    """Reference climb: per item, an n-vector of insertion values over all positions."""
+    s = np.sign(2 * est.labels.astype(np.int64) - 1)
+    endpoints = np.concatenate([est.us, est.vs])
+    by_item = np.argsort(endpoints, kind="stable")
+    partners = np.concatenate([est.vs, est.us])[by_item]
+    deltas = np.concatenate([est.weight_num * s, -est.weight_num * s])[by_item]
+    bounds = np.searchsorted(endpoints[by_item], np.arange(est.n_items + 1))
+    n = est.n_items
+    order = start.order.astype(np.int64).copy()
+    rank0 = np.empty(n, dtype=np.int64)
+    rank0[order] = np.arange(n)
+    obj = est.evaluate_int(start)
+    moved = True
+    while moved:
+        moved = False
+        for u in range(n):
+            lo, hi = bounds[u], bounds[u + 1]
+            if lo == hi:
+                continue
+            g = np.zeros(n, dtype=np.int64)
+            np.add.at(g, rank0[partners[lo:hi]], deltas[lo:hi])
+            prefix = np.cumsum(g)
+            i = rank0[u]
+            move_val = np.zeros(n, dtype=np.int64)
+            if i + 1 < n:
+                move_val[i + 1 :] = prefix[i + 1 :] - prefix[i]
+            if i > 0:
+                left_prefix = np.concatenate([[0], prefix[: i - 1]]) if i > 1 else np.array([0])
+                move_val[:i] = left_prefix - prefix[i - 1]
+            j = int(np.argmin(move_val))
+            if move_val[j] < 0:
+                order = np.insert(np.delete(order, i), j, u)
+                rank0[order] = np.arange(n)
+                obj += int(move_val[j])
+                moved = True
+    return rk.Permutation.from_order(order), obj
+
+
+@given(st.integers(2, 14), st.integers(1, 40), st.integers(1, 80), st.integers(1, 3),
+       st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_sparse_climb_matches_dense_reference(n, pairs, m, wmax, seed):
+    """Random estimators with repeated and mirrored samples and small weights
+    (so merged deltas cancel and slot values tie) climb exactly like the dense
+    reference, and the returned objective is evaluate_int of the result."""
+    rng = derive_rng(seed, "climb")
+    pool_u = rng.integers(0, n, size=pairs)
+    pool_v = (pool_u + rng.integers(1, n, size=pairs)) % n
+    pick = rng.integers(0, pairs, size=m)
+    flip = rng.integers(0, 2, size=m).astype(bool)
+    us = np.where(flip, pool_v[pick], pool_u[pick])
+    vs = np.where(flip, pool_u[pick], pool_v[pick])
+    labels = rng.integers(0, 2, size=m).astype(np.uint8)
+    pivot = rk.random_permutation(n, rng)
+    est = RegretEstimator(pivot, us, vs, rng.integers(1, wmax + 1, size=m), wmax, labels,
+                          pivot.pair_values(us, vs) != labels, n * (n - 1), n)
+    start = rk.random_permutation(n, rng)
+    found, obj = rk._climb(est, start, *rk._insertion_csr(est))
+    ref, ref_obj = _dense_climb(est, start)
+    assert found == ref
+    assert obj == ref_obj == est.evaluate_int(found)
 
 
 # Returned rank arrays of local search over a grid of pool sizes, starts,
