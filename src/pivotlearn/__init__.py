@@ -16,11 +16,9 @@ from .clustering import (
 )
 from .core import (
     ErmFailedError,
-    Insertion,
     Params,
     Pool,
     PoolMismatchError,
-    Reassignment,
     RegretEstimator,
     Trajectory,
     TrajectoryRow,
@@ -83,8 +81,6 @@ __all__ = [
     "Pool",
     "Params",
     "RegretEstimator",
-    "Insertion",
-    "Reassignment",
     "Trajectory",
     "TrajectoryRow",
     "ErmFailedError",

@@ -21,7 +21,10 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    integer_array,
+    is_integer,
     pair_estimator,
+    sample_size,
     stratum_sample,
     unordered_verification_labels,
     weighted_mismatch_argmin,
@@ -54,14 +57,16 @@ class Clustering:
     __slots__ = ("assign", "k")
 
     def __init__(self, assign, k: Optional[int] = None):
-        assign = np.asarray(assign, dtype=np.int32)
+        assign = integer_array(assign)
         if len(assign) < 2:
             raise ValueError("clustering needs at least 2 items")
         if k is None:
             k = int(assign.max())
+        if not is_integer(k) or not 1 <= k <= np.iinfo(np.int32).max:
+            raise ValueError(f"k must be an integer in 1..2**31 - 1, got {k!r}")
         if assign.min() < 1 or assign.max() > k:
             raise ValueError(f"cluster ids must lie in 1..{k}")
-        self.assign = assign
+        self.assign = assign.astype(np.int32, copy=False)
         self.k = int(k)
 
     @property
@@ -130,8 +135,9 @@ def sample_size_q(n: int, k: int, epsilon: float, c2: float = 1.0) -> int:
         raise ValueError("n must be at least 2")
     if k < 1:
         raise ValueError("k must be at least 1")
-    body = max(epsilon**-2 * k**2, epsilon**-3 * k)
-    return max(1, math.ceil(c2 * body * math.log2(n)))
+    return sample_size(
+        "q", lambda: c2 * max(epsilon**-2 * k**2, epsilon**-3 * k) * math.log2(n)
+    )
 
 
 def build_clustering_estimator(
@@ -374,7 +380,7 @@ def local_search_erm(
     restarts: int = 5,
     rng: Optional[np.random.Generator] = None,
 ) -> Clustering:
-    """Reassignment plus swap local search, best of `restarts` seeded starts.
+    """Single-item reassignment plus swap local search, best of `restarts` seeded starts.
 
     Each restart alternates first-improvement reassignment sweeps with
     cross-cluster swap sweeps until neither improves; moves are scored from

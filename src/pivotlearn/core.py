@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "Pool",
     "Params",
     "RegretEstimator",
-    "Insertion",
-    "Reassignment",
     "Trajectory",
     "TrajectoryRow",
     "ErmFailedError",
@@ -57,6 +54,34 @@ class ErmFailedError(RuntimeError):
 def is_integer(value) -> bool:
     """True for Python and NumPy integers; bools and integral floats do not count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def integer_array(values) -> np.ndarray:
+    """values as a 1-d integer array; floats and bools are refused, never truncated."""
+    arr = np.asarray(values)
+    if isinstance(values, np.ndarray):
+        exact = arr.dtype.kind in "iu"
+    else:
+        exact = all(map(is_integer, values))
+    if arr.ndim != 1 or not exact:
+        raise ValueError("expected a 1-d sequence of integers")
+    return arr
+
+
+# Largest per-stratum sample size a run accepts, forced or computed; a larger
+# one could not be drawn in memory, and past 2**63 not even counted in int64.
+MAX_SAMPLE_SIZE = 2**31 - 1
+
+
+def sample_size(name: str, formula: Callable[[], float]) -> int:
+    """max(1, ceil(formula())), refusing a value that is not finite or exceeds MAX_SAMPLE_SIZE."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not value <= MAX_SAMPLE_SIZE:  # also catches NaN
+        raise ValueError(f"sample size {name} = {value!r} must be finite and at most 2**31 - 1")
+    return max(1, math.ceil(value))
 
 
 @dataclass(frozen=True)
@@ -113,8 +138,9 @@ class Params:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         for name in ("c1", "c2", "c3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -124,22 +150,6 @@ class Params:
 
     def with_overrides(self, **kw) -> "Params":
         return replace(self, **kw)
-
-
-@dataclass(frozen=True)
-class Insertion:
-    """Move one item so it ends up at `position` (1-based) in rank order."""
-
-    item: int
-    position: int
-
-
-@dataclass(frozen=True)
-class Reassignment:
-    """Move one item to cluster id `cluster` (1-based)."""
-
-    item: int
-    cluster: int
 
 
 class RegretEstimator:
@@ -196,29 +206,8 @@ class RegretEstimator:
         return self.vs is not None
 
     @property
-    def weights(self) -> np.ndarray:
-        """Float view of the sample weights (weight_num / weight_denom)."""
-        return self.weight_num / self.weight_denom
-
-    @property
     def scale(self) -> float:
         return 1.0 / (self.measure_count * self.weight_denom)
-
-    def samples(self) -> list[tuple]:
-        """(u, v, weight, y_label, pivot_cost) tuples; v is None in indexed mode."""
-        out = []
-        for i in range(self.n_samples):
-            v = int(self.vs[i]) if self.vs is not None else None
-            out.append(
-                (
-                    int(self.us[i]),
-                    v,
-                    float(self.weight_num[i]) / self.weight_denom,
-                    int(self.labels[i]),
-                    int(self.pivot_costs[i]),
-                )
-            )
-        return out
 
     def _costs(self, h) -> np.ndarray:
         if self.vs is None:
@@ -242,59 +231,6 @@ class RegretEstimator:
 
     def evaluate(self, h) -> float:
         return self.evaluate_int(h) * self.scale
-
-    @cached_property
-    def per_item_index(self) -> list[np.ndarray]:
-        """item -> positions of samples touching it (each sample listed twice)."""
-        if self.vs is None:
-            raise ValueError("per_item_index is only defined for pair-mode estimators")
-        endpoints = np.concatenate([self.us, self.vs])
-        positions = np.concatenate([np.arange(self.n_samples)] * 2)
-        order = np.argsort(endpoints, kind="stable")
-        endpoints = endpoints[order]
-        positions = positions[order]
-        bounds = np.searchsorted(endpoints, np.arange(self.n_items + 1))
-        return [positions[bounds[i] : bounds[i + 1]] for i in range(self.n_items)]
-
-    def evaluate_delta_int(self, h, move) -> int:
-        """Integer numerator of evaluate(h after move) - evaluate(h)."""
-        if self.vs is None:
-            raise ValueError("delta evaluation needs a pair-mode estimator")
-        idx = self.per_item_index[move.item]
-        if len(idx) == 0:
-            return 0
-        us = self.us[idx]
-        vs = self.vs[idx]
-        labels = self.labels[idx].astype(np.int64)
-        w = self.weight_num[idx]
-        old_pred = h.pair_values(us, vs).astype(np.int64)
-        new_pred = _moved_pair_values(h, move, us, vs)
-        delta = (new_pred != labels).astype(np.int64) - (old_pred != labels).astype(np.int64)
-        return int(w @ delta)
-
-    def evaluate_delta(self, h, move) -> float:
-        return self.evaluate_delta_int(h, move) * self.scale
-
-
-def _moved_pair_values(h, move, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Pair predicate after applying `move` to h, for pairs touching move.item."""
-    if isinstance(move, Insertion):
-        rank = h.rank
-        item = move.item
-        j = move.position
-        if not (1 <= j <= len(rank)):
-            raise ValueError(f"target position {j} out of range")
-        # position of the partner once `item` is removed from the order
-        partner = np.where(us == item, vs, us)
-        ppos = rank[partner] - (rank[partner] > rank[item]).astype(rank.dtype)
-        item_before = j <= ppos
-        pred = np.where(us == item, item_before, ~item_before)
-        return pred.astype(np.int64)
-    if isinstance(move, Reassignment):
-        assign = h.assign
-        partner = np.where(us == move.item, vs, us)
-        return (assign[partner] == move.cluster).astype(np.int64)
-    raise TypeError(f"unsupported move type {type(move)!r}")
 
 
 # Rows per enumeration block are sized so one block's mismatch table holds

@@ -21,6 +21,7 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    sample_size,
     stratum_sample,
     weighted_mismatch_argmin,
 )
@@ -224,7 +225,7 @@ def sample_size_m(
     body = d * math.log2(max(theta, 2.0)) + math.log2(
         (1.0 / delta) * math.log2(max(1.0 / mu, 2.0))
     )
-    return max(1, math.ceil(c3 * epsilon**-2 * theta * body))
+    return sample_size("m", lambda: c3 * epsilon**-2 * theta * body)
 
 
 @dataclass(frozen=True)

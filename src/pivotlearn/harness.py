@@ -24,7 +24,15 @@ from . import clustering as clu
 from . import generic as gen
 from . import geometric as geo
 from . import ranking as rk
-from .core import Params, Trajectory, TrajectoryRow, is_integer, run_erm_iteration, true_error
+from .core import (
+    MAX_SAMPLE_SIZE,
+    Params,
+    Trajectory,
+    TrajectoryRow,
+    is_integer,
+    run_erm_iteration,
+    true_error,
+)
 from .oracles import (
     InstanceOracle,
     NoiseSpec,
@@ -109,8 +117,8 @@ class ExperimentConfig:
             raise ConfigError("restarts", "must be >= 1")
         for name in ("force_p", "force_q", "force_m"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(name, "must be >= 1 when present")
+            if value is not None and not 1 <= value <= MAX_SAMPLE_SIZE:
+                raise ConfigError(name, "must be in 1..2**31 - 1 when present")
         if self.task == "generic" and self.noise.kind not in ("none", "uniform_flip"):
             raise ConfigError("noise.kind", "generic runs support none or uniform_flip")
 

@@ -431,6 +431,10 @@ def load_oracle(
         raise OracleFormatError(f"{csv_path} holds no pair rows")
     n = n or meta.get("n") or (max(max(u, v) for u, v, _ in rows) + 1)
     n = int(n)
+    if len(rows) < n * (n - 1) // 2:  # counted before the n x n table is allocated
+        raise OracleFormatError(
+            f"{csv_path} holds {len(rows)} pair rows; n={n} needs all {n * (n - 1) // 2} pairs"
+        )
     table = np.full((n, n), 255, dtype=np.uint8)
     for u, v, y in rows:
         if u == v or not (0 <= u < n and 0 <= v < n):

@@ -22,8 +22,9 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
-    is_integer,
+    integer_array,
     pair_estimator,
+    sample_size,
     unordered_verification_labels,
     weighted_mismatch_argmin,
 )
@@ -53,25 +54,13 @@ __all__ = [
 _EXACT_ERM_MAX_N = 10
 
 
-def _integer_array(values) -> np.ndarray:
-    """values as a 1-d integer array; floats and bools are refused, never truncated."""
-    arr = np.asarray(values)
-    if isinstance(values, np.ndarray):
-        exact = arr.dtype.kind in "iu"
-    else:
-        exact = all(map(is_integer, values))
-    if arr.ndim != 1 or not exact:
-        raise ValueError("expected a 1-d sequence of integers")
-    return arr
-
-
 class Permutation:
     """Total order on items 0..n-1, stored as a rank array (positions 1..n)."""
 
     __slots__ = ("rank", "_order")
 
     def __init__(self, rank):
-        rank = _integer_array(rank)
+        rank = integer_array(rank)
         n = len(rank)
         if n < 2:
             raise ValueError("permutation needs at least 2 items")
@@ -86,7 +75,7 @@ class Permutation:
 
     @classmethod
     def from_order(cls, items) -> "Permutation":
-        items = _integer_array(items)
+        items = integer_array(items)
         if sorted(items.tolist()) != list(range(len(items))):
             raise ValueError("order must list each item 0..n-1 exactly once")
         rank = np.empty(len(items), dtype=np.int32)
@@ -179,7 +168,7 @@ def sample_size_p(n: int, epsilon: float, c1: float = 1.0) -> int:
     """Per-band sample count: max(1, ceil(c1 * eps^-3 * log2(n)^3))."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return max(1, math.ceil(c1 * epsilon**-3 * math.log2(n) ** 3))
+    return sample_size("p", lambda: c1 * epsilon**-3 * math.log2(n) ** 3)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from . import clustering as clu
 from . import generic as gen
 from . import geometric as geo
 from . import ranking as rk
-from .core import Insertion, Params, Pool, Reassignment, distance, regret
+from .core import Params, Pool, distance, regret
 from .harness import ExperimentConfig, run_experiment, sweep
 from .oracles import (
     InstanceOracle,
@@ -287,6 +287,7 @@ def _suite_pseudometric() -> list:
 
 
 def _suite_delta_consistency() -> list:
+    """Move scores read from the local-search tables match full evaluation."""
     results = []
     rng = derive_rng(29, "verify", "delta")
     ok_r, ok_c, detail = True, True, ""
@@ -297,11 +298,18 @@ def _suite_delta_consistency() -> list:
         est = rk.build_ranking_estimator(
             pivot, oracle, Params(epsilon=0.3, master_seed=trial), p=2, rng=rng
         )
+        partners, deltas, bounds = rk._insertion_csr(est)
         h = rk.random_permutation(n, rng)
-        move = Insertion(int(rng.integers(n)), int(rng.integers(1, n + 1)))
-        direct = est.evaluate(h.move(move.item, move.position)) - est.evaluate(h)
-        if abs(est.evaluate_delta(h, move) - direct) > 1e-12:
-            ok_r, detail = False, f"ranking trial {trial}: delta mismatch"
+        base = est.evaluate_int(h)
+        for u in range(n):
+            # at slot j, u sits after exactly its partners ranked below j once u is lifted out
+            mine = slice(bounds[u], bounds[u + 1])
+            lifted = h.rank[partners[mine]] - (h.rank[partners[mine]] > h.rank[u])
+            at = [int(deltas[mine][lifted < j].sum()) for j in range(1, n + 1)]
+            read = [value - at[h.rank[u] - 1] for value in at]
+            direct = [est.evaluate_int(h.move(u, j)) - base for j in range(1, n + 1)]
+            if read != direct:
+                ok_r, detail = False, f"ranking trial {trial}, item {u}"
     for trial in range(60):
         n, k = int(rng.integers(4, 10)), 3
         truth = clu.random_clustering(n, k, rng)
@@ -312,14 +320,17 @@ def _suite_delta_consistency() -> list:
         est = clu.build_clustering_estimator(
             pivot, oracle, Params(epsilon=0.3, master_seed=trial), q=2, rng=rng
         )
-        h = clu.random_clustering(n, k, rng)
-        move = Reassignment(int(rng.integers(n)), int(rng.integers(1, k + 1)))
-        h2 = clu.Clustering(
-            np.where(np.arange(n) == move.item, move.cluster, h.assign), k
-        )
-        direct = est.evaluate(h2) - est.evaluate(h)
-        if abs(est.evaluate_delta(h, move) - direct) > 1e-12:
-            ok_c, detail = False, f"clustering trial {trial}: delta mismatch"
+        assign = clu.random_clustering(n, k, rng).assign.copy()
+        table = clu._GainTable(est, assign, k)
+        for step in range(2):  # before and after one incremental table update
+            base = est.evaluate_int(clu.Clustering(assign, k))
+            for u, c in np.ndindex(n, k):
+                moved = np.where(np.arange(n) == u, c + 1, assign)
+                direct = est.evaluate_int(clu.Clustering(moved, k)) - base
+                read = int(table.cost[u, c + 1] - table.cost[u, assign[u]])
+                if read != direct:
+                    ok_c, detail = False, f"clustering trial {trial}, step {step}, move {(u, c + 1)}"
+            table.move(int(rng.integers(n)), int(rng.integers(1, k + 1)))
     _check(results, "insertion deltas match full evaluation", ok_r, detail)
     _check(results, "reassignment deltas match full evaluation", ok_c, detail)
     return results

@@ -62,6 +62,21 @@ def test_run_bad_epsilon_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, code, named", [
+    (["--c1", "inf"], 2, "c1"),
+    (["--c2", "inf"], 2, "c2"),
+    (["--c3", "inf"], 2, "c3"),
+    (["--c1", "nan"], 2, "c1"),
+    (["--force-p", "1000000000000000000000000000000"], 2, "force_p"),
+    (["--c1", "1e300"], 1, "sample size p"),
+    (["--epsilon", "1e-120"], 1, "sample size p"),
+])
+def test_run_huge_or_non_finite_sample_size_is_named(tmp_path, capsys, flags, code, named):
+    argv = ["run", "--task", "ranking", "--n", "10", "--out", str(tmp_path / "x"), *flags]
+    assert main(argv) == code
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("patch", [
     {"n": "8"}, {"n": 8.5}, {"restarts": "3"}, {"force_p": 2.5},
     {"params": {"epsilon": 0.3, "iterations": 2.5}},

@@ -1,15 +1,17 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import pivotlearn
 from pivotlearn import (
     BudgetExceededError,
     ErmFailedError,
-    Insertion,
     NoiseSpec,
     Params,
     Pool,
     PoolMismatchError,
-    Reassignment,
     RegretEstimator,
     distance,
     make_clustering_oracle,
@@ -22,8 +24,20 @@ from pivotlearn import clustering as clu
 from pivotlearn import generic as gen
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
+from pivotlearn.core import MAX_SAMPLE_SIZE, sample_size
 from pivotlearn.oracles import load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng
+
+
+@pytest.mark.parametrize("module", ["pivotlearn"] + [
+    f"pivotlearn.{m.name}" for m in pkgutil.iter_modules(pivotlearn.__path__)
+    if m.name != "__main__"
+])
+def test_public_names_resolve_once(module):
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", [])
+    assert len(names) == len(set(names)), "duplicate names in __all__"
+    assert [n for n in names if not hasattr(mod, n)] == []
 
 
 def test_pool_all_pairs():
@@ -55,6 +69,37 @@ def test_params_validation():
         Params(epsilon=0.2, iterations=0)
     with pytest.raises(ValueError):
         Params(epsilon=0.2, c1=0.0)
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_params_refuse_non_finite_constants(name, value):
+    with pytest.raises(ValueError, match=name):
+        Params(epsilon=0.2, **{name: value})
+
+
+@pytest.mark.parametrize("name, size", [
+    ("p", lambda eps, c: rk.sample_size_p(10, eps, c)),
+    ("q", lambda eps, c: clu.sample_size_q(10, 3, eps, c)),
+    ("m", lambda eps, c: gen.sample_size_m(2.0, 1, eps, 0.01, 0.1, c)),
+])
+@pytest.mark.parametrize("eps, c", [
+    (1e-120, 1.0),  # eps**-3 overflows a float
+    (0.2, 1e300),  # finite, but far past any drawable size
+    (0.2, 1e7),  # past 2**31 with no float overflow
+    (0.2, float("inf")),
+    (0.2, float("nan")),
+])
+def test_sample_sizes_refuse_non_finite_or_huge(name, size, eps, c):
+    with pytest.raises(ValueError, match=f"sample size {name} "):
+        size(eps, c)
+
+
+def test_sample_size_cap_is_inclusive():
+    assert sample_size("p", lambda: MAX_SAMPLE_SIZE - 0.5) == MAX_SAMPLE_SIZE
+    assert sample_size("p", lambda: -3.0) == 1
+    with pytest.raises(ValueError):
+        sample_size("p", lambda: MAX_SAMPLE_SIZE + 0.5)
 
 
 def test_params_resolved_mu_and_overrides():
@@ -129,46 +174,6 @@ def test_estimator_rejects_self_pairs():
             weight_denom=1, pivot_costs=np.array([0], dtype=np.uint8),
             measure_count=12, n_items=4,
         )
-
-
-def test_delta_insertion_matches_full_evaluation():
-    rng = derive_rng(5, "delta")
-    n = 7
-    truth = rk.random_permutation(n, rng)
-    oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.2), seed=5)
-    pivot = rk.random_permutation(n, rng)
-    est = rk.build_ranking_estimator(pivot, oracle, Params(epsilon=0.3), p=3, rng=rng)
-    h = rk.random_permutation(n, rng)
-    base = est.evaluate_int(h)
-    for item in range(n):
-        for pos in range(1, n + 1):
-            mv = Insertion(item=item, position=pos)
-            assert base + est.evaluate_delta_int(h, mv) == est.evaluate_int(h.move(item, pos))
-
-
-def test_delta_reassignment_matches_full_evaluation():
-    rng = derive_rng(6, "delta")
-    n, k = 8, 3
-    truth = clu.random_clustering(n, k, rng)
-    oracle = make_clustering_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.2), seed=6)
-    pivot = clu.random_clustering(n, k, rng)
-    est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.3), q=3, rng=rng)
-    h = clu.random_clustering(n, k, rng)
-    base = est.evaluate_int(h)
-    for item in range(n):
-        for cid in range(1, k + 1):
-            assign = h.assign.copy()
-            assign[item] = cid
-            moved = clu.Clustering(assign, k)
-            delta = est.evaluate_delta_int(h, Reassignment(item=item, cluster=cid))
-            assert base + delta == est.evaluate_int(moved)
-
-
-def test_evaluate_delta_scaled():
-    est = _tiny_estimator()
-    h = rk.Permutation([2, 1, 3, 4])
-    mv = Insertion(item=0, position=1)
-    assert est.evaluate_delta(h, mv) == est.evaluate_delta_int(h, mv) * est.scale
 
 
 # ---------------------------------------------------------------- distances

@@ -48,6 +48,15 @@ def test_config_validation():
     assert _cfg(n=np.int64(7)).n == 7  # NumPy integers count as integers
 
 
+@pytest.mark.parametrize("name", ["force_p", "force_q", "force_m"])
+def test_config_forced_sample_sizes_are_bounded(name):
+    assert getattr(_cfg(**{name: 2**31 - 1}), name) == 2**31 - 1
+    for value in (0, 2**31, 10**30):
+        with pytest.raises(ConfigError) as exc:
+            _cfg(**{name: value})
+        assert exc.value.field == name
+
+
 @pytest.mark.parametrize("field, value", [
     ("class_path", 7), ("oracle_path", 3.5), ("output_dir", 5), ("output_dir", b"out"),
 ])

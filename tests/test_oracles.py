@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,26 @@ def test_load_rejects_missing_pairs(tmp_path):
     sidecar.write_text(json.dumps({"mode": "ranking", "n": 3}))
     with pytest.raises(OracleFormatError):
         load_oracle(str(path))
+
+
+def test_load_names_a_missing_pair_among_enough_rows(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("u,v,label\n0,1,1\n1,0,0\n0,2,1\n")  # 3 rows, (1,2) absent
+    with pytest.raises(OracleFormatError, match=r"pair \(1, 2\) is missing"):
+        load_oracle(str(path), mode="ranking")
+
+
+def test_load_counts_rows_before_allocating(tmp_path):
+    path = tmp_path / "sparse.csv"
+    path.write_text("u,v,label\n0,4999,1\n")  # implies n = 5000, one pair of 12.5M
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleFormatError, match="pair rows"):
+            load_oracle(str(path), mode="ranking")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_clustering_oracle_roundtrip(tmp_path):
