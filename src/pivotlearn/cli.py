@@ -18,7 +18,6 @@ from . import __version__
 from . import clustering as clu
 from . import generic as gen
 from . import ranking as rk
-from .core import Params
 from .harness import (
     SWEEP_AXES,
     TASKS,
@@ -74,39 +73,31 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.task is None or args.n is None:
         raise ConfigError("task" if args.task is None else "n",
                           "required (pass flags or --config)")
-    try:
-        params = Params(
-            epsilon=args.epsilon,
-            mu=args.mu,
-            delta=args.delta,
-            iterations=args.iterations,
-            c1=args.c1,
-            c2=args.c2,
-            c3=args.c3,
-            master_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from exc
-    try:
-        noise = NoiseSpec(kind=args.noise, eta=args.eta, rho=args.rho, scale=args.scale)
-    except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from exc
-    return ExperimentConfig(
-        task=args.task,
-        n=args.n,
-        k=args.k,
-        d=args.d,
-        params=params,
-        noise=noise,
-        erm=args.erm,
-        restarts=args.restarts,
-        force_p=args.force_p,
-        force_q=args.force_q,
-        force_m=args.force_m,
-        oracle_path=args.oracle_file,
-        class_path=args.class_file,
-        output_dir=args.out,
-    )
+    return ExperimentConfig.from_dict({
+        "task": args.task,
+        "n": args.n,
+        "k": args.k,
+        "d": args.d,
+        "params": {
+            "epsilon": args.epsilon,
+            "mu": args.mu,
+            "delta": args.delta,
+            "iterations": args.iterations,
+            "c1": args.c1,
+            "c2": args.c2,
+            "c3": args.c3,
+            "master_seed": args.seed,
+        },
+        "noise": {"kind": args.noise, "eta": args.eta, "rho": args.rho, "scale": args.scale},
+        "erm": args.erm,
+        "restarts": args.restarts,
+        "force_p": args.force_p,
+        "force_q": args.force_q,
+        "force_m": args.force_m,
+        "oracle_path": args.oracle_file,
+        "class_path": args.class_file,
+        "output_dir": args.out,
+    })
 
 
 def _cmd_run(args) -> int:

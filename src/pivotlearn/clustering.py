@@ -21,11 +21,15 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    csv_header,
+    csv_rows,
     integer_array,
     is_integer,
+    items_in_order,
     pair_estimator,
     sample_size,
-    stratum_sample,
+    segment_offsets,
+    stratum_draws,
     unordered_verification_labels,
     weighted_mismatch_argmin,
 )
@@ -85,9 +89,6 @@ class Clustering:
         sizes = self.cluster_sizes()
         ids = [cid for cid in range(1, self.k + 1) if sizes[cid - 1] > 0]
         return sorted(ids, key=lambda cid: (-int(sizes[cid - 1]), cid))
-
-    def members(self, cid: int) -> np.ndarray:
-        return np.flatnonzero(self.assign == cid).astype(np.int32)
 
     def canonical(self) -> "Clustering":
         """Clusters renumbered 1, 2, ... by first occurrence."""
@@ -163,22 +164,23 @@ def build_clustering_estimator(
         q = sample_size_q(n, pivot.k, params.epsilon, params.c2)
     if rng is None:
         rng = derive_rng(params.master_seed, "clustering-build")
-    ordered = pivot.clusters_by_size()
-    members = {cid: np.sort(pivot.members(cid)) for cid in ordered}
-    draws = []
-    for ci, cid in enumerate(ordered):
-        group = members[cid]
-        later = [members[other] for other in ordered[ci + 1 :]]
-        for u in group.tolist():
-            draws.append((u, *stratum_sample(group[group != u], q, rng)))
-            for other in later:
-                sample, w_num = stratum_sample(other, q, rng)
-                draws.append((u, sample, 2 * w_num))
-    counts = [len(partners) for _, partners, _ in draws]
-    us = np.repeat([u for u, _, _ in draws], counts)
-    vs = np.concatenate([partners for _, partners, _ in draws])
-    w_num = np.repeat([w for _, _, w in draws], counts)
-    return pair_estimator(pivot, oracle, us, vs, w_num, q)
+    ordered = np.array(pivot.clusters_by_size())
+    rank = np.zeros(pivot.k + 1, dtype=np.int64)
+    rank[ordered] = np.arange(len(ordered))
+    items = np.argsort(rank[pivot.assign], kind="stable")  # clusters in order, ids ascending
+    sizes = pivot.cluster_sizes()[ordered - 1]
+    start = sizes.cumsum() - sizes  # where each cluster begins in `items`
+    # each item's strata: its own cluster, itself left out, then every later cluster
+    own = rank[pivot.assign[items]]
+    n_strata = len(ordered) - own
+    src = own.repeat(n_strata) + segment_offsets(n_strata)
+    cross = src > own.repeat(n_strata)
+    count, offset, w_num = stratum_draws(sizes[src] - ~cross, q, rng)
+    cross = cross.repeat(count)
+    pos = start[src].repeat(count) + offset
+    pos += ~cross & (pos >= np.arange(n).repeat(n_strata).repeat(count))  # step past u itself
+    us = items.repeat(n_strata).repeat(count)
+    return pair_estimator(pivot, oracle, us, items[pos], np.where(cross, 2 * w_num, w_num), q)
 
 
 # -- enumeration of partitions into at most k blocks ---------------------------
@@ -440,21 +442,9 @@ def load_clustering(path: str, k: Optional[int] = None) -> Clustering:
     seen: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["item", "cluster"]:
-            raise ValueError(f"{path} must start with an 'item,cluster' header")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                item, cid = int(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed row {row!r}") from exc
+        csv_header(reader, ("item", "cluster"), f"{path} must start with an 'item,cluster' header")
+        for _, (item, cid) in csv_rows(path, reader, lambda row: (int(row[0]), int(row[1]))):
             if item in seen:
                 raise ValueError(f"{path}: item {item} listed twice")
             seen[item] = cid
-    n = len(seen)
-    if n < 2 or sorted(seen) != list(range(n)):
-        raise ValueError(f"{path}: items must be exactly 0..n-1")
-    assign = np.array([seen[i] for i in range(n)], dtype=np.int32)
-    return Clustering(assign, k)
+    return Clustering(np.array(items_in_order(path, seen), dtype=np.int32), k)

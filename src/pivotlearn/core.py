@@ -15,6 +15,7 @@ pivot always evaluates to exactly 0.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,38 @@ def integer_array(values) -> np.ndarray:
     if arr.ndim != 1 or not exact:
         raise ValueError("expected a 1-d sequence of integers")
     return arr
+
+
+def csv_header(reader, names, message: str, error=ValueError) -> list[str]:
+    """First row of a CSV reader, which must start with `names` (case and spaces ignored)."""
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header[: len(names)]] != list(names):
+        raise error(message)
+    return header
+
+
+def csv_rows(path: str, reader, parse, error=ValueError, malformed="malformed row {row!r}"):
+    """Yield (line number, parse(row)) for each non-blank row left in a CSV reader.
+
+    A row that parse refuses with ValueError or IndexError raises `error`
+    naming the file, the line and `malformed`.
+    """
+    for row in reader:
+        if not row:
+            continue
+        try:
+            value = parse(row)
+        except (ValueError, IndexError) as exc:
+            raise error(f"{path}:{reader.line_num}: {malformed.format(row=row)}") from exc
+        yield reader.line_num, value
+
+
+def items_in_order(path: str, by_item: dict) -> list:
+    """Values of by_item in item order; the items must be exactly 0..n-1 with n >= 2."""
+    n = len(by_item)
+    if n < 2 or sorted(by_item) != list(range(n)):
+        raise ValueError(f"{path}: items must be exactly 0..n-1")
+    return [by_item[i] for i in range(n)]
 
 
 # Largest per-stratum sample size a run accepts, forced or computed; a larger
@@ -260,15 +293,26 @@ def weighted_mismatch_argmin(rows, predicate, labels, weight_num) -> tuple[int, 
     return best_row, int(best_val)
 
 
-def stratum_sample(items: np.ndarray, q: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """(sample, weight numerator) of one stratum against weight denominator q.
+def segment_offsets(counts: np.ndarray) -> np.ndarray:
+    """0..c-1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
 
-    A stratum of at most q members is taken whole at unit weight; a larger
-    one gives q uniform draws with repetition, each standing for len(items)/q.
+
+def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=None):
+    """(count per stratum, offset per sample, weight numerator per sample) against denominator q.
+
+    A stratum of at most q members, or one flagged in `whole`, enters whole:
+    offsets 0..size-1, numerator q.  A larger one gets q draws with repetition
+    at numerator size, from one rng call over all strata in order, which
+    yields what one q-draw call per stratum would.
     """
-    if len(items) <= q:
-        return items, q
-    return items[rng.integers(0, len(items), size=q)], len(items)
+    if not is_integer(q) or q < 1:
+        raise ValueError(f"per-stratum sample size must be an integer >= 1, got {q!r}")
+    drawn = sizes > q if whole is None else (sizes > q) & ~whole
+    count = np.where(drawn, q, sizes)
+    offset = segment_offsets(count)
+    offset[drawn.repeat(count)] = rng.integers(0, sizes[drawn].repeat(q))
+    return count, offset, np.where(drawn, sizes, q).repeat(count)
 
 
 def pair_estimator(pivot, oracle, us, vs, w_num, weight_denom: int) -> RegretEstimator:
@@ -328,8 +372,7 @@ def _unordered_pair_blocks(n: int):
         rows = np.arange(row, stop)
         counts = n - 1 - rows
         us = np.repeat(rows, counts)
-        offsets = np.arange(len(us)) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield us, us + 1 + offsets
+        yield us, us + 1 + segment_offsets(counts)
         row = stop
 
 

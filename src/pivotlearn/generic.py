@@ -21,8 +21,9 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    csv_rows,
     sample_size,
-    stratum_sample,
+    stratum_draws,
     weighted_mismatch_argmin,
 )
 from .seeding import derive_rng
@@ -300,13 +301,9 @@ def build_generic_estimator(
     if rng is None:
         rng = derive_rng(params.master_seed, "generic-build")
     plan = annulus_plan(cls, pivot_idx, mu)
-    idx_parts, w_parts = [], []
-    for shell in plan.annuli:
-        sample, w = stratum_sample(shell, m, rng)
-        idx_parts.append(sample)
-        w_parts.append(np.full(len(sample), w, dtype=np.int64))
-    instances = np.concatenate(idx_parts)
-    w_num = np.concatenate(w_parts)
+    sizes = np.array([len(shell) for shell in plan.annuli])
+    count, offset, w_num = stratum_draws(sizes, m, rng)
+    instances = plan.covered[(sizes.cumsum() - sizes).repeat(count) + offset]
     labels = oracle.query_many(instances)
     pivot_row = cls.labels[pivot_idx]
     pivot_costs = (pivot_row[instances] != labels).astype(np.uint8)
@@ -373,13 +370,8 @@ def save_class_csv(cls: FiniteClass, path: str) -> None:
 def load_class_csv(path: str) -> FiniteClass:
     rows = []
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                values = [int(c) for c in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-integer cell") from exc
+        parse = lambda row: [int(c) for c in row]
+        for line_no, values in csv_rows(path, csv.reader(fh), parse, malformed="non-integer cell"):
             if any(v not in (0, 1) for v in values):
                 raise ValueError(f"{path}:{line_no}: labels must be 0 or 1")
             if rows and len(values) != len(rows[0]):

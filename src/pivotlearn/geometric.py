@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RegretEstimator, weighted_mismatch_argmin
+from .core import RegretEstimator, csv_header, csv_rows, items_in_order, weighted_mismatch_argmin
 from .ranking import Permutation, kendall_distance
 from .seeding import derive_rng
 
@@ -255,24 +255,13 @@ def load_features(path: str) -> FeatureSet:
     rows: dict[int, list[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "item":
-            raise ValueError(f"{path} must start with an 'item,x1,...' header")
+        header = csv_header(reader, ("item",), f"{path} must start with an 'item,x1,...' header")
         d = len(header) - 1
         if d < 1:
             raise ValueError(f"{path}: no coordinate columns")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                item = int(row[0])
-                coords = [float(c) for c in row[1 : d + 1]]
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed row {row!r}") from exc
+        parse = lambda row: (int(row[0]), [float(c) for c in row[1 : d + 1]])
+        for line_no, (item, coords) in csv_rows(path, reader, parse):
             if len(coords) != d or item in rows:
                 raise ValueError(f"{path}:{line_no}: bad or duplicate item row")
             rows[item] = coords
-    n = len(rows)
-    if n < 2 or sorted(rows) != list(range(n)):
-        raise ValueError(f"{path}: items must be exactly 0..n-1")
-    return FeatureSet(np.array([rows[i] for i in range(n)]))
+    return FeatureSet(np.array(items_in_order(path, rows)))

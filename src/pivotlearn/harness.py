@@ -69,6 +69,12 @@ class ConfigError(ValueError):
         self.field = field_path
 
 
+def _json_object(value, field_path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(field_path, f"must be a JSON object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a task, a pool, run parameters, and an ERM choice."""
@@ -146,12 +152,12 @@ class ExperimentConfig:
             "task", "n", "k", "d", "params", "noise", "erm", "restarts",
             "force_p", "force_q", "force_m", "oracle_path", "class_path", "output_dir",
         }
-        for key in data:
+        for key in _json_object(data, "config"):
             if key not in known:
                 raise ConfigError(key, "unknown config field")
         if "task" not in data or "n" not in data:
             raise ConfigError("task" if "task" not in data else "n", "required field missing")
-        raw_params = data.get("params", {})
+        raw_params = _json_object(data.get("params", {}), "params")
         for key in raw_params:
             if key not in _PARAM_FIELDS:
                 raise ConfigError(f"params.{key}", "unknown parameter field")
@@ -159,10 +165,12 @@ class ExperimentConfig:
             params = Params(**{k: raw_params[k] for k in _PARAM_FIELDS if k in raw_params})
         except (TypeError, ValueError) as exc:
             raise ConfigError("params", str(exc)) from exc
-        raw_noise = data.get("noise", {})
-        for key in raw_noise:
+        raw_noise = _json_object(data.get("noise", {}), "noise")
+        for key, value in raw_noise.items():
             if key not in _NOISE_FIELDS:
                 raise ConfigError(f"noise.{key}", "unknown noise field")
+            if key in ("eta", "rho", "scale") and not isinstance(value, (int, float)):
+                raise ConfigError(f"noise.{key}", f"must be a number, got {value!r}")
         try:
             noise = NoiseSpec.from_dict(raw_noise)
         except ValueError as exc:

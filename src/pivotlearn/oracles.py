@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import csv_header, csv_rows
 from .seeding import pair_uniform
 
 __all__ = [
@@ -258,20 +259,28 @@ class LabelOracle:
         return true_error(self.ground_truth, self)
 
 
+def _instance_indices(idx, pool_size: int) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.int64)
+    if np.any((idx < 0) | (idx >= pool_size)):
+        raise ValueError("instance index out of range")
+    return idx
+
+
 class InstanceOracle:
     """Label oracle over an abstract finite pool (one label per instance)."""
 
     def __init__(self, labels: np.ndarray, *, budget: Optional[int] = None):
-        self.labels = np.asarray(labels, dtype=np.uint8)
+        labels = np.asarray(labels)
+        if np.any((labels != 0) & (labels != 1)):
+            raise ValueError("instance labels must be 0 or 1")
+        self.labels = labels.astype(np.uint8)
         self.pool_size = len(self.labels)
         self.budget = budget
         self.counters = QueryCounters()
         self._seen = np.zeros(self.pool_size, dtype=bool)
 
     def query_many(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        if np.any((idx < 0) | (idx >= self.pool_size)):
-            raise ValueError("instance index out of range")
+        idx = _instance_indices(idx, self.pool_size)
         fresh = np.unique(idx[~self._seen[idx]])
         if self.budget is not None and self.counters.distinct_labeled + len(fresh) > self.budget:
             raise BudgetExceededError(
@@ -306,7 +315,7 @@ class PairInstanceOracle:
         return self.oracle.counters
 
     def query_many(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = _instance_indices(idx, self.pool_size)
         return self.oracle.query_many(self.pairs[idx, 0], self.pairs[idx, 1])
 
 
@@ -409,21 +418,15 @@ def load_oracle(
     mode = mode or meta.get("mode")
     if mode not in ("ranking", "clustering"):
         raise OracleFormatError("oracle mode unknown: pass mode= or provide the JSON sidecar")
+    if os.path.getsize(csv_path) == 0:
+        raise OracleFormatError(f"{csv_path} is empty")
     rows = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise OracleFormatError(f"{csv_path} is empty")
-        if [c.strip().lower() for c in header[:3]] != ["u", "v", "label"]:
-            raise OracleFormatError(f"{csv_path} must start with a 'u,v,label' header")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                u, v, y = int(row[0]), int(row[1]), int(row[2])
-            except (ValueError, IndexError) as exc:
-                raise OracleFormatError(f"{csv_path}:{line_no}: malformed row {row!r}") from exc
+        csv_header(reader, ("u", "v", "label"),
+                   f"{csv_path} must start with a 'u,v,label' header", OracleFormatError)
+        parse = lambda row: (int(row[0]), int(row[1]), int(row[2]))
+        for line_no, (u, v, y) in csv_rows(csv_path, reader, parse, OracleFormatError):
             if y not in (0, 1):
                 raise OracleFormatError(f"{csv_path}:{line_no}: label must be 0 or 1")
             rows.append((u, v, y))

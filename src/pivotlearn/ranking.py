@@ -23,8 +23,10 @@ from .core import (
     PoolMismatchError,
     RegretEstimator,
     integer_array,
+    is_integer,
     pair_estimator,
     sample_size,
+    stratum_draws,
     unordered_verification_labels,
     weighted_mismatch_argmin,
 )
@@ -229,8 +231,8 @@ class BandPlan:
 
 
 def band_plan(pivot: Permutation, p: int) -> BandPlan:
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not is_integer(p) or p < 1:
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
     return BandPlan(pivot, p)
 
 
@@ -262,19 +264,14 @@ def build_ranking_estimator(
     lo, hi = band_plan(pivot, p).ring_bounds
     lo = lo.reshape(-1, 2)
     arm = hi.reshape(-1, 2) - lo
-    size = arm[:, 0] + arm[:, 1]
-    drawn = size > p
-    drawn[:: hi.shape[1]] = False  # the near set always enters whole
-    count = np.where(drawn, p, size)
+    near = np.arange(len(arm)) % hi.shape[1] == 0  # ring 0, which always enters whole
     # offset of each sample within its ring's items, left arm first
-    offset = np.arange(count.sum()) - (count.cumsum() - count).repeat(count)
-    offset[drawn.repeat(count)] = rng.integers(0, size[drawn].repeat(p))
+    count, offset, w_num = stratum_draws(arm.sum(axis=1), p, rng, whole=near)
     left = arm[:, 0].repeat(count)
     spot = np.where(
         offset < left, lo[:, 0].repeat(count) + offset, lo[:, 1].repeat(count) + offset - left
     )
     us = np.arange(n).repeat(count.reshape(n, -1).sum(axis=1))
-    w_num = np.where(drawn, size, p).repeat(count)
     return pair_estimator(pivot, oracle, us, pivot.order[spot], w_num, p)
 
 

@@ -91,6 +91,20 @@ def test_run_config_non_integer_is_config_error(tmp_path, capsys, patch):
     assert "config error" in err and "must be an integer" in err
 
 
+@pytest.mark.parametrize("cfg, named", [
+    (5, "config"),
+    ({"task": "ranking", "n": 6, "params": None}, "params"),
+    ({"task": "ranking", "n": 6, "params": {"epsilon": 0.3}, "noise": None}, "noise"),
+    ({"task": "ranking", "n": 6, "params": {"epsilon": 0.3},
+      "noise": {"kind": "uniform_flip", "eta": [1]}}, "noise.eta"),
+])
+def test_run_config_wrong_json_shape_is_config_error(tmp_path, capsys, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert f"config error: {named}:" in capsys.readouterr().err
+
+
 def test_run_config_non_string_path_is_config_error(tmp_path, capsys):
     cfg = {"task": "generic", "n": 12, "params": {"epsilon": 0.3}, "class_path": 7}
     path = tmp_path / "cfg.json"

@@ -44,7 +44,6 @@ def test_clustering_basics():
     assert c.n_items == 4
     assert c.k == 3
     assert c.cluster_sizes().tolist() == [2, 1, 1]
-    assert c.members(1).tolist() == [0, 2]
     assert c.clusters_by_size() == [1, 2, 3]
 
 
@@ -178,6 +177,66 @@ def test_sample_weights_by_source():
     same = pivot.assign[est.us] == pivot.assign[est.vs]
     assert set(est.weight_num[same].tolist()) == {3, 2}   # size-4 sampled, rest exhaustive
     assert set(est.weight_num[~same].tolist()) == {6, 4}  # |V_2|=3 sampled, |V_3|=2 exhaustive
+
+
+def _loop_build(pivot, oracle, q, rng):
+    """Reference builder: a per-(item, source cluster) loop.
+
+    Clusters by decreasing size, items ascending within each; every item
+    takes its own cluster (itself left out), then each later cluster.  A
+    source of at most q members enters whole at numerator q, a larger one
+    gives q draws with repetition at numerator |source|; cross-cluster
+    numerators are doubled.  Returns (us, vs, w_num, labels).
+    """
+    members = [np.flatnonzero(pivot.assign == cid) for cid in pivot.clusters_by_size()]
+    us, vs, w_num = [], [], []
+    for ci, group in enumerate(members):
+        for u in group.tolist():
+            for j, source in enumerate(members[ci:]):
+                if j == 0:
+                    source = source[source != u]
+                if len(source) <= q:
+                    sample, w = source, q
+                else:
+                    sample, w = source[rng.integers(0, len(source), size=q)], len(source)
+                us += [u] * len(sample)
+                vs += sample.tolist()
+                w_num += [w if j == 0 else 2 * w] * len(sample)
+    us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    return us, vs, np.array(w_num, dtype=np.int64), oracle.query_many(us, vs)
+
+
+# n = 2, singleton clusters, an empty cluster id, k = 1, q >= n (exhaustive)
+# and q = 1
+_BUILD_GRID = [
+    ([1, 1], 1, 1), ([1, 2], 2, 1), ([1, 2, 3, 4, 5, 6, 7], 7, 2),
+    ([2, 2, 1, 1, 3, 5, 5, 5], 5, 1), (8, 3, 1), (10, 4, 10), (13, 2, 20),
+    (37, 5, 3), (60, 1, 7), (100, 6, 7), (200, 4, 14),
+]
+
+
+@pytest.mark.parametrize("shape, k, q", _BUILD_GRID)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_build_matches_loop_reference(shape, k, q, seed):
+    if isinstance(shape, int):
+        pivot = clu.random_clustering(shape, k, derive_rng(seed, "p"))
+    else:
+        pivot = clu.Clustering(shape, k)
+    n = pivot.n_items
+    truth = clu.random_clustering(n, k, derive_rng(seed, "t"))
+    noise = NoiseSpec(kind="uniform_flip", eta=0.2)
+    rng, ref_rng = derive_rng(seed, "b"), derive_rng(seed, "b")
+    est = clu.build_clustering_estimator(pivot, make_clustering_oracle(truth, noise, seed=seed),
+                                         Params(epsilon=0.2), q=q, rng=rng)
+    us, vs, w_num, labels = _loop_build(pivot, make_clustering_oracle(truth, noise, seed=seed),
+                                        q, ref_rng)
+    np.testing.assert_array_equal(est.us, us)
+    np.testing.assert_array_equal(est.vs, vs)
+    np.testing.assert_array_equal(est.weight_num, w_num)
+    np.testing.assert_array_equal(est.labels, labels)
+    np.testing.assert_array_equal(est.pivot_costs, pivot.pair_values(us, vs) != labels)
+    assert est.weight_denom == q
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same stream left
 
 
 # -------------------------------------------------------------- enumeration

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import pivotlearn
+from pivotlearn import core
 from pivotlearn import (
     BudgetExceededError,
     ErmFailedError,
+    InstanceOracle,
     NoiseSpec,
     Params,
     Pool,
@@ -108,6 +110,52 @@ def test_params_resolved_mu_and_overrides():
     assert p.with_overrides(mu=0.25).resolved_mu(56) == 0.25
     assert p.with_overrides(epsilon=0.3).epsilon == 0.3
     assert p.epsilon == 0.2  # original untouched
+
+
+# ------------------------------------------------------------------- strata
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7])
+def test_one_draw_matches_sequential_draws(q):
+    """stratum_draws equals one q-draw call per drawn stratum, in stratum order."""
+    sizes = np.array([1, 0, 2, 5, 9, 0, 100, 3, 12, 2**31 + 5, 2**40], dtype=np.int64)
+    whole = np.zeros(len(sizes), dtype=bool)
+    whole[[4, 8]] = True  # sizes 9 and 12 enter whole even when over q
+    seq, one = derive_rng(q, "draw"), derive_rng(q, "draw")
+    count, offset, w_num = core.stratum_draws(sizes, q, one, whole=whole)
+    parts, weights = [], []
+    for size, flag in zip(sizes.tolist(), whole):
+        if flag or size <= q:
+            parts.append(np.arange(size))
+            weights += [q] * size
+        else:
+            parts.append(seq.integers(0, size, size=q))
+            weights += [size] * q
+    np.testing.assert_array_equal(count, [len(part) for part in parts])
+    np.testing.assert_array_equal(offset, np.concatenate(parts))
+    np.testing.assert_array_equal(w_num, weights)
+    count, offset, _ = core.stratum_draws(sizes[sizes <= q], q, one)
+    np.testing.assert_array_equal(offset, core.segment_offsets(count))  # no draw consumed
+    assert one.integers(0, 2**62) == seq.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("task", ["ranking", "clustering", "generic"])
+@pytest.mark.parametrize("size", [0, -1, 2.5, True])
+def test_builders_refuse_bad_stratum_size(task, size):
+    """p, q and m must be integers >= 1; the check comes before any label."""
+    params = Params(epsilon=0.2, mu=0.1)
+    perm = rk.Permutation.identity(12)
+    clus = clu.Clustering([1, 1, 2, 2, 3, 1], 3)
+    cls = gen.thresholds_class(20)
+    oracles = {"ranking": make_ranking_oracle(perm), "clustering": make_clustering_oracle(clus),
+               "generic": InstanceOracle(cls.labels[5])}
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        if task == "ranking":
+            rk.build_ranking_estimator(perm, oracles[task], params, p=size)
+        elif task == "clustering":
+            clu.build_clustering_estimator(clus, oracles[task], params, q=size)
+        else:
+            gen.build_generic_estimator(cls, 5, oracles[task], params, m=size)
+    assert oracles[task].counters.raw_calls == 0
 
 
 # ---------------------------------------------------------------- estimator

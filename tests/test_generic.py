@@ -209,6 +209,44 @@ def test_build_exhaustive_fallback_exact():
     assert est.evaluate(cls.labels[10]) == 0.0
 
 
+def _loop_build(cls, pivot_idx, oracle, mu, m, rng):
+    """Reference builder: one loop over the annuli, in order.
+
+    An annulus of at most m instances enters whole at numerator m, a larger
+    one gives m draws with repetition at numerator |annulus|.  Returns
+    (instances, w_num, labels).
+    """
+    instances, w_num = [], []
+    for shell in gen.annulus_plan(cls, pivot_idx, mu).annuli:
+        if len(shell) <= m:
+            sample, w = shell, m
+        else:
+            sample, w = shell[rng.integers(0, len(shell), size=m)], len(shell)
+        instances += sample.tolist()
+        w_num += [w] * len(sample)
+    instances = np.array(instances, dtype=np.int64)
+    return instances, np.array(w_num, dtype=np.int64), oracle.query_many(instances)
+
+
+@pytest.mark.parametrize("family, pool, pivot, mu", [
+    ("thresholds", 40, 13, 0.05), ("thresholds", 9, 0, 1.0), ("intervals", 24, 40, 0.02),
+])
+@pytest.mark.parametrize("m", [1, 2, 4, 100])
+def test_build_matches_loop_reference(family, pool, pivot, mu, m):
+    cls = getattr(gen, f"{family}_class")(pool)
+    labels = cls.labels[len(cls) // 2] ^ (derive_rng(m, "y").random(pool) < 0.2).astype(np.uint8)
+    rng, ref_rng = derive_rng(m, "b"), derive_rng(m, "b")
+    est = gen.build_generic_estimator(cls, pivot, InstanceOracle(labels),
+                                      Params(epsilon=0.2, mu=mu), m=m, rng=rng)
+    instances, w_num, ref_labels = _loop_build(cls, pivot, InstanceOracle(labels), mu, m, ref_rng)
+    np.testing.assert_array_equal(est.us, instances)
+    np.testing.assert_array_equal(est.weight_num, w_num)
+    np.testing.assert_array_equal(est.labels, ref_labels)
+    np.testing.assert_array_equal(est.pivot_costs, cls.labels[pivot][instances] != ref_labels)
+    assert est.weight_denom == m
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same stream left
+
+
 def test_build_requires_instance_oracle():
     cls = gen.thresholds_class(8)
     with pytest.raises(TypeError, match="PairInstanceOracle"):

@@ -220,6 +220,23 @@ def test_pair_instance_adapter():
     assert oracle.counters.distinct_labeled > 0  # adapter spends the shared budget
 
 
+@pytest.mark.parametrize("idx", [[-1], [20], [0, 3, 20]])
+def test_instance_oracles_refuse_out_of_range_indices(idx):
+    oracle = make_ranking_oracle(_perm(5, 10), NoiseSpec(kind="none"), seed=10)
+    us, vs = Pool(5).all_pairs()
+    for orc in (InstanceOracle(np.zeros(20, dtype=np.uint8)),
+                PairInstanceOracle(oracle, np.stack([us, vs], axis=1))):
+        with pytest.raises(ValueError, match="instance index out of range"):
+            orc.query_many(np.array(idx))
+        assert orc.counters.distinct_labeled == orc.counters.raw_calls == 0
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1], [0.5, 1], [256, 0]])
+def test_instance_oracle_refuses_non_binary_labels(labels):
+    with pytest.raises(ValueError, match="0 or 1"):
+        InstanceOracle(np.array(labels))
+
+
 # ------------------------------------------------------------- persistence
 
 def test_save_load_roundtrip(tmp_path):

@@ -227,17 +227,6 @@ def test_build_matches_loop_reference(n, p, seed):
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same stream left
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 7])
-def test_one_draw_matches_sequential_draws(p):
-    """rng.integers(0, highs) is the concatenation of per-high draws of size p."""
-    highs = np.array([1, 2, 5, 9, 100, 3, 2**31 + 5, 2**40], dtype=np.int64)
-    seq, one = derive_rng(p, "draw"), derive_rng(p, "draw")
-    expected = np.concatenate([seq.integers(0, h, size=p) for h in highs])
-    np.testing.assert_array_equal(one.integers(0, highs.repeat(p)), expected)
-    assert len(one.integers(0, highs[:0])) == 0  # an empty draw consumes nothing
-    assert one.integers(0, 2**62) == seq.integers(0, 2**62)
-
-
 def _fixture(n, seed, eta=0.2):
     truth = rk.random_permutation(n, derive_rng(seed, "t"))
     oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=eta), seed=seed)
