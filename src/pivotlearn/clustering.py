@@ -26,12 +26,14 @@ from .core import (
     integer_array,
     is_integer,
     items_in_order,
+    packed_argmin,
+    pair_coefficients,
     pair_estimator,
+    pair_table,
     sample_size,
     segment_offsets,
     stratum_draws,
     unordered_verification_labels,
-    weighted_mismatch_argmin,
 )
 from .seeding import derive_rng
 
@@ -53,6 +55,16 @@ __all__ = [
 
 _EXACT_ERM_MAX_N = 12
 _EXACT_ERM_MAX_K = 4
+
+
+def _ids_in_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct values ascending, each entry's index among them, their counts).
+
+    The work grows with len(values), never with the largest value.
+    """
+    ids = np.unique(values)
+    index = np.searchsorted(ids, values)
+    return ids, index, np.bincount(index)
 
 
 class Clustering:
@@ -81,14 +93,13 @@ class Clustering:
         return (self.assign[us] == self.assign[vs]).astype(np.uint8)
 
     def cluster_sizes(self) -> np.ndarray:
-        """Sizes indexed by cluster id - 1."""
+        """Sizes indexed by cluster id - 1: k entries, empty ids included."""
         return np.bincount(self.assign, minlength=self.k + 1)[1:]
 
     def clusters_by_size(self) -> list[int]:
         """Nonempty cluster ids, largest first, ties to the smaller id."""
-        sizes = self.cluster_sizes()
-        ids = [cid for cid in range(1, self.k + 1) if sizes[cid - 1] > 0]
-        return sorted(ids, key=lambda cid: (-int(sizes[cid - 1]), cid))
+        ids, _, sizes = _ids_in_use(self.assign)
+        return ids[np.argsort(-sizes, kind="stable")].tolist()
 
     def canonical(self) -> "Clustering":
         """Clusters renumbered 1, 2, ... by first occurrence."""
@@ -99,17 +110,20 @@ class Clustering:
         return Clustering(out, self.k)
 
     def distance_to(self, other: "Clustering") -> float:
-        """Pair-disagreement distance through the intersection-size table."""
+        """Pair-disagreement distance from cluster and intersection sizes.
+
+        A pair split by one clustering but not the other is counted once
+        per side: sum(rows**2) + sum(cols**2) - 2*sum(cells**2) over the
+        intersection table, whose rows and columns are the ids in use.
+        """
         if other.n_items != self.n_items:
             raise PoolMismatchError("clusterings have different item counts")
-        table = np.zeros((self.k, other.k), dtype=np.int64)
-        np.add.at(table, (self.assign - 1, other.assign - 1), 1)
-        rows = table.sum(axis=1)
-        split = int((table * (rows[:, None] - table)).sum())
-        cols = table.sum(axis=0)
-        merged = int((cols * cols - (table * table).sum(axis=0)).sum())
+        _, a, rows = _ids_in_use(self.assign)
+        _, b, cols = _ids_in_use(other.assign)
+        cells = _ids_in_use(a * len(cols) + b)[2]
+        disagree = int(rows @ rows) + int(cols @ cols) - 2 * int(cells @ cells)
         n = self.n_items
-        return (split + merged) / (n * (n - 1))
+        return disagree / (n * (n - 1))
 
     def __eq__(self, other):
         return (
@@ -164,14 +178,16 @@ def build_clustering_estimator(
         q = sample_size_q(n, pivot.k, params.epsilon, params.c2)
     if rng is None:
         rng = derive_rng(params.master_seed, "clustering-build")
-    ordered = np.array(pivot.clusters_by_size())
-    rank = np.zeros(pivot.k + 1, dtype=np.int64)
+    # clusters in use, largest first and ties to the smaller id, as clusters_by_size
+    _, cluster, sizes = _ids_in_use(pivot.assign)
+    ordered = np.argsort(-sizes, kind="stable")
+    rank = np.empty(len(ordered), dtype=np.int64)
     rank[ordered] = np.arange(len(ordered))
-    items = np.argsort(rank[pivot.assign], kind="stable")  # clusters in order, ids ascending
-    sizes = pivot.cluster_sizes()[ordered - 1]
+    items = np.argsort(rank[cluster], kind="stable")  # clusters in order, ids ascending
+    sizes = sizes[ordered]
     start = sizes.cumsum() - sizes  # where each cluster begins in `items`
     # each item's strata: its own cluster, itself left out, then every later cluster
-    own = rank[pivot.assign[items]]
+    own = rank[cluster[items]]
     n_strata = len(ordered) - own
     src = own.repeat(n_strata) + segment_offsets(n_strata)
     cross = src > own.repeat(n_strata)
@@ -237,17 +253,27 @@ def all_assignments(n: int, k: int) -> np.ndarray:
     return cached
 
 
+_PAIR_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _exact_argmin(n: int, k: int, us, vs, labels, weight_num) -> tuple[Clustering, int]:
+    """First canonical assignment in lex order of least weighted mismatch, and that mismatch."""
+    assigns = all_assignments(n, k)
+    table = _PAIR_TABLE_CACHE.get((n, k))
+    if table is None:
+        table = _PAIR_TABLE_CACHE[(n, k)] = pair_table(assigns, oriented=False)
+    coef, base = pair_coefficients(n, us, vs, labels, weight_num, oriented=False)
+    row, value = packed_argmin(table, coef, base)
+    return Clustering(assigns[row], k), value
+
+
 def exact_erm_with_value(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = None):
     """Global estimator minimizer over all <=k-partitions, plus its value.
 
     Ties resolve to the lexicographically smallest canonical assignment.
     """
     k = k if k is not None else est.pivot.k
-    assigns = all_assignments(est.n_items, k)
-    row, _ = weighted_mismatch_argmin(
-        assigns, lambda block: block[:, est.us] == block[:, est.vs], est.labels, est.weight_num
-    )
-    clu = Clustering(assigns[row], k)
+    clu, _ = _exact_argmin(est.n_items, k, est.us, est.vs, est.labels, est.weight_num)
     return clu, est.evaluate(clu)
 
 
@@ -262,11 +288,8 @@ def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
     n = oracle.n
     us, vs = np.triu_indices(n, k=1)
     labels = unordered_verification_labels(oracle, us, vs)
-    assigns = all_assignments(n, k)
-    row, half = weighted_mismatch_argmin(
-        assigns, lambda block: block[:, us] == block[:, vs], labels, np.ones(len(us), np.int64)
-    )
-    return 2 * half / Pool(n).pair_count, Clustering(assigns[row], k)
+    clu, half = _exact_argmin(n, k, us, vs, labels, np.ones(len(us), np.int64))
+    return 2 * half / Pool(n).pair_count, clu
 
 
 # -- local search --------------------------------------------------------------

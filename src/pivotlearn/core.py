@@ -266,31 +266,98 @@ class RegretEstimator:
         return self.evaluate_int(h) * self.scale
 
 
-# Rows per enumeration block are sized so one block's mismatch table holds
-# about this many (row, sample) cells, clamped to 1024..65536 rows.
-_ARGMIN_BLOCK_CELLS = 8_000_000
+# -- exact argmin over an enumerated table of 0/1 columns ---------------------
+#
+# Every exact minimizer scores rows of a fixed 0/1 table T (a rank array's
+# "lo before hi" bits over the unordered pairs, an assignment's "same
+# cluster" bits, a class's labels).  A sample with label y and weight w on
+# column p is mismatched by row r exactly when T[r, p] != y, which is
+# w*y + T[r, p]*w*(1 - 2y): linear in the bits.  So a row's weighted
+# mismatch is base + sum_p T[r, p]*coef[p], and the table is packed once.
+
+# Rows per block when packing a table or scoring it: a block's temporaries
+# stay around a few megabytes whatever the row count.
+_TABLE_BLOCK_ROWS = 1 << 15
+
+# _BYTE_BITS[j, b] is bit j of byte value b (little bit order)
+_BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1
 
 
-def weighted_mismatch_argmin(rows, predicate, labels, weight_num) -> tuple[int, int]:
-    """(index, value) of the first row with the least weighted label mismatch.
+def column_coefficients(columns, labels, weight_num, size: int) -> tuple[np.ndarray, int]:
+    """(coef, base) with weighted mismatch = base + T[row] @ coef, in exact int64.
 
-    predicate(block) maps a block of `rows` to each row's 0/1 predictions on
-    the samples; a row's value is the total integer weight of the samples
-    where its prediction differs from `labels`.  Rows are scanned in blocks
-    and ties go to the smallest index, so callers that enumerate rows in a
-    fixed order get a reproducible first minimizer.  The float64 product is
-    exact because every partial sum is an integer far below 2**53.
+    Sample i sits on column columns[i] with label labels[i] and weight
+    weight_num[i], and is mismatched where the bit differs from its label.
     """
-    labels = np.asarray(labels, dtype=np.uint8)
-    w = np.asarray(weight_num, dtype=np.float64)
-    chunk = max(1024, min(1 << 16, _ARGMIN_BLOCK_CELLS // max(1, len(labels))))
-    best_val, best_row = math.inf, 0
-    for start in range(0, len(rows), chunk):
-        values = (predicate(rows[start : start + chunk]) != labels).astype(np.float64) @ w
+    y = np.asarray(labels, dtype=np.int64)
+    w = np.asarray(weight_num, dtype=np.int64)
+    coef = np.zeros(size, dtype=np.int64)
+    np.add.at(coef, np.asarray(columns, dtype=np.int64), w * (1 - 2 * y))
+    return coef, int(w @ y)
+
+
+def pair_coefficients(n: int, us, vs, labels, weight_num, oriented: bool) -> tuple[np.ndarray, int]:
+    """column_coefficients of pair samples over the unordered pairs of n items.
+
+    Column p is the p-th pair lo < hi in np.triu_indices(n, 1) order, whose
+    bit is "lo ranks before hi" when `oriented`, else "lo and hi share a
+    cluster".  An oriented sample with u > v reads the bit negated, so it
+    counts with the opposite label.  A sample with u == v adds a constant:
+    its bit is 0 when oriented (no item ranks before itself) and 1
+    otherwise (every item shares its cluster).
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.int64)
+    if oriented:
+        y = np.where(us > vs, 1 - y, y)
+    w = np.asarray(weight_num, dtype=np.int64)
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    pair = us != vs
+    columns = (lo * n - lo * (lo + 1) // 2 + hi - lo - 1)[pair]
+    coef, base = column_coefficients(columns, y[pair], w[pair], n * (n - 1) // 2)
+    return coef, base + int(w[~pair] @ (y[~pair] != (not oriented)))
+
+
+def pack_columns(table) -> np.ndarray:
+    """A (rows, P) 0/1 table as (ceil(P/8), rows) uint8: byte g of a row holds bits 8g..8g+7."""
+    return np.ascontiguousarray(np.packbits(table, axis=1, bitorder="little").T)
+
+
+def pair_table(rows: np.ndarray, oriented: bool) -> np.ndarray:
+    """pack_columns of each row's pair bits: rows[:, lo] < rows[:, hi] when oriented, else ==.
+
+    Packed in row blocks, so the unpacked table never exists whole.
+    """
+    lo, hi = np.triu_indices(rows.shape[1], k=1)
+    out = np.empty(((len(lo) + 7) // 8, len(rows)), dtype=np.uint8)
+    for start in range(0, len(rows), _TABLE_BLOCK_ROWS):
+        block = rows[start : start + _TABLE_BLOCK_ROWS]
+        bits = block[:, lo] < block[:, hi] if oriented else block[:, lo] == block[:, hi]
+        out[:, start : start + len(block)] = pack_columns(bits)
+    return out
+
+
+def packed_argmin(packed: np.ndarray, coef: np.ndarray, base: int) -> tuple[int, int]:
+    """(row, value) of the first row minimizing base + T[row] @ coef over a packed table.
+
+    Byte group g gets a 256-entry lookup table of its 8 coefficients'
+    subset sums, so a row's value is base plus one lookup per group.  All
+    sums are exact int64, so ties go to the smallest row.
+    """
+    groups, n_rows = packed.shape
+    coef = np.concatenate([coef, np.zeros(8 * groups - len(coef), dtype=np.int64)])
+    luts = coef.reshape(groups, 8) @ _BYTE_BITS  # (groups, 256)
+    best_val, best_row = None, 0
+    for start in range(0, n_rows, _TABLE_BLOCK_ROWS):
+        block = packed[:, start : start + _TABLE_BLOCK_ROWS]
+        values = np.full(block.shape[1], base, dtype=np.int64)
+        for lut, byte in zip(luts, block):
+            values += np.take(lut, byte)
         idx = int(np.argmin(values))
-        if values[idx] < best_val:
-            best_val, best_row = float(values[idx]), start + idx
-    return best_row, int(best_val)
+        if best_val is None or values[idx] < best_val:
+            best_val, best_row = int(values[idx]), start + idx
+    return best_row, best_val
 
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:

@@ -21,10 +21,12 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    column_coefficients,
     csv_rows,
+    pack_columns,
+    packed_argmin,
     sample_size,
     stratum_draws,
-    weighted_mismatch_argmin,
 )
 from .seeding import derive_rng
 
@@ -186,21 +188,35 @@ def uniform_disagreement_coefficient(
     return best, best_idx
 
 
+# Subsets per shattering block: one block's label gather holds about this
+# many (hypothesis, subset, point) cells.
+_VC_BLOCK_CELLS = 1 << 20
+
+
 def vc_dimension(cls: FiniteClass, cap: int = _VC_DIM_CAP) -> int:
-    """Largest d <= cap such that some d-subset of the pool is shattered."""
+    """Largest d <= cap such that some d-subset of the pool is shattered.
+
+    Each layer scores blocks of d-subsets at once: a hypothesis's code on a
+    subset is its labels there read as d bits, each subset ORs 1 << code
+    over the hypotheses into a mask (2**d <= 16 bits, as d <= _VC_DIM_CAP),
+    and a full mask means all 2**d codes occur.
+    """
     if cls.pool_size > _VC_POOL_CAP:
         raise ValueError(f"shattering search is capped at pool size {_VC_POOL_CAP}")
     cap = min(cap, _VC_DIM_CAP, cls.pool_size)
     result = 0
     for d in range(1, cap + 1):
-        weights = 1 << np.arange(d)
-        shattered = False
-        for subset in combinations(range(cls.pool_size), d):
-            codes = cls.labels[:, subset].astype(np.int64) @ weights
-            if len(np.unique(codes)) == 1 << d:
-                shattered = True
+        subsets = np.array(list(combinations(range(cls.pool_size), d)))
+        step = max(1, _VC_BLOCK_CELLS // (len(cls) * d))
+        for start in range(0, len(subsets), step):
+            block = subsets[start : start + step]
+            codes = np.zeros((len(cls), len(block)), dtype=np.uint8)
+            for j in range(d):
+                codes |= cls.labels[:, block[:, j]] << j
+            present = np.bitwise_or.reduce(np.left_shift(np.uint16(1), codes), axis=0)
+            if (present == (1 << (1 << d)) - 1).any():
                 break
-        if not shattered:
+        else:
             return result
         result = d
     return result
@@ -327,9 +343,8 @@ def class_argmin(cls: FiniteClass, est: RegretEstimator) -> tuple[int, float]:
     """
     if est.is_pair_mode:
         raise ValueError("class_argmin expects an indexed-mode estimator")
-    idx, _ = weighted_mismatch_argmin(
-        cls.labels, lambda block: block[:, est.us], est.labels, est.weight_num
-    )
+    coef, base = column_coefficients(est.us, est.labels, est.weight_num, cls.pool_size)
+    idx, _ = packed_argmin(pack_columns(cls.labels), coef, base)
     return idx, est.evaluate(cls.labels[idx])
 
 

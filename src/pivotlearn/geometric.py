@@ -15,7 +15,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RegretEstimator, csv_header, csv_rows, items_in_order, weighted_mismatch_argmin
+from .core import (
+    RegretEstimator,
+    csv_header,
+    csv_rows,
+    items_in_order,
+    packed_argmin,
+    pair_coefficients,
+    pair_table,
+)
 from .ranking import Permutation, kendall_distance
 from .seeding import derive_rng
 
@@ -205,11 +213,11 @@ def geometric_erm_2d(est: RegretEstimator, features: FeatureSet) -> Permutation:
     Ties resolve to the order with the smallest witness angle.
     """
     orders, _ = enumerate_orders_2d(features)
-    ranks = np.stack([o.rank for o in orders])
-    row, _ = weighted_mismatch_argmin(
-        ranks, lambda block: block[:, est.us] < block[:, est.vs], est.labels, est.weight_num
+    table = pair_table(np.stack([o.rank for o in orders]), oriented=True)
+    coef, base = pair_coefficients(
+        features.n_items, est.us, est.vs, est.labels, est.weight_num, oriented=True
     )
-    return orders[row]
+    return orders[packed_argmin(table, coef, base)[0]]
 
 
 def sampled_directions_erm(

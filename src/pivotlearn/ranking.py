@@ -24,11 +24,13 @@ from .core import (
     RegretEstimator,
     integer_array,
     is_integer,
+    packed_argmin,
+    pair_coefficients,
     pair_estimator,
+    pair_table,
     sample_size,
     stratum_draws,
     unordered_verification_labels,
-    weighted_mismatch_argmin,
 )
 from .seeding import derive_rng
 
@@ -300,17 +302,27 @@ def all_rank_arrays(n: int) -> np.ndarray:
     return cached
 
 
+_PAIR_TABLE_CACHE: dict[int, np.ndarray] = {}
+
+
+def _exact_argmin(n: int, us, vs, labels, weight_num) -> tuple[Permutation, int]:
+    """First rank array in lex order of least weighted mismatch, and that mismatch."""
+    ranks = all_rank_arrays(n)
+    table = _PAIR_TABLE_CACHE.get(n)
+    if table is None:
+        table = _PAIR_TABLE_CACHE[n] = pair_table(ranks, oriented=True)
+    coef, base = pair_coefficients(n, us, vs, labels, weight_num, oriented=True)
+    row, value = packed_argmin(table, coef, base)
+    return Permutation(ranks[row]), value
+
+
 def exact_erm_with_value(est: RegretEstimator, start=None, *, rng=None):
     """Global estimator minimizer over all permutations, plus its objective.
 
     Ties resolve to the lexicographically smallest rank array because the
     enumeration is lexicographic and the scan keeps the first minimum.
     """
-    ranks = all_rank_arrays(est.n_items)
-    row, _ = weighted_mismatch_argmin(
-        ranks, lambda block: block[:, est.us] < block[:, est.vs], est.labels, est.weight_num
-    )
-    perm = Permutation(ranks[row])
+    perm, _ = _exact_argmin(est.n_items, est.us, est.vs, est.labels, est.weight_num)
     return perm, est.evaluate(perm)
 
 
@@ -329,11 +341,8 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
     n = oracle.n
     us, vs = np.triu_indices(n, k=1)
     labels = unordered_verification_labels(oracle, us, vs)
-    ranks = all_rank_arrays(n)
-    row, half = weighted_mismatch_argmin(
-        ranks, lambda block: block[:, us] < block[:, vs], labels, np.ones(len(us), np.int64)
-    )
-    return 2 * half / Pool(n).pair_count, Permutation(ranks[row])
+    perm, half = _exact_argmin(n, us, vs, labels, np.ones(len(us), np.int64))
+    return 2 * half / Pool(n).pair_count, perm
 
 
 # -- local search ERM ---------------------------------------------------------

@@ -77,6 +77,23 @@ def test_clusters_by_size_tie_break():
     assert c.clusters_by_size() == [2, 3, 1]  # decreasing size, ties by id
 
 
+def test_work_scales_with_clusters_in_use_not_k():
+    import time
+
+    k = 2**31 - 1
+    huge, tight = clu.Clustering([7, 9, 7, 3], k), clu.Clustering([7, 9, 7, 3])  # k = 9
+    far = clu.Clustering([k, k, 1, 5], k)
+    oracle = make_clustering_oracle(clu.Clustering([1, 1, 2, 2]), NoiseSpec(kind="none"), seed=0)
+    t0 = time.perf_counter()
+    assert huge.clusters_by_size() == tight.clusters_by_size() == [7, 3, 9]
+    assert huge.distance_to(far) == tight.distance_to(far) == _distance_scan(huge, far) == 4 / 12
+    built = [clu.build_clustering_estimator(c, oracle, Params(epsilon=0.3), q=2,
+                                            rng=derive_rng(0, "k")) for c in (huge, tight)]
+    assert time.perf_counter() - t0 < 1.0  # a table over 1..k would take seconds or fail
+    for name in ("us", "vs", "weight_num", "labels", "pivot_costs"):
+        assert np.array_equal(getattr(built[0], name), getattr(built[1], name))
+
+
 def test_canonical_relabeling():
     a = clu.Clustering([2, 2, 1, 3], 3)
     b = clu.Clustering([1, 1, 3, 2], 3)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,57 @@ def test_sample_size_m_rejects_bad_ranges():
 def test_vc_dimension_known_classes():
     assert gen.vc_dimension(gen.thresholds_class(12)) == 1
     assert gen.vc_dimension(gen.intervals_class(10)) == 2
+
+
+def _vc_loop(cls, cap=4):
+    """Reference: one subset at a time, stopping at the first shattered one."""
+    cap = min(cap, 4, cls.pool_size)
+    result = 0
+    for d in range(1, cap + 1):
+        weights = 1 << np.arange(d)
+        if not any(
+            len(np.unique(cls.labels[:, subset].astype(np.int64) @ weights)) == 1 << d
+            for subset in combinations(range(cls.pool_size), d)
+        ):
+            return result
+        result = d
+    return result
+
+
+def _random_class(pool, rows, seed):
+    raw = derive_rng(seed, "vc-class").integers(0, 2, (rows, pool))
+    return gen.FiniteClass(np.unique(raw, axis=0))
+
+
+_VC_CLASSES = {
+    **{f"thresholds-{p}": (gen.thresholds_class, p) for p in (2, 3, 9, 40)},
+    **{f"intervals-{p}": (gen.intervals_class, p) for p in (2, 3, 7, 16)},
+    **{f"random-{p}-{r}-{s}": (lambda p, r=r, s=s: _random_class(p, r, s), p)
+       for p, r in ((3, 8), (4, 10), (5, 12), (7, 14), (6, 40), (8, 64), (10, 200), (40, 30))
+       for s in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", list(_VC_CLASSES))
+def test_vc_dimension_matches_subset_loop(name):
+    family, pool = _VC_CLASSES[name]
+    cls = family(pool)
+    for cap in range(0, 7):
+        assert gen.vc_dimension(cls, cap) == _vc_loop(cls, cap), cap
+
+
+@pytest.mark.parametrize("name", list(_VC_CLASSES)[::3])
+def test_vc_dimension_matches_subset_loop_across_blocks(monkeypatch, name):
+    monkeypatch.setattr(gen, "_VC_BLOCK_CELLS", 256)  # a few subsets per block
+    family, pool = _VC_CLASSES[name]
+    cls = family(pool)
+    assert gen.vc_dimension(cls) == _vc_loop(cls)
+
+
+def test_vc_dimension_refuses_pools_past_the_cap():
+    cls = gen.thresholds_class(41)
+    with pytest.raises(ValueError, match="capped at pool size 40"):
+        gen.vc_dimension(cls)
 
 
 # ------------------------------------------------------------------- annuli
