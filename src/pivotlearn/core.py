@@ -410,17 +410,18 @@ def distance(h1, h2) -> float:
     return float(np.count_nonzero(diff)) / Pool(n).pair_count
 
 
-def unordered_verification_labels(oracle, us, vs) -> np.ndarray:
+def unordered_verification_labels(oracle, us, vs, scans: int = 1) -> np.ndarray:
     """Verification labels of pairs u < v, each read charged for both orientations.
 
     Pair labels and pair hypotheses are symmetric (clustering) or
     skew-symmetric (ranking), so (u, v) and (v, u) are mismatched together
     and a scan over ordered pairs counts exactly twice a scan over unordered
-    ones.  verification_reads still grows by two per pair: a full scan costs
-    n*(n-1) reads however it is walked.
+    ones.  verification_reads still grows by two per pair and scan: a full
+    scan costs n*(n-1) reads however it is walked, and `scans` hypotheses
+    scored on one read cost one scan each.
     """
     labels = oracle.verification_labels(us, vs)
-    oracle.counters.verification_reads += len(labels)
+    oracle.counters.verification_reads += (2 * scans - 1) * len(labels)
     return labels
 
 
@@ -443,29 +444,38 @@ def _unordered_pair_blocks(n: int):
         row = stop
 
 
-def true_error(h, oracle) -> float:
+def true_error(h, oracle) -> float | list[float]:
     """err(h): disagreement of h with the oracle over all N ordered pairs.
 
-    Walks the unordered pairs in row blocks, so memory stays flat in n; by
-    (skew-)symmetry each mismatch there stands for two ordered ones.  Reads
-    the full label table through the verification counter; refuses to run
-    against a budget-capped oracle.
+    Given a list or tuple of hypotheses, returns the list of their errors
+    from one pass over the labels, each equal to its own single call and
+    charged a full scan.  Walks the unordered pairs in row blocks, so memory
+    stays flat in n; by (skew-)symmetry each mismatch there stands for two
+    ordered ones.  Reads the full label table through the verification
+    counter; refuses to run against a budget-capped oracle.
     """
     if getattr(oracle, "budget", None) is not None:
         raise ValueError("true_error needs an unrestricted oracle (budget is set)")
     n = oracle.n
-    if getattr(h, "n_items", n) != n:
+    batch = isinstance(h, (list, tuple))
+    hs = list(h) if batch else [h]
+    if any(getattr(g, "n_items", n) != n for g in hs):
         raise PoolMismatchError("hypothesis item count does not match oracle")
-    mismatches = 0
+    if not hs:
+        return []
+    mismatches = [0] * len(hs)
     for us, vs in _unordered_pair_blocks(n):
-        labels = unordered_verification_labels(oracle, us, vs)
-        mismatches += int(np.count_nonzero(h.pair_values(us, vs) != labels))
-    return float(2 * mismatches) / Pool(n).pair_count
+        labels = unordered_verification_labels(oracle, us, vs, scans=len(hs))
+        for j, g in enumerate(hs):
+            mismatches[j] += int(np.count_nonzero(g.pair_values(us, vs) != labels))
+    errors = [float(2 * m) / Pool(n).pair_count for m in mismatches]
+    return errors if batch else errors[0]
 
 
 def regret(h_pivot, h, oracle) -> float:
-    """err(h) - err(h_pivot), computed from full verification scans."""
-    return true_error(h, oracle) - true_error(h_pivot, oracle)
+    """err(h) - err(h_pivot), computed from one verification pass."""
+    err_h, err_pivot = true_error([h, h_pivot], oracle)
+    return err_h - err_pivot
 
 
 @dataclass
@@ -508,17 +518,24 @@ def run_erm_iteration(
     with status "budget_exhausted" and the partial trajectory; an ERM failure
     raises ErmFailedError carrying the partial trajectory.  Errors are
     recorded only against an unbudgeted oracle, because true_error refuses a
-    budgeted one.  A row's wall_ms covers the build and the ERM step, not
-    the error scan.
+    budgeted one: one batched scan after the loop, or before ErmFailedError
+    is raised, fills every row's err.  A row's wall_ms covers the build and
+    the ERM step, not the error scan.
     """
     from .oracles import BudgetExceededError  # local import, no cycle at module load
 
     record_errors = getattr(oracle, "budget", None) is None
     seed = params.master_seed
     traj = Trajectory()
-    err0 = true_error(h0, oracle) if record_errors else None
+
+    def fill_errors():
+        if record_errors:
+            errs = true_error([row.hypothesis for row in traj.rows], oracle)
+            for row, err in zip(traj.rows, errs):
+                row.err = err
+
     cumulative = oracle.counters.distinct_labeled
-    traj.rows.append(TrajectoryRow(0, h0, err0, None, 0, cumulative, 0.0))
+    traj.rows.append(TrajectoryRow(0, h0, None, None, 0, cumulative, 0.0))
     h = h0
     for i in range(1, params.iterations + 1):
         t0 = time.perf_counter()
@@ -532,13 +549,14 @@ def run_erm_iteration(
             h_next = erm(est, h, rng=derive_rng(seed, "erm", i))
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all at the loop boundary
             traj.status = "erm_failed"
+            fill_errors()
             raise ErmFailedError(f"ERM failed at iteration {i}: {exc}", traj) from exc
         spent = oracle.counters.distinct_labeled - before
         cumulative = oracle.counters.distinct_labeled
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        err_i = true_error(h_next, oracle) if record_errors else None
         traj.rows.append(
-            TrajectoryRow(i, h_next, err_i, est.evaluate(h_next), spent, cumulative, wall_ms)
+            TrajectoryRow(i, h_next, None, est.evaluate(h_next), spent, cumulative, wall_ms)
         )
         h = h_next
+    fill_errors()
     return traj

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -58,18 +57,25 @@ class FiniteClass:
     """Explicit hypothesis class: one 0/1 label row per hypothesis.
 
     instance_pairs optionally maps pool index -> (u, v) when the pool is a
-    pair pool, which lets pair oracles answer instance queries.
+    pair pool, which lets pair oracles answer instance queries.  The labels
+    are copied, packed once and read-only, so the packed forms never go
+    stale.
     """
 
     def __init__(self, labels, instance_pairs=None, n_items: Optional[int] = None):
-        labels = np.ascontiguousarray(labels, dtype=np.uint8)
+        labels = np.array(labels, dtype=np.uint8, order="C")
         if labels.ndim != 2 or labels.shape[0] < 1 or labels.shape[1] < 1:
             raise ValueError("labels must be a nonempty 2-D 0/1 array")
         if labels.max(initial=0) > 1:
             raise ValueError("labels must be 0/1")
-        self.labels = labels
-        if len(np.unique(np.packbits(labels, axis=1), axis=0)) != len(labels):
+        # rows as big-endian bytes for distances; columns as pack_columns for class_argmin
+        self.packed = np.packbits(labels, axis=1)
+        if len(np.unique(self.packed, axis=0)) != len(labels):
             raise ValueError("hypotheses must be distinct")
+        self.packed_columns = pack_columns(labels)
+        for arr in (labels, self.packed, self.packed_columns):
+            arr.flags.writeable = False
+        self._labels = labels
         self.instance_pairs = (
             None if instance_pairs is None else np.asarray(instance_pairs, dtype=np.int32)
         )
@@ -87,9 +93,9 @@ class FiniteClass:
     def pool_size(self) -> int:
         return self.labels.shape[1]
 
-    @cached_property
-    def packed(self) -> np.ndarray:
-        return np.packbits(self.labels, axis=1)
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
 
     def hypothesis(self, idx: int) -> np.ndarray:
         return self.labels[idx]
@@ -344,7 +350,7 @@ def class_argmin(cls: FiniteClass, est: RegretEstimator) -> tuple[int, float]:
     if est.is_pair_mode:
         raise ValueError("class_argmin expects an indexed-mode estimator")
     coef, base = column_coefficients(est.us, est.labels, est.weight_num, cls.pool_size)
-    idx, _ = packed_argmin(pack_columns(cls.labels), coef, base)
+    idx, _ = packed_argmin(cls.packed_columns, coef, base)
     return idx, est.evaluate(cls.labels[idx])
 
 

@@ -352,7 +352,7 @@ def _run_geometric(config: ExperimentConfig):
         return geo.geometric_erm_2d(est, features)
 
     traj = run_erm_iteration(orders[0], oracle, config.params, builder, erm)
-    nu = min(true_error(o, oracle) for o in orders)
+    nu = min(true_error(orders, oracle))
     return traj, nu, {"p": p, "enumerated_orders": len(orders)}, oracle
 
 

@@ -48,6 +48,13 @@ __all__ = [
 _NOISE_KINDS = ("none", "uniform_flip", "distance_decay", "adversarial_file")
 
 
+def distinct_count(keys: np.ndarray) -> int:
+    """Number of distinct values in a 1-d array: sort, then count the steps."""
+    if len(keys) == 0:
+        return 0
+    return int(np.count_nonzero(np.diff(np.sort(keys)))) + 1
+
+
 class BudgetExceededError(RuntimeError):
     """A query would push distinct labeled pairs past the budget.
 
@@ -177,7 +184,9 @@ class LabelOracle:
             raise ValueError("query arrays must have the same shape")
         if np.any(us == vs):
             raise ValueError("pairs must be distinct (u != v)")
-        if np.any((us < 0) | (us >= self.n) | (vs < 0) | (vs >= self.n)):
+        low = min(us.min(initial=0), vs.min(initial=0))
+        high = max(us.max(initial=0), vs.max(initial=0))
+        if low < 0 or high >= self.n:
             raise ValueError("pair index out of range")
         if self._table is not None:
             return self._table[us, vs]
@@ -219,10 +228,7 @@ class LabelOracle:
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
         fresh = ~self._seen[lo, hi]
-        n_new = 0
-        if np.any(fresh):
-            keys = lo[fresh] * self.n + hi[fresh]
-            n_new = len(np.unique(keys))
+        n_new = distinct_count(lo[fresh] * self.n + hi[fresh])
         if self.budget is not None and self.counters.distinct_labeled + n_new > self.budget:
             raise BudgetExceededError(
                 f"budget of {self.budget} distinct pairs would be exceeded "
@@ -281,15 +287,15 @@ class InstanceOracle:
 
     def query_many(self, idx: np.ndarray) -> np.ndarray:
         idx = _instance_indices(idx, self.pool_size)
-        fresh = np.unique(idx[~self._seen[idx]])
-        if self.budget is not None and self.counters.distinct_labeled + len(fresh) > self.budget:
+        n_new = distinct_count(idx[~self._seen[idx]])
+        if self.budget is not None and self.counters.distinct_labeled + n_new > self.budget:
             raise BudgetExceededError(
                 f"budget of {self.budget} distinct instances would be exceeded",
                 self.counters.snapshot(),
-                len(fresh),
+                n_new,
             )
         self._seen[idx] = True
-        self.counters.distinct_labeled += len(fresh)
+        self.counters.distinct_labeled += n_new
         self.counters.raw_calls += len(idx)
         return self.labels[idx]
 

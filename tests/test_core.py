@@ -310,6 +310,50 @@ def test_true_error_refuses_budget_capped_oracle():
         true_error(truth, oracle)
 
 
+def _scan_fixture(mode, n, seed):
+    """An unbudgeted noisy oracle and three random hypotheses on n items."""
+    rng = derive_rng(seed, "batch", mode, n)
+    noise = NoiseSpec(kind="uniform_flip", eta=0.2)
+    if mode == "ranking":
+        oracle = make_ranking_oracle(rk.random_permutation(n, rng), noise, seed=seed)
+        return oracle, [rk.random_permutation(n, rng) for _ in range(3)]
+    oracle = make_clustering_oracle(clu.random_clustering(n, 3, rng), noise, seed=seed)
+    return oracle, [clu.random_clustering(n, 3, rng) for _ in range(3)]
+
+
+# n = 400 spans two scan blocks
+@pytest.mark.parametrize("mode", ["ranking", "clustering"])
+@pytest.mark.parametrize("n", [2, 7, 400])
+def test_batched_true_error_equals_separate_scans(mode, n):
+    oracle, hs = _scan_fixture(mode, n, 31)
+    singles = [true_error(h, oracle) for h in hs]
+    for batch in (hs, tuple(hs), [hs[1], hs[0], hs[1], hs[2], hs[1]], hs[2:]):
+        reads = oracle.counters.verification_reads
+        errs = true_error(batch, oracle)
+        assert isinstance(errs, list)
+        assert errs == [singles[hs.index(h)] for h in batch]
+        assert oracle.counters.verification_reads - reads == len(batch) * n * (n - 1)
+    assert oracle.counters.distinct_labeled == oracle.counters.raw_calls == 0
+
+
+def test_batched_true_error_empty_and_refusals():
+    oracle, hs = _scan_fixture("ranking", 6, 32)
+    reads = []
+    read = oracle.verification_labels
+    oracle.verification_labels = lambda us, vs: reads.append(len(us)) or read(us, vs)
+    assert true_error([], oracle) == []
+    assert true_error((), oracle) == []
+    assert reads == [] and oracle.counters.verification_reads == 0
+    with pytest.raises(PoolMismatchError):
+        true_error([hs[0], rk.Permutation.identity(7), hs[1]], oracle)
+    assert oracle.counters.verification_reads == 0
+    capped = make_ranking_oracle(hs[0], NoiseSpec(kind="none"), seed=0, budget=5)
+    for batch in ([hs[0]], []):
+        with pytest.raises(ValueError, match="budget"):
+            true_error(batch, capped)
+    assert capped.counters.verification_reads == 0
+
+
 def test_regret_is_error_difference():
     n = 5
     rng = derive_rng(11, "reg")
@@ -318,6 +362,19 @@ def test_regret_is_error_difference():
     a = rk.random_permutation(n, rng)
     b = rk.random_permutation(n, rng)
     assert regret(a, b, oracle) == pytest.approx(true_error(b, oracle) - true_error(a, oracle))
+
+
+@pytest.mark.parametrize("mode", ["ranking", "clustering"])
+def test_regret_equals_two_separate_scans(mode):
+    n = 9
+    oracle, hs = _scan_fixture(mode, n, 33)
+    errs = [true_error(h, oracle) for h in hs]
+    assert len(set(errs)) > 1  # the differences below are not all zero
+    for i, a in enumerate(hs):
+        for j, b in enumerate(hs):
+            reads = oracle.counters.verification_reads
+            assert regret(a, b, oracle) == errs[j] - errs[i]
+            assert oracle.counters.verification_reads - reads == 2 * n * (n - 1)
 
 
 # ------------------------------------------------------------- the iteration
@@ -408,17 +465,67 @@ def test_run_erm_iteration_wraps_erm_failure():
     n = 5
     oracle = _ranking_setup(n, 24)
 
+    calls = []
+
     def bad_erm(est, start, rng=None):
-        raise RuntimeError("solver blew up")
+        calls.append(start)
+        if len(calls) == 2:
+            raise RuntimeError("solver blew up")
+        return rk.exact_erm(est, start, rng=rng)
 
     with pytest.raises(ErmFailedError) as exc:
         run_erm_iteration(
             h0=rk.Permutation.identity(n), oracle=oracle,
-            params=Params(epsilon=0.2, iterations=2, master_seed=24),
+            params=Params(epsilon=0.2, iterations=3, master_seed=24),
             builder=lambda h, orc, prm, rng=None: rk.build_ranking_estimator(h, orc, prm, p=2, rng=rng),
             erm=bad_erm,
         )
-    assert exc.value.trajectory.rows  # partial trajectory attached
+    traj = exc.value.trajectory
+    assert traj.status == "erm_failed"
+    assert [r.iteration for r in traj.rows] == [0, 1]  # partial trajectory attached
+    # the errors were filled in before the raise
+    assert [r.err for r in traj.rows] == [true_error(r.hypothesis, oracle) for r in traj.rows]
+
+
+def _reference_erm_loop(h0, oracle, params, builder, erm):
+    """The iteration with one true_error scan per row, right after its ERM step."""
+    rows = [(0, h0, true_error(h0, oracle), None, 0, oracle.counters.distinct_labeled)]
+    h = h0
+    for i in range(1, params.iterations + 1):
+        before = oracle.counters.distinct_labeled
+        est = builder(h, oracle, params, rng=derive_rng(params.master_seed, "build", i))
+        h = erm(est, h, rng=derive_rng(params.master_seed, "erm", i))
+        spent = oracle.counters.distinct_labeled - before
+        rows.append((i, h, true_error(h, oracle), est.evaluate(h), spent,
+                     oracle.counters.distinct_labeled))
+    return rows
+
+
+@pytest.mark.parametrize("task", ["ranking", "clustering"])
+def test_run_erm_iteration_matches_per_row_scans(task):
+    n, seed = 7, 26
+    params = Params(epsilon=0.25, iterations=3, master_seed=seed)
+    if task == "ranking":
+        h0 = rk.Permutation.identity(n)
+        setup = lambda: _ranking_setup(n, seed, eta=0.2)  # noqa: E731
+        builder = lambda h, orc, prm, rng=None: rk.build_ranking_estimator(h, orc, prm, p=2, rng=rng)  # noqa: E731
+        erm = rk.exact_erm
+    else:
+        h0 = clu.Clustering(np.ones(n, dtype=np.int64), 3)
+        truth = clu.random_clustering(n, 3, derive_rng(seed, "t"))
+        setup = lambda: make_clustering_oracle(  # noqa: E731
+            truth, NoiseSpec(kind="uniform_flip", eta=0.2), seed=seed)
+        builder = lambda h, orc, prm, rng=None: clu.build_clustering_estimator(h, orc, prm, q=2, rng=rng)  # noqa: E731
+        erm = clu.exact_erm
+    ref_oracle, oracle = setup(), setup()
+    ref = _reference_erm_loop(h0, ref_oracle, params, builder, erm)
+    traj = run_erm_iteration(h0, oracle, params, builder, erm)
+    got = [(r.iteration, r.hypothesis, r.err, r.estimator_value, r.distinct_queries,
+            r.cumulative_queries) for r in traj.rows]
+    assert [(row[0],) + row[2:] for row in got] == [(row[0],) + row[2:] for row in ref]
+    assert [distance(a[1], b[1]) for a, b in zip(got, ref)] == [0.0] * len(ref)
+    assert oracle.counters == ref_oracle.counters
+    assert oracle.counters.verification_reads == len(ref) * n * (n - 1)
 
 
 def test_budget_error_propagates_from_oracle():

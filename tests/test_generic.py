@@ -353,6 +353,40 @@ def test_class_argmin_matches_scan():
     assert idx == int(np.argmin(vals))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_class_argmin_matches_unpacked_reference_on_one_class(seed):
+    """Several estimators against one class: the packed columns, built once,
+    agree with the plain weighted-mismatch product every time."""
+    rng = derive_rng(seed, "argmin-class")
+    pool = int(rng.integers(3, 30))
+    cls = gen.FiniteClass(np.unique(rng.integers(0, 2, (50, pool)), axis=0))
+    packed = cls.packed_columns
+    for b in range(4):
+        truth = cls.labels[b % len(cls)] ^ (rng.random(pool) < 0.2).astype(np.uint8)
+        est = gen.build_generic_estimator(cls, b % len(cls), InstanceOracle(truth),
+                                          Params(epsilon=0.3, mu=0.1), m=int(rng.integers(1, 20)),
+                                          rng=derive_rng(seed, "b", b))
+        mismatch = (cls.labels[:, est.us] != est.labels).astype(np.int64) @ est.weight_num
+        row = int(np.argmin(mismatch))
+        assert gen.class_argmin(cls, est) == (row, est.evaluate(cls.labels[row]))
+    assert cls.packed_columns is packed
+
+
+def test_finite_class_labels_are_a_read_only_copy():
+    raw = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+    cls = gen.FiniteClass(raw)
+    raw[0, 0] = 1  # the caller's array stays writable and does not reach the class
+    assert cls.labels[0].tolist() == [0, 1, 1]
+    for arr in (cls.labels, cls.packed, cls.packed_columns):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+    with pytest.raises(ValueError):
+        cls.hypothesis(1)[0] = 1
+    with pytest.raises(AttributeError):
+        cls.labels = raw
+    assert cls.labels[:, 0].tolist() == [0, 1, 1]
+
+
 def test_class_argmin_rejects_pair_mode():
     from pivotlearn import NoiseSpec, make_ranking_oracle
     from pivotlearn import ranking as rk

@@ -17,7 +17,7 @@ from pivotlearn import (
 )
 from pivotlearn import clustering as clu
 from pivotlearn import ranking as rk
-from pivotlearn.oracles import OracleFormatError, load_oracle, save_oracle
+from pivotlearn.oracles import OracleFormatError, distinct_count, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng
 
 
@@ -164,6 +164,73 @@ def test_query_many_batches_are_atomic(n, budget, seed, batches):
         assert oracle.counters.raw_calls == before.raw_calls + len(us)
         assert oracle.counters.verification_reads == before.verification_reads
         assert _seen_pairs(oracle) == seen | new
+
+
+@pytest.mark.parametrize("keys", [
+    [],
+    [5],
+    [7] * 9,
+    [-3, -3, 0, 2**40, 2**40, -3],
+    derive_rng(4, "keys").integers(0, 50, 300).tolist(),
+    derive_rng(5, "keys").integers(-2**62, 2**62, 1000).tolist(),
+], ids=["empty", "one", "all-duplicate", "mixed", "random-dense", "random-wide"])
+def test_distinct_count_matches_set(keys):
+    assert distinct_count(np.array(keys, dtype=np.int64)) == len(set(keys))
+
+
+def _instance_seen(oracle):
+    return set(np.flatnonzero(oracle._seen).tolist())
+
+
+@given(st.integers(1, 12), st.integers(0, 15),
+       st.lists(st.lists(st.integers(0, 99), min_size=1, max_size=12), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_instance_query_many_batches_are_atomic(pool, budget, batches):
+    """Instance batches with duplicates under a budget: a rejected batch
+    leaves the counters and the seen set as they were; an accepted one adds
+    exactly its new instances and len(idx) raw calls."""
+    oracle = InstanceOracle(np.arange(pool) % 2, budget=budget)
+    for raw in batches:
+        idx = np.array([i % pool for i in raw])
+        before, seen = oracle.counters.snapshot(), _instance_seen(oracle)
+        new = set(idx.tolist()) - seen
+        if before.distinct_labeled + len(new) > budget:
+            with pytest.raises(BudgetExceededError) as exc:
+                oracle.query_many(idx)
+            assert exc.value.requested == len(new)
+            assert oracle.counters == before
+            assert _instance_seen(oracle) == seen
+            continue
+        assert np.array_equal(oracle.query_many(idx), idx % 2)
+        assert oracle.counters.distinct_labeled == before.distinct_labeled + len(new)
+        assert oracle.counters.raw_calls == before.raw_calls + len(idx)
+        assert _instance_seen(oracle) == seen | new
+
+
+@pytest.mark.parametrize("us, vs, message", [
+    ([0, 1], [1], "same shape"),
+    ([0, 2], [1, 2], "must be distinct"),
+    ([0, -1], [1, 2], "out of range"),
+    ([0, 1], [1, 5], "out of range"),
+    ([5, 1], [1, 2], "out of range"),
+    ([0, 1], [-2, 2], "out of range"),
+    # a self pair and an out-of-range index in one batch: the self pair is named
+    ([3, 0], [3, 9], "must be distinct"),
+    ([0, 3], [9, 3], "must be distinct"),
+])
+def test_pair_queries_refuse_bad_batches_in_order(us, vs, message):
+    oracle = make_ranking_oracle(_perm(5, 11), NoiseSpec(kind="uniform_flip", eta=0.1), seed=11)
+    for read in (oracle.query_many, oracle.verification_labels):
+        with pytest.raises(ValueError, match=message):
+            read(np.array(us), np.array(vs))
+    assert oracle.counters == type(oracle.counters)()
+
+
+def test_pair_queries_accept_an_empty_batch():
+    oracle = make_ranking_oracle(_perm(5, 12), NoiseSpec(kind="none"), seed=12, budget=0)
+    empty = np.array([], dtype=np.int64)
+    assert len(oracle.query_many(empty, empty)) == 0
+    assert oracle.counters.distinct_labeled == oracle.counters.raw_calls == 0
 
 
 def test_verification_is_uncapped_and_counted_separately():
