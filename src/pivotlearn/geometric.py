@@ -56,25 +56,36 @@ class DisagreementBoundError(AssertionError):
 
 
 class FeatureSet:
-    """One real feature vector per item."""
+    """One real feature vector per item, held as a read-only copy.
 
-    __slots__ = ("vectors",)
+    The planar order class is computed once per feature set, on the first
+    enumeration that succeeds, and cached here as (orders, angles, packed
+    pair table); the vectors are read-only so the cache cannot go stale.
+    """
+
+    __slots__ = ("_vectors", "_planar")
 
     def __init__(self, vectors):
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.array(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] < 2 or vectors.shape[1] < 1:
             raise ValueError("vectors must be a (n >= 2, d >= 1) array")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("feature vectors must be finite")
-        self.vectors = vectors
+        vectors.flags.writeable = False
+        self._vectors = vectors
+        self._planar = None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._vectors
 
     @property
     def n_items(self) -> int:
-        return self.vectors.shape[0]
+        return self._vectors.shape[0]
 
     @property
     def d(self) -> int:
-        return self.vectors.shape[1]
+        return self._vectors.shape[1]
 
 
 def random_features(n: int, d: int, rng: np.random.Generator) -> FeatureSet:
@@ -120,15 +131,17 @@ def _pair_normals(features: FeatureSet):
     return np.stack([iu, iv], axis=1), normals
 
 
-def enumerate_orders_2d(features: FeatureSet) -> tuple[list[Permutation], np.ndarray]:
-    """All orders a planar direction can induce, with witness angles.
+def _planar_class(features: FeatureSet) -> tuple[list[Permutation], np.ndarray, np.ndarray]:
+    """(orders, witness angles, packed oriented pair table), cached on the feature set.
 
     Walks the circle of directions: each unordered pair contributes the two
     angles where its difference hyperplane is crossed, and each arc between
-    consecutive crossing angles is one realizable order.  Returns the orders
-    sorted by their smallest witness angle, plus those angles; at most
-    n(n-1) orders.
+    consecutive crossing angles is one realizable order.  Every arc midpoint
+    is scored in one product and sorted in one stable argsort; a tie raises
+    for the first midpoint in angle order, as induced_permutation would.
     """
+    if features._planar is not None:
+        return features._planar
     if features.d != 2:
         raise ValueError("angular enumeration is defined for d = 2")
     pairs, normals = _pair_normals(features)
@@ -148,20 +161,37 @@ def enumerate_orders_2d(features: FeatureSet) -> tuple[list[Permutation], np.nda
             )
     mids = (crossings + np.roll(crossings, -1)) / 2
     mids[-1] = ((crossings[-1] + crossings[0] + 2 * math.pi) / 2) % (2 * math.pi)
-    entries = []
-    for angle in sorted(mids.tolist()):
-        w = np.array([math.cos(angle), math.sin(angle)])
-        entries.append((angle, induced_permutation(w, features)))
-    seen: dict[bytes, None] = {}
-    orders, angles = [], []
-    for angle, perm in entries:
-        key = perm.rank.tobytes()
-        if key in seen:
-            continue
-        seen[key] = None
-        orders.append(perm)
-        angles.append(angle)
-    return orders, np.array(angles)
+    angles = np.sort(mids)
+    directions = np.array([[math.cos(a) for a in angles.tolist()],
+                           [math.sin(a) for a in angles.tolist()]])
+    scores = features.vectors @ directions  # (n, midpoints)
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=0)
+    ties = ranked[:-1] == ranked[1:]
+    if ties.any():
+        col = int(np.flatnonzero(ties.any(axis=0))[0])
+        t = int(np.flatnonzero(ties[:, col])[0])
+        pair = (int(order[t, col]), int(order[t + 1, col]))
+        raise DegenerateGeometryError(
+            f"direction scores items {pair[0]} and {pair[1]} equally", pair
+        )
+    first = np.sort(np.unique(order.T, axis=0, return_index=True)[1])
+    ranks = np.argsort(order[:, first].T, axis=1) + 1  # each distinct order's rank array
+    angles = angles[first]
+    angles.flags.writeable = False
+    features._planar = ([Permutation(r) for r in ranks], angles, pair_table(ranks, oriented=True))
+    return features._planar
+
+
+def enumerate_orders_2d(features: FeatureSet) -> tuple[list[Permutation], np.ndarray]:
+    """All orders a planar direction can induce, with witness angles.
+
+    Returns the orders sorted by their smallest witness angle, plus those
+    angles; at most n(n-1) orders.  Both are fresh copies of the class
+    cached on the feature set.
+    """
+    orders, angles, _ = _planar_class(features)
+    return list(orders), angles.copy()
 
 
 def verify_disagreement_bound(
@@ -173,7 +203,7 @@ def verify_disagreement_bound(
     DegenerateGeometryError if the pivot is not realizable by the features.
     Returns one record per radius with the ball size, measure, and ratio.
     """
-    orders, _ = enumerate_orders_2d(features)
+    orders, _, _ = _planar_class(features)
     n = features.n_items
     if not any(np.array_equal(o.rank, pivot.rank) for o in orders):
         raise DegenerateGeometryError("pivot order is not realizable by these features")
@@ -212,8 +242,7 @@ def geometric_erm_2d(est: RegretEstimator, features: FeatureSet) -> Permutation:
 
     Ties resolve to the order with the smallest witness angle.
     """
-    orders, _ = enumerate_orders_2d(features)
-    table = pair_table(np.stack([o.rank for o in orders]), oriented=True)
+    orders, _, table = _planar_class(features)
     coef, base = pair_coefficients(
         features.n_items, est.us, est.vs, est.labels, est.weight_num, oriented=True
     )

@@ -10,6 +10,7 @@ for p >= n the estimator degenerates to the exact regret.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,10 +25,8 @@ from .core import (
     RegretEstimator,
     integer_array,
     is_integer,
-    packed_argmin,
     pair_coefficients,
     pair_estimator,
-    pair_table,
     sample_size,
     stratum_draws,
     unordered_verification_labels,
@@ -55,7 +54,8 @@ __all__ = [
     "load_permutation",
 ]
 
-_EXACT_ERM_MAX_N = 10
+_ENUMERATION_MAX_N = 10
+_EXACT_ERM_MAX_N = 14  # the tie-break key reaches n**n, and 14**14 < 2**63
 
 
 class Permutation:
@@ -277,50 +277,81 @@ def build_ranking_estimator(
     return pair_estimator(pivot, oracle, us, pivot.order[spot], w_num, p)
 
 
-# -- exact ERM by lexicographic enumeration ----------------------------------
-
-_RANK_ARRAY_CACHE: dict[int, np.ndarray] = {}
+# -- exact ERM by subset dynamic programming --------------------------------
 
 
-def all_rank_arrays(n: int) -> np.ndarray:
-    """All n! rank arrays, rows in lexicographic order, cached per n."""
-    if n < 2 or n > _EXACT_ERM_MAX_N:
-        raise ValueError(
-            f"exact enumeration supports 2 <= n <= {_EXACT_ERM_MAX_N}; "
-            "use local_search_erm for larger pools"
-        )
-    cached = _RANK_ARRAY_CACHE.get(n)
-    if cached is None:
-        count = math.factorial(n)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
-            dtype=np.int8,
-            count=count * n,
-        )
-        cached = flat.reshape(count, n)
-        _RANK_ARRAY_CACHE[n] = cached
-    return cached
+@functools.lru_cache(maxsize=None)
+def _subset_layers(n: int):
+    """Index layout of the subset DP over n items, shared by every call at that n.
 
-
-_PAIR_TABLE_CACHE: dict[int, np.ndarray] = {}
+    Returns ((lo, hi) pair columns, place, layers).  place[v] = n**(n-1-v)
+    is item v's tie-break digit weight.  layers[k-1] covers the subsets T
+    of size k, in numeric order: for each T and item v, the slot of T - v
+    in layer k-1, the flat index (T - v) * n + v into the (2**n, n) ahead
+    table, whether v is in T, and the key step (k-1) * place.  Arrays are
+    read-only because every caller shares them.
+    """
+    size = 1 << n
+    count = np.zeros(size, dtype=np.int64)  # popcount of each subset
+    for b in range(n):
+        count[1 << b : 2 << b] = count[: 1 << b] + 1
+    by_count = np.argsort(count, kind="stable")
+    starts = np.searchsorted(count[by_count], np.arange(n + 2))
+    slot = np.empty(size, dtype=np.int64)
+    slot[by_count] = np.arange(size) - starts[count[by_count]]
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    place = np.int64(n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    layers = []
+    for k in range(1, n + 1):
+        sets = by_count[starts[k] : starts[k + 1], None]
+        has = sets & bits != 0
+        prev = np.where(has, sets ^ bits, 0)
+        layers.append((slot[prev], prev * n + np.arange(n), has, (k - 1) * place))
+    pairs = np.triu_indices(n, k=1)
+    for array in (*pairs, place, *itertools.chain.from_iterable(layers)):
+        array.flags.writeable = False
+    return pairs, place, layers
 
 
 def _exact_argmin(n: int, us, vs, labels, weight_num) -> tuple[Permutation, int]:
-    """First rank array in lex order of least weighted mismatch, and that mismatch."""
-    ranks = all_rank_arrays(n)
-    table = _PAIR_TABLE_CACHE.get(n)
-    if table is None:
-        table = _PAIR_TABLE_CACHE[n] = pair_table(ranks, oriented=True)
+    """First rank array in lex order of least weighted mismatch, and that mismatch.
+
+    Held-Karp recursion over the set S of items placed first: F(S + v) is
+    the least F(S) + ahead[S, v], where ahead[S, v] sums the cost C[u, v]
+    of u before v over u in S (C[u, v] is the oriented pair coefficient for
+    u < v and 0 otherwise).  Each state also carries a tie-break key:
+    placing v after |S| items adds |S| * n**(n-1-v), so a full order's key
+    is its rank array read as base-n digits (rank - 1) with item 0 most
+    significant.  Keeping the least (cost, key) pair per state therefore
+    yields the first minimizer in all_rank_arrays order, with its rank
+    array decoded from the key.
+    """
+    if n < 2 or n > _EXACT_ERM_MAX_N:
+        raise ValueError(
+            f"exact ranking ERM supports 2 <= n <= {_EXACT_ERM_MAX_N}; "
+            "use local_search_erm for larger pools"
+        )
     coef, base = pair_coefficients(n, us, vs, labels, weight_num, oriented=True)
-    row, value = packed_argmin(table, coef, base)
-    return Permutation(ranks[row]), value
+    pairs, place, layers = _subset_layers(n)
+    cost = np.zeros((n, n), dtype=np.int64)
+    cost[pairs] = coef
+    ahead = np.zeros((1 << n, n), dtype=np.int64)
+    for b in range(n):
+        ahead[1 << b : 2 << b] = ahead[: 1 << b] + cost[b]
+    ahead = ahead.ravel()
+    never = np.iinfo(np.int64).max
+    best = key = np.zeros(1, dtype=np.int64)  # layer 0: the empty set
+    for slot, flat, has, step in layers:
+        cand = np.where(has, best[slot] + ahead[flat], never)
+        best = cand.min(axis=1)
+        key = np.where(cand == best[:, None], key[slot] + step, never).min(axis=1)
+    return Permutation(key[0] // place % n + 1), base + int(best[0])
 
 
 def exact_erm_with_value(est: RegretEstimator, start=None, *, rng=None):
     """Global estimator minimizer over all permutations, plus its objective.
 
-    Ties resolve to the lexicographically smallest rank array because the
-    enumeration is lexicographic and the scan keeps the first minimum.
+    Ties resolve to the lexicographically smallest rank array.
     """
     perm, _ = _exact_argmin(est.n_items, est.us, est.vs, est.labels, est.weight_num)
     return perm, est.evaluate(perm)
@@ -462,6 +493,28 @@ def local_search_erm(
 
 
 # -- enumeration as a finite class -------------------------------------------
+
+_RANK_ARRAY_CACHE: dict[int, np.ndarray] = {}
+
+
+def all_rank_arrays(n: int) -> np.ndarray:
+    """All n! rank arrays, rows in lexicographic order, cached per n."""
+    if n < 2 or n > _ENUMERATION_MAX_N:
+        raise ValueError(
+            f"exact enumeration supports 2 <= n <= {_ENUMERATION_MAX_N}; "
+            "use local_search_erm for larger pools"
+        )
+    cached = _RANK_ARRAY_CACHE.get(n)
+    if cached is None:
+        count = math.factorial(n)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
+            dtype=np.int8,
+            count=count * n,
+        )
+        cached = flat.reshape(count, n)
+        _RANK_ARRAY_CACHE[n] = cached
+    return cached
 
 
 def permutations_to_class(perms: list[Permutation]):

@@ -449,16 +449,22 @@ def test_run_erm_iteration_deterministic():
 
 
 def test_run_erm_iteration_budget_exhaustion():
+    # unbudgeted, this run labels 25 distinct pairs in iteration 1 and 3 more
+    # in iteration 2, so a budget of 26 admits the first batch only
     n = 8
-    oracle = _ranking_setup(n, 23, budget=10)
+    oracle = _ranking_setup(n, 23, budget=26)
     params = Params(epsilon=0.2, iterations=4, master_seed=23)
     traj = run_erm_iteration(
         h0=rk.Permutation.identity(n), oracle=oracle, params=params,
-        builder=lambda h, orc, prm, rng=None: rk.build_ranking_estimator(h, orc, prm, p=3, rng=rng),
+        builder=lambda h, orc, prm, rng=None: rk.build_ranking_estimator(h, orc, prm, p=2, rng=rng),
         erm=lambda est, start, rng=None: rk.exact_erm(est, start, rng=rng),
     )
     assert traj.status == "budget_exhausted"
-    assert len(traj.rows) >= 1  # keeps the rows it managed to finish
+    assert [r.iteration for r in traj.rows] == [0, 1]  # keeps the rows it managed to finish
+    assert all(r.err is None for r in traj.rows)  # a budgeted oracle records no errors
+    spent = sum(r.distinct_queries for r in traj.rows)
+    assert spent == oracle.counters.distinct_labeled == traj.rows[-1].cumulative_queries == 25
+    assert spent <= oracle.budget
 
 
 def test_run_erm_iteration_wraps_erm_failure():

@@ -1,4 +1,8 @@
-"""Exact minimizers on packed 0/1 tables against the predicate scan they replaced."""
+"""Exact minimizers against the predicate scan they replaced.
+
+Clustering, planar orders and finite classes score packed 0/1 tables;
+ranking runs a subset DP, checked here against the packed kernel.
+"""
 
 import math
 import tracemalloc
@@ -193,9 +197,9 @@ def test_class_argmin_matches_predicate_scan(family, pool, m):
 # -------------------------------------------------- synthetic, tie-heavy samples
 
 @st.composite
-def _samples(draw):
+def _samples(draw, max_n=6):
     """Pair samples with repeats, both orientations, self pairs and zero or equal weights."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_n))
     size = draw(st.integers(0, 30))
     item = st.integers(0, n - 1)
     us = np.array(draw(st.lists(item, min_size=size, max_size=size)), dtype=np.int64)
@@ -220,6 +224,56 @@ def test_ranking_kernel_matches_predicate_scan_on_synthetic_samples(case):
     ranks = rk.all_rank_arrays(n)
     assert _kernel(ranks, us, vs, labels, w, oriented=True) == _predicate_argmin(
         ranks, _before(us, vs), labels, w)
+
+
+@given(_samples(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_ranking_dp_matches_packed_kernel_on_synthetic_samples(case):
+    n, us, vs, labels, w = case
+    ranks = rk.all_rank_arrays(n)
+    row, value = _kernel(ranks, us, vs, labels, w, oriented=True)
+    assert rk._exact_argmin(n, us, vs, labels, w) == (rk.Permutation(ranks[row]), value)
+
+
+@pytest.mark.parametrize("n", range(11, 15))
+def test_ranking_dp_beyond_enumeration_beats_every_local_search_start(n):
+    truth = rk.random_permutation(n, derive_rng(n, "t"))
+    oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.3), seed=n)
+    est = rk.build_ranking_estimator(rk.Permutation.identity(n), oracle, Params(epsilon=0.3),
+                                     p=2, rng=derive_rng(n, "b"))
+    perm, value = rk._exact_argmin(n, est.us, est.vs, est.labels, est.weight_num)
+    # value is the weighted mismatch; evaluate_int subtracts the pivot's
+    assert est.evaluate_int(perm) == value - int(est.weight_num @ est.pivot_costs)
+    best = est.evaluate_int(perm)
+    starts = [rk.Permutation.identity(n), truth] + [
+        rk.random_permutation(n, derive_rng(n, "s", i)) for i in range(6)
+    ]
+    for start in starts:
+        found = rk.local_search_erm(est, start, restarts=1)
+        assert est.evaluate_int(found) >= best
+
+
+def test_ranking_dp_empty_sample_gives_identity():
+    none = np.array([], dtype=np.int64)
+    assert rk._exact_argmin(14, none, none, none, none) == (rk.Permutation.identity(14), 0)
+
+
+@pytest.mark.parametrize("n", [15, 40])
+def test_ranking_dp_refuses_large_pools_before_allocating(n):
+    us, vs = np.triu_indices(n, k=1)
+    est = rk.build_ranking_estimator(
+        rk.Permutation.identity(n), make_ranking_oracle(rk.Permutation.identity(n), seed=0),
+        Params(epsilon=0.3), p=1, rng=derive_rng(n, "b"))
+    for call in (lambda: rk.exact_erm(est),
+                 lambda: rk._exact_argmin(n, us, vs, np.ones(len(us)), np.ones(len(us)))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exact ranking ERM supports 2 <= n <= 14"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @given(_samples(), st.integers(1, 4))
@@ -294,3 +348,21 @@ def test_rank_pair_table_n10_memory_is_bounded():
     # beside its rank gathers; the 163 MB unpacked table never exists whole
     assert build_peak < table.nbytes + 8 * 2**20
     assert use_peak < 2 * 2**20
+
+
+def test_ranking_dp_n14_memory_is_bounded():
+    n = 14
+    truth = rk.random_permutation(n, derive_rng(14, "mem"))
+    us, vs = np.triu_indices(n, k=1)
+    labels = truth.pair_values(us, vs)
+    rk._subset_layers.cache_clear()  # measure a cold call, layout included
+    tracemalloc.start()
+    try:
+        found = rk._exact_argmin(n, us, vs, labels, np.ones(len(us), np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == (truth, 0)
+    # the (2**14, 14) int64 ahead table is 1.8 MiB and the cached layout
+    # about 4 MiB; the 14! rank arrays the enumeration would need are 1.2 TB
+    assert peak < 8 * 2**20

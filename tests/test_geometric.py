@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,99 @@ def test_induced_permutation_rejects_ties():
     with pytest.raises(geo.DegenerateGeometryError) as exc:
         geo.induced_permutation(np.array([1.0, 0.0]), feats)  # items 0,1 tie at 0
     assert exc.value.pair == (0, 1)
+
+
+def _reference_orders_2d(features):
+    """The per-direction sweep enumerate_orders_2d replaced: one induced_permutation per arc."""
+    pairs, normals = geo._pair_normals(features)
+    base = np.arctan2(normals[:, 1], normals[:, 0])
+    crossings = np.concatenate([base + math.pi / 2, base + 3 * math.pi / 2]) % (2 * math.pi)
+    pair_of = np.concatenate([np.arange(len(pairs))] * 2)
+    sort = np.argsort(crossings, kind="stable")
+    crossings = crossings[sort]
+    pair_of = pair_of[sort]
+    close = np.flatnonzero(np.diff(crossings) < 1e-12)
+    for t in close:
+        a, b = pair_of[t], pair_of[t + 1]
+        if a != b and normals[a, 0] * normals[b, 1] == normals[a, 1] * normals[b, 0]:
+            raise geo.DegenerateGeometryError(
+                f"pairs {tuple(pairs[a])} and {tuple(pairs[b])} induce the same hyperplane",
+                tuple(pairs[a]),
+            )
+    mids = (crossings + np.roll(crossings, -1)) / 2
+    mids[-1] = ((crossings[-1] + crossings[0] + 2 * math.pi) / 2) % (2 * math.pi)
+    orders, angles, seen = [], [], set()
+    for angle in sorted(mids.tolist()):
+        perm = geo.induced_permutation(np.array([math.cos(angle), math.sin(angle)]), features)
+        if perm.rank.tobytes() not in seen:
+            seen.add(perm.rank.tobytes())
+            orders.append(perm)
+            angles.append(angle)
+    return orders, np.array(angles)
+
+
+def _outcome(enumerate_fn, vectors):
+    """(orders, angles) as lists, or (error message, pair) for a degenerate input."""
+    try:
+        orders, angles = enumerate_fn(geo.FeatureSet(vectors))
+    except geo.DegenerateGeometryError as exc:
+        return "degenerate", str(exc), exc.pair
+    return [o.rank.tolist() for o in orders], angles.tolist()
+
+
+_DEGENERATE = [
+    [[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]],  # shared vector
+    [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],  # collinear: coincident hyperplanes
+    [[0.0, 0.0], [1e-300, 1e-300], [1.0, 0.0], [0.0, 1.0]],  # scores tie at an arc midpoint
+    [[0.0, 0.0], [5e-324, 0.0], [1.0, 1.0]],
+    # ties at several midpoints, on different pairs: the first in angle order wins
+    [[1e-300, 1e-300], [2.0, 3.0], [1.0, -5e-324], [1e-300, 3.0], [5e-324, 2.0]],
+]
+
+
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_enumeration_matches_per_direction_reference(n):
+    for seed in range(200):
+        vectors = derive_rng(seed, n, "ref").standard_normal((n, 2))
+        assert _outcome(geo.enumerate_orders_2d, vectors) == _outcome(_reference_orders_2d, vectors)
+
+
+@pytest.mark.parametrize("vectors", _DEGENERATE)
+def test_enumeration_matches_reference_on_degenerate_inputs(vectors):
+    found = _outcome(geo.enumerate_orders_2d, np.array(vectors))
+    assert found[0] == "degenerate"
+    assert found == _outcome(_reference_orders_2d, np.array(vectors))
+
+
+def test_degenerate_enumeration_raises_every_time():
+    feats = geo.FeatureSet(np.array(_DEGENERATE[2]))
+    for _ in range(2):
+        with pytest.raises(geo.DegenerateGeometryError, match="equally"):
+            geo.enumerate_orders_2d(feats)
+    with pytest.raises(geo.DegenerateGeometryError, match="equally"):
+        geo.geometric_erm_2d(None, feats)
+
+
+def test_feature_vectors_are_a_read_only_copy():
+    raw = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
+    feats = geo.FeatureSet(raw)
+    raw[0, 0] = 9.0
+    assert feats.vectors[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        feats.vectors[0, 0] = 9.0
+    with pytest.raises(AttributeError):
+        feats.vectors = raw
+
+
+def test_mutating_enumeration_results_leaves_the_next_call_intact():
+    feats = geo.random_features(6, 2, derive_rng(11, "f"))
+    orders, angles = geo.enumerate_orders_2d(feats)
+    expected = ([o.rank.tolist() for o in orders], angles.tolist())
+    orders.reverse()
+    orders.pop()
+    angles[:] = 0.0
+    again, again_angles = geo.enumerate_orders_2d(feats)
+    assert ([o.rank.tolist() for o in again], again_angles.tolist()) == expected
 
 
 def test_enumerate_orders_three_points():
