@@ -425,8 +425,9 @@ def unordered_verification_labels(oracle, us, vs, scans: int = 1) -> np.ndarray:
     return labels
 
 
-# Pairs per true_error block: enough to amortize per-call numpy overhead,
-# few enough that a block's temporaries take a few megabytes.
+# Pairs per block of a true_error scan and of an oracle's label hashing:
+# enough to amortize per-call numpy overhead, few enough that a block's
+# temporaries take a few megabytes.
 _SCAN_BLOCK_PAIRS = 1 << 16
 
 
@@ -557,6 +558,7 @@ def run_erm_iteration(
         traj.rows.append(
             TrajectoryRow(i, h_next, None, est.evaluate(h_next), spent, cumulative, wall_ms)
         )
+        del est  # so only one estimator is alive while the next one is built
         h = h_next
     fill_errors()
     return traj

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import csv_header, csv_rows
+from .core import _SCAN_BLOCK_PAIRS, csv_header, csv_rows
 from .seeding import pair_uniform
 
 __all__ = [
@@ -49,7 +49,11 @@ _NOISE_KINDS = ("none", "uniform_flip", "distance_decay", "adversarial_file")
 
 
 def distinct_count(keys: np.ndarray) -> int:
-    """Number of distinct values in a 1-d array: sort, then count the steps."""
+    """Number of distinct values in a 1-d array: sort, then count the steps.
+
+    InstanceOracle counts with it; LabelOracle sorts its batch keys itself,
+    because the same sort also feeds its seen-set lookup.
+    """
     if len(keys) == 0:
         return 0
     return int(np.count_nonzero(np.diff(np.sort(keys)))) + 1
@@ -143,7 +147,9 @@ class LabelOracle:
 
     Labels come either from a (ground truth, noise, seed) triple or from an
     explicit label table.  Query accounting and the optional budget on
-    distinct labeled pairs live here.
+    distinct labeled pairs live here.  The labeled pairs are kept as a
+    sorted array of unique keys lo*n + hi (lo < hi), so memory follows the
+    labels a run spends, not the n*n pairs it could ask for.
     """
 
     def __init__(
@@ -173,7 +179,7 @@ class LabelOracle:
         self.counters = QueryCounters()
         self._base = base_values  # per-item helper values, interpretation per mode
         self._table = label_table
-        self._seen = np.zeros((n, n), dtype=bool)
+        self._seen = np.empty(0, dtype=np.int64)  # sorted unique keys lo*n + hi
 
     # -- label computation (pure, no accounting) ---------------------------
 
@@ -190,25 +196,33 @@ class LabelOracle:
             raise ValueError("pair index out of range")
         if self._table is not None:
             return self._table[us, vs]
-        if self.mode == "ranking":
-            base = (self._base[us] < self._base[vs]).astype(np.uint8)
-        else:
-            base = (self._base[us] == self._base[vs]).astype(np.uint8)
-        flips = self._flip_mask(us, vs)
-        return base ^ flips
+        if us.size <= _SCAN_BLOCK_PAIRS:
+            return self._hashed_labels(us, vs)
+        # larger batches go in blocks, so the hashing temporaries stay a few megabytes
+        flat_us, flat_vs = us.reshape(-1), vs.reshape(-1)
+        labels = np.empty(us.size, dtype=np.uint8)
+        for start in range(0, us.size, _SCAN_BLOCK_PAIRS):
+            block = slice(start, start + _SCAN_BLOCK_PAIRS)
+            labels[block] = self._hashed_labels(flat_us[block], flat_vs[block])
+        return labels.reshape(us.shape)
 
-    def _flip_mask(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    def _hashed_labels(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Base label of each pair under the ground truth, xor its frozen noise flip, as uint8."""
+        if self.mode == "ranking":
+            labels = self._base[us] < self._base[vs]
+        else:
+            labels = self._base[us] == self._base[vs]
         kind = self.noise.kind
-        if kind == "none":
-            return np.zeros(us.shape, dtype=np.uint8)
-        unif = pair_uniform(self.seed, us, vs)
-        if kind == "uniform_flip":
-            return (unif < self.noise.eta).astype(np.uint8)
-        if kind == "distance_decay":
-            gap = np.abs(self._base[us] - self._base[vs]).astype(np.float64)
-            prob = np.minimum(1.0, self.noise.scale * gap**-self.noise.rho)
-            return (unif < prob).astype(np.uint8)
-        raise AssertionError(f"unreachable noise kind {kind}")
+        if kind != "none":
+            unif = pair_uniform(self.seed, us, vs)
+            if kind == "uniform_flip":
+                labels ^= unif < self.noise.eta
+            elif kind == "distance_decay":
+                gap = np.abs(self._base[us] - self._base[vs]).astype(np.float64)
+                labels ^= unif < np.minimum(1.0, self.noise.scale * gap**-self.noise.rho)
+            else:
+                raise AssertionError(f"unreachable noise kind {kind}")
+        return labels.view(np.uint8)
 
     # -- counted access -----------------------------------------------------
 
@@ -220,15 +234,24 @@ class LabelOracle:
 
         The batch is atomic: if the new distinct pairs it contains would
         exceed the budget, BudgetExceededError is raised and no counter or
-        cache state changes.
+        cache state changes.  One sort of the batch keys both drops its
+        repeats and feeds the lookup in the seen set; the new keys are then
+        merged into it in one linear pass.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         labels = self._labels_pure(us, vs)
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        fresh = ~self._seen[lo, hi]
-        n_new = distinct_count(lo[fresh] * self.n + hi[fresh])
+        keys = np.minimum(us, vs).reshape(-1)
+        keys *= self.n
+        keys += np.maximum(us, vs).reshape(-1)
+        keys.sort()
+        seen = self._seen
+        at = np.searchsorted(seen, keys)
+        fresh = seen.take(at, mode="clip") != keys if len(seen) else np.ones(len(keys), bool)
+        n_new = int(np.count_nonzero(fresh))
+        if n_new:
+            fresh[1:] &= keys[1:] != keys[:-1]  # a repeat within the batch is not new again
+            n_new = int(np.count_nonzero(fresh))
         if self.budget is not None and self.counters.distinct_labeled + n_new > self.budget:
             raise BudgetExceededError(
                 f"budget of {self.budget} distinct pairs would be exceeded "
@@ -236,7 +259,10 @@ class LabelOracle:
                 self.counters.snapshot(),
                 n_new,
             )
-        self._seen[lo, hi] = True
+        if n_new:
+            merged = np.concatenate([seen, keys[fresh]])
+            merged.sort(kind="stable")  # a timsort of two sorted runs: one linear merge
+            self._seen = merged
         self.counters.distinct_labeled += n_new
         self.counters.raw_calls += len(us)
         return labels

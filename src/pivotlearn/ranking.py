@@ -267,14 +267,18 @@ def build_ranking_estimator(
     lo = lo.reshape(-1, 2)
     arm = hi.reshape(-1, 2) - lo
     near = np.arange(len(arm)) % hi.shape[1] == 0  # ring 0, which always enters whole
+    del hi
     # offset of each sample within its ring's items, left arm first
     count, offset, w_num = stratum_draws(arm.sum(axis=1), p, rng, whole=near)
     left = arm[:, 0].repeat(count)
     spot = np.where(
         offset < left, lo[:, 0].repeat(count) + offset, lo[:, 1].repeat(count) + offset - left
     )
+    del lo, arm, left, offset  # dead before the labels are hashed
+    vs = pivot.order.astype(np.int64)[spot]
+    del spot
     us = np.arange(n).repeat(count.reshape(n, -1).sum(axis=1))
-    return pair_estimator(pivot, oracle, us, pivot.order[spot], w_num, p)
+    return pair_estimator(pivot, oracle, us, vs, w_num, p)
 
 
 # -- exact ERM by subset dynamic programming --------------------------------
@@ -384,23 +388,41 @@ def _insertion_csr(est: RegretEstimator):
 
     For each sample (a, b, y, w), moving endpoint u from before its partner
     to after it changes the objective by +w when y says u should win and -w
-    otherwise.  All samples on one pair are merged into one exact int64
-    delta per endpoint; a pair whose delta sums to 0 changes no insertion
-    objective and is dropped.
+    otherwise.  All samples on one unordered pair {lo, hi} are merged into
+    one exact int64 delta for lo (hi's is its negation); a pair whose delta
+    sums to 0 changes no insertion objective and is dropped.  Merging before
+    mirroring sorts each sample once, not once per endpoint.  Partners come
+    in no particular order within an item, which the climb does not need:
+    it sorts them by their (distinct) ranks.
     """
     n = est.n_items
     w = est.weight_num * (2 * est.labels.astype(np.int64) - 1)
-    keys = np.concatenate([est.us * n + est.vs, est.vs * n + est.us])
-    deltas = np.concatenate([w, -w])
+    np.negative(w, out=w, where=est.us > est.vs)  # the delta for the pair's lower id
+    keys = np.minimum(est.us, est.vs)
+    keys *= n
+    keys += np.maximum(est.us, est.vs)
     by_key = np.argsort(keys)
-    keys, deltas = keys[by_key], deltas[by_key]
+    keys, w = keys[by_key], w[by_key]
     del by_key
     first = np.flatnonzero(np.diff(keys, prepend=-1))
-    deltas = np.add.reduceat(deltas, first)
-    keys = keys[first]
-    keep = deltas != 0
-    items, partners = np.divmod(keys[keep], n)
-    return partners, deltas[keep], np.searchsorted(items, np.arange(n + 1)).tolist()
+    w = np.add.reduceat(w, first)
+    keep = w != 0
+    keys = keys[first[keep]]
+    lo = keys // n
+    hi = keys - lo * n
+    w = w[keep]
+    del keys, first, keep
+    items = np.concatenate([lo, hi])
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(items, minlength=n), out=bounds[1:])
+    by_item = np.argsort(items)
+    del items
+    partners = np.concatenate([hi, lo])
+    del lo, hi
+    partners = partners[by_item]
+    deltas = np.concatenate([w, -w])
+    del w
+    return partners, deltas[by_item], bounds.tolist()
 
 
 def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutation, int]:

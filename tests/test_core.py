@@ -493,6 +493,28 @@ def test_run_erm_iteration_wraps_erm_failure():
     assert [r.err for r in traj.rows] == [true_error(r.hypothesis, oracle) for r in traj.rows]
 
 
+def test_run_erm_iteration_keeps_one_estimator_alive():
+    """Iteration i's estimator is freed (by refcount) before iteration i+1's build."""
+    import weakref
+
+    n = 40
+    refs = []
+
+    def builder(h, orc, prm, rng=None):
+        assert all(ref() is None for ref in refs)
+        est = rk.build_ranking_estimator(h, orc, prm, p=3, rng=rng)
+        refs.append(weakref.ref(est))
+        return est
+
+    traj = run_erm_iteration(
+        h0=rk.Permutation.identity(n), oracle=_ranking_setup(n, 27, eta=0.2),
+        params=Params(epsilon=0.25, iterations=4, master_seed=27), builder=builder,
+        erm=lambda est, start, rng=None: rk.local_search_erm(est, start, restarts=1, rng=rng),
+    )
+    assert len(refs) == 4 and all(ref() is None for ref in refs)
+    assert all(r.estimator_value is not None for r in traj.rows[1:])
+
+
 def _reference_erm_loop(h0, oracle, params, builder, erm):
     """The iteration with one true_error scan per row, right after its ERM step."""
     rows = [(0, h0, true_error(h0, oracle), None, 0, oracle.counters.distinct_labeled)]

@@ -18,7 +18,7 @@ from pivotlearn import (
 from pivotlearn import clustering as clu
 from pivotlearn import ranking as rk
 from pivotlearn.oracles import OracleFormatError, distinct_count, load_oracle, save_oracle
-from pivotlearn.seeding import derive_rng
+from pivotlearn.seeding import derive_rng, pair_uniform
 
 
 def _perm(n, seed):
@@ -129,7 +129,17 @@ def test_budget_check_is_atomic():
 
 
 def _seen_pairs(oracle):
-    return {tuple(pair) for pair in np.argwhere(oracle._seen).tolist()}
+    lo, hi = np.divmod(oracle._seen, oracle.n)
+    return set(zip(lo.tolist(), hi.tolist()))
+
+
+def _assert_seen_keys_valid(oracle):
+    """The seen set is strictly increasing keys lo*n + hi with lo < hi < n."""
+    keys = oracle._seen
+    assert keys.dtype == np.int64
+    assert np.all(np.diff(keys) > 0)
+    lo, hi = np.divmod(keys, oracle.n)
+    assert np.all((0 <= lo) & (lo < hi) & (hi < oracle.n))
 
 
 @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10_000),
@@ -164,6 +174,114 @@ def test_query_many_batches_are_atomic(n, budget, seed, batches):
         assert oracle.counters.raw_calls == before.raw_calls + len(us)
         assert oracle.counters.verification_reads == before.verification_reads
         assert _seen_pairs(oracle) == seen | new
+        _assert_seen_keys_valid(oracle)
+
+
+def test_seen_set_memory_follows_the_labels():
+    """A dense n x n seen table would request 2.5 GB here."""
+    n = 50_000
+    truth = rk.Permutation.identity(n)  # built untraced: its checks make Python lists
+    rng = derive_rng(14, "big")
+    us = rng.integers(0, n, 1000)
+    vs = (us + rng.integers(1, n, 1000)) % n
+    tracemalloc.start()
+    try:
+        oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.1), seed=14)
+        oracle.query_many(us, vs)
+        oracle.query_many(vs, us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle.counters.distinct_labeled == len(_seen_pairs(oracle)) <= 1000
+    _assert_seen_keys_valid(oracle)
+    assert peak < 2 * 2**20
+
+
+# 2**16 pairs is one label-hashing block: one pair past it, and three whole blocks
+_BLOCK_BATCHES = [2**16 + 1, 3 * 2**16]
+
+
+def _label_oracles(tmp_path):
+    """(name, oracle, pair-by-pair label function) for every way labels are made."""
+    n, seed = 300, 15
+    truth = _perm(n, seed)
+    ranking = lambda noise: make_ranking_oracle(truth, noise, seed=seed)  # noqa: E731
+    clusters = clu.random_clustering(n, 4, derive_rng(seed, "t"))
+    eta = 0.2
+    decay = NoiseSpec(kind="distance_decay", rho=0.8, scale=0.7)
+
+    def decay_flip(u, v):
+        gap = abs(int(truth.rank[u]) - int(truth.rank[v]))
+        return float(pair_uniform(seed, u, v)) < min(1.0, decay.scale * gap**-decay.rho)
+
+    small = make_ranking_oracle(_perm(20, seed), NoiseSpec(kind="uniform_flip", eta=eta),
+                                seed=seed)
+    path = str(tmp_path / "labels.csv")
+    save_oracle(small, path)
+    table = small.full_table()
+    return [
+        ("ranking-uniform_flip", ranking(NoiseSpec(kind="uniform_flip", eta=eta)),
+         lambda u, v: (truth.rank[u] < truth.rank[v]) ^ (float(pair_uniform(seed, u, v)) < eta)),
+        ("ranking-distance_decay", ranking(decay),
+         lambda u, v: (truth.rank[u] < truth.rank[v]) ^ decay_flip(u, v)),
+        ("clustering", make_clustering_oracle(clusters, NoiseSpec(kind="uniform_flip", eta=eta),
+                                              seed=seed),
+         lambda u, v: (clusters.assign[u] == clusters.assign[v])
+         ^ (float(pair_uniform(seed, u, v)) < eta)),
+        ("label_table", load_oracle(path), lambda u, v: table[u, v]),
+    ]
+
+
+def _random_pairs(n, size, seed):
+    rng = derive_rng(seed, "pairs", n, size)
+    us = rng.integers(0, n, size)
+    return us, (us + rng.integers(1, n, size)) % n
+
+
+@pytest.mark.parametrize("size", _BLOCK_BATCHES)
+def test_labels_of_a_multi_block_batch_match_pair_by_pair(size, tmp_path):
+    """Each pair near a block edge, and every 61st, against its own scalar label."""
+    near_edges = (np.arange(0, size + 2**16, 2**16)[:, None] + [-2, -1, 0, 1]).ravel()
+    check = np.unique(np.concatenate([np.arange(0, size, 61), near_edges]))
+    check = check[(check >= 0) & (check < size)]
+    for name, oracle, label in _label_oracles(tmp_path):
+        us, vs = _random_pairs(oracle.n, size, 16)
+        got = oracle.query_many(us, vs)
+        assert got.shape == (size,) and got.dtype == np.uint8, name
+        ref = [int(label(int(us[i]), int(vs[i]))) for i in check]
+        assert got[check].tolist() == ref, name
+        # the whole batch against labels made in small batches
+        small = np.concatenate([oracle.verification_labels(us[i:i + 999], vs[i:i + 999])
+                                for i in range(0, size, 999)])
+        assert np.array_equal(got, small), name
+
+
+def test_label_hashing_memory_is_flat_in_batch_size():
+    """2**20 pairs: unblocked, the hashing would hold several 8 MB uint64 arrays at once."""
+    oracle = make_ranking_oracle(_perm(3000, 19), NoiseSpec(kind="uniform_flip", eta=0.1), seed=19)
+    us, vs = _random_pairs(oracle.n, 2**20, 19)
+    tracemalloc.start()
+    try:
+        labels = oracle.verification_labels(us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 2**20
+    assert peak < 8 * 2**20
+
+
+def test_rejected_multi_block_batch_changes_nothing():
+    n = 2000
+    oracle = make_ranking_oracle(_perm(n, 17), NoiseSpec(kind="uniform_flip", eta=0.1),
+                                 seed=17, budget=2**15)
+    us, vs = _random_pairs(n, 1000, 17)
+    oracle.query_many(us, vs)
+    before, seen = oracle.counters.snapshot(), oracle._seen.copy()
+    big_us, big_vs = _random_pairs(n, 2**16 + 1, 18)
+    with pytest.raises(BudgetExceededError):
+        oracle.query_many(big_us, big_vs)
+    assert oracle.counters == before
+    assert np.array_equal(oracle._seen, seen)
 
 
 @pytest.mark.parametrize("keys", [
