@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import core
 from .core import (
     Params,
     PoolMismatchError,
@@ -306,7 +307,10 @@ class _GainTable:
     read of O(1) entries.  `assign` is updated in place.
     """
 
-    __slots__ = ("assign", "cost", "partners", "signed", "bounds")
+    __slots__ = (
+        "assign", "cost", "partners", "signed", "bounds", "index",
+        "upper_ends", "upper_partners", "upper_weight", "upper_bounds",
+    )
 
     def __init__(self, est: RegretEstimator, assign: np.ndarray, k: int):
         n = est.n_items
@@ -318,59 +322,101 @@ class _GainTable:
         self.partners = np.concatenate([est.vs, est.us])[order]
         self.signed = weight * (1 - 2 * label)
         self.bounds = np.searchsorted(ends, np.arange(n + 1))
+        self.index = np.arange(n)
         self.assign = assign
         base = np.zeros(n, dtype=np.int64)
         np.add.at(base, ends, weight * label)
         self.cost = np.repeat(base[:, None], k + 1, axis=1)
         np.add.at(self.cost, (ends, assign[self.partners]), self.signed)
-
-    def _edges(self, item: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.bounds[item], self.bounds[item + 1]
-        return self.partners[lo:hi], self.signed[lo:hi]
+        # each sample once more, at its smaller item, for the swap correction
+        upper = self.partners > ends
+        self.upper_ends = ends[upper]
+        self.upper_partners = self.partners[upper]
+        self.upper_weight = 2 * self.signed[upper]
+        self.upper_bounds = np.searchsorted(self.upper_ends, np.arange(n + 1))
 
     def move(self, item: int, cid: int) -> None:
         """Put `item` in cluster `cid` and update its partners' rows."""
-        partners, signed = self._edges(item)
+        lo, hi = self.bounds[item], self.bounds[item + 1]
+        partners, signed = self.partners[lo:hi], self.signed[lo:hi]
         np.add.at(self.cost, (partners, self.assign[item]), -signed)
         np.add.at(self.cost, (partners, cid), signed)
         self.assign[item] = cid
 
-    def pair_weights(self, a: int) -> np.ndarray:
-        """Sum of w*(1 - 2y) over the samples on each pair {a, b}, indexed by b."""
-        out = np.zeros(len(self.assign), dtype=np.int64)
-        np.add.at(out, *self._edges(a))
-        return out
+    def reassign_deltas(self, start: int, stop: int) -> np.ndarray:
+        """Objective change of moving each u in start..stop-1 to each cluster 1..k."""
+        cost, assign = self.cost, self.assign
+        if stop - start == 1:
+            return cost[start:stop, 1:] - cost[start, assign[start]]
+        current = cost[self.index[start:stop], assign[start:stop]]
+        return cost[start:stop, 1:] - current[:, None]
 
-    def swap_deltas(self, a: int, lo: int, pair_w: np.ndarray) -> np.ndarray:
-        """Objective change of swapping a with each b >= lo in another cluster.
+    def swap_deltas(self, start: int, stop: int, lo: int) -> np.ndarray:
+        """Objective change of swapping each a in start..stop-1 with each b >= lo.
 
-        The two row differences each count the samples on {a, b} once with
-        b (resp. a) unmoved; those samples keep their value, as a and b stay
+        A (rows, n - lo) block; an entry with b <= a or b in a's cluster
+        is no candidate and reads the int64 maximum.  Every row is scored
+        from lo, so a block of several rows starts at lo = start + 1.  The
+        two row differences each count the samples on {a, b} once with b
+        (resp. a) unmoved; those samples keep their value, as a and b stay
         in different clusters, hence the correction.
         """
-        ca = self.assign[a]
-        cb = self.assign[lo:]
-        rows = np.arange(lo, len(self.assign))
-        return (
-            self.cost[a, cb] - self.cost[a, ca]
-            + self.cost[rows, ca] - self.cost[rows, cb]
-            - 2 * pair_w[lo:]
-        )
+        cost, assign = self.cost, self.assign
+        ca, cb = assign[start:stop], assign[lo:]
+        first, last = self.upper_bounds[start], self.upper_bounds[stop]
+        at = self.upper_partners[first:last] - lo
+        weight = self.upper_weight[first:last]
+        delta = cost[start:stop].take(cb, axis=1)  # C order, for the flat correction
+        if stop - start == 1:  # one own entry to read, no triangle to mask
+            delta -= cost[start, ca[0]]
+            delta += cost[lo:, ca[0]]
+            delta -= cost[self.index[lo:], cb]
+            skip = cb == ca[0]
+            if lo > start + 1:  # resuming after a swap: partners before lo drop out
+                keep = at >= 0
+                at, weight = at[keep], weight[keep]
+        else:
+            current = cost[self.index[start:], assign[start:]]
+            delta -= current[: stop - start, None]
+            delta += cost[lo:, ca].T
+            delta -= current[lo - start :]
+            at += (self.upper_ends[first:last] - start) * len(cb)
+            skip = (ca[:, None] == cb) | (self.index[lo:] <= self.index[start:stop, None])
+        np.subtract.at(delta.reshape(-1), at, weight)
+        np.putmask(delta, skip, np.iinfo(np.int64).max)
+        return delta
+
+
+# Both passes score a block of rows against the table in one call.  Nothing
+# moves between the scoring and the block's first improving entry, so every
+# entry before it is rejected exactly as a one-at-a-time scan would; the
+# move is made there and the next block starts after it.  A block is one
+# row after a move and doubles after a block without one, up to
+# core._SCAN_BLOCK_PAIRS entries.
 
 
 def _reassign_pass(table: _GainTable) -> tuple[int, bool]:
     """One item-major first-improvement sweep of single reassignments."""
     gained = 0
     moved = False
-    assign = table.assign
-    for u in range(len(assign)):
-        row = table.cost[u, 1:]
-        delta = row - row[assign[u] - 1]
-        c = int(np.argmin(delta))
-        if delta[c] < 0:
-            table.move(u, c + 1)
-            gained += int(delta[c])
-            moved = True
+    n, width = table.cost.shape[0], table.cost.shape[1] - 1
+    most = max(1, core._SCAN_BLOCK_PAIRS // width)
+    start, height = 0, 1
+    while start < n:
+        stop = min(n, start + height)
+        delta = table.reassign_deltas(start, stop)
+        row, c = divmod(int(delta.argmin()), width)
+        if delta[row, c] >= 0:
+            start, height = stop, min(2 * height, most)
+            continue
+        if row:  # an earlier row of the block may improve by less
+            row = int((delta[: row + 1] < 0).argmax()) // width
+            c = int(delta[row].argmin())
+        # argmin takes the first minimum: ties go to the smallest cluster id
+        table.move(start + row, c + 1)
+        gained += int(delta[row, c])
+        moved = True
+        start, height = start + row + 1, 1
     return gained, moved
 
 
@@ -380,21 +426,28 @@ def _swap_pass(table: _GainTable) -> tuple[int, bool]:
     moved = False
     assign = table.assign
     n = len(assign)
-    for a in range(n - 1):
-        pair_w = table.pair_weights(a)
-        lo = a + 1
-        while lo < n:
-            delta = table.swap_deltas(a, lo, pair_w)
-            hits = np.flatnonzero((assign[lo:] != assign[a]) & (delta < 0))
-            if len(hits) == 0:
-                break
-            b = lo + int(hits[0])
-            ca, cb = int(assign[a]), int(assign[b])
-            table.move(a, cb)
-            table.move(b, ca)
-            gained += int(delta[hits[0]])
-            moved = True
-            lo = b + 1
+    a, lo, height = 0, 1, 1
+    while a < n - 1:
+        if lo == n:  # a was just swapped with the last item
+            a, lo = a + 1, a + 2
+            continue
+        width = n - lo
+        stop = min(n - 1, a + min(height, max(1, core._SCAN_BLOCK_PAIRS // width)))
+        delta = table.swap_deltas(a, stop, lo)
+        better = delta < 0
+        first = int(better.argmax())
+        row, col = divmod(first, width)
+        if not better[row, col]:
+            a, lo, height = stop, stop + 1, 2 * height
+            continue
+        a += row
+        b = lo + col
+        ca, cb = int(assign[a]), int(assign[b])
+        table.move(a, cb)
+        table.move(b, ca)
+        gained += int(delta[row, col])
+        moved = True
+        lo, height = b + 1, 1
     return gained, moved
 
 

@@ -346,14 +346,15 @@ def packed_argmin(packed: np.ndarray, coef: np.ndarray, base: int) -> tuple[int,
     sums are exact int64, so ties go to the smallest row.
     """
     groups, n_rows = packed.shape
-    coef = np.concatenate([coef, np.zeros(8 * groups - len(coef), dtype=np.int64)])
-    luts = coef.reshape(groups, 8) @ _BYTE_BITS  # (groups, 256)
+    padded = np.zeros((groups, 8), dtype=np.int64)
+    padded.reshape(-1)[: len(coef)] = coef
+    luts = padded @ _BYTE_BITS  # (groups, 256)
     best_val, best_row = None, 0
     for start in range(0, n_rows, _TABLE_BLOCK_ROWS):
         block = packed[:, start : start + _TABLE_BLOCK_ROWS]
         values = np.full(block.shape[1], base, dtype=np.int64)
         for lut, byte in zip(luts, block):
-            values += np.take(lut, byte)
+            values += lut[byte.astype(np.intp)]  # widened here faster than inside the lookup
         idx = int(np.argmin(values))
         if best_val is None or values[idx] < best_val:
             best_val, best_row = int(values[idx]), start + idx

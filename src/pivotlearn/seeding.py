@@ -45,24 +45,32 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(derive_seed_seq(master_seed, *tags)))
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer, vectorized on uint64
-    z = (x + _GOLDEN) & ~_U64(0)
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _mix64(z: np.ndarray) -> None:
+    """splitmix64 finalizer, in place on a uint64 array."""
+    z += _GOLDEN
+    z ^= z >> _U64(30)
+    z *= _MIX1
+    z ^= z >> _U64(27)
+    z *= _MIX2
+    z ^= z >> _U64(31)
 
 
 def pair_uniform(seed: int, u, v) -> np.ndarray:
     """Uniform [0, 1) value per unordered pair {u, v}, seed-keyed.
 
-    Accepts scalars or arrays; the result is symmetric in (u, v).
+    Accepts scalars or arrays; the result is symmetric in (u, v), a float64
+    scalar for scalar inputs and of their broadcast shape otherwise.
     """
     u = np.asarray(u, dtype=np.uint64)
     v = np.asarray(v, dtype=np.uint64)
     lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    with np.errstate(over="ignore"):
-        key = _mix64((lo << _U64(32)) ^ hi)
-        h = _mix64(key ^ _U64(tag_to_int(seed)))
-    return (h >> _U64(11)).astype(np.float64) * (2.0**-53)
+    z = lo.reshape(-1)  # a fresh flat array, hashed in place
+    z <<= _U64(32)
+    z ^= np.maximum(u, v).reshape(-1)
+    _mix64(z)
+    z ^= _U64(tag_to_int(seed))
+    _mix64(z)
+    z >>= _U64(11)
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out.reshape(lo.shape) if lo.shape else out[0]

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pivotlearn.core
 from pivotlearn import NoiseSpec, Params, Pool, make_clustering_oracle
 from pivotlearn import clustering as clu
 from pivotlearn.seeding import derive_rng
@@ -351,7 +353,7 @@ def test_gain_table_tracks_moves(n, k, q, seed, moves):
             a, b = sorted((x % n, y % n))
             if assign[a] == assign[b]:
                 continue
-            delta = int(table.swap_deltas(a, b, table.pair_weights(a))[0])
+            delta = int(table.swap_deltas(a, a + 1, b)[0, 0])
             ca, cb = int(assign[a]), int(assign[b])
             table.move(a, cb)
             table.move(b, ca)
@@ -363,10 +365,125 @@ def test_gain_table_tracks_moves(n, k, q, seed, moves):
         np.testing.assert_array_equal(table.cost, clu._GainTable(est, assign.copy(), k).cost)
 
 
+# Reference passes: the one-row-at-a-time scans the block scans replaced.
+
+def _loop_pair_weights(table, a):
+    """Sum of w*(1 - 2y) over the samples on each pair {a, b}, indexed by b."""
+    out = np.zeros(len(table.assign), dtype=np.int64)
+    lo, hi = table.bounds[a], table.bounds[a + 1]
+    np.add.at(out, table.partners[lo:hi], table.signed[lo:hi])
+    return out
+
+
+def _loop_swap_deltas(table, a, lo, pair_w):
+    """Objective change of swapping a with each b >= lo (same-cluster b included)."""
+    ca = table.assign[a]
+    cb = table.assign[lo:]
+    rows = np.arange(lo, len(table.assign))
+    return (table.cost[a, cb] - table.cost[a, ca]
+            + table.cost[rows, ca] - table.cost[rows, cb]
+            - 2 * pair_w[lo:])
+
+
+def _loop_reassign_pass(table):
+    gained = 0
+    moved = False
+    assign = table.assign
+    for u in range(len(assign)):
+        row = table.cost[u, 1:]
+        delta = row - row[assign[u] - 1]
+        c = int(np.argmin(delta))
+        if delta[c] < 0:
+            table.move(u, c + 1)
+            gained += int(delta[c])
+            moved = True
+    return gained, moved
+
+
+def _loop_swap_pass(table):
+    gained = 0
+    moved = False
+    assign = table.assign
+    n = len(assign)
+    for a in range(n - 1):
+        pair_w = _loop_pair_weights(table, a)
+        lo = a + 1
+        while lo < n:
+            delta = _loop_swap_deltas(table, a, lo, pair_w)
+            hits = np.flatnonzero((assign[lo:] != assign[a]) & (delta < 0))
+            if len(hits) == 0:
+                break
+            b = lo + int(hits[0])
+            ca, cb = int(assign[a]), int(assign[b])
+            table.move(a, cb)
+            table.move(b, ca)
+            gained += int(delta[hits[0]])
+            moved = True
+            lo = b + 1
+    return gained, moved
+
+
+@st.composite
+def _search_cases(draw):
+    """(samples, start assignment, k) for a gain table, stress cases included.
+
+    The samples come from a real estimator, optionally with extra samples
+    repeated on the pair {0, 1} and weights up to 2**40.  The start is
+    random, restricted to a few ids (the rest stay empty), or all
+    singletons (k = n).
+    """
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10_000))
+    oracle, pivot = _fixture(n, k, seed, eta=draw(st.floats(0, 0.5, exclude_max=True)))
+    est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.3),
+                                         q=draw(st.integers(1, 50)), rng=derive_rng(seed, "b"))
+    rng = derive_rng(seed, "case")
+    repeats = draw(st.integers(0, 8))
+    us = np.concatenate([est.us, np.zeros(repeats, dtype=np.int64)])
+    vs = np.concatenate([est.vs, np.ones(repeats, dtype=np.int64)])
+    labels = np.concatenate([est.labels, rng.integers(0, 2, repeats).astype(np.uint8)])
+    weight = np.concatenate([est.weight_num, rng.integers(1, 2 * n, repeats)])
+    if draw(st.booleans()):
+        weight = rng.integers(1, 2**40 + 1, len(us))
+    samples = SimpleNamespace(n_items=n, us=us, vs=vs, labels=labels, weight_num=weight)
+    start = draw(st.sampled_from(["random", "few ids", "singletons"]))
+    if start == "singletons":
+        return samples, np.arange(1, n + 1), n
+    ids = np.arange(1, k + 1)
+    if start == "few ids":
+        ids = rng.choice(ids, size=rng.integers(1, k + 1), replace=False)
+    return samples, rng.choice(ids, size=n), k
+
+
+@pytest.mark.parametrize("cap", [None, 6])
+@given(_search_cases())
+@settings(max_examples=150, deadline=None)
+def test_block_passes_match_loop_reference(cap, case):
+    """Block passes make the one-row scans' moves: same gains, assignment and table.
+
+    With the block cap at a few entries, small pools also run multi-block
+    scans and the drop back to one row after a move.
+    """
+    samples, assign, k = case
+    table = clu._GainTable(samples, assign.copy(), k)
+    ref = clu._GainTable(samples, assign.copy(), k)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(pivotlearn.core, "_SCAN_BLOCK_PAIRS", cap)
+        for _ in range(3):
+            for block_pass, loop_pass in ((clu._reassign_pass, _loop_reassign_pass),
+                                          (clu._swap_pass, _loop_swap_pass)):
+                assert block_pass(table) == loop_pass(ref)
+                np.testing.assert_array_equal(table.assign, ref.assign)
+                np.testing.assert_array_equal(table.cost, ref.cost)
+
+
 # Returned assignments of local search over a grid of pool sizes, cluster
 # counts, restarts, seeds and noise levels.  The digests were taken from the
-# per-pair swap scan before the gain table replaced it; a rewrite of the
-# search must keep every returned assignment byte-identical.
+# per-pair swap scan before the gain table replaced it, and (300, 4) from the
+# one-row gain-table scans before the block scans replaced them; a rewrite
+# of the search must keep every returned assignment byte-identical.
 _LS_GOLDEN_DIGESTS = {
     (13, 2): "d6f252dba872e2265d713e2db7572e14e27d7c209af92d9c111170ea988162c1",
     (13, 3): "6c4a10034568d55e32d7440cbc98df5fb302e5620dd9679c78c7935a4b249880",
@@ -380,6 +497,7 @@ _LS_GOLDEN_DIGESTS = {
     (90, 3): "5f64a790cd477c84165056dc727a2510a46eb2d4835ccaac2acd6cf20869a323",
     (90, 4): "3cd28e2d2ca52ba73532ab918f4928438ba18589d6b4fcb063613a31db2dd361",
     (90, 6): "0443f33804b19551cd8ff797d6b4ce4da3fdc666b19b4f22616b6ca85abee596",
+    (300, 4): "62bfdc5899178ba58e9277a9f46924fb8a2605a4da49e57903d230a89e7f664f",
 }
 
 
