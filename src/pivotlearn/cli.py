@@ -186,8 +186,10 @@ def _theta_class(args) -> gen.FiniteClass:
         if args.n is None or args.n > 7:
             raise ConfigError("n", "permutation classes are enumerated for n <= 7")
         return rk.enumerate_sn_class(args.n)
-    if args.n is None or args.k is None:
-        raise ConfigError("n", "partition classes need --n and --k")
+    for name, low, high in (("n", 2, clu._EXACT_ERM_MAX_N), ("k", 1, clu._EXACT_ERM_MAX_K)):
+        value = getattr(args, name)
+        if value is None or not low <= value <= high:
+            raise ConfigError(name, f"partition classes are enumerated for {low} <= {name} <= {high}")
     return clu.enumerate_partitions_class(args.n, args.k)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "sample_size_q",
     "build_clustering_estimator",
     "exact_erm",
-    "exact_erm_with_value",
     "exact_min_error",
     "local_search_erm",
     "random_clustering",
@@ -92,10 +91,6 @@ class Clustering:
 
     def pair_values(self, us, vs) -> np.ndarray:
         return (self.assign[us] == self.assign[vs]).astype(np.uint8)
-
-    def cluster_sizes(self) -> np.ndarray:
-        """Sizes indexed by cluster id - 1: k entries, empty ids included."""
-        return np.bincount(self.assign, minlength=self.k + 1)[1:]
 
     def clusters_by_size(self) -> list[int]:
         """Nonempty cluster ids, largest first, ties to the smaller id."""
@@ -215,71 +210,57 @@ def count_assignments(n: int, k: int) -> int:
     return sum(table[n][1 : k + 1])
 
 
-_ASSIGNMENT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def all_assignments(n: int, k: int) -> np.ndarray:
     """All canonical assignments (first-occurrence labels 1..k), lex order.
 
     Rows are restricted-growth strings shifted to 1-based ids, so the row
-    order is the lexicographic order on canonical assignment arrays.
+    order is the lexicographic order on canonical assignment arrays.  They
+    are built one item at a time: each row fans out to every label it uses
+    and one new label below k, in increasing order, which keeps the rows in
+    lex order.  The table is cached per (n, k) and read-only.
     """
     if n < 2 or n > _EXACT_ERM_MAX_N or k < 1 or k > _EXACT_ERM_MAX_K:
         raise ValueError(
             f"exact enumeration supports 2 <= n <= {_EXACT_ERM_MAX_N} and "
             f"1 <= k <= {_EXACT_ERM_MAX_K}; use local_search_erm for larger pools"
         )
-    key = (n, k)
-    cached = _ASSIGNMENT_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    def rgs():
-        a = [0] * n
-
-        def rec(i: int, used: int):
-            if i == n:
-                yield from a
-                return
-            for v in range(min(used + 1, k)):
-                a[i] = v
-                yield from rec(i + 1, max(used, v + 1))
-
-        yield from rec(0, 0)
-
-    count = count_assignments(n, k)
-    flat = np.fromiter(rgs(), dtype=np.int8, count=count * n)
-    cached = flat.reshape(count, n) + np.int8(1)
-    _ASSIGNMENT_CACHE[key] = cached
-    return cached
+    table = np.zeros((count_assignments(n, k), n), dtype=np.int8)  # item 0 takes label 0
+    used = np.ones(1, dtype=np.int8)  # labels in use by each row built so far
+    for i in range(1, n):
+        fan = np.minimum(used, k - 1) + 1  # a row's children take labels 0..fan-1
+        ends = np.cumsum(fan, dtype=np.int32)  # int32: at most 700,075 rows
+        label = (np.arange(ends[-1], dtype=np.int32) - (ends - fan).repeat(fan)).astype(np.int8)
+        table[: len(label), :i] = table[: len(used), :i].repeat(fan, axis=0)
+        table[: len(label), i] = label
+        used = np.maximum(used.repeat(fan), label + 1)
+    table += 1
+    table.flags.writeable = False
+    return table
 
 
-_PAIR_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+@lru_cache(maxsize=None)
+def _pair_table(n: int, k: int) -> np.ndarray:
+    """Packed "same cluster" table of all_assignments(n, k), cached and read-only."""
+    table = pair_table(all_assignments(n, k), oriented=False)
+    table.flags.writeable = False
+    return table
 
 
 def _exact_argmin(n: int, k: int, us, vs, labels, weight_num) -> tuple[Clustering, int]:
     """First canonical assignment in lex order of least weighted mismatch, and that mismatch."""
-    assigns = all_assignments(n, k)
-    table = _PAIR_TABLE_CACHE.get((n, k))
-    if table is None:
-        table = _PAIR_TABLE_CACHE[(n, k)] = pair_table(assigns, oriented=False)
     coef, base = pair_coefficients(n, us, vs, labels, weight_num, oriented=False)
-    row, value = packed_argmin(table, coef, base)
-    return Clustering(assigns[row], k), value
+    row, value = packed_argmin(_pair_table(n, k), coef, base)
+    return Clustering(all_assignments(n, k)[row], k), value
 
 
-def exact_erm_with_value(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = None):
-    """Global estimator minimizer over all <=k-partitions, plus its value.
+def exact_erm(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = None) -> Clustering:
+    """Global estimator minimizer over all <=k-partitions.
 
     Ties resolve to the lexicographically smallest canonical assignment.
     """
     k = k if k is not None else est.pivot.k
-    clu, _ = _exact_argmin(est.n_items, k, est.us, est.vs, est.labels, est.weight_num)
-    return clu, est.evaluate(clu)
-
-
-def exact_erm(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = None) -> Clustering:
-    return exact_erm_with_value(est, start, rng=rng, k=k)[0]
+    return _exact_argmin(est.n_items, k, est.us, est.vs, est.labels, est.weight_num)[0]
 
 
 def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:

@@ -15,7 +15,6 @@ pivot always evaluates to exactly 0.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace

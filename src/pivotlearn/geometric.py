@@ -25,7 +25,6 @@ from .core import (
     pair_table,
 )
 from .ranking import Permutation, kendall_distance
-from .seeding import derive_rng
 
 __all__ = [
     "FeatureSet",
@@ -35,8 +34,6 @@ __all__ = [
     "enumerate_orders_2d",
     "verify_disagreement_bound",
     "geometric_erm_2d",
-    "sampled_directions_erm",
-    "jitter_features",
     "random_features",
     "save_features",
     "load_features",
@@ -90,12 +87,6 @@ class FeatureSet:
 
 def random_features(n: int, d: int, rng: np.random.Generator) -> FeatureSet:
     return FeatureSet(rng.standard_normal((n, d)))
-
-
-def jitter_features(features: FeatureSet, magnitude: float = 1e-9, seed: int = 0) -> FeatureSet:
-    """Seeded perturbation for knocking inputs off degenerate configurations."""
-    rng = derive_rng(seed, "feature-jitter")
-    return FeatureSet(features.vectors + magnitude * rng.standard_normal(features.vectors.shape))
 
 
 def induced_permutation(w, features: FeatureSet) -> Permutation:
@@ -247,34 +238,6 @@ def geometric_erm_2d(est: RegretEstimator, features: FeatureSet) -> Permutation:
         features.n_items, est.us, est.vs, est.labels, est.weight_num, oriented=True
     )
     return orders[packed_argmin(table, coef, base)[0]]
-
-
-def sampled_directions_erm(
-    est: RegretEstimator,
-    features: FeatureSet,
-    n_directions: int = 1000,
-    rng: Optional[np.random.Generator] = None,
-) -> Permutation:
-    """Best induced order over random directions; any d, no exactness claim."""
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
-    if rng is None:
-        rng = derive_rng(0, "direction-sample")
-    best = None
-    drawn = 0
-    while drawn < n_directions:
-        w = rng.standard_normal(features.d)
-        drawn += 1
-        try:
-            perm = induced_permutation(w, features)
-        except DegenerateGeometryError:
-            continue
-        val = est.evaluate_int(perm)
-        if best is None or val < best[0]:
-            best = (val, perm)
-    if best is None:
-        raise DegenerateGeometryError("every sampled direction hit a tie")
-    return best[1]
 
 
 # -- persistence ----------------------------------------------------------------

@@ -117,6 +117,8 @@ class ExperimentConfig:
                 object.__setattr__(self, "d", 2)
             elif self.d != 2:
                 raise ConfigError("d", "geometric runs enumerate orders in d = 2 only")
+        elif self.d is not None:
+            raise ConfigError("d", f"only geometric runs take d, not {self.task!r}")
         if self.erm not in ("exact", "local_search"):
             raise ConfigError("erm", f"must be 'exact' or 'local_search', got {self.erm!r}")
         if self.restarts < 1:

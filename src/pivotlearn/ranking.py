@@ -43,7 +43,6 @@ __all__ = [
     "band_plan",
     "build_ranking_estimator",
     "exact_erm",
-    "exact_erm_with_value",
     "exact_min_error",
     "local_search_erm",
     "random_permutation",
@@ -352,17 +351,12 @@ def _exact_argmin(n: int, us, vs, labels, weight_num) -> tuple[Permutation, int]
     return Permutation(key[0] // place % n + 1), base + int(best[0])
 
 
-def exact_erm_with_value(est: RegretEstimator, start=None, *, rng=None):
-    """Global estimator minimizer over all permutations, plus its objective.
+def exact_erm(est: RegretEstimator, start=None, *, rng=None) -> Permutation:
+    """Global estimator minimizer over all permutations.
 
     Ties resolve to the lexicographically smallest rank array.
     """
-    perm, _ = _exact_argmin(est.n_items, est.us, est.vs, est.labels, est.weight_num)
-    return perm, est.evaluate(perm)
-
-
-def exact_erm(est: RegretEstimator, start=None, *, rng=None) -> Permutation:
-    return exact_erm_with_value(est, start, rng=rng)[0]
+    return _exact_argmin(est.n_items, est.us, est.vs, est.labels, est.weight_num)[0]
 
 
 def exact_min_error(oracle) -> tuple[float, Permutation]:
@@ -516,27 +510,22 @@ def local_search_erm(
 
 # -- enumeration as a finite class -------------------------------------------
 
-_RANK_ARRAY_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def all_rank_arrays(n: int) -> np.ndarray:
-    """All n! rank arrays, rows in lexicographic order, cached per n."""
+    """All n! rank arrays, rows in lexicographic order, cached per n and read-only."""
     if n < 2 or n > _ENUMERATION_MAX_N:
         raise ValueError(
             f"exact enumeration supports 2 <= n <= {_ENUMERATION_MAX_N}; "
             "use local_search_erm for larger pools"
         )
-    cached = _RANK_ARRAY_CACHE.get(n)
-    if cached is None:
-        count = math.factorial(n)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
-            dtype=np.int8,
-            count=count * n,
-        )
-        cached = flat.reshape(count, n)
-        _RANK_ARRAY_CACHE[n] = cached
-    return cached
+    count = math.factorial(n)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
+        dtype=np.int8,
+        count=count * n,
+    )
+    flat.flags.writeable = False
+    return flat.reshape(count, n)
 
 
 def permutations_to_class(perms: list[Permutation]):

@@ -56,6 +56,14 @@ def test_run_missing_required_flags_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_d_outside_geometric_is_config_error(tmp_path, capsys):
+    code = main(["run", "--task", "ranking", "--n", "6", "--d", "7",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "config error: d:" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x"))
+
+
 def test_run_bad_epsilon_is_config_error(tmp_path, capsys):
     code = main(["run", "--task", "ranking", "--n", "6", "--epsilon", "2.0",
                  "--out", str(tmp_path / "x")])
@@ -179,3 +187,15 @@ def test_theta_families(capsys):
 
 def test_theta_permutations_cap(capsys):
     assert main(["theta", "--family", "permutations", "--n", "9"]) == 2
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--n", "13", "--k", "3"], "n"),
+    (["--n", "1", "--k", "3"], "n"),
+    (["--k", "3"], "n"),
+    (["--n", "6", "--k", "5"], "k"),
+    (["--n", "6"], "k"),
+])
+def test_theta_partitions_range(capsys, args, field):
+    assert main(["theta", "--family", "partitions", *args]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +46,6 @@ def test_clustering_basics():
     c = clu.Clustering([1, 2, 1, 3], 3)
     assert c.n_items == 4
     assert c.k == 3
-    assert c.cluster_sizes().tolist() == [2, 1, 1]
     assert c.clusters_by_size() == [1, 2, 3]
 
 
@@ -291,6 +291,69 @@ def test_all_assignments_properties():
     assert len(set(keys)) == len(keys)
 
 
+def _reference_assignments(n, k):
+    """The recursive restricted-growth generator that all_assignments replaced."""
+    def rgs():
+        a = [0] * n
+
+        def rec(i, used):
+            if i == n:
+                yield from a
+                return
+            for v in range(min(used + 1, k)):
+                a[i] = v
+                yield from rec(i + 1, max(used, v + 1))
+
+        yield from rec(0, 0)
+
+    count = clu.count_assignments(n, k)
+    return np.fromiter(rgs(), dtype=np.int8, count=count * n).reshape(count, n) + np.int8(1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_all_assignments_match_reference(k):
+    for n in range(2, 11):
+        got, want = clu.all_assignments(n, k), _reference_assignments(n, k)
+        assert got.dtype == want.dtype == np.int8
+        assert np.array_equal(got, want), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(11, 4), (12, 3), (12, 4)])
+def test_all_assignments_large_are_canonical_and_increasing(n, k):
+    # the reference generator takes seconds here, so check the defining properties
+    rows = clu.all_assignments(n, k).astype(np.int64)
+    assert rows.shape == (clu.count_assignments(n, k), n)
+    assert (rows[:, 0] == 1).all() and rows.max() <= k
+    seen = np.maximum.accumulate(rows, axis=1)
+    assert (rows[:, 1:] <= seen[:, :-1] + 1).all()  # each new id is one above the last
+    keys = rows @ (k ** np.arange(n - 1, -1, -1))  # base-k digits, item 0 most significant
+    assert (np.diff(keys) > 0).all()
+
+
+def test_all_assignments_peak_memory():
+    clu.all_assignments.cache_clear()
+    tracemalloc.start()
+    try:
+        table = clu.all_assignments(12, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 700075 * 12
+    assert peak <= 3 * table.nbytes
+
+
+def test_exact_tables_are_read_only():
+    rows = clu.all_assignments(5, 3)
+    with pytest.raises(ValueError):
+        rows[0, 1] = 2
+    with pytest.raises(ValueError):
+        rows[0][1] = 2
+    with pytest.raises(ValueError):
+        clu._pair_table(5, 3)[0, 0] = 0
+    assert rows is clu.all_assignments(5, 3)
+    assert rows[0].tolist() == [1, 1, 1, 1, 1]
+
+
 def test_all_assignments_cap():
     with pytest.raises(ValueError, match="local_search_erm"):
         clu.all_assignments(13, 3)
@@ -301,7 +364,8 @@ def test_exact_erm_matches_brute_force():
     oracle, pivot = _fixture(n, k, 66)
     est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.2), q=2,
                                          rng=derive_rng(66, "b"))
-    best, val = clu.exact_erm_with_value(est)
+    best = clu.exact_erm(est)
+    val = est.evaluate(best)
     brute = min(est.evaluate(clu.Clustering(a, k)) for a in clu.all_assignments(n, k))
     assert val == pytest.approx(brute, abs=1e-15)
     assert est.evaluate(best) == pytest.approx(brute, abs=1e-15)
@@ -322,7 +386,7 @@ def test_local_search_matches_exact_on_small_instances():
         oracle, pivot = _fixture(n, k, 70 + seed)
         est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.2), q=3,
                                              rng=derive_rng(seed, "b"))
-        _, exact_val = clu.exact_erm_with_value(est)
+        exact_val = est.evaluate(clu.exact_erm(est))
         found = clu.local_search_erm(est, pivot, restarts=20, rng=derive_rng(seed, "ls"))
         assert est.evaluate(found) == pytest.approx(exact_val, abs=1e-12)
 

@@ -80,9 +80,12 @@ def test_ranking_exact_erm_matches_predicate_scan(n, seed):
         est = rk.build_ranking_estimator(pivot, oracle, Params(epsilon=0.3), p=p,
                                          rng=derive_rng(seed, "b", p))
         row, value = _predicate_argmin(ranks, _before(est.us, est.vs), est.labels, est.weight_num)
-        perm, est_value = rk.exact_erm_with_value(est)
+        perm = rk.exact_erm(est)
         assert perm == rk.Permutation(ranks[row])
-        assert est_value == est.evaluate(perm)
+        # the estimate is the least mismatch less the pivot's, at the estimator's scale
+        at_pivot = _predicate_argmin(pivot.rank[None], _before(est.us, est.vs), est.labels,
+                                     est.weight_num)[1]
+        assert est.evaluate(perm) == (value - at_pivot) * est.scale
         assert rk._exact_argmin(n, est.us, est.vs, est.labels, est.weight_num)[1] == value
 
 
@@ -100,9 +103,11 @@ def test_clustering_exact_erm_matches_predicate_scan(n, k):
                                              rng=derive_rng(n, k, "b", q))
         row, value = _predicate_argmin(assigns, _together(est.us, est.vs), est.labels,
                                        est.weight_num)
-        best, est_value = clu.exact_erm_with_value(est, k=k)
+        best = clu.exact_erm(est, k=k)
         assert best.assign.tolist() == assigns[row].tolist()
-        assert est_value == est.evaluate(best)
+        at_pivot = _predicate_argmin(pivot.assign[None], _together(est.us, est.vs), est.labels,
+                                     est.weight_num)[1]
+        assert est.evaluate(best) == (value - at_pivot) * est.scale
         assert clu._exact_argmin(n, k, est.us, est.vs, est.labels, est.weight_num)[1] == value
 
 

@@ -80,6 +80,21 @@ def test_config_geometric_defaults_d():
         _cfg(task="geometric", n=6, d=3)  # enumeration is planar only
 
 
+@pytest.mark.parametrize("task, extra", [
+    ("ranking", {}), ("clustering", {"k": 3}), ("generic", {}),
+])
+def test_config_d_only_for_geometric(task, extra):
+    # d would be accepted and recorded, yet no non-geometric run reads it
+    with pytest.raises(ConfigError) as exc:
+        _cfg(task=task, d=7, **extra)
+    assert exc.value.field == "d"
+    data = _cfg(task=task, **extra).to_dict()
+    assert data["d"] is None
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({**data, "d": 2})
+    assert exc.value.field == "d"
+
+
 def test_config_generic_noise_restriction():
     with pytest.raises(ConfigError):
         _cfg(task="generic", n=20, noise=NoiseSpec(kind="distance_decay"))

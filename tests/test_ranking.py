@@ -291,6 +291,16 @@ def test_all_rank_arrays_lexicographic():
     assert len(rk.all_rank_arrays(7)) == 5040
 
 
+def test_all_rank_arrays_read_only():
+    arrs = rk.all_rank_arrays(4)
+    with pytest.raises(ValueError):
+        arrs[0, 0] = 2
+    with pytest.raises(ValueError):
+        arrs[0][0] = 2
+    assert arrs is rk.all_rank_arrays(4)
+    assert arrs[0].tolist() == [1, 2, 3, 4]
+
+
 def test_all_rank_arrays_cap():
     with pytest.raises(ValueError, match="local_search_erm"):
         rk.all_rank_arrays(11)
@@ -301,7 +311,8 @@ def test_exact_erm_matches_brute_force():
     oracle, pivot = _fixture(n, 36)
     est = rk.build_ranking_estimator(pivot, oracle, Params(epsilon=0.2), p=2,
                                      rng=derive_rng(36, "b"))
-    best, val = rk.exact_erm_with_value(est)
+    best = rk.exact_erm(est)
+    val = est.evaluate(best)
     brute = min(est.evaluate(rk.Permutation(a)) for a in rk.all_rank_arrays(n))
     assert val == pytest.approx(brute, abs=1e-15)
     assert est.evaluate(best) == pytest.approx(brute, abs=1e-15)
@@ -322,7 +333,7 @@ def test_local_search_matches_exact_on_small_instances():
         oracle, pivot = _fixture(n, 40 + seed)
         est = rk.build_ranking_estimator(pivot, oracle, Params(epsilon=0.2), p=3,
                                          rng=derive_rng(seed, "b"))
-        _, exact_val = rk.exact_erm_with_value(est)
+        exact_val = est.evaluate(rk.exact_erm(est))
         found = rk.local_search_erm(est, pivot, restarts=20, rng=derive_rng(seed, "ls"))
         assert est.evaluate(found) == pytest.approx(exact_val, abs=1e-12)
 
