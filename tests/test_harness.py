@@ -291,6 +291,30 @@ def test_record_digest_golden(task, erm, seed):
     assert hashlib.sha256(record.encode()).hexdigest() == _GOLDEN_DIGESTS[task, erm, seed]
 
 
+# Generic runs that size m from the thresholds class's own disagreement
+# coefficient and VC dimension (no force_m), at the sweep's pool size and one
+# smaller; each n runs every seed in one process, so later seeds read
+# whatever the first run of that class computed.
+_GENERIC_SIZED_DIGESTS = {
+    (30, 0): "2eb5d8e50e9f111ff1bd8cd54307be261f16d2764de3916236b98ff757363265",
+    (30, 1): "4b8a9afee68e53859654fe2f7d87757c0bf385ec97a35d189dbabe83d2f16736",
+    (30, 2): "84ee51986351f223c579004b494b219c4953b457a4ddedc072b357cc0181f308",
+    (40, 0): "58de0db11a080188dac2d7e9ad4d4e6f7bfa8a518c1bd276170921880e92aada",
+    (40, 1): "1ef08570cc67995c31b3a8b832212f1b7410f169f61146ed70738a8ea53b5474",
+}
+
+
+@pytest.mark.parametrize("n, seed", list(_GENERIC_SIZED_DIGESTS))
+def test_generic_sized_record_digest_golden(n, seed):
+    cfg = ExperimentConfig(
+        task="generic", n=n,
+        params=Params(epsilon=0.3, iterations=2, master_seed=seed),
+        noise=NoiseSpec(kind="uniform_flip", eta=0.1),
+    )
+    record = json.dumps(run_experiment(cfg).to_dict(), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == _GENERIC_SIZED_DIGESTS[n, seed]
+
+
 # ---------------------------------------------------------------- artifacts
 
 def test_write_run_artifacts(tmp_path):
