@@ -183,13 +183,16 @@ def _theta_class(args) -> gen.FiniteClass:
     if args.family == "intervals":
         return gen.intervals_class(args.pool)
     if args.family == "permutations":
-        if args.n is None or args.n > 7:
-            raise ConfigError("n", "permutation classes are enumerated for n <= 7")
-        return rk.enumerate_sn_class(args.n)
-    for name, low, high in (("n", 2, clu._EXACT_ERM_MAX_N), ("k", 1, clu._EXACT_ERM_MAX_K)):
+        limits = (("n", 2, rk._SN_CLASS_MAX_N),)
+    else:
+        limits = (("n", 2, clu._EXACT_ERM_MAX_N), ("k", 1, clu._EXACT_ERM_MAX_K))
+    for name, low, high in limits:
         value = getattr(args, name)
         if value is None or not low <= value <= high:
-            raise ConfigError(name, f"partition classes are enumerated for {low} <= {name} <= {high}")
+            kind = args.family[:-1]  # "permutation" or "partition"
+            raise ConfigError(name, f"{kind} classes are enumerated for {low} <= {name} <= {high}")
+    if args.family == "permutations":
+        return rk.enumerate_sn_class(args.n)
     return clu.enumerate_partitions_class(args.n, args.k)
 
 

@@ -35,6 +35,7 @@ from .core import (
     segment_offsets,
     stratum_draws,
     unordered_verification_labels,
+    upper_pairs,
 )
 from .seeding import derive_rng
 
@@ -55,6 +56,8 @@ __all__ = [
 
 _EXACT_ERM_MAX_N = 12
 _EXACT_ERM_MAX_K = 4
+_MAX_K = 2**31 - 1  # cluster ids are stored as int32
+_NO_SWAP = np.iinfo(np.int64).max  # swap_deltas entry of a pair that is no candidate
 
 
 def _ids_in_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,7 +81,7 @@ class Clustering:
             raise ValueError("clustering needs at least 2 items")
         if k is None:
             k = int(assign.max())
-        if not is_integer(k) or not 1 <= k <= np.iinfo(np.int32).max:
+        if not is_integer(k) or not 1 <= k <= _MAX_K:
             raise ValueError(f"k must be an integer in 1..2**31 - 1, got {k!r}")
         if assign.min() < 1 or assign.max() > k:
             raise ValueError(f"cluster ids must lie in 1..{k}")
@@ -90,7 +93,7 @@ class Clustering:
         return len(self.assign)
 
     def pair_values(self, us, vs) -> np.ndarray:
-        return (self.assign[us] == self.assign[vs]).astype(np.uint8)
+        return (self.assign[us] == self.assign[vs]).view(np.uint8)
 
     def clusters_by_size(self) -> list[int]:
         """Nonempty cluster ids, largest first, ties to the smaller id."""
@@ -185,14 +188,15 @@ def build_clustering_estimator(
     # each item's strata: its own cluster, itself left out, then every later cluster
     own = rank[cluster[items]]
     n_strata = len(ordered) - own
-    src = own.repeat(n_strata) + segment_offsets(n_strata)
-    cross = src > own.repeat(n_strata)
-    count, offset, w_num = stratum_draws(sizes[src] - ~cross, q, rng)
-    cross = cross.repeat(count)
+    later = segment_offsets(n_strata)  # 0 for the own cluster, then 1, 2, ... clusters on
+    src = own.repeat(n_strata) + later
+    count, offset, w_num = stratum_draws(sizes[src] - (later == 0), q, rng)
+    cross = later.repeat(count) > 0
+    at = np.arange(n).repeat(n_strata).repeat(count)  # u's place in `items`, per sample
     pos = start[src].repeat(count) + offset
-    pos += ~cross & (pos >= np.arange(n).repeat(n_strata).repeat(count))  # step past u itself
-    us = items.repeat(n_strata).repeat(count)
-    return pair_estimator(pivot, oracle, us, items[pos], np.where(cross, 2 * w_num, w_num), q)
+    pos += ~cross & (pos >= at)  # step past u itself
+    # a cross-cluster draw stands for both orientations: twice its weight
+    return pair_estimator(pivot, oracle, items[at], items[pos], w_num << cross, q)
 
 
 # -- enumeration of partitions into at most k blocks ---------------------------
@@ -268,7 +272,7 @@ def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
     from .core import Pool
 
     n = oracle.n
-    us, vs = np.triu_indices(n, k=1)
+    us, vs = upper_pairs(n)
     labels = unordered_verification_labels(oracle, us, vs)
     clu, half = _exact_argmin(n, k, us, vs, labels, np.ones(len(us), np.int64))
     return 2 * half / Pool(n).pair_count, clu
@@ -308,7 +312,10 @@ class _GainTable:
         base = np.zeros(n, dtype=np.int64)
         np.add.at(base, ends, weight * label)
         self.cost = np.repeat(base[:, None], k + 1, axis=1)
-        np.add.at(self.cost, (ends, assign[self.partners]), self.signed)
+        # flat cells u * (k + 1) + c: a 1-D add.at is several times faster than a 2-D one
+        cells = ends * (k + 1)
+        cells += assign[self.partners]
+        np.add.at(self.cost.reshape(-1), cells, self.signed)
         # each sample once more, at its smaller item, for the swap correction
         upper = self.partners > ends
         self.upper_ends = ends[upper]
@@ -319,9 +326,11 @@ class _GainTable:
     def move(self, item: int, cid: int) -> None:
         """Put `item` in cluster `cid` and update its partners' rows."""
         lo, hi = self.bounds[item], self.bounds[item + 1]
-        partners, signed = self.partners[lo:hi], self.signed[lo:hi]
-        np.add.at(self.cost, (partners, self.assign[item]), -signed)
-        np.add.at(self.cost, (partners, cid), signed)
+        cells = self.partners[lo:hi] * self.cost.shape[1]  # flat cells of the partners' rows
+        signed = self.signed[lo:hi]
+        flat = self.cost.reshape(-1)
+        np.subtract.at(flat, cells + self.assign[item], signed)
+        np.add.at(flat, cells + cid, signed)
         self.assign[item] = cid
 
     def reassign_deltas(self, start: int, stop: int) -> np.ndarray:
@@ -364,7 +373,7 @@ class _GainTable:
             at += (self.upper_ends[first:last] - start) * len(cb)
             skip = (ca[:, None] == cb) | (self.index[lo:] <= self.index[start:stop, None])
         np.subtract.at(delta.reshape(-1), at, weight)
-        np.putmask(delta, skip, np.iinfo(np.int64).max)
+        np.putmask(delta, skip, _NO_SWAP)
         return delta
 
 

@@ -15,6 +15,7 @@ pivot always evaluates to exactly 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .seeding import derive_rng
+from .seeding import LazyRng, derive_rng
 
 __all__ = [
     "Pool",
@@ -217,17 +218,17 @@ class RegretEstimator:
         self.n_items = int(n_items)
         if self.weight_denom <= 0:
             raise ValueError("weight_denom must be positive")
-        if np.any(self.weight_num <= 0):
+        if self.weight_num.min(initial=1) <= 0:
             raise ValueError("every sample weight must be positive")
         sizes = {len(self.us), len(self.weight_num), len(self.labels), len(self.pivot_costs)}
         if self.vs is not None:
             sizes.add(len(self.vs))
         if len(sizes) > 1:
             raise ValueError("sample arrays must have equal length")
-        if self.vs is not None and np.any(self.us == self.vs):
+        if self.vs is not None and (self.us == self.vs).any():
             raise ValueError("self pairs are outside the pool")
         # integer part of the pivot regret, fixed at construction
-        self._pivot_int = int(self.weight_num @ self.pivot_costs.astype(np.int64))
+        self._pivot_int = int(self.weight_num @ self.pivot_costs)
 
     @property
     def n_samples(self) -> int:
@@ -278,8 +279,17 @@ class RegretEstimator:
 # stay around a few megabytes whatever the row count.
 _TABLE_BLOCK_ROWS = 1 << 15
 
-# _BYTE_BITS[j, b] is bit j of byte value b (little bit order)
-_BYTE_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1
+# _NIBBLE_BITS[j, b] is bit j of nibble value b (little bit order)
+_NIBBLE_BITS = (np.arange(16) >> np.arange(4)[:, None]) & 1
+
+
+@functools.lru_cache(maxsize=64)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1): every pair lo < hi in column order, cached per n and read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
 
 
 def column_coefficients(columns, labels, weight_num, size: int) -> tuple[np.ndarray, int]:
@@ -288,10 +298,10 @@ def column_coefficients(columns, labels, weight_num, size: int) -> tuple[np.ndar
     Sample i sits on column columns[i] with label labels[i] and weight
     weight_num[i], and is mismatched where the bit differs from its label.
     """
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     w = np.asarray(weight_num, dtype=np.int64)
     coef = np.zeros(size, dtype=np.int64)
-    np.add.at(coef, np.asarray(columns, dtype=np.int64), w * (1 - 2 * y))
+    np.add.at(coef, np.asarray(columns, dtype=np.intp), np.where(y, -w, w))
     return coef, int(w @ y)
 
 
@@ -309,13 +319,18 @@ def pair_coefficients(n: int, us, vs, labels, weight_num, oriented: bool) -> tup
     vs = np.asarray(vs, dtype=np.int64)
     y = np.asarray(labels, dtype=np.int64)
     if oriented:
-        y = np.where(us > vs, 1 - y, y)
-    w = np.asarray(weight_num, dtype=np.int64)
+        y = y ^ (us > vs)
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    pair = us != vs
-    columns = (lo * n - lo * (lo + 1) // 2 + hi - lo - 1)[pair]
-    coef, base = column_coefficients(columns, y[pair], w[pair], n * (n - 1) // 2)
-    return coef, base + int(w[~pair] @ (y[~pair] != (not oriented)))
+    size = n * (n - 1) // 2
+    # lo * n - lo * (lo + 1) / 2 + hi - lo - 1, and one extra column for u == v
+    columns = (2 * n - 3) - lo
+    columns *= lo
+    columns >>= 1
+    columns += hi
+    columns -= 1
+    np.copyto(columns, size, where=lo == hi)
+    coef, base = column_coefficients(columns, y, weight_num, size + 1)
+    return coef[:size], base + (0 if oriented else int(coef[size]))
 
 
 def pack_columns(table) -> np.ndarray:
@@ -328,7 +343,7 @@ def pair_table(rows: np.ndarray, oriented: bool) -> np.ndarray:
 
     Packed in row blocks, so the unpacked table never exists whole.
     """
-    lo, hi = np.triu_indices(rows.shape[1], k=1)
+    lo, hi = upper_pairs(rows.shape[1])
     out = np.empty(((len(lo) + 7) // 8, len(rows)), dtype=np.uint8)
     for start in range(0, len(rows), _TABLE_BLOCK_ROWS):
         block = rows[start : start + _TABLE_BLOCK_ROWS]
@@ -341,28 +356,31 @@ def packed_argmin(packed: np.ndarray, coef: np.ndarray, base: int) -> tuple[int,
     """(row, value) of the first row minimizing base + T[row] @ coef over a packed table.
 
     Byte group g gets a 256-entry lookup table of its 8 coefficients'
-    subset sums, so a row's value is base plus one lookup per group.  All
-    sums are exact int64, so ties go to the smallest row.
+    subset sums (one per half-byte pair of two 16-entry tables), so a row's
+    value is base plus one lookup per group.  All sums are exact int64, so
+    ties go to the smallest row.
     """
     groups, n_rows = packed.shape
-    padded = np.zeros((groups, 8), dtype=np.int64)
+    padded = np.zeros((groups, 2, 4), dtype=np.int64)
     padded.reshape(-1)[: len(coef)] = coef
-    luts = padded @ _BYTE_BITS  # (groups, 256)
+    nibbles = padded @ _NIBBLE_BITS  # (groups, 2, 16): subset sums of each half byte
+    luts = (nibbles[:, 1, :, None] + nibbles[:, 0, None, :]).reshape(groups, 256)
     best_val, best_row = None, 0
     for start in range(0, n_rows, _TABLE_BLOCK_ROWS):
         block = packed[:, start : start + _TABLE_BLOCK_ROWS]
-        values = np.full(block.shape[1], base, dtype=np.int64)
+        values = np.zeros(block.shape[1], dtype=np.int64)
         for lut, byte in zip(luts, block):
-            values += lut[byte.astype(np.intp)]  # widened here faster than inside the lookup
-        idx = int(np.argmin(values))
+            values += lut.take(byte)  # take widens uint8 indices faster than fancy indexing
+        idx = int(values.argmin())
         if best_val is None or values[idx] < best_val:
             best_val, best_row = int(values[idx]), start + idx
-    return best_row, best_val
+    return best_row, base + best_val
 
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:
     """0..c-1 for each count c, concatenated."""
-    return np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) - (ends - counts).repeat(counts)
 
 
 def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=None):
@@ -375,7 +393,9 @@ def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=Non
     """
     if not is_integer(q) or q < 1:
         raise ValueError(f"per-stratum sample size must be an integer >= 1, got {q!r}")
-    drawn = sizes > q if whole is None else (sizes > q) & ~whole
+    drawn = sizes > q
+    if whole is not None:
+        drawn &= ~whole
     count = np.where(drawn, q, sizes)
     offset = segment_offsets(count)
     offset[drawn.repeat(count)] = rng.integers(0, sizes[drawn].repeat(q))
@@ -389,7 +409,8 @@ def pair_estimator(pivot, oracle, us, vs, w_num, weight_denom: int) -> RegretEst
     sampling order.
     """
     labels = oracle.query_many(us, vs)
-    pivot_costs = (pivot.pair_values(us, vs) != labels).astype(np.uint8)
+    pivot_costs = pivot.pair_values(us, vs)  # a fresh 0/1 uint8 array
+    pivot_costs ^= labels  # 1 where the pivot mismatches the label
     n = pivot.n_items
     return RegretEstimator(
         pivot, us, vs, w_num, weight_denom, labels, pivot_costs,
@@ -521,7 +542,9 @@ def run_erm_iteration(
     recorded only against an unbudgeted oracle, because true_error refuses a
     budgeted one: one batched scan after the loop, or before ErmFailedError
     is raised, fills every row's err.  A row's wall_ms covers the build and
-    the ERM step, not the error scan.
+    the ERM step, not the error scan.  Round i's ERM stream is
+    derive_rng(seed, "erm", i), derived only if the ERM reads it (exact
+    searches and one-restart local search never do).
     """
     from .oracles import BudgetExceededError  # local import, no cycle at module load
 
@@ -547,7 +570,7 @@ def run_erm_iteration(
             traj.status = "budget_exhausted"
             return traj
         try:
-            h_next = erm(est, h, rng=derive_rng(seed, "erm", i))
+            h_next = erm(est, h, rng=LazyRng(seed, "erm", i))
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all at the loop boundary
             traj.status = "erm_failed"
             fill_errors()

@@ -9,6 +9,7 @@ properties at desk scale, not to scale.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -51,6 +52,8 @@ __all__ = [
 
 _VC_POOL_CAP = 40
 _VC_DIM_CAP = 4
+# past every realized distance count, so the largest count ends a run too
+_COUNT_END = np.iinfo(np.int64).max
 
 
 class FiniteClass:
@@ -59,7 +62,10 @@ class FiniteClass:
     instance_pairs optionally maps pool index -> (u, v) when the pool is a
     pair pool, which lets pair oracles answer instance queries.  The labels
     are copied, packed once and read-only, so the packed forms never go
-    stale.
+    stale, and neither do the class-wide quantities kept in `_derived`
+    (vc_dimension per cap, disagreement_coefficient per pivot and floor),
+    each computed on first request.  Threads that race on an entry each
+    compute the same deterministic value, so no lock is needed.
     """
 
     def __init__(self, labels, instance_pairs=None, n_items: Optional[int] = None):
@@ -85,6 +91,7 @@ class FiniteClass:
         ):
             raise ValueError("instance_pairs must be (pool_size, 2)")
         self.n_items = n_items
+        self._derived: dict = {}
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -165,19 +172,36 @@ def disagreement_coefficient(
         r_floor = 1.0 / cls.pool_size
     if r_floor <= 0:
         raise ValueError("r_floor must be positive")
+    key = ("theta", int(pivot_idx), float(r_floor))
+    if key not in cls._derived:
+        cls._derived[key] = _disagreement_coefficient(cls, int(pivot_idx), float(r_floor))
+    return cls._derived[key]
+
+
+def _nested_balls(cls: FiniteClass, pivot_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distance counts ascending, packed disagreement bits of every nearest-first prefix).
+
+    Row j of the bits is the disagreement region of the j + 1 rows nearest
+    the pivot (ties to the smaller index), so the ball of count radius R is
+    the prefix of searchsorted(counts, R, "right") rows.
+    """
     counts = cls.distance_counts(pivot_idx)
     order = np.argsort(counts, kind="stable")
     sub = cls.packed[order]
-    any_one = np.bitwise_or.accumulate(sub, axis=0)
-    all_one = np.bitwise_and.accumulate(sub, axis=0)
-    sorted_counts = counts[order]
+    split = np.bitwise_or.accumulate(sub, axis=0)
+    split ^= np.bitwise_and.accumulate(sub, axis=0)
+    return counts[order], split
+
+
+def _disagreement_coefficient(cls: FiniteClass, pivot_idx: int, r_floor: float) -> float:
+    sorted_counts, split = _nested_balls(cls, pivot_idx)
     pool = cls.pool_size
     best = 0.0
     # last ball index per distinct count; each candidate radius is either a
     # realized distance above the floor or the floor itself
-    for end in np.flatnonzero(np.diff(np.append(sorted_counts, np.iinfo(np.int64).max)) > 0):
+    for end in np.flatnonzero(np.diff(sorted_counts, append=_COUNT_END) > 0):
         r = max(sorted_counts[end] / pool, r_floor)
-        measure = int(np.bitwise_count(any_one[end] ^ all_one[end]).sum()) / pool
+        measure = int(np.bitwise_count(split[end]).sum()) / pool
         best = max(best, measure / r)
     return best
 
@@ -210,6 +234,13 @@ def vc_dimension(cls: FiniteClass, cap: int = _VC_DIM_CAP) -> int:
     if cls.pool_size > _VC_POOL_CAP:
         raise ValueError(f"shattering search is capped at pool size {_VC_POOL_CAP}")
     cap = min(cap, _VC_DIM_CAP, cls.pool_size)
+    key = ("vc", cap)
+    if key not in cls._derived:
+        cls._derived[key] = _shattered_dimension(cls, cap)
+    return cls._derived[key]
+
+
+def _shattered_dimension(cls: FiniteClass, cap: int) -> int:
     result = 0
     for d in range(1, cap + 1):
         subsets = np.array(list(combinations(range(cls.pool_size), d)))
@@ -275,10 +306,13 @@ def annulus_plan(cls: FiniteClass, pivot_idx: int, mu: float) -> AnnulusPlan:
     if not (0 < mu <= 1):
         raise ValueError("mu must be in (0, 1]")
     levels = 0 if mu >= 1 else math.ceil(math.log2(1.0 / mu))
+    sorted_counts, split = _nested_balls(cls, pivot_idx)
+    radii = [_count_radius(cls, mu * (1 << i)) for i in range(levels + 1)]
     prev = np.zeros(cls.pool_size, dtype=bool)
     annuli, measures = [], []
-    for i in range(levels + 1):
-        mask = disagreement_mask(cls, ball(cls, pivot_idx, mu * (1 << i)))
+    # every ball holds the pivot, so each prefix is at least one row long
+    for end in np.searchsorted(sorted_counts, radii, side="right").tolist():
+        mask = np.unpackbits(split[end - 1], count=cls.pool_size).view(bool)
         shell = mask & ~prev
         annuli.append(np.flatnonzero(shell).astype(np.int64))
         measures.append(len(annuli[-1]) / cls.pool_size)
@@ -357,8 +391,13 @@ def class_argmin(cls: FiniteClass, est: RegretEstimator) -> tuple[int, float]:
 # -- synthetic classes ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def thresholds_class(pool_size: int) -> FiniteClass:
-    """pool_size+1 hypotheses 1[x >= t] over collinear points 0..pool_size-1."""
+    """pool_size+1 hypotheses 1[x >= t] over collinear points 0..pool_size-1.
+
+    One shared, read-only class per pool size (the last few sizes asked
+    for), so its derived quantities are computed once per size.
+    """
     if pool_size < 2:
         raise ValueError("pool_size must be >= 2")
     x = np.arange(pool_size)

@@ -331,7 +331,7 @@ def _run_clustering(config: ExperimentConfig):
     traj = run_erm_iteration(h0, oracle, config.params, builder, erm)
     nu = (
         clu.exact_min_error(oracle, config.k)[0]
-        if config.n <= 12 and config.k <= 4
+        if config.n <= clu._EXACT_ERM_MAX_N and config.k <= clu._EXACT_ERM_MAX_K
         else None
     )
     return traj, nu, {"q": q}, oracle
@@ -490,14 +490,14 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> RunRecord:
 
 def _axis_override(template: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     point_seed = _derived_seed(template.params.master_seed, "sweep-point", axis, repr(value))
-    params = template.params.with_overrides(master_seed=point_seed)
-    if axis == "n":
-        return template.with_overrides(n=int(value), params=params)
+    params, fields = {"master_seed": point_seed}, {}
     if axis == "epsilon":
-        return template.with_overrides(params=params.with_overrides(epsilon=float(value)))
-    if axis == "k":
-        return template.with_overrides(k=int(value), params=params)
-    raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
+        params["epsilon"] = float(value)
+    elif axis in ("n", "k"):
+        fields[axis] = int(value)
+    else:
+        raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
+    return template.with_overrides(params=template.params.with_overrides(**params), **fields)
 
 
 def sweep(

@@ -188,11 +188,10 @@ class LabelOracle:
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape:
             raise ValueError("query arrays must have the same shape")
-        if np.any(us == vs):
+        if (us == vs).any():
             raise ValueError("pairs must be distinct (u != v)")
-        low = min(us.min(initial=0), vs.min(initial=0))
-        high = max(us.max(initial=0), vs.max(initial=0))
-        if low < 0 or high >= self.n:
+        # read as uint64 a negative id lies past every valid one: one max per side checks both ends
+        if max(us.view(np.uint64).max(initial=0), vs.view(np.uint64).max(initial=0)) >= self.n:
             raise ValueError("pair index out of range")
         if self._table is not None:
             return self._table[us, vs]

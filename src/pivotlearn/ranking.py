@@ -30,6 +30,7 @@ from .core import (
     sample_size,
     stratum_draws,
     unordered_verification_labels,
+    upper_pairs,
 )
 from .seeding import derive_rng
 
@@ -55,6 +56,8 @@ __all__ = [
 
 _ENUMERATION_MAX_N = 10
 _EXACT_ERM_MAX_N = 14  # the tie-break key reaches n**n, and 14**14 < 2**63
+_SN_CLASS_MAX_N = 8  # largest n whose n! permutations enumerate_sn_class lists
+_NEVER = np.iinfo(np.int64).max  # key of a DP candidate that does not tie the best
 
 
 class Permutation:
@@ -78,12 +81,18 @@ class Permutation:
 
     @classmethod
     def from_order(cls, items) -> "Permutation":
+        """Permutation listing `items` from rank 1 to rank n; the order is kept as given."""
         items = integer_array(items)
-        if sorted(items.tolist()) != list(range(len(items))):
+        n = len(items)
+        if n < 2:
+            raise ValueError("permutation needs at least 2 items")
+        if sorted(items.tolist()) != list(range(n)):
             raise ValueError("order must list each item 0..n-1 exactly once")
-        rank = np.empty(len(items), dtype=np.int32)
-        rank[items] = np.arange(1, len(items) + 1)
-        return cls(rank)
+        perm = cls.__new__(cls)  # a valid order is a valid rank array: no second check
+        perm.rank = np.empty(n, dtype=np.int32)
+        perm.rank[items] = np.arange(1, n + 1, dtype=np.int32)
+        perm._order = items.astype(np.int32)
+        return perm
 
     @property
     def n_items(self) -> int:
@@ -99,7 +108,7 @@ class Permutation:
         return self._order
 
     def pair_values(self, us, vs) -> np.ndarray:
-        return (self.rank[us] < self.rank[vs]).astype(np.uint8)
+        return (self.rank[us] < self.rank[vs]).view(np.uint8)
 
     def distance_to(self, other: "Permutation") -> float:
         return kendall_distance(self, other)
@@ -201,16 +210,14 @@ class BandPlan:
 
         Ring 0 is the near set and ring i + 1 is band i.  Arm 0 is the slice
         order[lo:hi] before the item in pivot order and arm 1 the slice after
-        it, both clipped to the pool, so every arm has hi >= lo.
+        it, both clipped to the pool, so every arm has hi >= lo.  Both are
+        C-contiguous.
         """
-        edges = self.p << np.arange(self.n_bands + 1)
-        inner = np.concatenate([[1], edges[:-1]])  # least pivot-rank gap of each ring
-        outer = edges - 1  # greatest
-        pos = self.pivot.rank.astype(np.int64)[:, None, None] - 1
-        n = self.n_items
-        lo = np.minimum(np.maximum(pos + np.array([-outer, inner]).T, 0), n)
-        hi = np.minimum(np.maximum(pos + np.array([1 - inner, outer + 1]).T, 0), n)
-        return lo, hi
+        rank = self.pivot.rank.astype(np.int64)[:, None, None]
+        bounds = np.add(rank, _ring_offsets(self.p, self.n_bands), order="C")
+        np.maximum(bounds, 0, out=bounds)
+        np.minimum(bounds, self.n_items, out=bounds)
+        return bounds[0], bounds[1]
 
     def _ring(self, u: int, ring: int) -> np.ndarray:
         (l0, l1), (h0, h1) = (b[u, ring] for b in self.ring_bounds)
@@ -229,6 +236,21 @@ class BandPlan:
 
     def band_size(self, u: int, i: int) -> int:
         return len(self.band_items(u, i))
+
+
+@functools.lru_cache(maxsize=256)
+def _ring_offsets(p: int, n_bands: int) -> np.ndarray:
+    """(2, 1, n_bands + 1, 2) steps from a pivot rank to its rings' lo and hi positions.
+
+    Ring r spans pivot-rank gaps inner[r]..outer[r]: arm 0 is positions
+    rank-1-outer .. rank-inner (hi exclusive), arm 1 rank-1+inner .. rank+outer.
+    """
+    edges = p << np.arange(n_bands + 1)
+    inner = np.concatenate([[1], edges[:-1]])  # least pivot-rank gap of each ring
+    outer = edges - 1  # greatest
+    steps = np.array([[-outer - 1, inner - 1], [-inner, outer]]).transpose(0, 2, 1)[:, None]
+    steps.flags.writeable = False
+    return steps
 
 
 def band_plan(pivot: Permutation, p: int) -> BandPlan:
@@ -287,12 +309,12 @@ def build_ranking_estimator(
 def _subset_layers(n: int):
     """Index layout of the subset DP over n items, shared by every call at that n.
 
-    Returns ((lo, hi) pair columns, place, layers).  place[v] = n**(n-1-v)
-    is item v's tie-break digit weight.  layers[k-1] covers the subsets T
-    of size k, in numeric order: for each T and item v, the slot of T - v
-    in layer k-1, the flat index (T - v) * n + v into the (2**n, n) ahead
-    table, whether v is in T, and the key step (k-1) * place.  Arrays are
-    read-only because every caller shares them.
+    Returns (place, layers).  place[v] = n**(n-1-v) is item v's tie-break
+    digit weight.  layers[k-2] covers the subsets T of size k >= 2, in
+    numeric order, as (C(n, k), k) arrays over each T's members v
+    ascending: the slot of T - v in layer k-1, the flat index (T - v) * n + v
+    into the (2**n, n) ahead table, and the key step (k-1) * place[v].
+    Arrays are read-only because every caller shares them.
     """
     size = 1 << n
     count = np.zeros(size, dtype=np.int64)  # popcount of each subset
@@ -302,18 +324,16 @@ def _subset_layers(n: int):
     starts = np.searchsorted(count[by_count], np.arange(n + 2))
     slot = np.empty(size, dtype=np.int64)
     slot[by_count] = np.arange(size) - starts[count[by_count]]
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
     place = np.int64(n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     layers = []
-    for k in range(1, n + 1):
-        sets = by_count[starts[k] : starts[k + 1], None]
-        has = sets & bits != 0
-        prev = np.where(has, sets ^ bits, 0)
-        layers.append((slot[prev], prev * n + np.arange(n), has, (k - 1) * place))
-    pairs = np.triu_indices(n, k=1)
-    for array in (*pairs, place, *itertools.chain.from_iterable(layers)):
+    for k in range(2, n + 1):
+        sets = by_count[starts[k] : starts[k + 1]]
+        row, v = np.nonzero(sets[:, None] >> np.arange(n) & 1)  # k members per row, ascending
+        prev = sets[row] ^ (1 << v)
+        layers.append(tuple(a.reshape(-1, k) for a in (slot[prev], prev * n + v, (k - 1) * place[v])))
+    for array in (place, *itertools.chain.from_iterable(layers)):
         array.flags.writeable = False
-    return pairs, place, layers
+    return place, layers
 
 
 def _exact_argmin(n: int, us, vs, labels, weight_num) -> tuple[Permutation, int]:
@@ -335,19 +355,19 @@ def _exact_argmin(n: int, us, vs, labels, weight_num) -> tuple[Permutation, int]
             "use local_search_erm for larger pools"
         )
     coef, base = pair_coefficients(n, us, vs, labels, weight_num, oriented=True)
-    pairs, place, layers = _subset_layers(n)
+    place, layers = _subset_layers(n)
     cost = np.zeros((n, n), dtype=np.int64)
-    cost[pairs] = coef
+    cost[upper_pairs(n)] = coef
     ahead = np.zeros((1 << n, n), dtype=np.int64)
     for b in range(n):
-        ahead[1 << b : 2 << b] = ahead[: 1 << b] + cost[b]
-    ahead = ahead.ravel()
-    never = np.iinfo(np.int64).max
-    best = key = np.zeros(1, dtype=np.int64)  # layer 0: the empty set
-    for slot, flat, has, step in layers:
-        cand = np.where(has, best[slot] + ahead[flat], never)
+        np.add(ahead[: 1 << b], cost[b], out=ahead[1 << b : 2 << b])
+    ahead = ahead.reshape(-1)
+    best = key = np.zeros(n, dtype=np.int64)  # singletons: nothing ahead, key step 0
+    for slot, flat, step in layers:
+        cand = best[slot]
+        cand += ahead[flat]
         best = cand.min(axis=1)
-        key = np.where(cand == best[:, None], key[slot] + step, never).min(axis=1)
+        key = (key[slot] + step).min(axis=1, where=cand == best[:, None], initial=_NEVER)
     return Permutation(key[0] // place % n + 1), base + int(best[0])
 
 
@@ -368,7 +388,7 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
     from .core import Pool
 
     n = oracle.n
-    us, vs = np.triu_indices(n, k=1)
+    us, vs = upper_pairs(n)
     labels = unordered_verification_labels(oracle, us, vs)
     perm, half = _exact_argmin(n, us, vs, labels, np.ones(len(us), np.int64))
     return 2 * half / Pool(n).pair_count, perm
@@ -543,8 +563,8 @@ def permutations_to_class(perms: list[Permutation]):
 
 def enumerate_sn_class(n: int):
     """Every permutation of n items as a finite class over the pair pool."""
-    if n > 8:
-        raise ValueError("full S_n enumeration as a class is capped at n = 8")
+    if n > _SN_CLASS_MAX_N:
+        raise ValueError(f"full S_n enumeration as a class is capped at n = {_SN_CLASS_MAX_N}")
     ranks = all_rank_arrays(n)
     return permutations_to_class([Permutation(r) for r in ranks])
 

@@ -14,30 +14,50 @@ Every random decision in the package flows through one of two primitives:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed_seq", "derive_rng", "pair_uniform", "tag_to_int"]
+__all__ = ["derive_seed_seq", "derive_rng", "LazyRng", "pair_uniform", "tag_to_int"]
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
+# shift counts as uint64 scalars, built once instead of on every call
+_S11, _S27, _S30, _S31, _S32 = map(_U64, (11, 27, 30, 31, 32))
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK32 = 0xFFFFFFFF
 
 
 def tag_to_int(tag) -> int:
     """Stable 64-bit integer for a string or integer tag."""
     if isinstance(tag, (int, np.integer)):
-        return int(tag) & 0xFFFFFFFFFFFFFFFF
-    digest = hashlib.blake2b(str(tag).encode("utf-8"), digest_size=8).digest()
+        return int(tag) & _MASK64
+    return _string_tag(str(tag))
+
+
+@functools.lru_cache(maxsize=4096)
+def _string_tag(text: str) -> int:
+    # a handful of fixed tags recur on every derivation; hash each once
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
 def derive_seed_seq(master_seed: int, *tags) -> np.random.SeedSequence:
-    entropy = [int(master_seed) & 0xFFFFFFFFFFFFFFFF]
-    entropy.extend(tag_to_int(t) for t in tags)
-    return np.random.SeedSequence(entropy)
+    """SeedSequence over the entropy [master_seed, tag_to_int(tag) for each tag].
+
+    Each value goes in as the uint32 words SeedSequence itself would split it
+    into (least significant first, one word below 2**32), so the state is
+    that of the list of ints, without the per-value coercion.
+    """
+    words = []
+    for value in (int(master_seed) & _MASK64, *map(tag_to_int, tags)):
+        words.append(value & _MASK32)
+        if value > _MASK32:
+            words.append(value >> 32)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def derive_rng(master_seed: int, *tags) -> np.random.Generator:
@@ -45,14 +65,33 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(derive_seed_seq(master_seed, *tags)))
 
 
+class LazyRng:
+    """derive_rng(master_seed, *tags), derived on its first use.
+
+    Stands in for a Generator that the callee may never read: an unread
+    stream costs nothing, and a read one is exactly the derived stream.
+    """
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, master_seed: int, *tags):
+        self._key = (master_seed, *tags)
+        self._rng = None
+
+    def __getattr__(self, name):
+        if self._rng is None:
+            self._rng = derive_rng(*self._key)
+        return getattr(self._rng, name)
+
+
 def _mix64(z: np.ndarray) -> None:
     """splitmix64 finalizer, in place on a uint64 array."""
     z += _GOLDEN
-    z ^= z >> _U64(30)
+    z ^= z >> _S30
     z *= _MIX1
-    z ^= z >> _U64(27)
+    z ^= z >> _S27
     z *= _MIX2
-    z ^= z >> _U64(31)
+    z ^= z >> _S31
 
 
 def pair_uniform(seed: int, u, v) -> np.ndarray:
@@ -61,16 +100,14 @@ def pair_uniform(seed: int, u, v) -> np.ndarray:
     Accepts scalars or arrays; the result is symmetric in (u, v), a float64
     scalar for scalar inputs and of their broadcast shape otherwise.
     """
-    u = np.asarray(u, dtype=np.uint64)
-    v = np.asarray(v, dtype=np.uint64)
-    lo = np.minimum(u, v)
+    lo = np.minimum(u, v).astype(np.uint64)
     z = lo.reshape(-1)  # a fresh flat array, hashed in place
-    z <<= _U64(32)
-    z ^= np.maximum(u, v).reshape(-1)
+    z <<= _S32
+    z ^= np.maximum(u, v).astype(np.uint64).reshape(-1)
     _mix64(z)
     z ^= _U64(tag_to_int(seed))
     _mix64(z)
-    z >>= _U64(11)
+    z >>= _S11
     out = z.astype(np.float64)
     out *= 2.0**-53
     return out.reshape(lo.shape) if lo.shape else out[0]

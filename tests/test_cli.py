@@ -186,7 +186,13 @@ def test_theta_families(capsys):
 
 
 def test_theta_permutations_cap(capsys):
-    assert main(["theta", "--family", "permutations", "--n", "9"]) == 2
+    # the cap is the one enumerate_sn_class enforces
+    assert main(["theta", "--family", "permutations", "--n", "8"]) == 0
+    assert "hypotheses=40320" in capsys.readouterr().out
+    for n in ("9", "1"):
+        assert main(["theta", "--family", "permutations", "--n", n]) == 2
+        assert "config error: n: permutation classes are enumerated for 2 <= n <= 8" in (
+            capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("args, field", [

@@ -216,8 +216,28 @@ def test_vc_dimension_matches_subset_loop(name):
 def test_vc_dimension_matches_subset_loop_across_blocks(monkeypatch, name):
     monkeypatch.setattr(gen, "_VC_BLOCK_CELLS", 256)  # a few subsets per block
     family, pool = _VC_CLASSES[name]
-    cls = family(pool)
+    cls = gen.FiniteClass(family(pool).labels)  # a fresh class: nothing derived yet
     assert gen.vc_dimension(cls) == _vc_loop(cls)
+
+
+def test_thresholds_class_is_shared_and_derives_once(monkeypatch):
+    calls = []
+    for name in ("_shattered_dimension", "_disagreement_coefficient"):
+        original = getattr(gen, name)
+        monkeypatch.setattr(gen, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    gen.thresholds_class.cache_clear()  # a class no earlier test has derived anything for
+    cls = gen.thresholds_class(17)
+    assert gen.thresholds_class(17) is cls
+    fresh = gen.FiniteClass(cls.labels)
+    for _ in range(3):
+        assert gen.vc_dimension(cls) == gen.vc_dimension(fresh) == 1
+        assert gen.disagreement_coefficient(cls, 0, 0.1) == gen.disagreement_coefficient(
+            fresh, 0, 0.1)
+    # once per class and argument, however often asked
+    assert sorted(calls) == ["_disagreement_coefficient"] * 2 + ["_shattered_dimension"] * 2
+    assert gen.vc_dimension(cls, 0) == 0 and len(calls) == 5  # another cap is another entry
+    with pytest.raises(ValueError):
+        cls.labels[0, 0] = 1  # shared, so read-only
 
 
 def test_vc_dimension_refuses_pools_past_the_cap():

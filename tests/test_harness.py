@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -315,6 +316,51 @@ def test_generic_sized_record_digest_golden(n, seed):
     assert hashlib.sha256(record.encode()).hexdigest() == _GENERIC_SIZED_DIGESTS[n, seed]
 
 
+def _derivation_tags(monkeypatch, cfg) -> list[tuple]:
+    """Tags of every derive_rng call one run makes, whichever module makes it."""
+    import pivotlearn
+    import pivotlearn.seeding
+
+    original = pivotlearn.seeding.derive_rng
+    tags = []
+
+    def counting(master_seed, *rest):
+        tags.append(rest)
+        return original(master_seed, *rest)
+
+    for module in [pivotlearn] + [m for name, m in sys.modules.items()
+                                  if name.startswith("pivotlearn.")]:
+        if getattr(module, "derive_rng", None) is original:
+            monkeypatch.setattr(module, "derive_rng", counting)
+    run_experiment(cfg)
+    return tags
+
+
+@pytest.mark.parametrize("task, erm, extra", [
+    ("ranking", "exact", dict(n=8, force_p=2)),
+    ("ranking", "local_search", dict(n=24, force_p=3, restarts=1)),
+    ("clustering", "exact", dict(n=10, k=3, force_q=2)),
+    ("clustering", "local_search", dict(n=16, k=3, force_q=3, restarts=1)),
+    ("geometric", "exact", dict(n=8, force_p=2)),
+])
+def test_unread_erm_stream_is_never_derived(monkeypatch, task, erm, extra):
+    cfg = _cfg(task=task, erm=erm, params=Params(epsilon=0.3, iterations=3, master_seed=4),
+               **extra)
+    tags = _derivation_tags(monkeypatch, cfg)
+    assert [t for t in tags if t[0] == "build"] == [("build", i) for i in (1, 2, 3)]
+    assert not [t for t in tags if t[0] == "erm"]
+
+
+@pytest.mark.parametrize("task, extra", [
+    ("ranking", dict(n=24, force_p=3)), ("clustering", dict(n=16, k=3, force_q=3)),
+])
+def test_restarted_local_search_derives_its_erm_stream(monkeypatch, task, extra):
+    cfg = _cfg(task=task, erm="local_search", restarts=2,
+               params=Params(epsilon=0.3, iterations=3, master_seed=4), **extra)
+    tags = _derivation_tags(monkeypatch, cfg)
+    assert [t for t in tags if t[0] == "erm"] == [("erm", i) for i in (1, 2, 3)]
+
+
 # ---------------------------------------------------------------- artifacts
 
 def test_write_run_artifacts(tmp_path):
@@ -379,6 +425,24 @@ def test_sweep_worker_count_invariance(tmp_path):
             pb = pa.replace(a, b, 1)
             with open(pa, "rb") as fa, open(pb, "rb") as fb:
                 assert fa.read() == fb.read(), pa
+
+
+def test_threaded_sweep_fills_the_shared_class_once_per_value():
+    """Threads that race to derive the shared class's theta and VC dimension
+    all read what a serial sweep reads."""
+    base = _cfg(task="generic", n=33, params=Params(epsilon=0.3, iterations=2, master_seed=3))
+    epsilons = [round(0.2 + 0.01 * i, 2) for i in range(12)]
+    gen.thresholds_class.cache_clear()  # nothing derived yet
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, _ = sweep(base, "epsilon", epsilons, workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    serial, _ = sweep(base, "epsilon", epsilons, workers=1)
+    assert [r.to_dict() for r in threaded] == [r.to_dict() for r in serial]
+    cls = gen.thresholds_class(33)
+    assert cls._derived == {("theta", 0, 1 / 33): 1.0, ("vc", 4): 1}
 
 
 def test_sweep_per_point_seeds_differ():

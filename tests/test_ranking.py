@@ -66,6 +66,43 @@ def test_permutation_refuses_non_integer_or_out_of_range(kind, values):
         make(values)
 
 
+@given(st.integers(2, 40), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_from_order_keeps_the_order_and_matches_the_rank_constructor(n, seed):
+    order = derive_rng(seed, "order").permutation(n)
+    p = rk.Permutation.from_order(order)
+    assert p.order.tolist() == order.tolist()
+    assert p == rk.Permutation(p.rank) and p.rank.dtype == np.int32
+    order[0] = order[1]  # the caller's array is not the permutation's
+    assert p.order.tolist() != order.tolist()
+
+
+def test_from_order_refuses_a_single_item():
+    with pytest.raises(ValueError, match="at least 2 items"):
+        rk.Permutation.from_order([0])
+
+
+def _ring_bounds_reference(plan):
+    edges = plan.p << np.arange(plan.n_bands + 1)
+    inner = np.concatenate([[1], edges[:-1]])
+    outer = edges - 1
+    pos = plan.pivot.rank.astype(np.int64)[:, None, None] - 1
+    n = plan.n_items
+    lo = np.minimum(np.maximum(pos + np.array([-outer, inner]).T, 0), n)
+    hi = np.minimum(np.maximum(pos + np.array([1 - inner, outer + 1]).T, 0), n)
+    return lo, hi
+
+
+@given(st.integers(2, 70), st.integers(1, 80), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_ring_bounds_match_reference(n, p, seed):
+    plan = rk.band_plan(rk.random_permutation(n, derive_rng(seed, "ring")), p)
+    lo, hi = plan.ring_bounds
+    want_lo, want_hi = _ring_bounds_reference(plan)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert lo.flags.c_contiguous and hi.flags.c_contiguous
+
+
 def test_pair_values_definition():
     p = rk.Permutation([2, 1, 3])
     us = np.array([0, 1, 0])

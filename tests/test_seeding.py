@@ -33,6 +33,32 @@ def test_derive_seed_seq_is_seed_sequence():
     assert ss.generate_state(1)[0] == derive_seed_seq(0, "x").generate_state(1)[0]
 
 
+@pytest.mark.parametrize("seed, tags", [
+    (0, ()), (0, ("x",)), (2**32 - 1, (2**32, 2**64 - 1, 0)), (2**64 + 5, ("build", 3)),
+    (-1, (-2, "erm", 2**40)), (7, (np.int64(9), True)),
+])
+def test_derive_seed_seq_matches_int_list_entropy(seed, tags):
+    """The pre-split uint32 words give the state of the plain list of 64-bit ints."""
+    entropy = [seed & (2**64 - 1)] + [tag_to_int(t) for t in tags]
+    want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    assert np.array_equal(derive_seed_seq(seed, *tags).generate_state(4, np.uint64), want)
+
+
+def test_lazy_rng_derives_its_stream_on_first_use(monkeypatch):
+    import pivotlearn.seeding as seeding
+
+    calls = []
+    monkeypatch.setattr(seeding, "derive_rng",
+                        lambda *a, f=seeding.derive_rng: calls.append(a) or f(*a))
+    lazy = seeding.LazyRng(42, "erm", 3)
+    assert calls == []
+    first = lazy.integers(0, 2**63, size=4)
+    assert calls == [(42, "erm", 3)]
+    assert np.array_equal(first, derive_rng(42, "erm", 3).integers(0, 2**63, size=4))
+    lazy.permutation(5)
+    assert len(calls) == 1  # one stream, read on from where it stopped
+
+
 @given(st.integers(0, 2**31), st.integers(0, 500), st.integers(0, 500))
 @settings(max_examples=60, deadline=None)
 def test_pair_uniform_symmetric(seed, u, v):
