@@ -397,6 +397,11 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
 # -- local search ERM ---------------------------------------------------------
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """Narrowest unsigned dtype holding 0..n-1: a stable sort of it is a radix sort up to 2**16."""
+    return np.min_scalar_type(n - 1)
+
+
 def _insertion_csr(est: RegretEstimator):
     """Per-item merged partner/delta arrays for insertion moves, as CSR.
 
@@ -405,9 +410,10 @@ def _insertion_csr(est: RegretEstimator):
     otherwise.  All samples on one unordered pair {lo, hi} are merged into
     one exact int64 delta for lo (hi's is its negation); a pair whose delta
     sums to 0 changes no insertion objective and is dropped.  Merging before
-    mirroring sorts each sample once, not once per endpoint.  Partners come
-    in no particular order within an item, which the climb does not need:
-    it sorts them by their (distinct) ranks.
+    mirroring sorts each sample once, not once per endpoint.  Row u starts
+    with u itself at delta 0, so a row of length 1 means u has no partners;
+    the other partners come in no particular order, which the climb does not
+    need: it sorts each row by its (distinct) ranks.
     """
     n = est.n_items
     w = est.weight_num * (2 * est.labels.astype(np.int64) - 1)
@@ -422,42 +428,51 @@ def _insertion_csr(est: RegretEstimator):
     w = np.add.reduceat(w, first)
     keep = w != 0
     keys = keys[first[keep]]
-    lo = keys // n
-    hi = keys - lo * n
     w = w[keep]
-    del keys, first, keep
-    items = np.concatenate([lo, hi])
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(items, minlength=n), out=bounds[1:])
-    by_item = np.argsort(items)
+    del first, keep
+    # ids are below n, so the narrow dtype holds them exactly.  Narrow ids make
+    # room for the stable sort's index buffer, and partners are permuted
+    # narrow and widened last, so the peak holds one wide array fewer.
+    dtype = _index_dtype(n)
+    lo, hi = keys // n, keys % n
+    del keys
+    lo, hi = lo.astype(dtype), hi.astype(dtype)
+    ids = np.arange(n, dtype=dtype)
+    items = np.concatenate([ids, lo, hi])
+    ends = np.bincount(items, minlength=n).cumsum().tolist()
+    by_item = np.argsort(items, kind="stable")  # keeps each item's self slot first
     del items
-    partners = np.concatenate([hi, lo])
-    del lo, hi
-    partners = partners[by_item]
-    deltas = np.concatenate([w, -w])
+    deltas = np.concatenate([np.zeros(n, dtype=np.int64), w, -w])
     del w
-    return partners, deltas[by_item], bounds.tolist()
+    deltas = deltas[by_item]
+    partners = np.concatenate([ids, hi, lo])[by_item]
+    del lo, hi, by_item
+    partners = partners.astype(np.int64)  # int64 index arrays gather fastest
+    return partners, deltas, [0, *ends]
 
 
 def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutation, int]:
     """First-improvement insertion climb from `start`; returns (local optimum, evaluate_int).
 
-    Item u is scored over its own partners only: with them sorted by
-    current rank, the objective of putting u after the first k of them is
-    the k-th prefix sum of their deltas, so u's best slot is the first
-    minimum, either the front or right after one partner.  Moving an item
-    that is not u's partner changes neither those sums nor which slot is
-    first, so u stays settled (no improving move) until it or one of its
-    partners moves; a moved item is settled, since it sits at its first
-    minimum.  Moves shift only the span of order/rank0 between the old and
-    new position.
+    Item u is scored over its own row only: with the row sorted by current
+    rank, the objective of putting u after the first k partners is the sum
+    of the first k partner deltas, so u's best slot is the first minimum,
+    either the front or right after one partner.  u's own slot, at delta 0,
+    sits where u stands, so the prefix sum there is the objective of the
+    current position.  Moving an item that is not u's partner changes
+    neither those sums nor which slot is first, so u stays settled (no
+    improving move) until one of its partners moves; a moved item is
+    settled, since it sits at its first minimum.  Moves shift only the span
+    of order/rank0 between the old and new position.  Ranks are held in the
+    narrowest unsigned dtype, so each row's stable sort is a radix sort.
     """
     n = est.n_items
     order = start.order.astype(np.int64)
-    rank0 = np.empty(n, dtype=np.int64)
-    rank0[order] = np.arange(n)
+    positions = np.arange(n, dtype=_index_dtype(n))
+    rank0 = np.empty_like(positions)
+    rank0[order] = positions
     obj = est.evaluate_int(start)
-    settled = np.zeros(n, dtype=bool)
+    settled = np.diff(bounds) == 1  # no partners: nothing to gain
     moved = True
     while moved:
         moved = False
@@ -466,33 +481,31 @@ def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutati
                 continue
             settled[u] = True
             lo, hi = bounds[u], bounds[u + 1]
-            if lo == hi:
-                continue
             mine = partners[lo:hi]
             ranks = rank0[mine]
-            by_rank = ranks.argsort()
-            prefix = deltas[lo:hi][by_rank].cumsum()
-            i = int(rank0[u])
-            before = int(np.count_nonzero(ranks < i))
-            k = int(prefix.argmin())
-            best = min(int(prefix[k]), 0)
-            gain = best - (int(prefix[before - 1]) if before else 0)
+            by_rank = ranks.argsort(kind="stable")
+            prefix = np.add.accumulate(deltas[lo:hi][by_rank])
+            k = prefix.argmin()
+            best = min(prefix.item(k), 0)
+            gain = best - prefix.item(by_rank.argmin())  # u's own slot is row entry 0
             if gain >= 0:
                 continue
+            i = rank0.item(u)
             if best == 0:
                 j = 0
             else:
-                x = int(ranks[by_rank[k]])
+                x = ranks.item(by_rank.item(k))
                 j = x + 1 if x < i else x
             if j < i:
                 order[j + 1 : i + 1] = order[j:i]
                 order[j] = u
-                rank0[order[j : i + 1]] = np.arange(j, i + 1)
+                rank0[order[j : i + 1]] = positions[j : i + 1]
             else:
                 order[i:j] = order[i + 1 : j + 1]
                 order[j] = u
-                rank0[order[i : j + 1]] = np.arange(i, j + 1)
+                rank0[order[i : j + 1]] = positions[i : j + 1]
             settled[mine] = False
+            settled[u] = True  # mine holds u itself
             obj += gain
             moved = True
     return Permutation.from_order(order), obj

@@ -448,6 +448,74 @@ def test_sparse_climb_matches_dense_reference(n, pairs, m, wmax, seed):
     assert obj == ref_obj == est.evaluate_int(found)
 
 
+def test_sparse_climb_matches_dense_reference_past_16_bit_ranks():
+    """At n = 70,000 ranks need more than 16 bits.  About 200 samples on items
+    that start around rank 2**16 climb exactly like the dense reference."""
+    n, m = 70_000, 200
+    rng = derive_rng(3, "wide-climb")
+    start = rk.random_permutation(n, rng)
+    pool = start.order[rng.choice(np.arange(60_000, n), size=40, replace=False)]
+    pick = rng.integers(0, 40, size=m)
+    us = pool[pick]
+    vs = pool[(pick + rng.integers(1, 40, size=m)) % 40]
+    labels = rng.integers(0, 2, size=m).astype(np.uint8)
+    pivot = rk.random_permutation(n, rng)
+    est = RegretEstimator(pivot, us, vs, rng.integers(1, 4, size=m), 3, labels,
+                          pivot.pair_values(us, vs) != labels, n * (n - 1), n)
+    found, obj = rk._climb(est, start, *rk._insertion_csr(est))
+    ref, ref_obj = _dense_climb(est, start)
+    assert found == ref
+    assert obj == ref_obj == est.evaluate_int(found) < est.evaluate_int(start)
+    assert (found.rank[pool] > 2**16).any() and (found.rank[pool] <= 2**16).any()
+
+
+def _merged_rows(est):
+    """Reference partner rows: each unordered pair's sample deltas summed one by
+    one, zero sums dropped, then listed from both endpoints as sorted
+    (partner, delta) pairs."""
+    sums = {}
+    for a, b, y, w in zip(est.us.tolist(), est.vs.tolist(), est.labels.tolist(),
+                          est.weight_num.tolist()):
+        delta = w if y else -w  # for a, moving from before b to after it
+        key = (min(a, b), max(a, b))
+        sums[key] = sums.get(key, 0) + (delta if a < b else -delta)
+    rows = [[] for _ in range(est.n_items)]
+    for (lo, hi), delta in sums.items():
+        if delta:
+            rows[lo].append((hi, delta))
+            rows[hi].append((lo, -delta))
+    return [sorted(row) for row in rows]
+
+
+@given(st.integers(2, 600), st.integers(2, 12), st.integers(1, 40), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_insertion_rows_hold_self_then_merged_partners(n, active, m, seed):
+    """Every row starts with its own item at delta 0, then holds exactly the
+    merged (partner, delta) multiset.  Samples touch only a few ids spread over
+    the pool (so most items have no partners, and ids pass 255), and a random
+    subset is mirrored with its label, which cancels it."""
+    rng = derive_rng(seed, "rows")
+    ids = rng.choice(n, size=min(active, n), replace=False)
+    pick = rng.integers(0, len(ids), size=m)
+    us = ids[pick]
+    vs = ids[(pick + rng.integers(1, len(ids), size=m)) % len(ids)]
+    labels = rng.integers(0, 2, size=m).astype(np.uint8)
+    weights = rng.integers(1, 3, size=m)
+    mirror = rng.integers(0, 2, size=m).astype(bool)
+    us, vs = np.concatenate([us, vs[mirror]]), np.concatenate([vs, us[mirror]])
+    labels = np.concatenate([labels, labels[mirror]])
+    weights = np.concatenate([weights, weights[mirror]])
+    pivot = rk.Permutation.identity(n)
+    est = RegretEstimator(pivot, us, vs, weights, 2, labels,
+                          pivot.pair_values(us, vs) != labels, n * (n - 1), n)
+    partners, deltas, bounds = rk._insertion_csr(est)
+    assert len(bounds) == n + 1 and bounds[-1] == len(partners) == len(deltas)
+    for u, ref in enumerate(_merged_rows(est)):
+        row = slice(bounds[u], bounds[u + 1])
+        assert partners[row][:1].tolist() == [u] and deltas[row][0] == 0
+        assert sorted(zip(partners[row][1:].tolist(), deltas[row][1:].tolist())) == ref
+
+
 # Returned rank arrays of local search over a grid of pool sizes, starts,
 # restarts, seeds and noise levels.  The "identity" start is the harness's
 # first iteration, where consecutive ids are near-set partners; "random"
@@ -461,6 +529,9 @@ _LS_GOLDEN_DIGESTS = {
     (40, "random"): "ac4fd2b5311a78da36546b658bfae66a507eee218ea4b9821a6589a73e5037c6",
     (150, "identity"): "43f505f43a3ae13c78101d43e603fc0a3860474902786e0eb52ec1f056d8fdd5",
     (150, "random"): "ba82f97d3a0a72ac00bad261386e48a8b82b9076ba03f4c32ddb2ad23bb07695",
+    # past 256 items the climb's ranks no longer fit in a byte
+    (400, "identity"): "44bd817f1cf83faf18609fc9e2c13738e00fc3398908d66fad4076bd9751f492",
+    (400, "random"): "33a765e3a053d302c672df5d74007bc77282d9d04d84fe5d7fc6194d9ebd5fea",
 }
 
 
