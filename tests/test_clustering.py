@@ -545,9 +545,11 @@ def test_block_passes_match_loop_reference(cap, case):
 
 # Returned assignments of local search over a grid of pool sizes, cluster
 # counts, restarts, seeds and noise levels.  The digests were taken from the
-# per-pair swap scan before the gain table replaced it, and (300, 4) from the
-# one-row gain-table scans before the block scans replaced them; a rewrite
-# of the search must keep every returned assignment byte-identical.
+# per-pair swap scan before the gain table replaced it, (300, 4) from the
+# one-row gain-table scans before the block scans replaced them, and
+# (2000, 6) from the per-sample gain table before its rows were merged per
+# pair; a rewrite of the search must keep every returned assignment
+# byte-identical.
 _LS_GOLDEN_DIGESTS = {
     (13, 2): "d6f252dba872e2265d713e2db7572e14e27d7c209af92d9c111170ea988162c1",
     (13, 3): "6c4a10034568d55e32d7440cbc98df5fb302e5620dd9679c78c7935a4b249880",
@@ -562,6 +564,7 @@ _LS_GOLDEN_DIGESTS = {
     (90, 4): "3cd28e2d2ca52ba73532ab918f4928438ba18589d6b4fcb063613a31db2dd361",
     (90, 6): "0443f33804b19551cd8ff797d6b4ce4da3fdc666b19b4f22616b6ca85abee596",
     (300, 4): "62bfdc5899178ba58e9277a9f46924fb8a2605a4da49e57903d230a89e7f664f",
+    (2000, 6): "78f7d4a8b08eb871488eeb4c862ba8a83cb2367cb78ae288e6549e543bc2b01d",
 }
 
 
