@@ -24,6 +24,7 @@ from .core import (
     RegretEstimator,
     csv_header,
     csv_rows,
+    index_dtype,
     integer_array,
     is_integer,
     items_in_order,
@@ -57,7 +58,6 @@ __all__ = [
 _EXACT_ERM_MAX_N = 12
 _EXACT_ERM_MAX_K = 4
 _MAX_K = 2**31 - 1  # cluster ids are stored as int32
-_NO_SWAP = np.iinfo(np.int64).max  # swap_deltas entry of a pair that is no candidate
 
 
 def _ids_in_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,51 +286,82 @@ class _GainTable:
 
     cost[u, c] is the total weight of u's samples that would be mismatched
     if u sat in cluster c, the others staying put (Kernighan and Lin, 1970).
-    A sample (u, v, w, y) adds w*y to every entry of both rows and
-    w*(1 - 2y) at the column of the partner's cluster, so moving an item
-    changes only its partners' rows, and a move's objective change is a
-    read of O(1) entries.  `assign` is updated in place.
+    The samples on one unordered pair are merged at build time: their summed
+    w*y adds to every entry of both rows, and their summed w*(1 - 2y), the
+    pair's signed weight, at the column of the partner's cluster.  A pair
+    whose signed weight is 0 is dropped, so row u lists each partner once:
+    moving an item changes its partners' rows by plain indexed updates, and
+    a move's objective change is a read of O(1) entries.  `assign` is
+    updated in place.
     """
 
     __slots__ = (
-        "assign", "cost", "partners", "signed", "bounds", "index",
-        "upper_ends", "upper_partners", "upper_weight", "upper_bounds",
+        "assign", "cost", "flat", "index", "row_cells", "bounds", "cells", "signed",
+        "pair_lo", "pair_hi", "pair_twice", "pair_bounds",
     )
 
     def __init__(self, est: RegretEstimator, assign: np.ndarray, k: int):
         n = est.n_items
-        ends = np.concatenate([est.us, est.vs])
-        order = np.argsort(ends, kind="stable")
-        ends = ends[order]
-        weight = np.concatenate([est.weight_num] * 2)[order]
-        label = np.concatenate([est.labels] * 2)[order].astype(np.int64)
-        self.partners = np.concatenate([est.vs, est.us])[order]
-        self.signed = weight * (1 - 2 * label)
-        self.bounds = np.searchsorted(ends, np.arange(n + 1))
-        self.index = np.arange(n)
-        self.assign = assign
+        us, vs = est.us, est.vs
+        if np.any(us == vs):  # a merged row would lose the sample's second update
+            raise ValueError("gain table samples must pair two distinct items")
+        width = k + 1
+        # key lo * n + hi per sample; the order within a pair does not matter,
+        # so narrow keys are radix-sorted up to 16 bits and quicksorted above
+        keys = np.minimum(us, vs)
+        keys *= n
+        keys += np.maximum(us, vs)
+        keys = keys.astype(index_dtype(n * n))
+        order = keys.argsort(kind="stable" if keys.itemsize <= 2 else "quicksort")
+        keys = keys[order]
+        weight = est.weight_num[order]
+        mismatch = weight * est.labels[order]
+        del order
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        mismatch = np.add.reduceat(mismatch, first)
+        signed = np.add.reduceat(weight, first)
+        signed -= 2 * mismatch
+        lo, hi = np.divmod(keys[first].astype(np.int64), n)
+        del keys, weight, first
         base = np.zeros(n, dtype=np.int64)
-        np.add.at(base, ends, weight * label)
-        self.cost = np.repeat(base[:, None], k + 1, axis=1)
-        # flat cells u * (k + 1) + c: a 1-D add.at is several times faster than a 2-D one
-        cells = ends * (k + 1)
-        cells += assign[self.partners]
-        np.add.at(self.cost.reshape(-1), cells, self.signed)
-        # each sample once more, at its smaller item, for the swap correction
-        upper = self.partners > ends
-        self.upper_ends = ends[upper]
-        self.upper_partners = self.partners[upper]
-        self.upper_weight = 2 * self.signed[upper]
-        self.upper_bounds = np.searchsorted(self.upper_ends, np.arange(n + 1))
+        np.add.at(base, lo, mismatch)
+        np.add.at(base, hi, mismatch)
+        del mismatch
+        keep = signed != 0
+        lo, hi, signed = lo[keep], hi[keep], signed[keep]
+        del keep
+        # rows placed by a stable sort of narrow ids, a radix sort up to 2**16 items
+        ends = np.concatenate([lo, hi]).astype(index_dtype(n))
+        by_item = ends.argsort(kind="stable")
+        counts = np.bincount(ends, minlength=n)
+        del ends
+        self.signed = signed.take(by_item, mode="wrap")  # both ends of each pair
+        partners = np.concatenate([hi, lo])[by_item]
+        del by_item
+        self.cells = partners * width
+        self.bounds = [0, *counts.cumsum().tolist()]
+        self.index = np.arange(n, dtype=index_dtype(n))  # narrow: a cheaper b > a mask
+        self.row_cells = np.arange(n) * width
+        self.assign = assign
+        self.cost = np.zeros((n, width), dtype=np.int64)
+        self.flat = self.cost.reshape(-1)
+        cells = self.row_cells.repeat(counts)
+        cells += assign[partners]
+        del partners
+        np.add.at(self.flat, cells, self.signed)
+        self.cost += base[:, None]
+        # the merged pairs, by smaller item, for the swap correction
+        self.pair_lo, self.pair_hi, self.pair_twice = lo, hi, 2 * signed
+        self.pair_bounds = [0, *np.bincount(lo, minlength=n).cumsum().tolist()]
 
     def move(self, item: int, cid: int) -> None:
         """Put `item` in cluster `cid` and update its partners' rows."""
         lo, hi = self.bounds[item], self.bounds[item + 1]
-        cells = self.partners[lo:hi] * self.cost.shape[1]  # flat cells of the partners' rows
-        signed = self.signed[lo:hi]
-        flat = self.cost.reshape(-1)
-        np.subtract.at(flat, cells + self.assign[item], signed)
-        np.add.at(flat, cells + cid, signed)
+        cells, signed = self.cells[lo:hi], self.signed[lo:hi]
+        self.flat[cells + self.assign[item]] -= signed
+        self.flat[cells + cid] += signed
         self.assign[item] = cid
 
     def reassign_deltas(self, start: int, stop: int) -> np.ndarray:
@@ -338,43 +369,48 @@ class _GainTable:
         cost, assign = self.cost, self.assign
         if stop - start == 1:
             return cost[start:stop, 1:] - cost[start, assign[start]]
-        current = cost[self.index[start:stop], assign[start:stop]]
+        current = self.flat[self.row_cells[start:stop] + assign[start:stop]]
         return cost[start:stop, 1:] - current[:, None]
 
-    def swap_deltas(self, start: int, stop: int, lo: int) -> np.ndarray:
-        """Objective change of swapping each a in start..stop-1 with each b >= lo.
+    def swap_scores(self, start: int, stop: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """(better, score) of swapping each a in start..stop-1 with each b >= lo.
 
-        A (rows, n - lo) block; an entry with b <= a or b in a's cluster
-        is no candidate and reads the int64 maximum.  Every row is scored
-        from lo, so a block of several rows starts at lo = start + 1.  The
-        two row differences each count the samples on {a, b} once with b
-        (resp. a) unmoved; those samples keep their value, as a and b stay
-        in different clusters, hence the correction.
+        Both are (rows, n - lo) blocks, or rows of n - lo for one a.  The
+        swap changes the objective by score - cost[a, assign[a]], and
+        `better` marks where that is negative for b > a in another cluster.
+        Every row is scored from lo, so a block of several rows starts at
+        lo = start + 1.  The two row differences each count the pair {a, b}
+        once with b (resp. a) unmoved; its samples keep their value, as a
+        and b stay in different clusters, hence the correction.
         """
         cost, assign = self.cost, self.assign
-        ca, cb = assign[start:stop], assign[lo:]
-        first, last = self.upper_bounds[start], self.upper_bounds[stop]
-        at = self.upper_partners[first:last] - lo
-        weight = self.upper_weight[first:last]
-        delta = cost[start:stop].take(cb, axis=1)  # C order, for the flat correction
-        if stop - start == 1:  # one own entry to read, no triangle to mask
-            delta -= cost[start, ca[0]]
-            delta += cost[lo:, ca[0]]
-            delta -= cost[self.index[lo:], cb]
-            skip = cb == ca[0]
+        cb = assign[lo:]
+        first, last = self.pair_bounds[start], self.pair_bounds[stop]
+        at = self.pair_hi[first:last] - lo
+        twice = self.pair_twice[first:last]
+        current = self.flat[self.row_cells[lo:] + cb]
+        if stop - start == 1:
+            ca = assign[start]
+            score = cost[start].take(cb)
+            score += cost[lo:, ca]
+            score -= current
             if lo > start + 1:  # resuming after a swap: partners before lo drop out
                 keep = at >= 0
-                at, weight = at[keep], weight[keep]
-        else:
-            current = cost[self.index[start:], assign[start:]]
-            delta -= current[: stop - start, None]
-            delta += cost[lo:, ca].T
-            delta -= current[lo - start :]
-            at += (self.upper_ends[first:last] - start) * len(cb)
-            skip = (ca[:, None] == cb) | (self.index[lo:] <= self.index[start:stop, None])
-        np.subtract.at(delta.reshape(-1), at, weight)
-        np.putmask(delta, skip, _NO_SWAP)
-        return delta
+                at, twice = at[keep], twice[keep]
+            score[at] -= twice
+            better = score < cost[start, ca]
+            better &= cb != ca
+            return better, score
+        ca = assign[start:stop]
+        score = cost[start:stop].take(cb, axis=1)  # C order, for the flat correction
+        score += cost[lo:, ca].T
+        score -= current
+        at += (self.pair_lo[first:last] - start) * len(cb)
+        score.reshape(-1)[at] -= twice
+        better = score < self.flat[self.row_cells[start:stop] + ca][:, None]
+        better &= ca[:, None] != cb
+        better &= self.index[lo:] > self.index[start:stop, None]
+        return better, score
 
 
 # Both passes score a block of rows against the table in one call.  Nothing
@@ -423,19 +459,18 @@ def _swap_pass(table: _GainTable) -> tuple[int, bool]:
             continue
         width = n - lo
         stop = min(n - 1, a + min(height, max(1, core._SCAN_BLOCK_PAIRS // width)))
-        delta = table.swap_deltas(a, stop, lo)
-        better = delta < 0
-        first = int(better.argmax())
-        row, col = divmod(first, width)
-        if not better[row, col]:
+        better, score = table.swap_scores(a, stop, lo)
+        first = int(better.argmax())  # the first candidate in (a, b) lex order
+        if not better.item(first):
             a, lo, height = stop, stop + 1, 2 * height
             continue
+        row, col = divmod(first, width)
         a += row
         b = lo + col
         ca, cb = int(assign[a]), int(assign[b])
+        gained += score.item(first) - table.cost.item(a, ca)
         table.move(a, cb)
         table.move(b, ca)
-        gained += int(delta[row, col])
         moved = True
         lo, height = b + 1, 1
     return gained, moved

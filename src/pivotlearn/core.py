@@ -383,6 +383,11 @@ def segment_offsets(counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - (ends - counts).repeat(counts)
 
 
+def index_dtype(n: int) -> np.dtype:
+    """Narrowest unsigned dtype holding 0..n-1: a stable sort of it is a radix sort up to 2**16."""
+    return np.min_scalar_type(n - 1)
+
+
 def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=None):
     """(count per stratum, offset per sample, weight numerator per sample) against denominator q.
 

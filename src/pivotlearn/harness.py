@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -69,6 +70,11 @@ class ConfigError(ValueError):
         self.field = field_path
 
 
+def _is_float(value) -> bool:
+    """A number that converts to a float: an integer past the float range does not."""
+    return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
+
+
 def _json_object(value, field_path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(field_path, f"must be a JSON object, got {value!r}")
@@ -121,6 +127,19 @@ class ExperimentConfig:
             raise ConfigError("d", f"only geometric runs take d, not {self.task!r}")
         if self.erm not in ("exact", "local_search"):
             raise ConfigError("erm", f"must be 'exact' or 'local_search', got {self.erm!r}")
+        if self.erm == "exact":  # refused here, before the first iteration buys labels
+            if self.task == "ranking" and self.n > rk._EXACT_ERM_MAX_N:
+                raise ConfigError(
+                    "erm", f"exact ranking ERM enumerates n <= {rk._EXACT_ERM_MAX_N}; "
+                    "use local_search"
+                )
+            if self.task == "clustering" and (
+                self.n > clu._EXACT_ERM_MAX_N or self.k > clu._EXACT_ERM_MAX_K
+            ):
+                raise ConfigError(
+                    "erm", f"exact clustering ERM enumerates n <= {clu._EXACT_ERM_MAX_N} "
+                    f"and k <= {clu._EXACT_ERM_MAX_K}; use local_search"
+                )
         if self.restarts < 1:
             raise ConfigError("restarts", "must be >= 1")
         for name in ("force_p", "force_q", "force_m"):
@@ -171,7 +190,7 @@ class ExperimentConfig:
         for key, value in raw_noise.items():
             if key not in _NOISE_FIELDS:
                 raise ConfigError(f"noise.{key}", "unknown noise field")
-            if key in ("eta", "rho", "scale") and not isinstance(value, (int, float)):
+            if key in ("eta", "rho", "scale") and not _is_float(value):
                 raise ConfigError(f"noise.{key}", f"must be a number, got {value!r}")
         try:
             noise = NoiseSpec.from_dict(raw_noise)

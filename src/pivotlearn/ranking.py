@@ -23,6 +23,7 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    index_dtype,
     integer_array,
     is_integer,
     pair_coefficients,
@@ -397,11 +398,6 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
 # -- local search ERM ---------------------------------------------------------
 
 
-def _index_dtype(n: int) -> np.dtype:
-    """Narrowest unsigned dtype holding 0..n-1: a stable sort of it is a radix sort up to 2**16."""
-    return np.min_scalar_type(n - 1)
-
-
 def _insertion_csr(est: RegretEstimator):
     """Per-item merged partner/delta arrays for insertion moves, as CSR.
 
@@ -433,7 +429,7 @@ def _insertion_csr(est: RegretEstimator):
     # ids are below n, so the narrow dtype holds them exactly.  Narrow ids make
     # room for the stable sort's index buffer, and partners are permuted
     # narrow and widened last, so the peak holds one wide array fewer.
-    dtype = _index_dtype(n)
+    dtype = index_dtype(n)
     lo, hi = keys // n, keys % n
     del keys
     lo, hi = lo.astype(dtype), hi.astype(dtype)
@@ -468,7 +464,7 @@ def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutati
     """
     n = est.n_items
     order = start.order.astype(np.int64)
-    positions = np.arange(n, dtype=_index_dtype(n))
+    positions = np.arange(n, dtype=index_dtype(n))
     rank0 = np.empty_like(positions)
     rank0[order] = positions
     obj = est.evaluate_int(start)

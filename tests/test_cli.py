@@ -4,6 +4,7 @@ import os
 import pytest
 
 from pivotlearn.cli import main
+from pivotlearn.oracles import LabelOracle
 from pivotlearn.verify import SUITES, run_suite
 
 
@@ -61,6 +62,20 @@ def test_run_d_outside_geometric_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "config error: d:" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x"))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--task", "ranking", "--n", "15"],
+    ["--task", "clustering", "--n", "40", "--k", "3"],
+])
+def test_run_exact_erm_beyond_its_cap_is_config_error(tmp_path, capsys, monkeypatch, flags):
+    def refuse(*args):
+        raise AssertionError("a label was bought")
+
+    monkeypatch.setattr(LabelOracle, "query_many", refuse)
+    assert main(["run", *flags, "--out", str(tmp_path / "x")]) == 2
+    assert "config error: erm:" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "x"))
 
 

@@ -400,42 +400,31 @@ def test_local_search_never_worse_than_start():
     assert est.evaluate_int(found) <= est.evaluate_int(pivot)
 
 
-@given(st.integers(3, 20), st.integers(2, 5), st.integers(1, 6), st.integers(0, 10_000),
-       st.lists(st.tuples(st.booleans(), st.integers(0, 999), st.integers(0, 999)),
-                max_size=25))
-@settings(max_examples=60, deadline=None)
-def test_gain_table_tracks_moves(n, k, q, seed, moves):
-    """Incremental gain-table updates match a rebuild, and its deltas match evaluate_int."""
-    oracle, pivot = _fixture(n, k, seed, eta=0.3)
-    est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.3), q=q,
-                                         rng=derive_rng(seed, "b"))
-    assign = clu.random_clustering(n, k, derive_rng(seed, "h")).assign.copy()
-    table = clu._GainTable(est, assign, k)
-    for is_swap, x, y in moves:
-        before = est.evaluate_int(clu.Clustering(assign, k))
-        if is_swap:
-            a, b = sorted((x % n, y % n))
-            if assign[a] == assign[b]:
-                continue
-            delta = int(table.swap_deltas(a, a + 1, b)[0, 0])
-            ca, cb = int(assign[a]), int(assign[b])
-            table.move(a, cb)
-            table.move(b, ca)
-        else:
-            u, cid = x % n, y % k + 1
-            delta = int(table.cost[u, cid] - table.cost[u, assign[u]])
-            table.move(u, cid)
-        assert delta == est.evaluate_int(clu.Clustering(assign, k)) - before
-        np.testing.assert_array_equal(table.cost, clu._GainTable(est, assign.copy(), k).cost)
+# Per-sample references: each sample on its own, none merged with another.
+
+def _reference_cost(samples, assign, k):
+    """cost[u, c] summed sample by sample with np.add.at."""
+    cost = np.zeros((samples.n_items, k + 1), dtype=np.int64)
+    w, y = samples.weight_num, samples.labels.astype(np.int64)
+    for u, v in ((samples.us, samples.vs), (samples.vs, samples.us)):
+        np.add.at(cost, u, (w * y)[:, None])
+        np.add.at(cost, (u, assign[v]), w * (1 - 2 * y))
+    return cost
 
 
-# Reference passes: the one-row-at-a-time scans the block scans replaced.
+def _objective(samples, assign):
+    """Total weight of the samples that `assign` mismatches."""
+    same = assign[samples.us] == assign[samples.vs]
+    return int(samples.weight_num @ (same != samples.labels.astype(bool)))
 
-def _loop_pair_weights(table, a):
+
+def _loop_pair_weights(samples, a):
     """Sum of w*(1 - 2y) over the samples on each pair {a, b}, indexed by b."""
-    out = np.zeros(len(table.assign), dtype=np.int64)
-    lo, hi = table.bounds[a], table.bounds[a + 1]
-    np.add.at(out, table.partners[lo:hi], table.signed[lo:hi])
+    out = np.zeros(samples.n_items, dtype=np.int64)
+    signed = samples.weight_num * (1 - 2 * samples.labels.astype(np.int64))
+    for u, v in ((samples.us, samples.vs), (samples.vs, samples.us)):
+        mine = u == a
+        np.add.at(out, v[mine], signed[mine])
     return out
 
 
@@ -448,6 +437,8 @@ def _loop_swap_deltas(table, a, lo, pair_w):
             + table.cost[rows, ca] - table.cost[rows, cb]
             - 2 * pair_w[lo:])
 
+
+# Reference passes: the one-row-at-a-time scans the block scans replaced.
 
 def _loop_reassign_pass(table):
     gained = 0
@@ -464,13 +455,13 @@ def _loop_reassign_pass(table):
     return gained, moved
 
 
-def _loop_swap_pass(table):
+def _loop_swap_pass(table, samples):
     gained = 0
     moved = False
     assign = table.assign
     n = len(assign)
     for a in range(n - 1):
-        pair_w = _loop_pair_weights(table, a)
+        pair_w = _loop_pair_weights(samples, a)
         lo = a + 1
         while lo < n:
             delta = _loop_swap_deltas(table, a, lo, pair_w)
@@ -491,10 +482,11 @@ def _loop_swap_pass(table):
 def _search_cases(draw):
     """(samples, start assignment, k) for a gain table, stress cases included.
 
-    The samples come from a real estimator, optionally with extra samples
-    repeated on the pair {0, 1} and weights up to 2**40.  The start is
-    random, restricted to a few ids (the rest stay empty), or all
-    singletons (k = n).
+    The samples come from a real estimator, or there are none.  Extra
+    samples may repeat the pair {0, 1}, or replace every sample on the
+    pair {n - 2, n - 1} by ones whose signed weights cancel to 0, and all
+    weights may be redrawn up to 2**40.  The start is random, restricted to
+    a few ids (the rest stay empty), or all singletons (k = n).
     """
     n = draw(st.integers(2, 40))
     k = draw(st.integers(1, 6))
@@ -503,13 +495,28 @@ def _search_cases(draw):
     est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.3),
                                          q=draw(st.integers(1, 50)), rng=derive_rng(seed, "b"))
     rng = derive_rng(seed, "case")
-    repeats = draw(st.integers(0, 8))
-    us = np.concatenate([est.us, np.zeros(repeats, dtype=np.int64)])
-    vs = np.concatenate([est.vs, np.ones(repeats, dtype=np.int64)])
-    labels = np.concatenate([est.labels, rng.integers(0, 2, repeats).astype(np.uint8)])
-    weight = np.concatenate([est.weight_num, rng.integers(1, 2 * n, repeats)])
-    if draw(st.booleans()):
-        weight = rng.integers(1, 2**40 + 1, len(us))
+    us, vs, labels, weight = est.us, est.vs, est.labels, est.weight_num
+    if draw(st.integers(0, 9)) == 0:  # no samples at all
+        us = vs = weight = np.zeros(0, dtype=np.int64)
+        labels = np.zeros(0, dtype=np.uint8)
+    else:
+        repeats = draw(st.integers(0, 8))
+        us = np.concatenate([us, np.zeros(repeats, dtype=np.int64)])
+        vs = np.concatenate([vs, np.ones(repeats, dtype=np.int64)])
+        labels = np.concatenate([labels, rng.integers(0, 2, repeats).astype(np.uint8)])
+        weight = np.concatenate([weight, rng.integers(1, 2 * n, repeats)])
+        if draw(st.booleans()):
+            weight = rng.integers(1, 2**40 + 1, len(us))
+        cancel = draw(st.integers(0, 3))
+        if cancel:  # (x, y, w, 0) and (y, x, w, 1) per weight: the pair sums to 0
+            x, y = n - 2, n - 1
+            off = np.minimum(us, vs) == x
+            off &= np.maximum(us, vs) == y
+            w = rng.integers(1, 2 * n, cancel).repeat(2)
+            us = np.concatenate([us[~off], np.tile([x, y], cancel)])
+            vs = np.concatenate([vs[~off], np.tile([y, x], cancel)])
+            labels = np.concatenate([labels[~off], np.tile(np.uint8([0, 1]), cancel)])
+            weight = np.concatenate([weight[~off], w])
     samples = SimpleNamespace(n_items=n, us=us, vs=vs, labels=labels, weight_num=weight)
     start = draw(st.sampled_from(["random", "few ids", "singletons"]))
     if start == "singletons":
@@ -518,6 +525,46 @@ def _search_cases(draw):
     if start == "few ids":
         ids = rng.choice(ids, size=rng.integers(1, k + 1), replace=False)
     return samples, rng.choice(ids, size=n), k
+
+
+@given(_search_cases(),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 999), st.integers(0, 999)),
+                max_size=25))
+@settings(max_examples=80, deadline=None)
+def test_gain_table_tracks_moves(case, moves):
+    """Moves and swaps keep the merged table equal to a per-sample reference,
+    and their table deltas are the objective's change."""
+    samples, assign, k = case
+    n = len(assign)
+    table = clu._GainTable(samples, assign, k)
+    assert table.signed.all()  # a pair whose samples cancel is dropped
+    np.testing.assert_array_equal(table.cost, _reference_cost(samples, assign, k))
+    for is_swap, x, y in moves:
+        before = _objective(samples, assign)
+        if is_swap:
+            a, b = sorted((x % n, y % n))
+            if assign[a] == assign[b]:
+                continue
+            delta = int(_loop_swap_deltas(table, a, b, _loop_pair_weights(samples, a))[0])
+            better, score = table.swap_scores(a, a + 1, b)
+            assert score.item(0) - table.cost.item(a, assign[a]) == delta
+            assert better.item(0) == (delta < 0)
+            ca, cb = int(assign[a]), int(assign[b])
+            table.move(a, cb)
+            table.move(b, ca)
+        else:
+            u, cid = x % n, y % k + 1
+            delta = int(table.cost[u, cid] - table.cost[u, assign[u]])
+            table.move(u, cid)
+        assert delta == _objective(samples, assign) - before
+        np.testing.assert_array_equal(table.cost, _reference_cost(samples, assign, k))
+
+
+def test_gain_table_refuses_a_self_pair():
+    samples = SimpleNamespace(n_items=3, us=np.array([0, 2]), vs=np.array([1, 2]),
+                              labels=np.uint8([1, 0]), weight_num=np.array([1, 1]))
+    with pytest.raises(ValueError, match="two distinct items"):
+        clu._GainTable(samples, np.array([1, 1, 2]), 2)
 
 
 @pytest.mark.parametrize("cap", [None, 6])
@@ -537,10 +584,12 @@ def test_block_passes_match_loop_reference(cap, case):
             mp.setattr(pivotlearn.core, "_SCAN_BLOCK_PAIRS", cap)
         for _ in range(3):
             for block_pass, loop_pass in ((clu._reassign_pass, _loop_reassign_pass),
-                                          (clu._swap_pass, _loop_swap_pass)):
+                                          (clu._swap_pass,
+                                           lambda t: _loop_swap_pass(t, samples))):
                 assert block_pass(table) == loop_pass(ref)
                 np.testing.assert_array_equal(table.assign, ref.assign)
                 np.testing.assert_array_equal(table.cost, ref.cost)
+    np.testing.assert_array_equal(table.cost, _reference_cost(samples, table.assign, k))
 
 
 # Returned assignments of local search over a grid of pool sizes, cluster

@@ -1,11 +1,15 @@
 import csv
 import hashlib
+import itertools
 import json
+import math
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotlearn import (
     ConfigError,
@@ -72,6 +76,23 @@ def test_config_paths_must_be_strings(field, value):
 def test_config_paths_accept_strings_and_none():
     cfg = _cfg(oracle_path="labels.csv", class_path=None, output_dir="out")
     assert (cfg.oracle_path, cfg.class_path, cfg.output_dir) == ("labels.csv", None, "out")
+
+
+@pytest.mark.parametrize("task, n, k", [
+    ("ranking", rk._EXACT_ERM_MAX_N + 1, None),
+    ("clustering", clu._EXACT_ERM_MAX_N + 1, 3),
+    ("clustering", 8, clu._EXACT_ERM_MAX_K + 1),
+])
+def test_config_refuses_exact_erm_beyond_its_cap(task, n, k):
+    with pytest.raises(ConfigError) as exc:
+        _cfg(task=task, n=n, k=k)
+    assert exc.value.field == "erm"
+    assert _cfg(task=task, n=n, k=k, erm="local_search").n == n
+
+
+def test_config_accepts_exact_erm_at_its_cap():
+    assert _cfg(n=rk._EXACT_ERM_MAX_N).erm == "exact"
+    assert _cfg(task="clustering", n=clu._EXACT_ERM_MAX_N, k=clu._EXACT_ERM_MAX_K).erm == "exact"
 
 
 def test_config_geometric_defaults_d():
@@ -150,6 +171,79 @@ def test_config_from_dict_rejects_non_integers(path, value, name):
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict(d)
     assert name in str(exc.value) and "must be an integer" in str(exc.value)
+
+
+_EDGES = [10**400, -(10**400), 2**63, -1, 0, 1.5, math.nan, math.inf, -math.inf,
+          None, True, "7", [7], {"n": 7}]
+_EDGE_NUMBERS = st.sampled_from(_EDGES[:9])
+_JSON_SCALARS = st.one_of(
+    _EDGE_NUMBERS, st.none(), st.booleans(), st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.sampled_from(["ranking", "clustering", "generic", "geometric", "exact",
+                     "local_search", "uniform_flip", "distance_decay", "adversarial_file"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_PATHS = [
+    *[(name,) for name in ExperimentConfig.__dataclass_fields__],
+    *[("params", name) for name in ("epsilon", "mu", "delta", "iterations",
+                                    "c1", "c2", "c3", "master_seed")],
+    *[("noise", name) for name in ("kind", "eta", "rho", "scale", "path")],
+    ("verbosity",), ("params", "verbosity"), ("noise", "verbosity"),
+]
+
+
+@st.composite
+def _json_configs(draw):
+    """A valid config dict of any task with fields set to junk, dropped or added,
+    or no config shape at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON_VALUES)
+    task = draw(st.sampled_from(["ranking", "clustering", "generic", "geometric"]))
+    data = _cfg(task=task, k=3 if task == "clustering" else None).to_dict()
+    edits = st.tuples(st.sampled_from(_CONFIG_PATHS), st.one_of(_EDGE_NUMBERS, _JSON_VALUES))
+    for path, value in draw(st.lists(edits, max_size=4)):
+        node = _parent(data, path)
+        if node is None:
+            continue
+        if draw(st.integers(0, 4)) == 0:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return data
+
+
+@given(_json_configs())
+@settings(max_examples=200, deadline=None)
+def test_config_from_dict_fails_only_with_config_error(data):
+    """Any JSON-like input builds a config or raises ConfigError, never another error."""
+    try:
+        ExperimentConfig.from_dict(data)
+    except ConfigError:
+        pass
+
+
+def _parent(data, path):
+    """The dict that holds the field at `path`, or None when no dict does."""
+    node = data
+    for key in path[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    return node if isinstance(node, dict) else None
+
+
+@pytest.mark.parametrize("task", ["ranking", "clustering", "generic", "geometric"])
+def test_config_from_dict_one_edge_value_fails_only_with_config_error(task):
+    """Every field set alone to each edge value builds a config or raises ConfigError."""
+    for path, value in itertools.product(_CONFIG_PATHS, _EDGES):
+        data = _cfg(task=task, k=3 if task == "clustering" else None).to_dict()
+        _parent(data, path)[path[-1]] = value
+        try:
+            ExperimentConfig.from_dict(data)
+        except ConfigError:
+            pass
 
 
 # --------------------------------------------------------------------- runs

@@ -1,11 +1,21 @@
-"""Source checks that need only the standard library: no imported name goes unused."""
+"""Source checks that need only the standard library: no imported name goes unused,
+and every module parses at the oldest Python the package supports."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pivotlearn"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pivotlearn"
+
+
+def _python_floor() -> tuple[int, int]:
+    """(major, minor) of pyproject's requires-python lower bound."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -42,3 +52,15 @@ def test_unused_import_check_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_syntax_check_refuses_newer_constructs():
+    assert _python_floor() == (3, 10)
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # exception groups: 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=_python_floor())
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
