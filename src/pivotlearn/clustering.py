@@ -335,8 +335,9 @@ class _GainTable:
         # rows placed by a stable sort of narrow ids, a radix sort up to 2**16 items
         ends = np.concatenate([lo, hi]).astype(index_dtype(n))
         by_item = ends.argsort(kind="stable")
-        counts = np.bincount(ends, minlength=n)
         del ends
+        pair_counts = np.bincount(lo, minlength=n)
+        counts = pair_counts + np.bincount(hi, minlength=n)
         self.signed = signed.take(by_item, mode="wrap")  # both ends of each pair
         partners = np.concatenate([hi, lo])[by_item]
         del by_item
@@ -354,7 +355,7 @@ class _GainTable:
         self.cost += base[:, None]
         # the merged pairs, by smaller item, for the swap correction
         self.pair_lo, self.pair_hi, self.pair_twice = lo, hi, 2 * signed
-        self.pair_bounds = [0, *np.bincount(lo, minlength=n).cumsum().tolist()]
+        self.pair_bounds = [0, *pair_counts.cumsum().tolist()]
 
     def move(self, item: int, cid: int) -> None:
         """Put `item` in cluster `cid` and update its partners' rows."""

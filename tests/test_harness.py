@@ -25,6 +25,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import generic as gen
 from pivotlearn import oracles as orc
 from pivotlearn import ranking as rk
+from pivotlearn.harness import _NOISE_FIELDS, _PARAM_FIELDS, TASKS
 from pivotlearn.seeding import derive_rng
 
 
@@ -173,38 +174,59 @@ def test_config_from_dict_rejects_non_integers(path, value, name):
     assert name in str(exc.value) and "must be an integer" in str(exc.value)
 
 
-_EDGES = [10**400, -(10**400), 2**63, -1, 0, 1.5, math.nan, math.inf, -math.inf,
-          None, True, "7", [7], {"n": 7}]
-_EDGE_NUMBERS = st.sampled_from(_EDGES[:9])
-_JSON_SCALARS = st.one_of(
-    _EDGE_NUMBERS, st.none(), st.booleans(), st.integers(-(2**80), 2**80),
-    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
-    st.sampled_from(["ranking", "clustering", "generic", "geometric", "exact",
-                     "local_search", "uniform_flip", "distance_decay", "adversarial_file"]),
-)
+_EDGE_NUMBERS = [10**400, -(10**400), 2**63, -1, 0, 1.5, math.nan, math.inf, -math.inf]
+_EDGES = [*_EDGE_NUMBERS, None, True, "7", [7], {"n": 7}]
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+    st.one_of(
+        st.sampled_from(_EDGES), st.integers(-(2**80), 2**80),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+        st.sampled_from(["ranking", "clustering", "generic", "geometric", "exact",
+                         "local_search", "uniform_flip", "distance_decay", "adversarial_file"]),
+    ),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6,
 )
 _CONFIG_PATHS = [
     *[(name,) for name in ExperimentConfig.__dataclass_fields__],
-    *[("params", name) for name in ("epsilon", "mu", "delta", "iterations",
-                                    "c1", "c2", "c3", "master_seed")],
-    *[("noise", name) for name in ("kind", "eta", "rho", "scale", "path")],
+    *[("params", name) for name in _PARAM_FIELDS],
+    *[("noise", name) for name in _NOISE_FIELDS],
     ("verbosity",), ("params", "verbosity"), ("noise", "verbosity"),
 ]
 
 
+def _valid_config_dict(task):
+    return _cfg(task=task, k=3 if task == "clustering" else None).to_dict()
+
+
+def _parent(data, path):
+    """The dict that holds the field at `path`, or None when no dict does."""
+    node = data
+    for key in path[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    return node if isinstance(node, dict) else None
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_config_from_dict_one_edge_value_fails_only_with_config_error(task):
+    """Every field set alone to each edge value builds a config or raises ConfigError."""
+    for path, value in itertools.product(_CONFIG_PATHS, _EDGES):
+        data = _valid_config_dict(task)
+        _parent(data, path)[path[-1]] = value
+        try:
+            ExperimentConfig.from_dict(data)
+        except ConfigError:
+            pass
+
+
 @st.composite
 def _json_configs(draw):
-    """A valid config dict of any task with fields set to junk, dropped or added,
-    or no config shape at all."""
+    """A valid config dict of any task with fields set to junk, dropped or
+    added, or no config shape at all."""
     if draw(st.integers(0, 9)) == 0:
         return draw(_JSON_VALUES)
-    task = draw(st.sampled_from(["ranking", "clustering", "generic", "geometric"]))
-    data = _cfg(task=task, k=3 if task == "clustering" else None).to_dict()
-    edits = st.tuples(st.sampled_from(_CONFIG_PATHS), st.one_of(_EDGE_NUMBERS, _JSON_VALUES))
+    data = _valid_config_dict(draw(st.sampled_from(TASKS)))
+    edits = st.tuples(st.sampled_from(_CONFIG_PATHS),
+                      st.one_of(st.sampled_from(_EDGE_NUMBERS), _JSON_VALUES))
     for path, value in draw(st.lists(edits, max_size=4)):
         node = _parent(data, path)
         if node is None:
@@ -224,26 +246,6 @@ def test_config_from_dict_fails_only_with_config_error(data):
         ExperimentConfig.from_dict(data)
     except ConfigError:
         pass
-
-
-def _parent(data, path):
-    """The dict that holds the field at `path`, or None when no dict does."""
-    node = data
-    for key in path[:-1]:
-        node = node.get(key) if isinstance(node, dict) else None
-    return node if isinstance(node, dict) else None
-
-
-@pytest.mark.parametrize("task", ["ranking", "clustering", "generic", "geometric"])
-def test_config_from_dict_one_edge_value_fails_only_with_config_error(task):
-    """Every field set alone to each edge value builds a config or raises ConfigError."""
-    for path, value in itertools.product(_CONFIG_PATHS, _EDGES):
-        data = _cfg(task=task, k=3 if task == "clustering" else None).to_dict()
-        _parent(data, path)[path[-1]] = value
-        try:
-            ExperimentConfig.from_dict(data)
-        except ConfigError:
-            pass
 
 
 # --------------------------------------------------------------------- runs
