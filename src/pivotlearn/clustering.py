@@ -376,8 +376,8 @@ class _GainTable:
     def swap_scores(self, start: int, stop: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
         """(better, score) of swapping each a in start..stop-1 with each b >= lo.
 
-        Both are (rows, n - lo) blocks, or rows of n - lo for one a.  The
-        swap changes the objective by score - cost[a, assign[a]], and
+        Both are (rows, n - lo) blocks, or 1-D rows when stop = start + 1.
+        The swap changes the objective by score - cost[a, assign[a]], and
         `better` marks where that is negative for b > a in another cluster.
         Every row is scored from lo, so a block of several rows starts at
         lo = start + 1.  The two row differences each count the pair {a, b}
