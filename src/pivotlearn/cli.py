@@ -23,11 +23,11 @@ from .harness import (
     TASKS,
     ConfigError,
     ExperimentConfig,
+    experiment_oracle,
     run,
     sweep,
 )
-from .oracles import NoiseSpec, make_clustering_oracle, make_ranking_oracle, save_oracle
-from .seeding import derive_rng
+from .oracles import save_oracle
 from .verify import SUITES, run_all, run_suite
 
 _ENV_OUT = "PIVOTLEARN_OUT"
@@ -153,19 +153,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_gen(args) -> int:
-    try:
-        noise = NoiseSpec(kind=args.noise, eta=args.eta, rho=args.rho, scale=args.scale)
-    except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from exc
-    rng = derive_rng(args.seed, "ground-truth")
-    if args.task == "ranking":
-        oracle = make_ranking_oracle(rk.random_permutation(args.n, rng), noise, seed=args.seed)
-    else:
-        if args.k is None:
-            raise ConfigError("k", "clustering oracle generation needs --k")
-        oracle = make_clustering_oracle(
-            clu.random_clustering(args.n, args.k, rng), noise, seed=args.seed
-        )
+    # erm and epsilon do not shape the labels; local search takes any n
+    oracle = experiment_oracle(ExperimentConfig.from_dict({
+        "task": args.task, "n": args.n, "k": args.k, "erm": "local_search",
+        "params": {"epsilon": 0.2, "master_seed": args.seed},
+        "noise": {"kind": args.noise, "eta": args.eta, "rho": args.rho, "scale": args.scale},
+    }))
     out_csv = args.out or os.path.join(_default_out("oracle"), f"{args.task}-n{args.n}.csv")
     os.makedirs(os.path.dirname(out_csv) or ".", exist_ok=True)
     sidecar = save_oracle(oracle, out_csv)

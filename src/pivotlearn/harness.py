@@ -16,8 +16,9 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,7 +56,6 @@ __all__ = [
     "TASKS",
 ]
 
-TASKS = ("ranking", "clustering", "generic", "geometric")
 SWEEP_AXES = ("n", "epsilon", "k")
 
 _PARAM_FIELDS = ("epsilon", "mu", "delta", "iterations", "c1", "c2", "c3", "master_seed")
@@ -113,66 +113,44 @@ class ExperimentConfig:
                 raise ConfigError(name, f"must be a path string, got {value!r}")
         if self.n < 2:
             raise ConfigError("n", "must be >= 2")
-        if self.task == "clustering":
-            if self.k is None or self.k < 1:
-                raise ConfigError("k", "clustering needs k >= 1")
-        elif self.k is not None:
-            raise ConfigError("k", f"only clustering runs take k, not {self.task!r}")
-        if self.task == "geometric":
+        task = _TASKS[self.task]
+        for name in _TASK_FIELDS:  # a field the task never reads would be recorded, yet ignored
+            if getattr(self, name) is not None and name not in task.reads:
+                readers = " or ".join(t for t in TASKS if name in _TASKS[t].reads)
+                raise ConfigError(name, f"only {readers} runs take {name}, not {self.task!r}")
+        if "k" in task.reads and (self.k is None or self.k < 1):
+            raise ConfigError("k", "clustering needs k >= 1")
+        if "d" in task.reads:
             if self.d is None:
                 object.__setattr__(self, "d", 2)
             elif self.d != 2:
                 raise ConfigError("d", "geometric runs enumerate orders in d = 2 only")
-        elif self.d is not None:
-            raise ConfigError("d", f"only geometric runs take d, not {self.task!r}")
-        if self.erm not in ("exact", "local_search"):
-            raise ConfigError("erm", f"must be 'exact' or 'local_search', got {self.erm!r}")
-        if self.erm == "exact":  # refused here, before the first iteration buys labels
-            if self.task == "ranking" and self.n > rk._EXACT_ERM_MAX_N:
-                raise ConfigError(
-                    "erm", f"exact ranking ERM enumerates n <= {rk._EXACT_ERM_MAX_N}; "
-                    "use local_search"
-                )
-            if self.task == "clustering" and (
-                self.n > clu._EXACT_ERM_MAX_N or self.k > clu._EXACT_ERM_MAX_K
-            ):
-                raise ConfigError(
-                    "erm", f"exact clustering ERM enumerates n <= {clu._EXACT_ERM_MAX_N} "
-                    f"and k <= {clu._EXACT_ERM_MAX_K}; use local_search"
-                )
+        if self.erm not in task.erms:
+            erms = " or ".join(map(repr, task.erms))
+            raise ConfigError("erm", f"{self.task} runs take {erms}, got {self.erm!r}")
+        if self.erm == "exact" and not _enumerable(self):  # refused before labels are bought
+            bounds = " and ".join(f"{name} <= {cap}" for name, cap in task.exact_max)
+            raise ConfigError("erm", f"exact {self.task} ERM enumerates {bounds}; use local_search")
         if self.restarts < 1:
             raise ConfigError("restarts", "must be >= 1")
         for name in ("force_p", "force_q", "force_m"):
             value = getattr(self, name)
             if value is not None and not 1 <= value <= MAX_SAMPLE_SIZE:
                 raise ConfigError(name, "must be in 1..2**31 - 1 when present")
-        if self.task == "generic" and self.noise.kind not in ("none", "uniform_flip"):
-            raise ConfigError("noise.kind", "generic runs support none or uniform_flip")
+        if self.noise.kind not in task.noise:
+            raise ConfigError("noise.kind", f"{self.task} runs support {' or '.join(task.noise)}")
+        if self.noise.kind == "adversarial_file" and self.oracle_path is None:
+            raise ConfigError("noise.kind", "adversarial_file labels are read from oracle_path")
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "params": {name: getattr(self.params, name) for name in _PARAM_FIELDS},
-            "noise": self.noise.to_dict(),
-            "erm": self.erm,
-            "restarts": self.restarts,
-            "force_p": self.force_p,
-            "force_q": self.force_q,
-            "force_m": self.force_m,
-            "oracle_path": self.oracle_path,
-            "class_path": self.class_path,
-            "output_dir": self.output_dir,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["params"] = {name: getattr(self.params, name) for name in _PARAM_FIELDS}
+        data["noise"] = self.noise.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "task", "n", "k", "d", "params", "noise", "erm", "restarts",
-            "force_p", "force_q", "force_m", "oracle_path", "class_path", "output_dir",
-        }
+        known = {f.name for f in fields(cls)}
         for key in _json_object(data, "config"):
             if key not in known:
                 raise ConfigError(key, "unknown config field")
@@ -196,11 +174,7 @@ class ExperimentConfig:
             noise = NoiseSpec.from_dict(raw_noise)
         except ValueError as exc:
             raise ConfigError("noise", str(exc)) from exc
-        simple = {
-            k: data[k]
-            for k in known - {"params", "noise"}
-            if k in data
-        }
+        simple = {k: data[k] for k in known - {"params", "noise"} if k in data}
         return cls(params=params, noise=noise, **simple)
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
@@ -287,111 +261,105 @@ def _derived_seed(master_seed: int, *tags) -> int:
     return int(derive_rng(master_seed, *tags).integers(0, 2**63))
 
 
-# -- per-task run paths ----------------------------------------------------------
+# -- the task table --------------------------------------------------------------
 
 
-def _ranking_oracle(config: ExperimentConfig):
-    seed = config.params.master_seed
+class _Plan(NamedTuple):
+    """One run's parts, ready for the build -> ERM loop."""
+
+    oracle: object
+    h0: object
+    build: Callable  # (pivot, oracle, params, rng=) -> estimator
+    search: Callable  # (estimator, start, rng=) -> next hypothesis
+    nu: Callable  # () -> least error in the class
+    info: dict
+    # hypothesis -> error, for a class run off the batched scan; its search
+    # is then estimator -> (next hypothesis, estimate)
+    error: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
+class _Task:
+    """What one task reads from a config, and the plan of its runs.
+
+    `reads` names the optional config fields the task reads; the others must
+    stay None.  Exact search, and with it nu, enumerates only while every
+    (field, bound) pair of `exact_max` holds.
+    """
+
+    reads: tuple
+    noise: tuple
+    erms: tuple
+    exact_max: tuple
+    plan: Callable  # config -> _Plan
+
+
+def _enumerable(config: ExperimentConfig) -> bool:
+    return all(getattr(config, name) <= cap for name, cap in _TASKS[config.task].exact_max)
+
+
+def _pair_oracle(config: ExperimentConfig, mode: str, truth: Callable):
+    """The file at config.oracle_path, or the ground truth `truth(rng)` under config.noise."""
     if config.oracle_path:
-        oracle = load_oracle(config.oracle_path, mode="ranking")
+        oracle = load_oracle(config.oracle_path, mode=mode)
         if oracle.n != config.n:
             raise ConfigError("n", f"oracle file holds {oracle.n} items, config says {config.n}")
         return oracle
-    truth = rk.random_permutation(config.n, derive_rng(seed, "ground-truth"))
-    return make_ranking_oracle(truth, config.noise, seed=seed)
-
-
-def _clustering_oracle(config: ExperimentConfig):
     seed = config.params.master_seed
-    if config.oracle_path:
-        oracle = load_oracle(config.oracle_path, mode="clustering")
-        if oracle.n != config.n:
-            raise ConfigError("n", f"oracle file holds {oracle.n} items, config says {config.n}")
-        return oracle
-    truth = clu.random_clustering(config.n, config.k, derive_rng(seed, "ground-truth"))
-    return make_clustering_oracle(truth, config.noise, seed=seed)
+    make = make_ranking_oracle if mode == "ranking" else make_clustering_oracle
+    return make(truth(derive_rng(seed, "ground-truth")), config.noise, seed=seed)
 
 
-def _run_ranking(config: ExperimentConfig):
-    oracle = _ranking_oracle(config)
-    p = config.force_p or rk.sample_size_p(config.n, config.params.epsilon, config.params.c1)
-
-    def builder(h, orc, params, rng=None):
-        return rk.build_ranking_estimator(h, orc, params, p=p, rng=rng)
-
+def _search(config: ExperimentConfig, module):
     if config.erm == "exact":
-        erm = rk.exact_erm
-    else:
-        def erm(est, start, rng=None):
-            return rk.local_search_erm(est, start, restarts=config.restarts, rng=rng)
-
-    h0 = rk.Permutation.identity(config.n)
-    traj = run_erm_iteration(h0, oracle, config.params, builder, erm)
-    nu = rk.exact_min_error(oracle)[0] if config.n <= 10 else None
-    return traj, nu, {"p": p}, oracle
+        return module.exact_erm
+    return partial(module.local_search_erm, restarts=config.restarts)
 
 
-def _run_clustering(config: ExperimentConfig):
-    oracle = _clustering_oracle(config)
-    q = config.force_q or clu.sample_size_q(
-        config.n, config.k, config.params.epsilon, config.params.c2
+def _sample_p(config: ExperimentConfig) -> int:
+    return config.force_p or rk.sample_size_p(config.n, config.params.epsilon, config.params.c1)
+
+
+def _ranking(config: ExperimentConfig) -> _Plan:
+    oracle = _pair_oracle(config, "ranking", lambda rng: rk.random_permutation(config.n, rng))
+    p = _sample_p(config)
+    return _Plan(
+        oracle, rk.Permutation.identity(config.n), partial(rk.build_ranking_estimator, p=p),
+        _search(config, rk), lambda: rk.exact_min_error(oracle)[0], {"p": p},
     )
 
-    def builder(h, orc, params, rng=None):
-        return clu.build_clustering_estimator(h, orc, params, q=q, rng=rng)
 
-    if config.erm == "exact":
-        erm = clu.exact_erm
-    else:
-        def erm(est, start, rng=None):
-            return clu.local_search_erm(est, start, restarts=config.restarts, rng=rng)
-
-    h0 = clu.Clustering(np.arange(config.n) % config.k + 1, config.k)
-    traj = run_erm_iteration(h0, oracle, config.params, builder, erm)
-    nu = (
-        clu.exact_min_error(oracle, config.k)[0]
-        if config.n <= clu._EXACT_ERM_MAX_N and config.k <= clu._EXACT_ERM_MAX_K
-        else None
+def _clustering(config: ExperimentConfig) -> _Plan:
+    n, k, params = config.n, config.k, config.params
+    oracle = _pair_oracle(config, "clustering", lambda rng: clu.random_clustering(n, k, rng))
+    q = config.force_q or clu.sample_size_q(n, k, params.epsilon, params.c2)
+    h0 = clu.Clustering(np.arange(n) % k + 1, k)
+    return _Plan(
+        oracle, h0, partial(clu.build_clustering_estimator, q=q), _search(config, clu),
+        lambda: clu.exact_min_error(oracle, k)[0], {"q": q},
     )
-    return traj, nu, {"q": q}, oracle
 
 
-def _run_geometric(config: ExperimentConfig):
+def _geometric(config: ExperimentConfig) -> _Plan:
     seed = config.params.master_seed
     features = geo.random_features(config.n, 2, derive_rng(seed, "features"))
-    direction = derive_rng(seed, "ground-truth").standard_normal(2)
-    truth = geo.induced_permutation(direction, features)
-    oracle = make_ranking_oracle(truth, config.noise, seed=seed)
-    p = config.force_p or rk.sample_size_p(config.n, config.params.epsilon, config.params.c1)
-
-    def builder(h, orc, params, rng=None):
-        return rk.build_ranking_estimator(h, orc, params, p=p, rng=rng)
-
+    oracle = _pair_oracle(
+        config, "ranking", lambda rng: geo.induced_permutation(rng.standard_normal(2), features)
+    )
+    p = _sample_p(config)
     orders, _ = geo.enumerate_orders_2d(features)
-
-    def erm(est, start, rng=None):
-        return geo.geometric_erm_2d(est, features)
-
-    traj = run_erm_iteration(orders[0], oracle, config.params, builder, erm)
-    nu = min(true_error(orders, oracle))
-    return traj, nu, {"p": p, "enumerated_orders": len(orders)}, oracle
+    return _Plan(
+        oracle, orders[0], partial(rk.build_ranking_estimator, p=p),
+        lambda est, start, rng=None: geo.geometric_erm_2d(est, features),
+        lambda: min(true_error(orders, oracle)), {"p": p, "enumerated_orders": len(orders)},
+    )
 
 
-def _generic_class(config: ExperimentConfig) -> gen.FiniteClass:
-    if config.class_path:
-        return gen.load_class_csv(config.class_path)
-    return gen.thresholds_class(config.n)
-
-
-def _run_generic(config: ExperimentConfig):
-    """Iterate the annulus builder and class-wide minimization directly.
-
-    Hypotheses are class row indices; the instance pool is the class's own
-    pool (n = pool size, thresholds class unless class_path is given).
-    """
-    params = config.params
-    seed = params.master_seed
-    cls = _generic_class(config)
+def _generic(config: ExperimentConfig) -> _Plan:
+    """Hypotheses are class row indices; the instance pool is the class's own
+    pool (n = pool size, thresholds class unless class_path is given)."""
+    params, seed, path = config.params, config.params.master_seed, config.class_path
+    cls = gen.load_class_csv(path) if path else gen.thresholds_class(config.n)
     pool = cls.pool_size
     truth_idx = int(derive_rng(seed, "ground-truth").integers(len(cls)))
     labels = cls.labels[truth_idx].copy()
@@ -399,11 +367,7 @@ def _run_generic(config: ExperimentConfig):
         flips = derive_rng(seed, "instance-noise").random(pool) < config.noise.eta
         labels = labels ^ flips.astype(np.uint8)
     oracle = InstanceOracle(labels)
-    truth_labels = oracle.verification_labels()
-
-    def err_of(idx: int) -> float:
-        return float(np.mean(cls.labels[idx] != truth_labels))
-
+    errors = (cls.labels != oracle.verification_labels()).mean(axis=1)
     info: dict = {"pool_size": pool, "class_size": len(cls)}
     m = config.force_m
     if m is None:
@@ -413,52 +377,68 @@ def _run_generic(config: ExperimentConfig):
         m = gen.sample_size_m(theta, dim, params.epsilon, mu, params.delta, params.c3)
         info.update({"theta": theta, "vc_dim": dim})
     info["m"] = m
+    return _Plan(
+        oracle, 0, partial(gen.build_generic_estimator, cls, m=m), partial(gen.class_argmin, cls),
+        lambda: float(errors.min()), info, error=lambda h: float(errors[h]),
+    )
 
-    traj = Trajectory()
-    h = 0
-    traj.rows.append(TrajectoryRow(0, h, err_of(h), None, 0, 0, 0.0))
+
+_PAIR_NOISE = ("none", "uniform_flip", "adversarial_file")
+_BOTH_ERMS = ("exact", "local_search")
+_TASKS = {
+    "ranking": _Task(
+        ("force_p", "oracle_path"), (*_PAIR_NOISE, "distance_decay"), _BOTH_ERMS,
+        (("n", rk._EXACT_ERM_MAX_N),), _ranking,
+    ),
+    "clustering": _Task(
+        ("k", "force_q", "oracle_path"), _PAIR_NOISE, _BOTH_ERMS,
+        (("n", clu._EXACT_ERM_MAX_N), ("k", clu._EXACT_ERM_MAX_K)), _clustering,
+    ),
+    "generic": _Task(
+        ("force_m", "class_path"), ("none", "uniform_flip"), ("exact",), (), _generic
+    ),
+    "geometric": _Task(
+        ("d", "force_p"), ("none", "uniform_flip", "distance_decay"), ("exact",), (), _geometric
+    ),
+}
+TASKS = tuple(_TASKS)
+_TASK_FIELDS = tuple(dict.fromkeys(name for task in _TASKS.values() for name in task.reads))
+
+
+def experiment_oracle(config: ExperimentConfig):
+    """The oracle a run of config labels from (what `pivotlearn oracle-gen` saves)."""
+    return _TASKS[config.task].plan(config).oracle
+
+
+def _class_iteration(plan: _Plan, params: Params) -> Trajectory:
+    """The build -> ERM loop over a finite class: each row's value comes from
+    the class-wide argmin and its error from plan.error."""
+    oracle, h, traj = plan.oracle, plan.h0, Trajectory()
+    traj.rows.append(TrajectoryRow(0, h, plan.error(h), None, 0, 0, 0.0))
     for i in range(1, params.iterations + 1):
         t0 = time.perf_counter()
         before = oracle.counters.distinct_labeled
-        est = gen.build_generic_estimator(
-            cls, h, oracle, params, m=m, rng=derive_rng(seed, "build", i)
-        )
-        h_next, value = gen.class_argmin(cls, est)
-        spent = oracle.counters.distinct_labeled - before
+        est = plan.build(h, oracle, params, rng=derive_rng(params.master_seed, "build", i))
+        h, value = plan.search(est)
         wall = (time.perf_counter() - t0) * 1000.0
-        traj.rows.append(
-            TrajectoryRow(
-                i, h_next, err_of(h_next), value, spent,
-                oracle.counters.distinct_labeled, wall,
-            )
-        )
-        h = h_next
-    mismatch = cls.labels != truth_labels
-    nu = float(mismatch.mean(axis=1).min())
-    return traj, nu, info, oracle
-
-
-_RUNNERS = {
-    "ranking": _run_ranking,
-    "clustering": _run_clustering,
-    "generic": _run_generic,
-    "geometric": _run_geometric,
-}
+        total = oracle.counters.distinct_labeled
+        traj.rows.append(TrajectoryRow(i, h, plan.error(h), value, total - before, total, wall))
+    return traj
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute one config end to end; no files are written."""
     t0 = time.perf_counter()
-    traj, nu, info, oracle = _RUNNERS[config.task](config)
-    record = RunRecord(
-        config=config,
-        trajectory=traj,
-        nu=nu,
-        counters=oracle.counters.to_dict(),
-        task_info=info,
-        wall_ms_total=(time.perf_counter() - t0) * 1000.0,
+    plan = _TASKS[config.task].plan(config)
+    if plan.error is None:
+        traj = run_erm_iteration(plan.h0, plan.oracle, config.params, plan.build, plan.search)
+    else:
+        traj = _class_iteration(plan, config.params)
+    nu = plan.nu() if _enumerable(config) else None  # read before the counters: it scans labels
+    return RunRecord(
+        config=config, trajectory=traj, nu=nu, counters=plan.oracle.counters.to_dict(),
+        task_info=plan.info, wall_ms_total=(time.perf_counter() - t0) * 1000.0,
     )
-    return record
 
 
 _TRAJECTORY_COLUMNS = (

@@ -116,6 +116,8 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSpec":
+        if not isinstance(d.get("path"), (str, type(None))):
+            raise ValueError(f"path must be a path string, got {d['path']!r}")
         return cls(
             kind=d.get("kind", "none"),
             eta=float(d.get("eta", 0.0)),

@@ -1,8 +1,11 @@
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
+from pivotlearn import ExperimentConfig, NoiseSpec, Params, run_experiment
 from pivotlearn.cli import main
 from pivotlearn.oracles import LabelOracle
 from pivotlearn.verify import SUITES, run_suite
@@ -77,6 +80,37 @@ def test_run_exact_erm_beyond_its_cap_is_config_error(tmp_path, capsys, monkeypa
     assert main(["run", *flags, "--out", str(tmp_path / "x")]) == 2
     assert "config error: erm:" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "x"))
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--task", "clustering", "--k", "3", "--force-p", "3"], "force_p"),
+    (["--task", "ranking", "--force-q", "3"], "force_q"),
+    (["--task", "ranking", "--force-m", "3"], "force_m"),
+    (["--task", "ranking", "--class-file", "/nonexistent.csv"], "class_path"),
+    (["--task", "geometric", "--oracle-file", "labels.csv"], "oracle_path"),
+    (["--task", "generic", "--erm", "local_search"], "erm"),
+    (["--task", "clustering", "--k", "3", "--noise", "distance_decay"], "noise.kind"),
+])
+def test_run_field_the_task_never_reads_is_config_error(tmp_path, capsys, monkeypatch,
+                                                        flags, named):
+    def refuse(*args):
+        raise AssertionError("a label was bought")
+
+    monkeypatch.setattr(LabelOracle, "query_many", refuse)
+    assert main(["run", *flags, "--n", "8", "--out", str(tmp_path / "x")]) == 2
+    assert f"config error: {named}:" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x"))
+
+
+@pytest.mark.parametrize("path, named", [("labels.csv", "noise.kind"), ([1], "noise")])
+def test_run_adversarial_noise_without_an_oracle_file_is_config_error(tmp_path, capsys,
+                                                                      path, named):
+    cfg = {"task": "ranking", "n": 6, "params": {"epsilon": 0.3},
+           "noise": {"kind": "adversarial_file", "path": path}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert f"config error: {named}:" in capsys.readouterr().err
 
 
 def test_run_bad_epsilon_is_config_error(tmp_path, capsys):
@@ -191,6 +225,36 @@ def test_generated_oracle_feeds_run(tmp_path, capsys):
                  "--oracle-file", out, "--out", str(tmp_path / "run")])
     assert code == 0
     assert "status=completed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("task, k", [("ranking", None), ("clustering", 3)])
+def test_oracle_gen_writes_the_labels_a_run_learns_from(tmp_path, monkeypatch, task, k):
+    n, seed, eta = 9, 7, 0.2
+    out = str(tmp_path / "orc.csv")
+    flags = ["--k", str(k)] if k else []
+    assert main(["oracle-gen", "--task", task, "--n", str(n), *flags, "--noise", "uniform_flip",
+                 "--eta", str(eta), "--seed", str(seed), "--out", out]) == 0
+    with open(out) as fh:
+        rows = [tuple(map(int, row)) for row in list(csv.reader(fh))[1:]]
+
+    queried = []
+    query_many = LabelOracle.query_many
+
+    def spy(self, us, vs):
+        queried.append(self)
+        return query_many(self, us, vs)
+
+    monkeypatch.setattr(LabelOracle, "query_many", spy)
+    run_experiment(ExperimentConfig(
+        task=task, n=n, k=k, erm="local_search", noise=NoiseSpec(kind="uniform_flip", eta=eta),
+        params=Params(epsilon=0.3, iterations=1, master_seed=seed),
+    ))
+    oracle = queried[0]
+    assert all(o is oracle for o in queried)
+    us, vs, labels = np.array(rows).T
+    assert sorted(zip(us.tolist(), vs.tolist())) == [(u, v) for u in range(n)
+                                                     for v in range(u + 1, n)]
+    assert oracle.verification_labels(us, vs).tolist() == labels.tolist()
 
 
 def test_theta_families(capsys):

@@ -54,12 +54,18 @@ def test_config_validation():
     assert _cfg(n=np.int64(7)).n == 7  # NumPy integers count as integers
 
 
+# the task that reads each forced sample size
+_FORCED_READERS = {"force_p": {}, "force_q": {"task": "clustering", "k": 3},
+                   "force_m": {"task": "generic", "n": 30}}
+
+
 @pytest.mark.parametrize("name", ["force_p", "force_q", "force_m"])
 def test_config_forced_sample_sizes_are_bounded(name):
-    assert getattr(_cfg(**{name: 2**31 - 1}), name) == 2**31 - 1
+    reader = _FORCED_READERS[name]
+    assert getattr(_cfg(**reader, **{name: 2**31 - 1}), name) == 2**31 - 1
     for value in (0, 2**31, 10**30):
         with pytest.raises(ConfigError) as exc:
-            _cfg(**{name: value})
+            _cfg(**reader, **{name: value})
         assert exc.value.field == name
 
 
@@ -121,6 +127,75 @@ def test_config_d_only_for_geometric(task, extra):
 def test_config_generic_noise_restriction():
     with pytest.raises(ConfigError):
         _cfg(task="generic", n=20, noise=NoiseSpec(kind="distance_decay"))
+
+
+# (task, field, value): a field the task never reads, so the config refuses it
+_UNREAD_FIELDS = [
+    ("clustering", "force_p", 3), ("generic", "force_p", 3),
+    ("ranking", "force_q", 3), ("generic", "force_q", 3), ("geometric", "force_q", 3),
+    ("ranking", "force_m", 3), ("clustering", "force_m", 3), ("geometric", "force_m", 3),
+    ("ranking", "class_path", "/nonexistent.csv"), ("clustering", "class_path", "c.csv"),
+    ("geometric", "class_path", "c.csv"),
+    ("geometric", "oracle_path", "labels.csv"), ("generic", "oracle_path", "labels.csv"),
+]
+
+
+def _task_cfg(task, **kw):
+    return _cfg(task=task, **({"k": 3} if task == "clustering" else {}), **kw)
+
+
+@pytest.mark.parametrize("task, name, value", _UNREAD_FIELDS)
+def test_config_refuses_fields_the_task_never_reads(task, name, value):
+    with pytest.raises(ConfigError) as exc:
+        _task_cfg(task, **{name: value})
+    assert exc.value.field == name
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({**_task_cfg(task).to_dict(), name: value})
+    assert exc.value.field == name
+
+
+@pytest.mark.parametrize("task", ["geometric", "generic"])
+def test_config_refuses_local_search_without_a_local_search(task):
+    with pytest.raises(ConfigError) as exc:
+        _task_cfg(task, erm="local_search")
+    assert exc.value.field == "erm"
+
+
+def test_config_refuses_distance_decay_on_clustering():
+    with pytest.raises(ConfigError) as exc:
+        _task_cfg("clustering", noise=NoiseSpec(kind="distance_decay"))
+    assert exc.value.field == "noise.kind"
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_config_refuses_adversarial_noise_without_an_oracle_file(task):
+    with pytest.raises(ConfigError) as exc:
+        _task_cfg(task, noise=NoiseSpec(kind="adversarial_file", path="labels.csv"))
+    assert exc.value.field == "noise.kind"
+
+
+@pytest.mark.parametrize("task, name, value", [
+    ("ranking", "force_p", 3), ("geometric", "force_p", 3), ("clustering", "force_q", 3),
+    ("generic", "force_m", 3), ("generic", "class_path", "c.csv"),
+    ("ranking", "oracle_path", "labels.csv"), ("clustering", "oracle_path", "labels.csv"),
+    ("ranking", "erm", "local_search"), ("clustering", "erm", "local_search"),
+    ("ranking", "noise", NoiseSpec(kind="distance_decay")),
+    ("geometric", "noise", NoiseSpec(kind="distance_decay")),
+    ("ranking", "noise", NoiseSpec(kind="adversarial_file", path="labels.csv")),
+])
+def test_config_keeps_fields_the_task_reads(task, name, value):
+    extra = {"oracle_path": "labels.csv"} if name == "noise" and value.path else {}
+    assert getattr(_task_cfg(task, **{name: value}, **extra), name) == value
+
+
+def test_noise_path_must_be_a_string():
+    data = {**_cfg().to_dict(), "oracle_path": "labels.csv"}
+    data["noise"] = {"kind": "adversarial_file", "path": [1]}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(data)
+    assert exc.value.field == "noise" and "path" in str(exc.value)
+    data["noise"]["path"] = "labels.csv"
+    assert ExperimentConfig.from_dict(data).noise.path == "labels.csv"
 
 
 def test_config_roundtrip():
@@ -288,6 +363,19 @@ def test_nu_reported_only_at_desk_scale():
     rec = run_experiment(_cfg(task="clustering", n=13, k=3, erm="local_search"))
     assert rec.nu is None
     assert rec.final_excess is None
+
+
+@pytest.mark.parametrize("erm", ["exact", "local_search"])
+def test_ranking_nu_reported_up_to_the_exact_search_bound(erm):
+    seed, noise = 9, NoiseSpec(kind="uniform_flip", eta=0.2)
+    cfg = _cfg(n=12, erm=erm, force_p=2, noise=noise,
+               params=Params(epsilon=0.3, iterations=2, master_seed=seed))
+    rec = run_experiment(cfg)
+    truth = rk.random_permutation(12, derive_rng(seed, "ground-truth"))
+    nu, _ = rk.exact_min_error(orc.make_ranking_oracle(truth, noise, seed=seed))
+    assert rec.nu == nu
+    assert all(row.err >= nu for row in rec.trajectory.rows)
+    assert run_experiment(_cfg(n=rk._EXACT_ERM_MAX_N + 1, erm="local_search", force_p=2)).nu is None
 
 
 def test_run_generic_task_info():
