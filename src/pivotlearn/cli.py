@@ -28,7 +28,7 @@ from .harness import (
     sweep,
 )
 from .oracles import save_oracle
-from .verify import SUITES, run_all, run_suite
+from .verify import SUITES, run_suite
 
 _ENV_OUT = "PIVOTLEARN_OUT"
 
@@ -115,12 +115,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     template = _config_from_args(args)
-    values = []
-    for chunk in args.values.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        values.append(float(chunk) if args.axis == "epsilon" else int(chunk))
+    kind = float if args.axis == "epsilon" else int
+    try:
+        values = [kind(chunk) for chunk in args.values.split(",") if chunk.strip()]
+    except ValueError:
+        raise ConfigError("values", f"{args.axis} takes {kind.__name__} values, got "
+                                    f"{args.values!r}") from None
     out_dir = args.out or template.output_dir or _default_out("sweep")
     _, summary = sweep(template, args.axis, values, workers=args.workers, out_dir=out_dir)
     print(f"{args.axis:>10}  {'queries':>10}  {'final_err':>12}  {'excess':>12}")
@@ -132,13 +132,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suites:
-        unknown = [s for s in args.suites if s not in SUITES]
-        if unknown:
-            raise ConfigError("suite", f"unknown: {', '.join(unknown)}")
-        reports = [run_suite(s) for s in args.suites]
-    else:
-        reports = run_all()
+    unknown = [s for s in args.suites if s not in SUITES]
+    if unknown:
+        raise ConfigError("suite", f"unknown: {', '.join(unknown)}")
+    reports = [run_suite(s) for s in args.suites or SUITES]
     failed = 0
     for report in reports:
         for result in report.results:

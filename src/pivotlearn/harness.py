@@ -59,6 +59,7 @@ __all__ = [
 SWEEP_AXES = ("n", "epsilon", "k")
 
 _PARAM_FIELDS = ("epsilon", "mu", "delta", "iterations", "c1", "c2", "c3", "master_seed")
+_RESTARTS = 5
 _NOISE_FIELDS = ("kind", "eta", "rho", "scale", "path")
 
 
@@ -92,7 +93,7 @@ class ExperimentConfig:
     params: Params = Params(epsilon=0.2)
     noise: NoiseSpec = NoiseSpec()
     erm: str = "exact"
-    restarts: int = 5
+    restarts: int = _RESTARTS
     force_p: Optional[int] = None
     force_q: Optional[int] = None
     force_m: Optional[int] = None
@@ -133,6 +134,12 @@ class ExperimentConfig:
             raise ConfigError("erm", f"exact {self.task} ERM enumerates {bounds}; use local_search")
         if self.restarts < 1:
             raise ConfigError("restarts", "must be >= 1")
+        if self.restarts != _RESTARTS and self.erm != "local_search":
+            raise ConfigError("restarts", f"only local_search reads restarts, not {self.erm!r}")
+        read = ("epsilon", "iterations", "master_seed", *task.params)
+        for f in fields(Params):  # a parameter the task never reads keeps its default
+            if f.name not in read and getattr(self.params, f.name) != f.default:
+                raise ConfigError(f"params.{f.name}", f"{self.task} runs never read {f.name}")
         for name in ("force_p", "force_q", "force_m"):
             value = getattr(self, name)
             if value is not None and not 1 <= value <= MAX_SAMPLE_SIZE:
@@ -283,11 +290,14 @@ class _Task:
     """What one task reads from a config, and the plan of its runs.
 
     `reads` names the optional config fields the task reads; the others must
-    stay None.  Exact search, and with it nu, enumerates only while every
-    (field, bound) pair of `exact_max` holds.
+    stay None.  `params` names the Params fields it reads besides epsilon,
+    iterations and master_seed; the others must keep their defaults.  Exact
+    search, and with it nu, enumerates only while every (field, bound) pair
+    of `exact_max` holds.
     """
 
     reads: tuple
+    params: tuple
     noise: tuple
     erms: tuple
     exact_max: tuple
@@ -383,22 +393,23 @@ def _generic(config: ExperimentConfig) -> _Plan:
     )
 
 
-_PAIR_NOISE = ("none", "uniform_flip", "adversarial_file")
+_FLIP = ("none", "uniform_flip")
+_PAIR_NOISE = (*_FLIP, "adversarial_file")
 _BOTH_ERMS = ("exact", "local_search")
 _TASKS = {
     "ranking": _Task(
-        ("force_p", "oracle_path"), (*_PAIR_NOISE, "distance_decay"), _BOTH_ERMS,
+        ("force_p", "oracle_path"), ("c1",), (*_PAIR_NOISE, "distance_decay"), _BOTH_ERMS,
         (("n", rk._EXACT_ERM_MAX_N),), _ranking,
     ),
     "clustering": _Task(
-        ("k", "force_q", "oracle_path"), _PAIR_NOISE, _BOTH_ERMS,
+        ("k", "force_q", "oracle_path"), ("c2",), _PAIR_NOISE, _BOTH_ERMS,
         (("n", clu._EXACT_ERM_MAX_N), ("k", clu._EXACT_ERM_MAX_K)), _clustering,
     ),
     "generic": _Task(
-        ("force_m", "class_path"), ("none", "uniform_flip"), ("exact",), (), _generic
+        ("force_m", "class_path"), ("mu", "delta", "c3"), _FLIP, ("exact",), (), _generic
     ),
     "geometric": _Task(
-        ("d", "force_p"), ("none", "uniform_flip", "distance_decay"), ("exact",), (), _geometric
+        ("d", "force_p"), ("c1",), (*_FLIP, "distance_decay"), ("exact",), (), _geometric
     ),
 }
 TASKS = tuple(_TASKS)
@@ -496,7 +507,11 @@ def _axis_override(template: ExperimentConfig, axis: str, value) -> ExperimentCo
         fields[axis] = int(value)
     else:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
-    return template.with_overrides(params=template.params.with_overrides(**params), **fields)
+    try:
+        params = template.params.with_overrides(**params)
+    except ValueError as exc:
+        raise ConfigError("params", str(exc)) from exc
+    return template.with_overrides(params=params, **fields)
 
 
 def sweep(

@@ -1,12 +1,17 @@
 import csv
+import dataclasses
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pivotlearn import ExperimentConfig, NoiseSpec, Params, run_experiment
+from pivotlearn import ExperimentConfig, NoiseSpec, Params, run_experiment, verify
 from pivotlearn.cli import main
+from pivotlearn.harness import _TASKS, TASKS
 from pivotlearn.oracles import LabelOracle
 from pivotlearn.verify import SUITES, run_suite
 
@@ -171,6 +176,17 @@ def test_run_config_non_string_path_is_config_error(tmp_path, capsys):
     assert "config error" in err and "class_path" in err
 
 
+@pytest.mark.parametrize("axis, values, named", [
+    ("n", "6,7.5", "values"), ("epsilon", "0.2,abc", "values"), ("epsilon", "1.5", "params"),
+])
+def test_sweep_bad_values_are_config_errors(tmp_path, capsys, axis, values, named):
+    argv = ["sweep", "--task", "ranking", "--n", "6", "--axis", axis, "--values", values,
+            "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert f"config error: {named}:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_sweep_prints_table(tmp_path, capsys):
     out = str(tmp_path / "sw")
     code = main(["sweep", "--task", "ranking", "--n", "6", "--epsilon", "0.3",
@@ -183,17 +199,96 @@ def test_sweep_prints_table(tmp_path, capsys):
     assert os.path.isdir(os.path.join(out, "point-00-n-6"))
 
 
+# -- the property registry: each property runs at the inputs of `pivotlearn verify`, then at
+# these hypothesis draws.  The module tests run the other properties at their own cases
+# (larger build counts, more draws) by calling the same check.
+
+_SEEDS = st.integers(0, 10_000)
+_LABEL_FILES = tempfile.TemporaryDirectory()  # adversarial label files of the stress draws
+
+
+def _draws(examples, **inputs):
+    return examples, st.fixed_dictionaries(inputs)
+
+
+@st.composite
+def _stress_cases(draw):
+    """A small config of any task, noise kind (a label file for pair tasks), ERM and size."""
+    task = draw(st.sampled_from(TASKS))
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(_TASKS[task].noise))
+    fields = {"k": draw(st.integers(1, 4))} if task == "clustering" else {}
+    force = {"clustering": "force_q", "generic": "force_m"}.get(task, "force_p")
+    fields[force] = draw(st.none() | st.integers(1, 6))
+    noise = NoiseSpec()
+    if kind == "uniform_flip":
+        noise = NoiseSpec(kind, eta=draw(st.floats(0, 0.5, exclude_max=True)))
+    elif kind == "distance_decay":
+        noise = NoiseSpec(kind, rho=draw(st.floats(0.1, 2)), scale=draw(st.floats(0.05, 1)))
+    elif kind == "adversarial_file":  # labels that no ground truth explains
+        path = os.path.join(_LABEL_FILES.name, f"{task}-{n}.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([("u", "v", "label")] + [
+                (u, v, draw(st.integers(0, 1))) for u in range(n) for v in range(u + 1, n)])
+        noise, fields["oracle_path"] = NoiseSpec(kind, path=path), path
+    erm = draw(st.sampled_from(_TASKS[task].erms))
+    if erm == "local_search":
+        fields["restarts"] = draw(st.integers(1, 3))
+    params = Params(epsilon=draw(st.floats(0.1, 0.6)), iterations=draw(st.integers(1, 3)),
+                    master_seed=draw(_SEEDS))
+    epsilons = tuple(draw(st.lists(st.floats(0.1, 0.6), min_size=2, max_size=2, unique=True)))
+    config = ExperimentConfig(task=task, n=n, noise=noise, erm=erm, params=params, **fields)
+    return {"config": config, "epsilons": epsilons}
+
+
+_ANNULI = _draws(20, family=st.sampled_from(["thresholds", "intervals"]),
+                 pool=st.integers(4, 24), mu=st.sampled_from([1.0, 0.5, 0.25, 0.11, 0.03]),
+                 seed=_SEEDS)
+_STRONGER = {
+    ("canonicalization", verify._relabel_invariant): [
+        _draws(50, n=st.integers(2, 12), k=st.integers(2, 4), seed=_SEEDS)],
+    ("annuli", verify._annuli_disjoint): [_ANNULI],
+    ("annuli", verify._annuli_cover): [_ANNULI],
+    ("annuli", verify._annuli_mass): [_ANNULI],
+    ("geometric-bound", verify._disagreement_bound): [
+        _draws(10, n=st.integers(3, 12), seed=_SEEDS)],
+    ("stress", verify._stress): [(60, _stress_cases())],
+}
+
+
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_verify_suite_passes(suite):
     report = run_suite(suite)
     assert report.passed, [(r.name, r.detail) for r in report.results if not r.passed]
+    for check in dict.fromkeys(prop.check for prop in SUITES[suite]):
+        for examples, cases in _STRONGER.get((suite, check), ()):
+
+            @settings(max_examples=examples, deadline=None)
+            @given(cases)
+            def drawn(case):
+                assert check(**case) is None
+
+            drawn()
 
 
 def test_verify_selected_suite(capsys):
-    assert main(["verify", "rank-distances"]) == 0
+    assert main(["verify", "unbiasedness-ranking", "determinism"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "[PASS] unbiasedness-ranking: mean over 1500 builds matches regret",
+        "[PASS] determinism: repeated run records identical",
+        "[PASS] determinism: sweep summaries identical at 1 and 8 workers",
+        "2 suites, 0 failing properties",
+    ]
+
+
+def test_verify_names_the_failing_property(capsys, monkeypatch):
+    broken = dataclasses.replace(SUITES["rank-distances"][0], check=lambda **c: f"at {c['n']}")
+    monkeypatch.setitem(SUITES, "rank-distances", [broken, SUITES["rank-distances"][1]])
+    assert main(["verify", "rank-distances"]) == 1
     out = capsys.readouterr().out
-    assert "[PASS]" in out
-    assert "0 failing" in out
+    assert "[FAIL] rank-distances: footrule sandwich  (at " in out
+    assert "[PASS] rank-distances: inversion count vs quadratic scan" in out
 
 
 def test_verify_unknown_suite(capsys):

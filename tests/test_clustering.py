@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pivotlearn.core
-from pivotlearn import NoiseSpec, Params, Pool, make_clustering_oracle
+from pivotlearn import NoiseSpec, Params, make_clustering_oracle
 from pivotlearn import clustering as clu
+from pivotlearn import verify
 from pivotlearn.seeding import derive_rng
 
 
@@ -22,13 +23,6 @@ def _distance_scan(c1, c2):
             if u != v and (c1.assign[u] == c1.assign[v]) != (c2.assign[u] == c2.assign[v]):
                 bad += 1
     return bad / (n * (n - 1))
-
-
-def _regret_scan(pivot, h, oracle):
-    us, vs = Pool(pivot.n_items).all_pairs()
-    y = oracle.verification_labels(us, vs)
-    return (np.mean(h.pair_values(us, vs) != y)
-            - np.mean(pivot.pair_values(us, vs) != y))
 
 
 def _stirling_2nd(n, k):
@@ -108,10 +102,7 @@ def test_canonical_relabeling():
 @given(st.integers(2, 12), st.integers(2, 4), st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_distance_matches_pair_scan(n, k, seed):
-    rng = derive_rng(seed, "cd")
-    c1 = clu.random_clustering(n, k, rng)
-    c2 = clu.random_clustering(n, k, rng)
-    assert c1.distance_to(c2) == pytest.approx(_distance_scan(c1, c2))
+    assert verify._distance_matches_scan(n, k, seed) is None
 
 
 def test_distance_relabel_invariant():
@@ -144,33 +135,15 @@ def _fixture(n, k, seed, eta=0.2):
 
 
 def test_build_exhaustive_is_exact():
-    n, k = 7, 3
-    oracle, pivot = _fixture(n, k, 61)
-    est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.2), q=n)
-    for assign in clu.all_assignments(n, k):
-        h = clu.Clustering(assign, k)
-        assert abs(est.evaluate(h) - _regret_scan(pivot, h, oracle)) < 1e-12
+    assert verify._exhaustive(n=7, k=3, eta=0.2, seed=61) is None
 
 
 def test_build_unbiased_at_small_q():
-    n, k = 8, 3
-    oracle, pivot = _fixture(n, k, 62)
-    h = clu.random_clustering(n, k, derive_rng(62, "h"))
-    target = _regret_scan(pivot, h, oracle)
-    vals = [clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.2), q=2,
-                                           rng=derive_rng(62, "b", b)).evaluate(h)
-            for b in range(3000)]
-    vals = np.asarray(vals)
-    stderr = vals.std(ddof=1) / np.sqrt(len(vals))
-    assert abs(vals.mean() - target) <= max(4 * stderr, 1e-12)
+    assert verify._unbiased(n=8, k=3, size=2, eta=0.15, seed=17, builds=3000, targets=5) is None
 
 
 def test_build_query_cap():
-    n, k, q = 20, 4, 5
-    oracle, pivot = _fixture(n, k, 63)
-    clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.2), q=q,
-                                   rng=derive_rng(63, "b"))
-    assert oracle.counters.distinct_labeled <= n * k * q
+    assert verify._query_cap(n=20, k=4, size=5, seed=63) is None
 
 
 def test_build_uses_formula_q_by_default():

@@ -3,6 +3,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pivotlearn
 from pivotlearn import core
@@ -26,6 +28,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import generic as gen
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
+from pivotlearn import verify
 from pivotlearn.core import MAX_SAMPLE_SIZE, sample_size
 from pivotlearn.oracles import load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng
@@ -176,10 +179,11 @@ def _tiny_estimator():
     )
 
 
-def test_estimator_pivot_evaluates_to_zero():
-    est = _tiny_estimator()
-    assert est.evaluate(est.pivot) == 0.0
-    assert est.evaluate_int(est.pivot) == 0
+@given(st.integers(2, 12), st.none() | st.integers(1, 4), st.integers(1, 12),
+       st.sampled_from([0.0, 0.2]), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_estimator_pivot_evaluates_to_zero(n, k, size, eta, seed):
+    assert verify._pivot_zero(n, k, size, eta, seed) is None
 
 
 def test_estimator_matches_hand_computation():

@@ -5,6 +5,7 @@ import pytest
 
 from pivotlearn import InstanceOracle, Params
 from pivotlearn import generic as gen
+from pivotlearn import verify
 from pivotlearn.seeding import derive_rng
 
 
@@ -249,17 +250,11 @@ def test_vc_dimension_refuses_pools_past_the_cap():
 # ------------------------------------------------------------------- annuli
 
 def test_annulus_plan_structure():
+    # disjointness, cover and mass of the annuli are the verify `annuli` suite's
     cls = gen.thresholds_class(32)
     for mu in (1.0, 0.5, 0.11, 0.03):
-        plan = gen.annulus_plan(cls, 16, mu)
         want_levels = 0 if mu >= 1.0 else int(np.ceil(np.log2(1.0 / mu)))
-        assert plan.levels == want_levels
-        # disjoint, and the union equals the top ball's disagreement region
-        all_items = np.concatenate([a for a in plan.annuli]) if plan.annuli else np.array([])
-        assert len(all_items) == len(set(all_items.tolist()))
-        top = gen.disagreement_region(cls, gen.ball(cls, 16, mu * 2**want_levels))
-        assert sorted(all_items.tolist()) == sorted(top.tolist())
-        assert sum(plan.measures) <= 1.0 + 1e-12
+        assert gen.annulus_plan(cls, 16, mu).levels == want_levels
 
 
 def test_annulus_measures_are_set_fractions():
@@ -272,14 +267,7 @@ def test_annulus_measures_are_set_fractions():
 # ---------------------------------------------------------------- estimator
 
 def test_build_exhaustive_fallback_exact():
-    cls = gen.thresholds_class(40)
-    labels = cls.labels[25] ^ (derive_rng(2, "noise").random(40) < 0.15).astype(np.uint8)
-    oracle = InstanceOracle(labels)
-    est = gen.build_generic_estimator(cls, 10, oracle, Params(epsilon=0.2, mu=0.05), m=40)
-    errs = (cls.labels != labels).mean(axis=1)
-    for i in range(len(cls)):
-        assert abs(est.evaluate(cls.labels[i]) - (errs[i] - errs[10])) < 1e-12
-    assert est.evaluate(cls.labels[10]) == 0.0
+    assert verify._generic_exhaustive(pool=40, pivot=10, truth=25, flip=0.15, seed=2) is None
 
 
 def _loop_build(cls, pivot_idx, oracle, mu, m, rng):
@@ -327,38 +315,13 @@ def test_build_requires_instance_oracle():
 
 
 def test_build_query_budget_cap():
-    cls = gen.intervals_class(30)
-    labels = cls.labels[7]
-    oracle = InstanceOracle(labels)
-    params = Params(epsilon=0.3, mu=0.1)
-    m = 5
-    gen.build_generic_estimator(cls, 7, oracle, params, m=m)
-    levels = int(np.ceil(np.log2(1 / 0.1)))
-    assert oracle.counters.distinct_labeled <= m * (levels + 1)
+    assert verify._generic_query_cap(family="intervals", pool=30, pivot=7, m=5, mu=0.1) is None
 
 
 def test_estimator_contract_with_formula_m():
-    """|f - reg| <= eps*(dist + mu) for every hypothesis, most seeds."""
-    cls = gen.thresholds_class(40)
-    eps, mu, delta = 0.2, 0.05, 0.1
-    pivot = 13
-    hits = 0
-    seeds = 40
-    for seed in range(seeds):
-        labels = cls.labels[28] ^ (derive_rng(seed, "y").random(40) < 0.1).astype(np.uint8)
-        oracle = InstanceOracle(labels)
-        params = Params(epsilon=eps, mu=mu, delta=delta, master_seed=seed)
-        est = gen.build_generic_estimator(cls, pivot, oracle, params,
-                                          rng=derive_rng(seed, "build"))
-        errs = (cls.labels != labels).mean(axis=1)
-        dists = cls.distances(pivot)
-        ok = all(
-            abs(est.evaluate(cls.labels[i]) - (errs[i] - errs[pivot]))
-            <= eps * (dists[i] + mu) + 1e-12
-            for i in range(len(cls))
-        )
-        hits += ok
-    assert hits >= int(seeds * (1 - delta))
+    """|f - reg| <= eps*(dist + mu) for every hypothesis, in most trials."""
+    assert verify._generic_contract(pool=40, pivot=13, truth=28, flip=0.1, epsilon=0.2,
+                                    mu=0.05, delta=0.1, trials=40, seed=0) is None
 
 
 def test_class_argmin_matches_scan():

@@ -1,12 +1,14 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotlearn import NoiseSpec, Params, make_ranking_oracle
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
+from pivotlearn import verify
 from pivotlearn.seeding import derive_rng
 
 
@@ -134,32 +136,26 @@ def test_enumerate_orders_three_points():
     assert len({tuple(o.rank.tolist()) for o in orders}) == 6
 
 
-def test_enumerate_orders_count_bound_and_uniqueness():
-    for seed in range(8):
-        n = int(derive_rng(seed, "n").integers(4, 10))
-        feats = geo.random_features(n, 2, derive_rng(seed, "f"))
-        orders, angles = geo.enumerate_orders_2d(feats)
-        assert len(orders) <= n * (n - 1)
-        keys = {tuple(o.rank.tolist()) for o in orders}
-        assert len(keys) == len(orders)
+_PLANAR = given(st.integers(3, 12), st.integers(0, 10_000))
 
 
-def test_enumerated_witnesses_reproduce_orders():
-    feats = geo.random_features(7, 2, derive_rng(3, "f"))
-    orders, angles = geo.enumerate_orders_2d(feats)
-    for o, a in zip(orders, angles):
-        w = np.array([np.cos(a), np.sin(a)])
-        assert geo.induced_permutation(w, feats) == o
+@_PLANAR
+@settings(max_examples=10, deadline=None)
+def test_enumerate_orders_count_bound_and_uniqueness(n, seed):
+    assert verify._order_count(n, seed) is None
 
 
-def test_adjacent_orders_differ_by_one_swap():
-    feats = geo.random_features(6, 2, derive_rng(4, "f"))
-    orders, _ = geo.enumerate_orders_2d(feats)
-    N = 6 * 5
-    ring = orders + [orders[0]]
-    for a, b in zip(ring, ring[1:]):
-        inv = round(rk.kendall_distance(a, b) * N / 2)
-        assert inv == 1
+@_PLANAR
+@settings(max_examples=10, deadline=None)
+def test_enumerated_witnesses_reproduce_orders(n, seed):
+    assert verify._witnesses_reproduce(n, seed) is None
+
+
+@_PLANAR
+@settings(max_examples=10, deadline=None)
+def test_adjacent_orders_differ_by_one_swap(n, seed):
+    # last to first included: the orders close a circle of directions
+    assert verify._adjacent_cells(n, seed) is None
 
 
 def test_enumerate_rejects_duplicate_points():

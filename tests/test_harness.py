@@ -25,6 +25,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import generic as gen
 from pivotlearn import oracles as orc
 from pivotlearn import ranking as rk
+from pivotlearn import verify
 from pivotlearn.harness import _NOISE_FIELDS, _PARAM_FIELDS, TASKS
 from pivotlearn.seeding import derive_rng
 
@@ -137,6 +138,12 @@ _UNREAD_FIELDS = [
     ("ranking", "class_path", "/nonexistent.csv"), ("clustering", "class_path", "c.csv"),
     ("geometric", "class_path", "c.csv"),
     ("geometric", "oracle_path", "labels.csv"), ("generic", "oracle_path", "labels.csv"),
+    # parameters away from their defaults, and restarts without local search
+    ("ranking", "params.mu", 0.5), ("ranking", "params.delta", 0.3), ("ranking", "params.c2", 7.0),
+    ("ranking", "params.c3", 7.0), ("clustering", "params.c1", 7.0), ("clustering", "params.mu", 1),
+    ("generic", "params.c1", 7.0), ("generic", "params.c2", 7.0), ("geometric", "params.c2", 7.0),
+    ("geometric", "params.delta", 0.3), ("ranking", "restarts", 9), ("clustering", "restarts", 9),
+    ("generic", "restarts", 9), ("geometric", "restarts", 1),
 ]
 
 
@@ -146,12 +153,16 @@ def _task_cfg(task, **kw):
 
 @pytest.mark.parametrize("task, name, value", _UNREAD_FIELDS)
 def test_config_refuses_fields_the_task_never_reads(task, name, value):
-    with pytest.raises(ConfigError) as exc:
-        _task_cfg(task, **{name: value})
-    assert exc.value.field == name
-    with pytest.raises(ConfigError) as exc:
-        ExperimentConfig.from_dict({**_task_cfg(task).to_dict(), name: value})
-    assert exc.value.field == name
+    data = _task_cfg(task).to_dict()
+    if name.startswith("params."):
+        data["params"][name[len("params."):]] = value
+        kw = {"params": Params(**data["params"])}
+    else:
+        data[name], kw = value, {name: value}
+    for make in (lambda: _task_cfg(task, **kw), lambda: ExperimentConfig.from_dict(data)):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert exc.value.field == name
 
 
 @pytest.mark.parametrize("task", ["geometric", "generic"])
@@ -182,6 +193,9 @@ def test_config_refuses_adversarial_noise_without_an_oracle_file(task):
     ("ranking", "noise", NoiseSpec(kind="distance_decay")),
     ("geometric", "noise", NoiseSpec(kind="distance_decay")),
     ("ranking", "noise", NoiseSpec(kind="adversarial_file", path="labels.csv")),
+    ("ranking", "params", Params(0.25, c1=7.0)), ("clustering", "params", Params(0.25, c2=7.0)),
+    ("geometric", "params", Params(0.25, c1=7.0)),
+    ("generic", "params", Params(epsilon=0.25, mu=0.5, delta=0.3, c3=7.0)),
 ])
 def test_config_keeps_fields_the_task_reads(task, name, value):
     extra = {"oracle_path": "labels.csv"} if name == "noise" and value.path else {}
@@ -326,16 +340,9 @@ def test_config_from_dict_fails_only_with_config_error(data):
 # --------------------------------------------------------------------- runs
 
 def test_run_experiment_deterministic_all_tasks():
-    configs = [
-        _cfg(),
-        _cfg(task="clustering", n=8, k=3, erm="local_search", restarts=3),
-        _cfg(task="generic", n=25),
-        _cfg(task="geometric", n=6),
-    ]
-    for cfg in configs:
-        a = run_experiment(cfg).to_dict()
-        b = run_experiment(cfg).to_dict()
-        assert a == b, cfg.task
+    for cfg in (_cfg(task="clustering", n=8, k=3, erm="local_search", restarts=3),
+                _cfg(task="generic", n=25), _cfg(task="geometric", n=6)):
+        assert verify._rerun_identical(cfg) is None, cfg.task
 
 
 def test_run_record_contents():
@@ -569,14 +576,9 @@ def test_run_writes_when_out_dir_given(tmp_path):
     assert rec.final_err is not None
 
 
-def test_record_json_byte_stable(tmp_path):
-    a = str(tmp_path / "a")
-    b = str(tmp_path / "b")
-    write_run(run_experiment(_cfg()), a)
-    write_run(run_experiment(_cfg()), b)
-    for name in ("record.json", "trajectory.csv"):
-        with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
-            assert fa.read() == fb.read(), name
+def test_record_json_byte_stable():
+    # compares the written record.json and trajectory.csv bytes of two runs
+    assert verify._rerun_identical(_cfg()) is None
 
 
 # ------------------------------------------------------------------- sweeps
@@ -594,21 +596,10 @@ def test_sweep_axis_values_and_summary(tmp_path):
     assert os.path.isdir(os.path.join(out, "point-01-n-8"))
 
 
-def test_sweep_worker_count_invariance(tmp_path):
+def test_sweep_worker_count_invariance():
     base = _cfg(erm="local_search", restarts=2,
                 params=Params(epsilon=0.3, iterations=2, master_seed=12))
-    a = str(tmp_path / "w1")
-    b = str(tmp_path / "w4")
-    sweep(base, "epsilon", [0.2, 0.3, 0.4], workers=1, out_dir=a)
-    sweep(base, "epsilon", [0.2, 0.3, 0.4], workers=4, out_dir=b)
-    for root, _, files in os.walk(a):
-        for name in files:
-            if name == "timings.json":
-                continue
-            pa = os.path.join(root, name)
-            pb = pa.replace(a, b, 1)
-            with open(pa, "rb") as fa, open(pb, "rb") as fb:
-                assert fa.read() == fb.read(), pa
+    assert verify._sweep_identical(base, "epsilon", (0.2, 0.3, 0.4), workers=4) is None
 
 
 def test_threaded_sweep_fills_the_shared_class_once_per_value():

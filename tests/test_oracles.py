@@ -17,6 +17,7 @@ from pivotlearn import (
 )
 from pivotlearn import clustering as clu
 from pivotlearn import ranking as rk
+from pivotlearn import verify
 from pivotlearn.oracles import OracleFormatError, distinct_count, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng, pair_uniform
 
@@ -54,26 +55,11 @@ def test_noiseless_ranking_labels_follow_truth():
 
 def test_ranking_labels_skew_symmetric():
     """label(u,v) + label(v,u) = 1 under every noise kind."""
-    n = 7
-    truth = _perm(n, 2)
-    us, vs = Pool(n).all_pairs()
-    for spec in (NoiseSpec(kind="none"),
-                 NoiseSpec(kind="uniform_flip", eta=0.3),
-                 NoiseSpec(kind="distance_decay", rho=1.0, scale=0.5)):
-        oracle = make_ranking_oracle(truth, spec, seed=2)
-        fwd = oracle.verification_labels(us, vs)
-        rev = oracle.verification_labels(vs, us)
-        assert np.all(fwd + rev == 1), spec.kind
+    assert verify._labels_symmetric(n=7, k=None, seed=2) is None
 
 
 def test_clustering_labels_symmetric():
-    n = 7
-    truth = clu.random_clustering(n, 3, derive_rng(3, "t"))
-    us, vs = Pool(n).all_pairs()
-    for spec in (NoiseSpec(kind="none"), NoiseSpec(kind="uniform_flip", eta=0.3)):
-        oracle = make_clustering_oracle(truth, spec, seed=3)
-        assert np.array_equal(oracle.verification_labels(us, vs),
-                              oracle.verification_labels(vs, us)), spec.kind
+    assert verify._labels_symmetric(n=7, k=3, seed=3) is None
 
 
 def test_uniform_flip_rate():

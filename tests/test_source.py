@@ -1,5 +1,5 @@
-"""Source checks that need only the standard library: no imported name goes unused,
-and every module parses at the oldest Python the package supports."""
+"""Source checks: no imported name goes unused, every module parses at the oldest
+Python the package supports, and tier-1 runs every registered property."""
 
 import ast
 import pathlib
@@ -64,3 +64,14 @@ def test_syntax_check_refuses_newer_constructs():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
+
+
+def test_registry_test_runs_every_registered_property():
+    """Each verify suite is a case of the registry test, which runs all its properties."""
+    import test_cli
+    from pivotlearn.verify import SUITES
+
+    marks = test_cli.test_verify_suite_passes.pytestmark
+    assert [list(m.args[1]) for m in marks if m.name == "parametrize"] == [list(SUITES)]
+    registered = {(suite, prop.check) for suite, props in SUITES.items() for prop in props}
+    assert set(test_cli._STRONGER) <= registered
