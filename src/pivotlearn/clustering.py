@@ -22,6 +22,7 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    best_of_restarts,
     csv_header,
     csv_rows,
     index_dtype,
@@ -31,14 +32,14 @@ from .core import (
     packed_argmin,
     pair_coefficients,
     pair_estimator,
-    pair_keys,
+    pair_min_error,
+    pair_runs,
     pair_table,
     sample_size,
     segment_offsets,
     stratum_draws,
-    unordered_verification_labels,
-    upper_pairs,
 )
+from .generic import pair_class
 from .seeding import derive_rng
 
 __all__ = [
@@ -270,14 +271,8 @@ def exact_erm(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = 
 
 
 def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
-    """(min err over all <=k-partitions, first lexicographic argmin)."""
-    from .core import Pool
-
-    n = oracle.n
-    us, vs = upper_pairs(n)
-    labels = unordered_verification_labels(oracle, us, vs)
-    clu, half = _exact_argmin(n, k, us, vs, labels, np.ones(len(us), np.int64))
-    return 2 * half / Pool(n).pair_count, clu
+    """(min err over all <=k-partitions, first lexicographic argmin), by core.pair_min_error."""
+    return pair_min_error(oracle, lambda n, *sample: _exact_argmin(n, k, *sample))
 
 
 # -- local search --------------------------------------------------------------
@@ -304,26 +299,17 @@ class _GainTable:
 
     def __init__(self, est: RegretEstimator, assign: np.ndarray, k: int):
         n = est.n_items
-        us, vs = est.us, est.vs
-        if np.any(us == vs):  # a merged row would lose the sample's second update
+        if np.any(est.us == est.vs):  # a merged row would lose the sample's second update
             raise ValueError("gain table samples must pair two distinct items")
         width = k + 1
-        # key lo * n + hi per sample; the order within a pair does not matter,
-        # so narrow keys are radix-sorted up to 16 bits and quicksorted above
-        keys = pair_keys(us, vs, n)
-        order = keys.argsort(kind="stable" if keys.itemsize <= 2 else "quicksort")
-        keys = keys[order]
-        weight = est.weight_num[order]
-        mismatch = weight * est.labels[order]
-        del order
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        first = np.flatnonzero(first)
+        by_pair, first, lo, hi = pair_runs(est.us, est.vs, n)
+        weight = est.weight_num[by_pair]
+        mismatch = weight * est.labels[by_pair]
+        del by_pair
         mismatch = np.add.reduceat(mismatch, first)
         signed = np.add.reduceat(weight, first)
         signed -= 2 * mismatch
-        lo, hi = np.divmod(keys[first].astype(np.int64), n)
-        del keys, weight, first
+        del weight, first
         base = np.zeros(n, dtype=np.int64)
         np.add.at(base, lo, mismatch)
         np.add.at(base, hi, mismatch)
@@ -332,11 +318,10 @@ class _GainTable:
         lo, hi, signed = lo[keep], hi[keep], signed[keep]
         del keep
         # rows placed by a stable sort of narrow ids, a radix sort up to 2**16 items
-        ends = np.concatenate([lo, hi]).astype(index_dtype(n))
-        by_item = ends.argsort(kind="stable")
-        del ends
+        by_item = np.concatenate([lo, hi]).argsort(kind="stable")
         pair_counts = np.bincount(lo, minlength=n)
         counts = pair_counts + np.bincount(hi, minlength=n)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)  # cells and swap offsets pass n
         self.signed = signed.take(by_item, mode="wrap")  # both ends of each pair
         partners = np.concatenate([hi, lo])[by_item]
         del by_item
@@ -490,16 +475,11 @@ def local_search_erm(
     one gain table per restart.  Restart 0 starts from `start`, so the
     result never evaluates worse than it.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if rng is None:
-        rng = derive_rng(0, "local-search")
     k = start.k
-    n = est.n_items
-    best: tuple[int, np.ndarray] | None = None
-    for r in range(restarts):
-        assign = (start.assign if r == 0 else random_clustering(n, k, rng).assign).copy()
-        obj = est.evaluate_int(Clustering(assign, k))
+
+    def climb(h: Clustering) -> tuple[Clustering, int]:
+        assign = h.assign.copy()
+        obj = est.evaluate_int(h)
         table = _GainTable(est, assign, k)
         while True:
             gained, moved_a = _reassign_pass(table)
@@ -507,10 +487,11 @@ def local_search_erm(
             gained, moved_b = _swap_pass(table)
             obj += gained
             if not (moved_a or moved_b):
-                break
-        if best is None or obj < best[0]:
-            best = (obj, assign.copy())
-    return Clustering(best[1], k)
+                return Clustering(assign, k), obj
+
+    return best_of_restarts(
+        start, restarts, rng, lambda rng: random_clustering(est.n_items, k, rng), climb
+    )
 
 
 # -- enumeration as a finite class ---------------------------------------------
@@ -518,14 +499,7 @@ def local_search_erm(
 
 def enumerate_partitions_class(n: int, k: int):
     """Every <=k-partition of n items as a finite class over the pair pool."""
-    from .core import Pool
-    from .generic import FiniteClass
-
-    assigns = all_assignments(n, k)
-    us, vs = Pool(n).all_pairs()
-    labels = (assigns[:, us] == assigns[:, vs]).astype(np.uint8)
-    pairs = np.stack([us, vs], axis=1)
-    return FiniteClass(labels, instance_pairs=pairs, n_items=n)
+    return pair_class(all_assignments(n, k), oriented=False)
 
 
 # -- persistence ----------------------------------------------------------------

@@ -162,6 +162,9 @@ class Params:
         for name in ("iterations", "master_seed"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("mu", "c1", "c2", "c3"):  # their ranges admit True, read as 1
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.mu is not None and not (0.0 < self.mu <= 1.0):
@@ -417,6 +420,25 @@ def pair_keys(us, vs, n: int) -> np.ndarray:
     return keys
 
 
+def pair_runs(us, vs, n: int):
+    """(by_pair, first, lo, hi): pair samples of ids in 0..n-1 grouped by unordered pair.
+
+    by_pair orders the samples so that the samples on one pair run
+    together, the runs ascending in key lo * n + hi; run j starts at
+    first[j] of that order and holds the pair lo[j] <= hi[j], both in
+    index_dtype(n).  The order within a run is unspecified, so narrow keys
+    are radix-sorted up to 16 bits and quicksorted above.
+    """
+    keys = pair_keys(us, vs, n)
+    by_pair = keys.argsort(kind="stable" if keys.itemsize <= 2 else "quicksort")
+    keys = keys[by_pair]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    lo, hi = np.divmod(keys[first], n)
+    return by_pair, first, lo.astype(index_dtype(n)), hi.astype(index_dtype(n))
+
+
 _UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
 
 
@@ -499,6 +521,43 @@ def unordered_verification_labels(oracle, us, vs, scans: int = 1) -> np.ndarray:
     labels = oracle.verification_labels(us, vs)
     oracle.counters.verification_reads += (2 * scans - 1) * len(labels)
     return labels
+
+
+def pair_min_error(oracle, argmin) -> tuple[float, object]:
+    """(least err over a pair class, its first argmin), from one read of the labels.
+
+    argmin(n, us, vs, labels, weight_num) -> (hypothesis, weighted mismatch)
+    scores the pairs u < v at unit weight; by (skew-)symmetry each mismatch
+    there stands for two ordered ones.  The labels are read through the
+    verification counter, so this is the best achievable error, not an
+    estimate.
+    """
+    n = oracle.n
+    us, vs = upper_pairs(n)
+    labels = unordered_verification_labels(oracle, us, vs)
+    h, half = argmin(n, us, vs, labels, np.ones(len(us), np.int64))
+    return 2 * half / Pool(n).pair_count, h
+
+
+def best_of_restarts(start, restarts: int, rng, random_start, climb):
+    """The best local optimum of `restarts` climbs, climb(h) -> (optimum, objective).
+
+    The first climb starts from `start`, so the result never evaluates
+    worse than it; the others from random_start(rng), and the first least
+    objective wins.  rng is read only from the second restart on, so a
+    LazyRng handed to a one-restart search is never derived; rng=None
+    stands for derive_rng(0, "local-search").
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if rng is None:
+        rng = LazyRng(0, "local-search")
+    best = None
+    for r in range(restarts):
+        h, obj = climb(start if r == 0 else random_start(rng))
+        if best is None or obj < best[1]:
+            best = (h, obj)
+    return best[0]
 
 
 # Pairs per block of a true_error scan and of an oracle's label hashing:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     Params,
+    Pool,
     PoolMismatchError,
     RegretEstimator,
     column_coefficients,
@@ -32,6 +33,7 @@ from .seeding import derive_rng
 
 __all__ = [
     "FiniteClass",
+    "pair_class",
     "AnnulusPlan",
     "ball",
     "disagreement_region",
@@ -104,9 +106,6 @@ class FiniteClass:
     def labels(self) -> np.ndarray:
         return self._labels
 
-    def hypothesis(self, idx: int) -> np.ndarray:
-        return self.labels[idx]
-
     def distance_counts(self, pivot_idx: int) -> np.ndarray:
         """Hamming distance (instance count) from one row to every row."""
         diff = self.packed ^ self.packed[pivot_idx]
@@ -115,12 +114,18 @@ class FiniteClass:
     def distances(self, pivot_idx: int) -> np.ndarray:
         return self.distance_counts(pivot_idx) / self.pool_size
 
-    def index_of(self, values) -> int:
-        values = np.asarray(values, dtype=np.uint8)
-        hits = np.flatnonzero((self.labels == values).all(axis=1))
-        if len(hits) == 0:
-            raise ValueError("hypothesis is not a member of the class")
-        return int(hits[0])
+
+def pair_class(rows: np.ndarray, oriented: bool) -> FiniteClass:
+    """FiniteClass over the ordered-pair pool with one hypothesis per row of an (h, n) table.
+
+    Pair (u, v) reads rows[:, u] < rows[:, v] when `oriented` (rank arrays),
+    else rows[:, u] == rows[:, v] (cluster assignments).
+    """
+    n = rows.shape[1]
+    us, vs = Pool(n).all_pairs()
+    a, b = rows[:, us], rows[:, vs]
+    pairs = np.stack([us, vs], axis=1)
+    return FiniteClass(a < b if oriented else a == b, instance_pairs=pairs, n_items=n)
 
 
 def _count_radius(cls: FiniteClass, r: float) -> int:

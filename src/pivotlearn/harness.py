@@ -508,6 +508,8 @@ def _axis_override(template: ExperimentConfig, axis: str, value) -> ExperimentCo
     point_seed = _derived_seed(template.params.master_seed, "sweep-point", axis, repr(value))
     params, fields = {"master_seed": point_seed}, {}
     if axis == "epsilon":
+        if isinstance(value, bool) or not _is_float(value):  # the summary would carry '0.3'
+            raise ConfigError("values", f"epsilon takes number values, got {value!r}")
         params["epsilon"] = float(value)
     elif axis in ("n", "k"):
         if not is_integer(value):  # int() would truncate 7.5, while the summary says 7.5

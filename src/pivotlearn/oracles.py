@@ -28,7 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _SCAN_BLOCK_PAIRS, csv_header, csv_rows, index_dtype, pair_keys, unsigned_max
+from .core import (
+    _SCAN_BLOCK_PAIRS, csv_header, csv_rows, index_dtype, pair_keys, true_error, unsigned_max,
+)
 from .seeding import pair_uniform
 
 __all__ = [
@@ -224,9 +226,6 @@ class LabelOracle:
 
     # -- counted access -----------------------------------------------------
 
-    def query(self, u: int, v: int) -> int:
-        return int(self.query_many(np.array([u]), np.array([v]))[0])
-
     def query_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Labels for a batch of pairs, with budget/accounting semantics.
 
@@ -269,21 +268,10 @@ class LabelOracle:
         self.counters.verification_reads += len(labels)
         return labels
 
-    def full_table(self) -> np.ndarray:
-        """n x n label matrix (diagonal zero), charged to verification_reads."""
-        from .core import Pool
-
-        us, vs = Pool(self.n).all_pairs()
-        table = np.zeros((self.n, self.n), dtype=np.uint8)
-        table[us, vs] = self.verification_labels(us, vs)
-        return table
-
     def ground_truth_error(self) -> Optional[float]:
         """err of the generating hypothesis (the realized noise rate)."""
         if self.ground_truth is None:
             return None
-        from .core import true_error
-
         return true_error(self.ground_truth, self)
 
 

@@ -13,8 +13,6 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,17 +21,19 @@ from .core import (
     Params,
     PoolMismatchError,
     RegretEstimator,
+    best_of_restarts,
     index_dtype,
     integer_array,
     is_integer,
     pair_coefficients,
     pair_estimator,
-    pair_keys,
+    pair_min_error,
+    pair_runs,
     sample_size,
     stratum_draws,
-    unordered_verification_labels,
     upper_pairs,
 )
+from .generic import pair_class
 from .seeding import derive_rng
 
 __all__ = [
@@ -42,15 +42,13 @@ __all__ = [
     "kendall_distance",
     "footrule_distance",
     "sample_size_p",
-    "BandPlan",
-    "band_plan",
+    "ring_bounds",
     "build_ranking_estimator",
     "exact_erm",
     "exact_min_error",
     "local_search_erm",
     "random_permutation",
     "all_rank_arrays",
-    "permutations_to_class",
     "enumerate_sn_class",
     "save_permutation",
     "load_permutation",
@@ -185,61 +183,26 @@ def sample_size_p(n: int, epsilon: float, c1: float = 1.0) -> int:
     return sample_size("p", lambda: c1 * epsilon**-3 * math.log2(n) ** 3)
 
 
-@dataclass(frozen=True)
-class BandPlan:
-    """Near sets and geometric distance bands induced by a pivot and p.
+def ring_bounds(pivot: Permutation, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) pivot positions of every item's rings, each of shape (n, ceil(log2 n) + 2, 2).
 
-    The near set of u holds the items at pivot-rank distance 1..p-1 from u;
-    band i holds those at distance 2^i*p..2^(i+1)*p-1.  Items are listed by
-    pivot rank, the side before u first.
+    Ring 0 is the near set, the items at pivot-rank distance 1..p-1, and
+    ring i + 1 is band i, those at distance 2^i*p..2^(i+1)*p-1; band indices
+    run 0..ceil(log2 n), most of the top ones empty.  Arm 0 is the slice
+    order[lo:hi] before the item in pivot order and arm 1 the slice after
+    it, both clipped to the pool, so every arm has hi >= lo, and arm 1
+    starts at or after arm 0's end.  Both are C-contiguous, in
+    index_dtype(n + 1), the narrowest dtype holding positions 0..n.
     """
-
-    pivot: Permutation
-    p: int
-
-    @property
-    def n_items(self) -> int:
-        return self.pivot.n_items
-
-    @property
-    def n_bands(self) -> int:
-        """Band indices run 0..ceil(log2 n), most of the top ones empty."""
-        return math.ceil(math.log2(self.n_items)) + 1
-
-    @cached_property
-    def ring_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) pivot positions of every item's rings, each of shape (n, n_bands + 1, 2).
-
-        Ring 0 is the near set and ring i + 1 is band i.  Arm 0 is the slice
-        order[lo:hi] before the item in pivot order and arm 1 the slice after
-        it, both clipped to the pool, so every arm has hi >= lo, and arm 1
-        starts at or after arm 0's end.  Both are C-contiguous, in
-        index_dtype(n + 1), the narrowest dtype holding positions 0..n.
-        """
-        rank = self.pivot.rank.astype(np.int64)[:, None, None]
-        bounds = np.add(rank, _ring_offsets(self.p, self.n_bands), order="C")
-        np.maximum(bounds, 0, out=bounds)
-        np.minimum(bounds, self.n_items, out=bounds)
-        bounds = bounds.astype(index_dtype(self.n_items + 1))
-        return bounds[0], bounds[1]
-
-    def _ring(self, u: int, ring: int) -> np.ndarray:
-        (l0, l1), (h0, h1) = (b[u, ring] for b in self.ring_bounds)
-        order = self.pivot.order
-        return np.concatenate([order[l0:h0], order[l1:h1]])
-
-    def near_items(self, u: int) -> np.ndarray:
-        return self._ring(u, 0)
-
-    def band_items(self, u: int, i: int) -> np.ndarray:
-        if i < 0:
-            raise ValueError("band index must be non-negative")
-        if i >= self.n_bands:
-            return self.pivot.order[:0]  # gaps of at least n*p: always empty
-        return self._ring(u, i + 1)
-
-    def band_size(self, u: int, i: int) -> int:
-        return len(self.band_items(u, i))
+    if not is_integer(p) or p < 1:
+        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    n = pivot.n_items
+    rank = pivot.rank.astype(np.int64)[:, None, None]
+    bounds = np.add(rank, _ring_offsets(p, math.ceil(math.log2(n)) + 1), order="C")
+    np.maximum(bounds, 0, out=bounds)
+    np.minimum(bounds, n, out=bounds)
+    bounds = bounds.astype(index_dtype(n + 1))
+    return bounds[0], bounds[1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -255,12 +218,6 @@ def _ring_offsets(p: int, n_bands: int) -> np.ndarray:
     steps = np.array([[-outer - 1, inner - 1], [-inner, outer]]).transpose(0, 2, 1)[:, None]
     steps.flags.writeable = False
     return steps
-
-
-def band_plan(pivot: Permutation, p: int) -> BandPlan:
-    if not is_integer(p) or p < 1:
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
-    return BandPlan(pivot, p)
 
 
 def build_ranking_estimator(
@@ -290,7 +247,7 @@ def build_ranking_estimator(
         p = sample_size_p(n, params.epsilon, params.c1)
     if rng is None:
         rng = derive_rng(params.master_seed, "ranking-build")
-    lo, hi = band_plan(pivot, p).ring_bounds
+    lo, hi = ring_bounds(pivot, p)
     near = np.arange(hi.shape[0] * hi.shape[1]) % hi.shape[1] == 0  # ring 0, always whole
     lo, hi = lo.reshape(-1, 2), hi.reshape(-1, 2)
     arm = hi - lo
@@ -390,18 +347,8 @@ def exact_erm(est: RegretEstimator, start=None, *, rng=None) -> Permutation:
 
 
 def exact_min_error(oracle) -> tuple[float, Permutation]:
-    """(min err over all permutations, its first lexicographic argmin).
-
-    Reads the full label table (verification counter), so it measures the
-    best achievable error, not an estimate.
-    """
-    from .core import Pool
-
-    n = oracle.n
-    us, vs = upper_pairs(n)
-    labels = unordered_verification_labels(oracle, us, vs)
-    perm, half = _exact_argmin(n, us, vs, labels, np.ones(len(us), np.int64))
-    return 2 * half / Pool(n).pair_count, perm
+    """(min err over all permutations, its first lexicographic argmin), by core.pair_min_error."""
+    return pair_min_error(oracle, _exact_argmin)
 
 
 # -- local search ERM ---------------------------------------------------------
@@ -423,24 +370,16 @@ def _insertion_csr(est: RegretEstimator):
     climb's gathers and prefix sums run fastest on int64.
     """
     n = est.n_items
-    us, vs = est.us, est.vs
-    keys = pair_keys(us, vs, n)
-    by_key = keys.argsort()
-    keys = keys[by_key]
-    lo_loses = (est.labels == (us > vs))[by_key]  # y says the pair's higher id wins
-    w = est.weight_num[by_key]
-    del by_key
+    by_pair, first, lo, hi = pair_runs(est.us, est.vs, n)
+    lo_loses = (est.labels == (est.us > est.vs))[by_pair]  # y says the pair's higher id wins
+    w = est.weight_num[by_pair]
+    del by_pair
     np.negative(w, out=w, where=lo_loses)  # the delta for the pair's lower id
     del lo_loses
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = np.flatnonzero(first)
     w = np.add.reduceat(w, first)
     keep = w != 0
-    lo, hi = np.divmod(keys[first[keep]], n)
-    w = w[keep]
-    del keys, first, keep
-    lo, hi = lo.astype(index_dtype(n)), hi.astype(index_dtype(n))
+    lo, hi, w = lo[keep], hi[keep], w[keep]
+    del first, keep
     # rows placed by counts: the pairs run in key order, so each lo's pairs
     # come together, and a stable sort (a radix sort up to 2**16 items)
     # groups them by hi
@@ -542,18 +481,11 @@ def local_search_erm(
     over its merged partner list only (samples on one pair summed into one
     delta), and its result is cached until it or one of its partners moves.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if rng is None:
-        rng = derive_rng(0, "local-search")
     partners, deltas, bounds = _insertion_csr(est)
-    best: tuple[int, int, Permutation] | None = None
-    for r in range(restarts):
-        h0 = start if r == 0 else random_permutation(est.n_items, rng)
-        h_opt, obj = _climb(est, h0, partners, deltas, bounds)
-        if best is None or obj < best[0]:
-            best = (obj, r, h_opt)
-    return best[2]
+    return best_of_restarts(
+        start, restarts, rng, lambda rng: random_permutation(est.n_items, rng),
+        lambda h: _climb(est, h, partners, deltas, bounds),
+    )
 
 
 # -- enumeration as a finite class -------------------------------------------
@@ -576,25 +508,11 @@ def all_rank_arrays(n: int) -> np.ndarray:
     return flat.reshape(count, n)
 
 
-def permutations_to_class(perms: list[Permutation]):
-    """FiniteClass over the ordered-pair pool induced by a list of permutations."""
-    from .core import Pool
-    from .generic import FiniteClass
-
-    n = perms[0].n_items
-    us, vs = Pool(n).all_pairs()
-    ranks = np.stack([p.rank for p in perms])
-    labels = (ranks[:, us] < ranks[:, vs]).astype(np.uint8)
-    pairs = np.stack([us, vs], axis=1)
-    return FiniteClass(labels, instance_pairs=pairs, n_items=n)
-
-
 def enumerate_sn_class(n: int):
     """Every permutation of n items as a finite class over the pair pool."""
     if n > _SN_CLASS_MAX_N:
         raise ValueError(f"full S_n enumeration as a class is capped at n = {_SN_CLASS_MAX_N}")
-    ranks = all_rank_arrays(n)
-    return permutations_to_class([Permutation(r) for r in ranks])
+    return pair_class(all_rank_arrays(n), oriented=True)
 
 
 # -- persistence ----------------------------------------------------------------

@@ -137,15 +137,14 @@ def _query_cap(n: int, k, size: int, seed: int):
 def _band_partition(n: int, p: int, seed: int):
     """Near set and bands partition V minus u, and band i holds the gaps [2^i p, 2^(i+1) p)."""
     pivot = rk.random_permutation(n, derive_rng(seed, "verify", "bands", n, p))
-    plan = rk.band_plan(pivot, p)
+    lo, hi = rk.ring_bounds(pivot, p)
     for u in range(n):
-        seen = [plan.near_items(u)]
-        for i in range(plan.n_bands):
-            items = plan.band_items(u, i)
+        rings = zip(lo[u], hi[u])
+        seen = [np.concatenate([pivot.order[a:b] for a, b in zip(*ring)]) for ring in rings]
+        for i, items in enumerate(seen[1:]):  # ring i + 1 is band i
             gaps = np.abs(pivot.rank[items] - pivot.rank[u])
             if len(items) and (gaps.min() < p << i or gaps.max() >= p << (i + 1)):
                 return f"n={n} p={p} u={u}: band {i} breaks its gap range"
-            seen.append(items)
         if not np.array_equal(np.sort(np.concatenate(seen)), np.delete(np.arange(n), u)):
             return f"n={n} p={p} u={u}: near+bands do not partition V\\{{u}}"
 

@@ -31,7 +31,7 @@ from pivotlearn import ranking as rk
 from pivotlearn import verify
 from pivotlearn.core import MAX_SAMPLE_SIZE, sample_size
 from pivotlearn.oracles import load_oracle, save_oracle
-from pivotlearn.seeding import derive_rng
+from pivotlearn.seeding import LazyRng, derive_rng
 
 
 @pytest.mark.parametrize("module", ["pivotlearn"] + [
@@ -81,6 +81,13 @@ def test_params_validation():
 def test_params_refuse_non_finite_constants(name, value):
     with pytest.raises(ValueError, match=name):
         Params(epsilon=0.2, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["mu", "c1", "c2", "c3"])
+def test_params_refuse_a_bool_for_a_number(name):
+    # True compares as 1, which these ranges admit, and a record would say true
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        Params(**{"epsilon": 0.2, name: True})
 
 
 @pytest.mark.parametrize("name, size", [
@@ -617,6 +624,29 @@ def test_run_erm_iteration_matches_per_row_scans(task):
     assert [distance(a[1], b[1]) for a, b in zip(got, ref)] == [0.0] * len(ref)
     assert oracle.counters == ref_oracle.counters
     assert oracle.counters.verification_reads == len(ref) * n * (n - 1)
+
+
+@pytest.mark.parametrize("task", ["ranking", "clustering"])
+def test_local_search_reads_its_stream_only_past_one_restart(task):
+    """run_erm_iteration hands the search a LazyRng: one restart never derives
+    it, and three read exactly the stream derive_rng would give."""
+    n, seed = 30, 8
+    noise = NoiseSpec(kind="uniform_flip", eta=0.2)
+    if task == "ranking":
+        truth, start = (rk.random_permutation(n, derive_rng(seed, tag)) for tag in "tp")
+        est = rk.build_ranking_estimator(start, make_ranking_oracle(truth, noise, seed=seed),
+                                         Params(epsilon=0.3), p=2, rng=derive_rng(seed, "b"))
+        search = rk.local_search_erm
+    else:
+        truth, start = (clu.random_clustering(n, 3, derive_rng(seed, tag)) for tag in "tp")
+        est = clu.build_clustering_estimator(start, make_clustering_oracle(truth, noise, seed=seed),
+                                             Params(epsilon=0.3), q=2, rng=derive_rng(seed, "b"))
+        search = clu.local_search_erm
+    lazy = LazyRng(seed, "erm", 1)
+    search(est, start, restarts=1, rng=lazy)
+    assert lazy._rng is None
+    found = search(est, start, restarts=3, rng=LazyRng(seed, "erm", 1))
+    assert found == search(est, start, restarts=3, rng=derive_rng(seed, "erm", 1))
 
 
 def test_budget_error_propagates_from_oracle():

@@ -64,13 +64,6 @@ def test_distances_hamming():
                           (cls.labels != cls.labels[3]).sum(axis=1))
 
 
-def test_index_of():
-    cls = gen.thresholds_class(6)
-    assert cls.index_of(cls.labels[4]) == 4
-    with pytest.raises(ValueError):
-        cls.index_of(np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8))
-
-
 # ------------------------------------------------------- balls and regions
 
 def test_ball_radius_zero_and_one():
@@ -364,7 +357,7 @@ def test_finite_class_labels_are_a_read_only_copy():
         with pytest.raises(ValueError):
             arr[0, 0] = 1
     with pytest.raises(ValueError):
-        cls.hypothesis(1)[0] = 1
+        cls.labels[1][0] = 1
     with pytest.raises(AttributeError):
         cls.labels = raw
     assert cls.labels[:, 0].tolist() == [0, 1, 1]

@@ -269,6 +269,19 @@ _NON_INTEGER_FIELDS = [
 ]
 
 
+# (params field, task that reads it): a bool there is refused, not read as 1
+_BOOL_PARAMS = [("mu", "generic"), ("c1", "ranking"), ("c2", "clustering"), ("c3", "generic")]
+
+
+@pytest.mark.parametrize("name, task", _BOOL_PARAMS)
+def test_config_from_dict_rejects_a_bool_parameter(name, task):
+    d = _task_cfg(task).to_dict()
+    d["params"][name] = True
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert exc.value.field == "params" and f"{name} must be a number" in str(exc.value)
+
+
 @pytest.mark.parametrize("path, value, name", _NON_INTEGER_FIELDS)
 def test_config_from_dict_rejects_non_integers(path, value, name):
     d = _cfg().to_dict()
@@ -648,6 +661,14 @@ def test_sweep_refuses_a_non_integer_size(axis, value):
     base = _cfg(task="clustering", k=2) if axis == "k" else _cfg()
     with pytest.raises(ConfigError) as exc:
         sweep(base, axis, [value], workers=1)
+    assert exc.value.field == "values"
+
+
+@pytest.mark.parametrize("value", ["0.3", True, None, [0.3]])
+def test_sweep_refuses_a_non_number_epsilon(value):
+    """float("0.3") would run at 0.3 while the summary row and point say '0.3'."""
+    with pytest.raises(ConfigError) as exc:
+        sweep(_cfg(), "epsilon", [value], workers=1)
     assert exc.value.field == "values"
 
 

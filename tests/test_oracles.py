@@ -247,11 +247,10 @@ def _label_oracles(tmp_path):
         gap = abs(int(truth.rank[u]) - int(truth.rank[v]))
         return float(pair_uniform(seed, u, v)) < min(1.0, decay.scale * gap**-decay.rho)
 
-    small = make_ranking_oracle(_perm(20, seed), NoiseSpec(kind="uniform_flip", eta=eta),
-                                seed=seed)
+    small_truth = _perm(20, seed)
+    small = make_ranking_oracle(small_truth, NoiseSpec(kind="uniform_flip", eta=eta), seed=seed)
     path = str(tmp_path / "labels.csv")
     save_oracle(small, path)
-    table = small.full_table()
     return [
         ("ranking-uniform_flip", ranking(NoiseSpec(kind="uniform_flip", eta=eta)),
          lambda u, v: (truth.rank[u] < truth.rank[v]) ^ (float(pair_uniform(seed, u, v)) < eta)),
@@ -261,7 +260,9 @@ def _label_oracles(tmp_path):
                                               seed=seed),
          lambda u, v: (clusters.assign[u] == clusters.assign[v])
          ^ (float(pair_uniform(seed, u, v)) < eta)),
-        ("label_table", load_oracle(path), lambda u, v: table[u, v]),
+        ("label_table", load_oracle(path),
+         lambda u, v: (small_truth.rank[u] < small_truth.rank[v])
+         ^ (float(pair_uniform(seed, u, v)) < eta)),
     ]
 
 
@@ -391,15 +392,6 @@ def test_verification_is_uncapped_and_counted_separately():
     oracle.verification_labels(us, vs)
     assert oracle.counters.distinct_labeled == 0
     assert oracle.counters.verification_reads == len(us)
-
-
-def test_full_table_matches_queries():
-    n = 5
-    truth = _perm(n, 9)
-    oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.3), seed=9)
-    table = oracle.full_table()
-    us, vs = Pool(n).all_pairs()
-    assert np.array_equal(table[us, vs], oracle.verification_labels(us, vs))
 
 
 # ------------------------------------------------------------ instance mode

@@ -71,12 +71,12 @@ def test_from_order_refuses_a_single_item():
         rk.Permutation.from_order([0])
 
 
-def _ring_bounds_reference(plan):
-    edges = plan.p << np.arange(plan.n_bands + 1)
+def _ring_bounds_reference(pivot, p):
+    n = pivot.n_items
+    edges = p << np.arange(math.ceil(math.log2(n)) + 2)
     inner = np.concatenate([[1], edges[:-1]])
     outer = edges - 1
-    pos = plan.pivot.rank.astype(np.int64)[:, None, None] - 1
-    n = plan.n_items
+    pos = pivot.rank.astype(np.int64)[:, None, None] - 1
     lo = np.minimum(np.maximum(pos + np.array([-outer, inner]).T, 0), n)
     hi = np.minimum(np.maximum(pos + np.array([1 - inner, outer + 1]).T, 0), n)
     return lo, hi
@@ -85,9 +85,9 @@ def _ring_bounds_reference(plan):
 @given(st.integers(2, 70), st.integers(1, 80), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_ring_bounds_match_reference(n, p, seed):
-    plan = rk.band_plan(rk.random_permutation(n, derive_rng(seed, "ring")), p)
-    lo, hi = plan.ring_bounds
-    want_lo, want_hi = _ring_bounds_reference(plan)
+    pivot = rk.random_permutation(n, derive_rng(seed, "ring"))
+    lo, hi = rk.ring_bounds(pivot, p)
+    want_lo, want_hi = _ring_bounds_reference(pivot, p)
     assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
     assert lo.flags.c_contiguous and hi.flags.c_contiguous
 
@@ -151,16 +151,16 @@ def test_sample_size_p_frozen():
     assert rk.sample_size_p(2, 0.9, 1e-6) == 1  # floor clamp
 
 
-def test_band_plan_frozen_example():
-    # identity pivot over 10 items, p=3, inspected at the rank-5 item
-    plan = rk.band_plan(rk.Permutation.identity(10), 3)
-    u = 4  # item at position 5
-    assert sorted(plan.near_items(u).tolist()) == [2, 3, 5, 6]
-    assert sorted(plan.band_items(u, 0).tolist()) == [0, 1, 7, 8, 9]
-    assert plan.band_size(u, 1) == 0
-    assert plan.band_size(u, plan.n_bands + 2) == 0  # past the last band
-    with pytest.raises(ValueError):
-        plan.band_items(u, -1)
+def test_ring_bounds_frozen_example():
+    # identity pivot over 10 items, p=3, inspected at the rank-5 item (position 4)
+    lo, hi = rk.ring_bounds(rk.Permutation.identity(10), 3)
+    assert lo.shape == hi.shape == (10, 6, 2)  # the near set and bands 0..4
+    assert lo[4, 0].tolist() == [2, 5] and hi[4, 0].tolist() == [4, 7]  # near: 2, 3 | 5, 6
+    assert lo[4, 1].tolist() == [0, 7] and hi[4, 1].tolist() == [2, 10]  # band 0: 0, 1 | 7, 8, 9
+    assert (lo[4, 2:] == hi[4, 2:]).all()  # bands 1..4 are empty
+    for p in (0, 1.5, True):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            rk.ring_bounds(rk.Permutation.identity(10), p)
 
 
 @given(st.integers(2, 200), st.integers(1, 40), st.integers(0, 10_000))
@@ -244,10 +244,9 @@ def test_build_positions_narrow_exactly_past_16_bits(n):
     oracle, pivot = _fixture(n, 7)
     est = rk.build_ranking_estimator(pivot, oracle, Params(epsilon=0.3), p=1,
                                      rng=derive_rng(7, "b"))
-    plan = rk.band_plan(pivot, 1)
-    lo, hi = (b.reshape(-1, 2) for b in _ring_bounds_reference(plan))
+    lo, hi = (b.reshape(-1, 2) for b in _ring_bounds_reference(pivot, 1))
     arm = hi - lo
-    near = np.arange(len(arm)) % (plan.n_bands + 1) == 0
+    near = np.arange(len(arm)) % (len(arm) // n) == 0
     count, offset, w_num = stratum_draws(arm.sum(axis=1), 1, derive_rng(7, "b"), whole=near)
     left = arm[:, 0].repeat(count)
     spot = np.where(offset < left, lo[:, 0].repeat(count) + offset,
