@@ -58,7 +58,6 @@ from .oracles import (
     InstanceOracle,
     LabelOracle,
     NoiseSpec,
-    PairInstanceOracle,
     QueryCounters,
     load_oracle,
     make_clustering_oracle,
@@ -94,7 +93,6 @@ __all__ = [
     "QueryCounters",
     "LabelOracle",
     "InstanceOracle",
-    "PairInstanceOracle",
     "BudgetExceededError",
     "make_ranking_oracle",
     "make_clustering_oracle",

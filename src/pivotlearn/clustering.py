@@ -97,6 +97,9 @@ class Clustering:
     def pair_values(self, us, vs) -> np.ndarray:
         return (self.assign[us] == self.assign[vs]).view(np.uint8)
 
+    def to_dict(self) -> dict:
+        return {"kind": "clustering", "assign": self.assign.tolist(), "k": self.k}
+
     def clusters_by_size(self) -> list[int]:
         """Nonempty cluster ids, largest first, ties to the smaller id."""
         ids, _, sizes = _ids_in_use(self.assign)

@@ -61,16 +61,14 @@ _COUNT_END = np.iinfo(np.int64).max
 class FiniteClass:
     """Explicit hypothesis class: one 0/1 label row per hypothesis.
 
-    instance_pairs optionally maps pool index -> (u, v) when the pool is a
-    pair pool, which lets pair oracles answer instance queries.  The labels
-    are copied, packed once and read-only, so the packed forms never go
-    stale, and neither do the class-wide quantities kept in `_derived`
-    (vc_dimension per cap, disagreement_coefficient per pivot and floor),
-    each computed on first request.  Threads that race on an entry each
-    compute the same deterministic value, so no lock is needed.
+    The labels are copied, packed once and read-only, so the packed forms
+    never go stale, and neither do the class-wide quantities kept in
+    `_derived` (vc_dimension per cap, disagreement_coefficient per pivot and
+    floor), each computed on first request.  Threads that race on an entry
+    each compute the same deterministic value, so no lock is needed.
     """
 
-    def __init__(self, labels, instance_pairs=None, n_items: Optional[int] = None):
+    def __init__(self, labels):
         labels = np.array(labels, dtype=np.uint8, order="C")
         if labels.ndim != 2 or labels.shape[0] < 1 or labels.shape[1] < 1:
             raise ValueError("labels must be a nonempty 2-D 0/1 array")
@@ -84,15 +82,6 @@ class FiniteClass:
         for arr in (labels, self.packed, self.packed_columns):
             arr.flags.writeable = False
         self._labels = labels
-        self.instance_pairs = (
-            None if instance_pairs is None else np.asarray(instance_pairs, dtype=np.int32)
-        )
-        if self.instance_pairs is not None and self.instance_pairs.shape != (
-            labels.shape[1],
-            2,
-        ):
-            raise ValueError("instance_pairs must be (pool_size, 2)")
-        self.n_items = n_items
         self._derived: dict = {}
 
     def __len__(self) -> int:
@@ -121,11 +110,9 @@ def pair_class(rows: np.ndarray, oriented: bool) -> FiniteClass:
     Pair (u, v) reads rows[:, u] < rows[:, v] when `oriented` (rank arrays),
     else rows[:, u] == rows[:, v] (cluster assignments).
     """
-    n = rows.shape[1]
-    us, vs = Pool(n).all_pairs()
+    us, vs = Pool(rows.shape[1]).all_pairs()
     a, b = rows[:, us], rows[:, vs]
-    pairs = np.stack([us, vs], axis=1)
-    return FiniteClass(a < b if oriented else a == b, instance_pairs=pairs, n_items=n)
+    return FiniteClass(a < b if oriented else a == b)
 
 
 def _count_radius(cls: FiniteClass, r: float) -> int:
@@ -346,10 +333,7 @@ def build_generic_estimator(
     """
     pool = cls.pool_size
     if not hasattr(oracle, "pool_size"):
-        raise TypeError(
-            "generic builder needs an instance-pool oracle "
-            "(InstanceOracle, or a pair oracle wrapped in PairInstanceOracle)"
-        )
+        raise TypeError("generic builder needs an instance-pool oracle (InstanceOracle)")
     if oracle.pool_size != pool:
         raise PoolMismatchError("oracle pool size does not match the class")
     mu = params.resolved_mu(pool)
@@ -377,7 +361,7 @@ def build_generic_estimator(
         labels,
         pivot_costs,
         measure_count=pool,
-        n_items=cls.n_items if cls.n_items is not None else pool,
+        n_items=pool,
     )
 
 

@@ -24,7 +24,8 @@ from .core import (
     pair_coefficients,
     pair_table,
 )
-from .ranking import Permutation, kendall_distance
+from .generic import ball, disagreement_measure, pair_class
+from .ranking import Permutation
 
 __all__ = [
     "FeatureSet",
@@ -196,21 +197,15 @@ def verify_disagreement_bound(
     """
     orders, _, _ = _planar_class(features)
     n = features.n_items
-    if not any(np.array_equal(o.rank, pivot.rank) for o in orders):
-        raise DegenerateGeometryError("pivot order is not realizable by these features")
-    pool = n * (n - 1)
-    dists = np.array([kendall_distance(pivot, o) for o in orders])
-    ranks = np.stack([o.rank for o in orders]).astype(np.int64)
-    iu, iv = np.triu_indices(n, k=1)
-    before = ranks[:, iu] < ranks[:, iv]
+    try:
+        pivot_idx = orders.index(pivot)
+    except ValueError:
+        raise DegenerateGeometryError("pivot order is not realizable by these features") from None
+    cls = pair_class(np.stack([o.rank for o in orders]), oriented=True)
     report = []
     for r in radii:
-        if r < 0:
-            raise ValueError("radii must be >= 0")
-        members = dists <= r + 1e-12
-        sub = before[members]
-        split = np.any(sub, axis=0) & ~np.all(sub, axis=0)
-        measure = 2.0 * int(split.sum()) / pool
+        members = ball(cls, pivot_idx, r)
+        measure = disagreement_measure(cls, members)
         bound = 8.0 * r * n
         if measure > bound + 1e-12:
             raise DisagreementBoundError(
@@ -219,7 +214,7 @@ def verify_disagreement_bound(
         report.append(
             {
                 "radius": float(r),
-                "ball_size": int(members.sum()),
+                "ball_size": len(members),
                 "dis_measure": measure,
                 "bound": bound,
                 "ratio": (measure / r) if r > 0 else 0.0,

@@ -259,10 +259,8 @@ class RunRecord:
 def _serialize_hypothesis(h) -> Optional[dict]:
     if h is None:
         return None
-    if isinstance(h, rk.Permutation):
-        return {"kind": "permutation", "rank": h.rank.tolist()}
-    if isinstance(h, clu.Clustering):
-        return {"kind": "clustering", "assign": h.assign.tolist(), "k": h.k}
+    if isinstance(h, (rk.Permutation, clu.Clustering)):
+        return h.to_dict()
     if isinstance(h, (int, np.integer)):
         return {"kind": "class_member", "index": int(h)}
     raise TypeError(f"cannot serialize hypothesis of type {type(h)!r}")

@@ -6,11 +6,12 @@ Clustering mode is symmetric: the label says "u and v belong together".
 Noise is frozen at construction through a counter-based hash of the pair, so
 the oracle is a pure function and never needs to memoize answers.
 
-Counters:
+Both oracles keep one ledger: the keys they have labeled, as a sorted array
+of unique keys, so memory follows the labels a run spends.  Counters:
 
-* distinct_labeled  - unordered pairs labeled at least once (the label
-  complexity that the budget caps),
-* raw_calls         - every query call, repeats included,
+* distinct_labeled  - keys labeled at least once (unordered pairs, or pool
+  instances; the label complexity that the budget caps),
+* raw_calls         - every queried key, repeats included,
 * verification_reads - full-table reads used by true_error and friends,
   charged separately and never counted against the budget.  A full scan
   is charged n*(n-1), one per ordered pair, even where it reads each
@@ -29,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _SCAN_BLOCK_PAIRS, csv_header, csv_rows, index_dtype, pair_keys, true_error, unsigned_max,
+    _SCAN_BLOCK_PAIRS, csv_header, csv_rows, index_dtype, pair_keys, true_error,
+    unordered_verification_labels, unsigned_max, upper_pairs,
 )
 from .seeding import pair_uniform
 
@@ -40,7 +42,6 @@ __all__ = [
     "OracleFormatError",
     "LabelOracle",
     "InstanceOracle",
-    "PairInstanceOracle",
     "make_ranking_oracle",
     "make_clustering_oracle",
     "save_oracle",
@@ -50,22 +51,11 @@ __all__ = [
 _NOISE_KINDS = ("none", "uniform_flip", "distance_decay", "adversarial_file")
 
 
-def distinct_count(keys: np.ndarray) -> int:
-    """Number of distinct values in a 1-d array: sort, then count the steps.
-
-    InstanceOracle counts with it; LabelOracle sorts its batch keys itself,
-    because the same sort also feeds its seen-set lookup.
-    """
-    if len(keys) == 0:
-        return 0
-    return int(np.count_nonzero(np.diff(np.sort(keys)))) + 1
-
-
 class BudgetExceededError(RuntimeError):
-    """A query would push distinct labeled pairs past the budget.
+    """A query would push distinct labels past the budget.
 
     The failed call consumes nothing; `counters` is the snapshot at failure
-    and `requested` the number of new distinct pairs the call asked for.
+    and `requested` the number of new distinct labels the call asked for.
     """
 
     def __init__(self, message: str, counters: "QueryCounters", requested: int):
@@ -146,15 +136,57 @@ class QueryCounters:
         }
 
 
-class LabelOracle:
+class _Ledger:
+    """Budget and counters over the keys labeled so far.
+
+    `_seen` holds those keys as a sorted array of unique values in
+    `key_dtype`, so memory follows the labels a run spends, not the keys it
+    could ask for.
+    """
+
+    def __init__(self, budget: Optional[int], key_dtype: np.dtype):
+        self.budget = budget
+        self.counters = QueryCounters()
+        self._seen = np.empty(0, dtype=key_dtype)
+
+    def _charge(self, keys: np.ndarray) -> None:
+        """Charge a batch of keys (1-d, in `_seen`'s dtype, sorted here in place).
+
+        The batch is atomic: if its new distinct keys would exceed the
+        budget, BudgetExceededError is raised and no counter or ledger state
+        changes.  One sort of the batch both drops its repeats and feeds the
+        lookup in the ledger; the new keys are then merged into it in one
+        linear pass.
+        """
+        keys.sort()
+        seen = self._seen
+        at = np.searchsorted(seen, keys)
+        fresh = seen.take(at, mode="clip") != keys if len(seen) else np.ones(len(keys), bool)
+        n_new = int(np.count_nonzero(fresh))
+        if n_new:
+            fresh[1:] &= keys[1:] != keys[:-1]  # a repeat within the batch is not new again
+            n_new = int(np.count_nonzero(fresh))
+        if self.budget is not None and self.counters.distinct_labeled + n_new > self.budget:
+            raise BudgetExceededError(
+                f"budget of {self.budget} distinct labels would be exceeded "
+                f"({self.counters.distinct_labeled} used, {n_new} new requested)",
+                self.counters.snapshot(),
+                n_new,
+            )
+        if n_new:
+            merged = np.concatenate([seen, keys[fresh]])
+            merged.sort(kind="stable")  # a timsort of two sorted runs: one linear merge
+            self._seen = merged
+        self.counters.distinct_labeled += n_new
+        self.counters.raw_calls += len(keys)
+
+
+class LabelOracle(_Ledger):
     """Pair-label oracle over n items.
 
     Labels come either from a (ground truth, noise, seed) triple or from an
-    explicit label table.  Query accounting and the optional budget on
-    distinct labeled pairs live here.  The labeled pairs are kept as a
-    sorted array of unique keys lo*n + hi (lo < hi) in index_dtype(n*n), so
-    memory follows the labels a run spends, not the n*n pairs it could ask
-    for.
+    explicit label table.  The ledger keys are lo*n + hi (lo < hi) in
+    index_dtype(n*n).
     """
 
     def __init__(
@@ -177,14 +209,12 @@ class LabelOracle:
             raise ValueError("distance_decay noise is defined for ranking oracles only")
         self.mode = mode
         self.n = int(n)
+        super().__init__(budget, index_dtype(self.n * self.n))
         self.noise = noise
         self.seed = int(seed)
         self.ground_truth = ground_truth
-        self.budget = budget
-        self.counters = QueryCounters()
         self._base = base_values  # per-item helper values, interpretation per mode
         self._table = label_table
-        self._seen = np.empty(0, dtype=index_dtype(self.n * self.n))  # sorted unique lo*n + hi
 
     # -- label computation (pure, no accounting) ---------------------------
 
@@ -227,45 +257,19 @@ class LabelOracle:
     # -- counted access -----------------------------------------------------
 
     def query_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Labels for a batch of pairs, with budget/accounting semantics.
+        """Labels for a batch of pairs, charged to the ledger as one atomic batch.
 
-        The batch is atomic: if the new distinct pairs it contains would
-        exceed the budget, BudgetExceededError is raised and no counter or
-        cache state changes.  One sort of the batch keys both drops its
-        repeats and feeds the lookup in the seen set; the new keys are then
-        merged into it in one linear pass.  Ids keep the caller's integer
-        dtype; keys are built in the seen set's.
+        Ids keep the caller's integer dtype; keys are built in the ledger's.
         """
         us, vs = _pair_ids(us), _pair_ids(vs)
         labels = self._labels_pure(us, vs)  # also checks every id is in 0..n-1
-        keys = pair_keys(us.reshape(-1), vs.reshape(-1), self.n)
-        keys.sort()
-        seen = self._seen
-        at = np.searchsorted(seen, keys)
-        fresh = seen.take(at, mode="clip") != keys if len(seen) else np.ones(len(keys), bool)
-        n_new = int(np.count_nonzero(fresh))
-        if n_new:
-            fresh[1:] &= keys[1:] != keys[:-1]  # a repeat within the batch is not new again
-            n_new = int(np.count_nonzero(fresh))
-        if self.budget is not None and self.counters.distinct_labeled + n_new > self.budget:
-            raise BudgetExceededError(
-                f"budget of {self.budget} distinct pairs would be exceeded "
-                f"({self.counters.distinct_labeled} used, {n_new} new requested)",
-                self.counters.snapshot(),
-                n_new,
-            )
-        if n_new:
-            merged = np.concatenate([seen, keys[fresh]])
-            merged.sort(kind="stable")  # a timsort of two sorted runs: one linear merge
-            self._seen = merged
-        self.counters.distinct_labeled += n_new
-        self.counters.raw_calls += len(us)
+        self._charge(pair_keys(us.reshape(-1), vs.reshape(-1), self.n))
         return labels
 
     def verification_labels(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Uncapped read for ground-truth evaluation; charged to verification_reads."""
         labels = self._labels_pure(us, vs)
-        self.counters.verification_reads += len(labels)
+        self.counters.verification_reads += labels.size
         return labels
 
     def ground_truth_error(self) -> Optional[float]:
@@ -281,15 +285,11 @@ def _pair_ids(ids) -> np.ndarray:
     return ids if ids.dtype.kind in "iu" else ids.astype(np.int64)
 
 
-def _instance_indices(idx, pool_size: int) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.int64)
-    if np.any((idx < 0) | (idx >= pool_size)):
-        raise ValueError("instance index out of range")
-    return idx
+class InstanceOracle(_Ledger):
+    """Label oracle over an abstract finite pool (one label per instance).
 
-
-class InstanceOracle:
-    """Label oracle over an abstract finite pool (one label per instance)."""
+    The ledger keys are the instance indices, in index_dtype(pool_size).
+    """
 
     def __init__(self, labels: np.ndarray, *, budget: Optional[int] = None):
         labels = np.asarray(labels)
@@ -297,48 +297,19 @@ class InstanceOracle:
             raise ValueError("instance labels must be 0 or 1")
         self.labels = labels.astype(np.uint8)
         self.pool_size = len(self.labels)
-        self.budget = budget
-        self.counters = QueryCounters()
-        self._seen = np.zeros(self.pool_size, dtype=bool)
+        super().__init__(budget, index_dtype(self.pool_size))
 
     def query_many(self, idx: np.ndarray) -> np.ndarray:
-        idx = _instance_indices(idx, self.pool_size)
-        n_new = distinct_count(idx[~self._seen[idx]])
-        if self.budget is not None and self.counters.distinct_labeled + n_new > self.budget:
-            raise BudgetExceededError(
-                f"budget of {self.budget} distinct instances would be exceeded",
-                self.counters.snapshot(),
-                n_new,
-            )
-        self._seen[idx] = True
-        self.counters.distinct_labeled += n_new
-        self.counters.raw_calls += len(idx)
-        return self.labels[idx]
+        idx = np.asarray(idx, dtype=np.int64)
+        if np.any((idx < 0) | (idx >= self.pool_size)):
+            raise ValueError("instance index out of range")
+        labels = self.labels[idx]
+        self._charge(idx.astype(self._seen.dtype).reshape(-1))
+        return labels
 
     def verification_labels(self) -> np.ndarray:
         self.counters.verification_reads += self.pool_size
         return self.labels.copy()
-
-
-class PairInstanceOracle:
-    """Adapter: a pair oracle viewed as an instance oracle over listed pairs."""
-
-    def __init__(self, oracle: LabelOracle, instance_pairs: np.ndarray):
-        self.oracle = oracle
-        self.pairs = np.asarray(instance_pairs, dtype=np.int64)
-        self.pool_size = len(self.pairs)
-
-    @property
-    def budget(self):
-        return self.oracle.budget
-
-    @property
-    def counters(self):
-        return self.oracle.counters
-
-    def query_many(self, idx: np.ndarray) -> np.ndarray:
-        idx = _instance_indices(idx, self.pool_size)
-        return self.oracle.query_many(self.pairs[idx, 0], self.pairs[idx, 1])
 
 
 def make_ranking_oracle(
@@ -367,8 +338,6 @@ def make_clustering_oracle(
     seed: int = 0,
     budget: Optional[int] = None,
 ) -> LabelOracle:
-    if noise.kind == "distance_decay":
-        raise ValueError("distance_decay noise is defined for ranking oracles only")
     return LabelOracle(
         "clustering",
         ground_truth.n_items,
@@ -387,30 +356,24 @@ def save_oracle(oracle: LabelOracle, csv_path: str, sidecar_path: Optional[str] 
     """Write all unordered pair labels as CSV plus a JSON metadata sidecar.
 
     Returns the sidecar path.  Writing reads the full table once (charged to
-    verification_reads).
+    verification_reads as one full scan).
     """
     sidecar_path = sidecar_path or csv_path + ".json"
     n = oracle.n
-    iu, iv = np.triu_indices(n, k=1)
-    labels = oracle.verification_labels(iu, iv)
+    iu, iv = upper_pairs(n)
+    labels = unordered_verification_labels(oracle, iu, iv)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "v", "label"])
         for u, v, y in zip(iu.tolist(), iv.tolist(), labels.tolist()):
             writer.writerow([u, v, y])
     gt = oracle.ground_truth
-    gt_payload = None
-    if gt is not None:
-        if oracle.mode == "ranking":
-            gt_payload = {"kind": "permutation", "rank": gt.rank.tolist()}
-        else:
-            gt_payload = {"kind": "clustering", "assign": gt.assign.tolist(), "k": gt.k}
     meta = {
         "mode": oracle.mode,
         "n": n,
         "noise": oracle.noise.to_dict(),
         "seed": oracle.seed,
-        "ground_truth": gt_payload,
+        "ground_truth": None if gt is None else gt.to_dict(),
         "ground_truth_error": oracle.ground_truth_error(),
     }
     with open(sidecar_path, "w") as fh:
@@ -475,7 +438,7 @@ def load_oracle(
         table[u, v] = y
         if table[v, u] == 255:
             table[v, u] = y if mode == "clustering" else 1 - y
-    iu, iv = np.triu_indices(n, k=1)
+    iu, iv = upper_pairs(n)
     missing = table[iu, iv] == 255
     if np.any(missing):
         at = int(np.argmax(missing))

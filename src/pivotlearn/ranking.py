@@ -113,6 +113,9 @@ class Permutation:
     def distance_to(self, other: "Permutation") -> float:
         return kendall_distance(self, other)
 
+    def to_dict(self) -> dict:
+        return {"kind": "permutation", "rank": self.rank.tolist()}
+
     def move(self, item: int, position: int) -> "Permutation":
         """New permutation with `item` moved to 1-based `position`."""
         order = np.delete(self.order, self.rank[item] - 1)

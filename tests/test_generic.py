@@ -303,7 +303,7 @@ def test_build_matches_loop_reference(family, pool, pivot, mu, m):
 
 def test_build_requires_instance_oracle():
     cls = gen.thresholds_class(8)
-    with pytest.raises(TypeError, match="PairInstanceOracle"):
+    with pytest.raises(TypeError, match="InstanceOracle"):
         gen.build_generic_estimator(cls, 0, object(), Params(epsilon=0.2))
 
 

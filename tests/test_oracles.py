@@ -10,7 +10,6 @@ from pivotlearn import (
     BudgetExceededError,
     InstanceOracle,
     NoiseSpec,
-    PairInstanceOracle,
     Pool,
     make_clustering_oracle,
     make_ranking_oracle,
@@ -19,7 +18,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import ranking as rk
 from pivotlearn import verify
 from pivotlearn.core import index_dtype
-from pivotlearn.oracles import OracleFormatError, distinct_count, load_oracle, save_oracle
+from pivotlearn.oracles import OracleFormatError, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng, pair_uniform
 
 
@@ -318,20 +317,8 @@ def test_rejected_multi_block_batch_changes_nothing():
     assert np.array_equal(oracle._seen, seen)
 
 
-@pytest.mark.parametrize("keys", [
-    [],
-    [5],
-    [7] * 9,
-    [-3, -3, 0, 2**40, 2**40, -3],
-    derive_rng(4, "keys").integers(0, 50, 300).tolist(),
-    derive_rng(5, "keys").integers(-2**62, 2**62, 1000).tolist(),
-], ids=["empty", "one", "all-duplicate", "mixed", "random-dense", "random-wide"])
-def test_distinct_count_matches_set(keys):
-    assert distinct_count(np.array(keys, dtype=np.int64)) == len(set(keys))
-
-
 def _instance_seen(oracle):
-    return set(np.flatnonzero(oracle._seen).tolist())
+    return set(oracle._seen.tolist())
 
 
 @given(st.integers(1, 12), st.integers(0, 15),
@@ -416,29 +403,35 @@ def test_instance_oracle_verification_charges_reads():
     assert orc.counters.distinct_labeled == 0
 
 
-def test_pair_instance_adapter():
-    n = 5
-    truth = _perm(n, 10)
-    oracle = make_ranking_oracle(truth, NoiseSpec(kind="none"), seed=10)
-    us, vs = Pool(n).all_pairs()
-    pairs = np.stack([us, vs], axis=1)
-    adapter = PairInstanceOracle(oracle, pairs)
-    assert adapter.pool_size == n * (n - 1)
-    idx = np.array([0, 7, 3])
-    assert np.array_equal(adapter.query_many(idx),
-                          oracle.verification_labels(us[idx], vs[idx]))
-    assert oracle.counters.distinct_labeled > 0  # adapter spends the shared budget
-
-
 @pytest.mark.parametrize("idx", [[-1], [20], [0, 3, 20]])
 def test_instance_oracles_refuse_out_of_range_indices(idx):
-    oracle = make_ranking_oracle(_perm(5, 10), NoiseSpec(kind="none"), seed=10)
-    us, vs = Pool(5).all_pairs()
-    for orc in (InstanceOracle(np.zeros(20, dtype=np.uint8)),
-                PairInstanceOracle(oracle, np.stack([us, vs], axis=1))):
-        with pytest.raises(ValueError, match="instance index out of range"):
-            orc.query_many(np.array(idx))
-        assert orc.counters.distinct_labeled == orc.counters.raw_calls == 0
+    orc = InstanceOracle(np.zeros(20, dtype=np.uint8))
+    with pytest.raises(ValueError, match="instance index out of range"):
+        orc.query_many(np.array(idx))
+    assert orc.counters.distinct_labeled == orc.counters.raw_calls == 0
+
+
+def test_pair_counters_count_every_pair_of_a_2d_batch():
+    n = 6
+    oracle = make_ranking_oracle(_perm(n, 13), NoiseSpec(kind="uniform_flip", eta=0.2), seed=13)
+    us = np.array([[0, 1, 2], [0, 3, 4]])
+    vs = np.array([[1, 2, 3], [1, 5, 0]])  # (0, 1) twice, (0, 4) once: 5 distinct of 6
+    labels = oracle.query_many(us, vs)
+    assert labels.shape == (2, 3)
+    assert np.array_equal(labels, oracle.verification_labels(us, vs))
+    assert oracle.counters.raw_calls == 6
+    assert oracle.counters.distinct_labeled == 5
+    assert oracle.counters.verification_reads == 6
+
+
+def test_instance_counters_count_every_index_of_a_2d_batch():
+    orc = InstanceOracle(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
+    got = orc.query_many(np.array([[0, 2], [2, 4]]))
+    assert np.array_equal(got, [[1, 1], [1, 0]])
+    assert orc.counters.raw_calls == 4
+    assert orc.counters.distinct_labeled == 3
+    assert orc._seen.dtype == index_dtype(orc.pool_size)
+    assert orc._seen.tolist() == [0, 2, 4]  # the ledger: sorted unique keys
 
 
 @pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1], [0.5, 1], [256, 0]])
@@ -462,6 +455,19 @@ def test_save_load_roundtrip(tmp_path):
     meta = json.loads(open(sidecar).read())
     assert meta["n"] == n
     assert meta["mode"] == "ranking"
+
+
+def test_save_charges_one_full_scan(tmp_path):
+    """Writing the table reads each ordered pair once: n*(n-1), as every full scan is charged;
+    the sidecar's ground-truth error is a second scan."""
+    n = 6
+    oracle = make_ranking_oracle(_perm(n, 14), NoiseSpec(kind="uniform_flip", eta=0.2), seed=14)
+    path = str(tmp_path / "o.csv")
+    save_oracle(oracle, path)
+    assert oracle.counters == type(oracle.counters)(verification_reads=2 * n * (n - 1))
+    loaded = load_oracle(path)  # no ground truth, so only the table is read
+    save_oracle(loaded, str(tmp_path / "again.csv"))
+    assert loaded.counters.verification_reads == n * (n - 1)
 
 
 def test_loaded_oracle_reports_realized_error(tmp_path):

@@ -611,4 +611,3 @@ def test_enumerate_sn_class_shape():
     cls = rk.enumerate_sn_class(4)
     assert len(cls) == 24
     assert cls.pool_size == 12
-    assert cls.n_items == 4

@@ -1,7 +1,9 @@
-"""Source checks: no imported name goes unused, every module parses at the oldest
-Python the package supports, and tier-1 runs every registered property."""
+"""Source checks: no imported name goes unused, every export exists, every module
+parses at the oldest Python the package supports, and tier-1 runs every
+registered property."""
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -18,6 +20,16 @@ def _python_floor() -> tuple[int, int]:
     return int(major), int(minor)
 
 
+def _exports(tree: ast.Module):
+    """The literal __all__ of a parsed module, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads; names listed in __all__ count as read."""
     tree = ast.parse(source)
@@ -30,11 +42,7 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+    used |= set(_exports(tree) or ())
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -52,6 +60,22 @@ def test_unused_import_check_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+_EXPORTING = [p for p in sorted(SRC.glob("*.py")) if _exports(ast.parse(p.read_text())) is not None]
+
+
+@pytest.mark.parametrize("path", _EXPORTING, ids=lambda p: p.name)
+def test_every_export_exists(path):
+    """Each name in a module's __all__ (the package's included) is an attribute of it.
+
+    Only modules whose source defines __all__ are imported, so __main__,
+    which runs the CLI on import, never is.
+    """
+    name = "pivotlearn" if path.stem == "__init__" else f"pivotlearn.{path.stem}"
+    module = importlib.import_module(name)
+    exports = _exports(ast.parse(path.read_text()))
+    assert [n for n in exports if not hasattr(module, n)] == []
 
 
 def test_syntax_check_refuses_newer_constructs():
