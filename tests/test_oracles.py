@@ -18,6 +18,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import ranking as rk
 from pivotlearn import verify
 from pivotlearn.core import index_dtype
+from pivotlearn.generic import load_class_csv
 from pivotlearn.oracles import OracleFormatError, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng, pair_uniform
 
@@ -533,3 +534,44 @@ def test_clustering_oracle_roundtrip(tmp_path):
     us, vs = Pool(n).all_pairs()
     assert np.array_equal(loaded.verification_labels(us, vs),
                           oracle.verification_labels(us, vs))
+
+
+_LOADER_CASES = {
+    # name: (loader, file text, keyword arguments, error type, message pattern)
+    "oracle-bad-header": (load_oracle, "u,x,label\n0,1,1\n", {"mode": "ranking"},
+                          OracleFormatError, r"must start with a 'u,v,label' header"),
+    "oracle-empty": (load_oracle, "", {"mode": "ranking"}, OracleFormatError, r"is empty"),
+    "oracle-malformed-row": (load_oracle, "u,v,label\n0,1,1\n0,x,1\n", {"mode": "ranking"},
+                             OracleFormatError, r"\.csv:3: malformed row \['0', 'x', '1'\]"),
+    "oracle-label-2": (load_oracle, "u,v,label\n0,1,2\n", {"mode": "ranking"},
+                       OracleFormatError, r"\.csv:2: label must be 0 or 1"),
+    "oracle-header-only": (load_oracle, "u,v,label\n", {"mode": "ranking"},
+                           OracleFormatError, r"holds no pair rows"),
+    "oracle-self-pair": (load_oracle, "u,v,label\n0,1,1\n1,1,0\n", {"mode": "ranking"},
+                         OracleFormatError, r"invalid pair \(1, 1\) for n=2"),
+    "oracle-id-past-n": (load_oracle, "u,v,label\n0,1,1\n0,2,1\n", {"mode": "ranking", "n": 2},
+                         OracleFormatError, r"invalid pair \(0, 2\) for n=2"),
+    "oracle-unknown-mode": (load_oracle, "u,v,label\n0,1,1\n", {},
+                            OracleFormatError, r"oracle mode unknown"),
+    "oracle-skew-symmetry": (load_oracle, "u,v,label\n0,1,1\n1,0,1\n", {"mode": "ranking"},
+                             OracleFormatError, r"pair \(1, 0\) violates skew-symmetry"),
+    "oracle-symmetry": (load_oracle, "u,v,label\n0,1,1\n1,0,0\n", {"mode": "clustering"},
+                        OracleFormatError, r"pair \(1, 0\) violates symmetry"),
+    "oracle-missing-pair": (load_oracle, "u,v,label\n0,1,1\n1,0,0\n0,2,1\n", {"mode": "ranking"},
+                            OracleFormatError, r"pair \(1, 2\) is missing from"),
+    "class-non-integer": (load_class_csv, "0,1\n0,x\n", {},
+                          ValueError, r"\.csv:2: non-integer cell"),
+    "class-label-2": (load_class_csv, "0,2\n", {}, ValueError, r"\.csv:1: labels must be 0 or 1"),
+    "class-ragged": (load_class_csv, "0,1,0\n1,1\n", {}, ValueError, r"\.csv:2: ragged row"),
+    "class-no-rows": (load_class_csv, "\n", {}, ValueError, r"\.csv: no hypothesis rows"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOADER_CASES))
+def test_loaders_name_what_is_wrong(case, tmp_path):
+    """Each malformed file is refused with its own message, naming the line or pair at fault."""
+    loader, text, kwargs, error, message = _LOADER_CASES[case]
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        loader(str(path), **kwargs)
