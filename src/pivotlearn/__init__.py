@@ -33,7 +33,9 @@ from .generic import (
     disagreement_coefficient,
     disagreement_region,
     intervals_class,
+    load_class_csv,
     sample_size_m,
+    save_class_csv,
     thresholds_class,
     uniform_disagreement_coefficient,
     vc_dimension,
@@ -120,6 +122,8 @@ __all__ = [
     "vc_dimension",
     "sample_size_m",
     "build_generic_estimator",
+    "save_class_csv",
+    "load_class_csv",
     # geometric
     "FeatureSet",
     "induced_permutation",

@@ -10,7 +10,6 @@ a source has at most q candidates.  For q >= n the estimator is exact.
 
 from __future__ import annotations
 
-import csv
 import math
 from functools import lru_cache
 from typing import Optional
@@ -23,12 +22,9 @@ from .core import (
     PoolMismatchError,
     RegretEstimator,
     best_of_restarts,
-    csv_header,
-    csv_rows,
     index_dtype,
     integer_array,
     is_integer,
-    items_in_order,
     packed_argmin,
     pair_coefficients,
     pair_estimator,
@@ -53,8 +49,6 @@ __all__ = [
     "all_assignments",
     "count_assignments",
     "enumerate_partitions_class",
-    "save_clustering",
-    "load_clustering",
 ]
 
 _EXACT_ERM_MAX_N = 12
@@ -503,26 +497,3 @@ def local_search_erm(
 def enumerate_partitions_class(n: int, k: int):
     """Every <=k-partition of n items as a finite class over the pair pool."""
     return pair_class(all_assignments(n, k), oriented=False)
-
-
-# -- persistence ----------------------------------------------------------------
-
-
-def save_clustering(clu: Clustering, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item", "cluster"])
-        for item, cid in enumerate(clu.assign.tolist()):
-            writer.writerow([item, cid])
-
-
-def load_clustering(path: str, k: Optional[int] = None) -> Clustering:
-    seen: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        csv_header(reader, ("item", "cluster"), f"{path} must start with an 'item,cluster' header")
-        for _, (item, cid) in csv_rows(path, reader, lambda row: (int(row[0]), int(row[1]))):
-            if item in seen:
-                raise ValueError(f"{path}: item {item} listed twice")
-            seen[item] = cid
-    return Clustering(np.array(items_in_order(path, seen), dtype=np.int32), k)

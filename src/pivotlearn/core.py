@@ -69,14 +69,6 @@ def integer_array(values) -> np.ndarray:
     return arr
 
 
-def csv_header(reader, names, message: str, error=ValueError) -> list[str]:
-    """First row of a CSV reader, which must start with `names` (case and spaces ignored)."""
-    header = next(reader, None)
-    if header is None or [c.strip().lower() for c in header[: len(names)]] != list(names):
-        raise error(message)
-    return header
-
-
 def csv_rows(path: str, reader, parse, error=ValueError, malformed="malformed row {row!r}"):
     """Yield (line number, parse(row)) for each non-blank row left in a CSV reader.
 
@@ -91,14 +83,6 @@ def csv_rows(path: str, reader, parse, error=ValueError, malformed="malformed ro
         except (ValueError, IndexError) as exc:
             raise error(f"{path}:{reader.line_num}: {malformed.format(row=row)}") from exc
         yield reader.line_num, value
-
-
-def items_in_order(path: str, by_item: dict) -> list:
-    """Values of by_item in item order; the items must be exactly 0..n-1 with n >= 2."""
-    n = len(by_item)
-    if n < 2 or sorted(by_item) != list(range(n)):
-        raise ValueError(f"{path}: items must be exactly 0..n-1")
-    return [by_item[i] for i in range(n)]
 
 
 # Largest per-stratum sample size a run accepts, forced or computed; a larger
@@ -449,14 +433,25 @@ def unsigned_max(ids: np.ndarray) -> int:
     return int(ids.max(initial=0))
 
 
+def integer_ids(ids, name: str) -> np.ndarray:
+    """ids as an array in their own integer dtype, so narrow ids stay narrow.
+
+    A non-empty array of any other dtype (floats, bools) is refused with a
+    ValueError rather than truncated; an empty one is an empty int64 array.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype.kind in "iu":
+        return ids
+    if ids.size:
+        raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
+    return ids.astype(np.int64)
+
+
 def sample_ids(ids, pool: int, name: str) -> np.ndarray:
     """Integer ids as index_dtype(pool), refusing any outside [0, pool) with a ValueError."""
-    ids = np.asarray(ids)
-    if ids.size:
-        if ids.dtype.kind not in "iu":
-            raise ValueError(f"{name} must hold integer sample ids, got dtype {ids.dtype}")
-        if unsigned_max(ids) >= pool:
-            raise ValueError(f"{name} holds a sample id outside the pool [0, {pool})")
+    ids = integer_ids(ids, name)
+    if ids.size and unsigned_max(ids) >= pool:
+        raise ValueError(f"{name} holds a sample id outside the pool [0, {pool})")
     return ids.astype(index_dtype(pool), copy=False)
 
 

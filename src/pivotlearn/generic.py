@@ -410,6 +410,7 @@ def intervals_class(pool_size: int) -> FiniteClass:
 
 
 def save_class_csv(cls: FiniteClass, path: str) -> None:
+    """One headerless CSV row per hypothesis: its 0/1 label on each pool instance."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in cls.labels:
@@ -417,6 +418,7 @@ def save_class_csv(cls: FiniteClass, path: str) -> None:
 
 
 def load_class_csv(path: str) -> FiniteClass:
+    """The class save_class_csv wrote; a non-0/1 cell or a ragged row is refused by line."""
     rows = []
     with open(path, newline="") as fh:
         parse = lambda row: [int(c) for c in row]

@@ -9,7 +9,6 @@ evaluates the estimator on every enumerated order.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Optional
 
@@ -17,9 +16,6 @@ import numpy as np
 
 from .core import (
     RegretEstimator,
-    csv_header,
-    csv_rows,
-    items_in_order,
     packed_argmin,
     pair_coefficients,
     pair_table,
@@ -36,8 +32,6 @@ __all__ = [
     "verify_disagreement_bound",
     "geometric_erm_2d",
     "random_features",
-    "save_features",
-    "load_features",
 ]
 
 
@@ -233,30 +227,3 @@ def geometric_erm_2d(est: RegretEstimator, features: FeatureSet) -> Permutation:
         features.n_items, est.us, est.vs, est.labels, est.weight_num, oriented=True
     )
     return orders[packed_argmin(table, coef, base)[0]]
-
-
-# -- persistence ----------------------------------------------------------------
-
-
-def save_features(features: FeatureSet, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item"] + [f"x{i + 1}" for i in range(features.d)])
-        for item, row in enumerate(features.vectors):
-            writer.writerow([item] + [repr(float(c)) for c in row])
-
-
-def load_features(path: str) -> FeatureSet:
-    rows: dict[int, list[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = csv_header(reader, ("item",), f"{path} must start with an 'item,x1,...' header")
-        d = len(header) - 1
-        if d < 1:
-            raise ValueError(f"{path}: no coordinate columns")
-        parse = lambda row: (int(row[0]), [float(c) for c in row[1 : d + 1]])
-        for line_no, (item, coords) in csv_rows(path, reader, parse):
-            if len(coords) != d or item in rows:
-                raise ValueError(f"{path}:{line_no}: bad or duplicate item row")
-            rows[item] = coords
-    return FeatureSet(np.array(items_in_order(path, rows)))

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _SCAN_BLOCK_PAIRS, csv_header, csv_rows, index_dtype, pair_keys, true_error,
+    _SCAN_BLOCK_PAIRS, csv_rows, index_dtype, integer_ids, pair_keys, true_error,
     unordered_verification_labels, unsigned_max, upper_pairs,
 )
 from .seeding import pair_uniform
@@ -219,7 +219,7 @@ class LabelOracle(_Ledger):
     # -- label computation (pure, no accounting) ---------------------------
 
     def _labels_pure(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        us, vs = _pair_ids(us), _pair_ids(vs)
+        us, vs = integer_ids(us, "us"), integer_ids(vs, "vs")
         if us.shape != vs.shape:
             raise ValueError("query arrays must have the same shape")
         if (us == vs).any():
@@ -261,7 +261,7 @@ class LabelOracle(_Ledger):
 
         Ids keep the caller's integer dtype; keys are built in the ledger's.
         """
-        us, vs = _pair_ids(us), _pair_ids(vs)
+        us, vs = integer_ids(us, "us"), integer_ids(vs, "vs")
         labels = self._labels_pure(us, vs)  # also checks every id is in 0..n-1
         self._charge(pair_keys(us.reshape(-1), vs.reshape(-1), self.n))
         return labels
@@ -279,12 +279,6 @@ class LabelOracle(_Ledger):
         return true_error(self.ground_truth, self)
 
 
-def _pair_ids(ids) -> np.ndarray:
-    """ids as an array, integer dtypes kept as they are (narrow ids stay narrow)."""
-    ids = np.asarray(ids)
-    return ids if ids.dtype.kind in "iu" else ids.astype(np.int64)
-
-
 class InstanceOracle(_Ledger):
     """Label oracle over an abstract finite pool (one label per instance).
 
@@ -300,8 +294,8 @@ class InstanceOracle(_Ledger):
         super().__init__(budget, index_dtype(self.pool_size))
 
     def query_many(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        if np.any((idx < 0) | (idx >= self.pool_size)):
+        idx = integer_ids(idx, "instance ids")
+        if idx.size and unsigned_max(idx) >= self.pool_size:  # negative ids included
             raise ValueError("instance index out of range")
         labels = self.labels[idx]
         self._charge(idx.astype(self._seen.dtype).reshape(-1))
@@ -408,8 +402,8 @@ def load_oracle(
     rows = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        csv_header(reader, ("u", "v", "label"),
-                   f"{csv_path} must start with a 'u,v,label' header", OracleFormatError)
+        if [c.strip().lower() for c in next(reader, [])[:3]] != ["u", "v", "label"]:
+            raise OracleFormatError(f"{csv_path} must start with a 'u,v,label' header")
         parse = lambda row: (int(row[0]), int(row[1]), int(row[2]))
         for line_no, (u, v, y) in csv_rows(csv_path, reader, parse, OracleFormatError):
             if y not in (0, 1):
@@ -427,17 +421,16 @@ def load_oracle(
     for u, v, y in rows:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise OracleFormatError(f"invalid pair ({u}, {v}) for n={n}")
-        mirror = table[v, u]
-        if mirror != 255:
-            expected = mirror if mode == "clustering" else 1 - mirror
-            if y != expected:
-                constraint = "symmetry" if mode == "clustering" else "skew-symmetry"
-                raise OracleFormatError(f"pair ({u}, {v}) violates {constraint}")
-        if table[u, v] != 255 and table[u, v] != y:
+        if table[u, v] not in (255, y):
             raise OracleFormatError(f"pair ({u}, {v}) given twice with conflicting labels")
+        mirror = table[v, u]
+        if mirror != 255 and y != (mirror if mode == "clustering" else 1 - mirror):
+            constraint = "symmetry" if mode == "clustering" else "skew-symmetry"
+            raise OracleFormatError(f"pair ({u}, {v}) violates {constraint}")
         table[u, v] = y
-        if table[v, u] == 255:
-            table[v, u] = y if mode == "clustering" else 1 - y
+    # a pair given in one orientation only: its mirror cell follows from the mode
+    fill = (table == 255) & (table.T != 255)
+    table[fill] = table.T[fill] if mode == "clustering" else 1 - table.T[fill]
     iu, iv = upper_pairs(n)
     missing = table[iu, iv] == 255
     if np.any(missing):

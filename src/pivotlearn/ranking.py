@@ -9,7 +9,6 @@ for p >= n the estimator degenerates to the exact regret.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -50,8 +49,6 @@ __all__ = [
     "random_permutation",
     "all_rank_arrays",
     "enumerate_sn_class",
-    "save_permutation",
-    "load_permutation",
 ]
 
 _ENUMERATION_MAX_N = 10
@@ -516,26 +513,3 @@ def enumerate_sn_class(n: int):
     if n > _SN_CLASS_MAX_N:
         raise ValueError(f"full S_n enumeration as a class is capped at n = {_SN_CLASS_MAX_N}")
     return pair_class(all_rank_arrays(n), oriented=True)
-
-
-# -- persistence ----------------------------------------------------------------
-
-
-def save_permutation(perm: Permutation, path: str) -> None:
-    """Single CSV row: item ids from rank 1 to rank n."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(perm.order.tolist())
-
-
-def load_permutation(path: str) -> Permutation:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) != 1:
-        raise ValueError(f"{path} must hold exactly one row of item ids in rank order")
-    try:
-        items = [int(c) for c in rows[0]]
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-integer item id") from exc
-    if sorted(items) != list(range(len(items))):
-        raise ValueError(f"{path}: row must list each item 0..n-1 exactly once")
-    return Permutation.from_order(items)

@@ -611,20 +611,3 @@ def test_enumerate_partitions_class():
     cls = clu.enumerate_partitions_class(5, 2)
     assert len(cls) == clu.count_assignments(5, 2)
     assert cls.pool_size == 20
-
-
-# -------------------------------------------------------------- persistence
-
-def test_clustering_roundtrip(tmp_path):
-    c = clu.Clustering([2, 1, 2, 3, 1], 3)
-    path = str(tmp_path / "clu.csv")
-    clu.save_clustering(c, path)
-    assert clu.load_clustering(path) == c
-    assert clu.load_clustering(path, k=4).k == 4
-
-
-def test_load_clustering_rejects_gaps(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("item,cluster\n0,1\n2,1\n")
-    with pytest.raises(ValueError):
-        clu.load_clustering(str(path))

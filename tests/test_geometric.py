@@ -210,19 +210,3 @@ def test_geometric_erm_matches_cell_scan():
         # smallest witness angle wins ties
         first = int(np.flatnonzero(np.array(vals) == min(vals))[0])
         assert best == orders[first]
-
-
-def test_features_roundtrip(tmp_path):
-    feats = geo.random_features(5, 3, derive_rng(9, "f"))
-    path = str(tmp_path / "feats.csv")
-    geo.save_features(feats, path)
-    loaded = geo.load_features(path)
-    assert np.allclose(loaded.vectors, feats.vectors)
-    assert loaded.d == 3
-
-
-def test_load_features_rejects_missing_items(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("item,x1,x2\n0,0.5,1.0\n2,1.0,0.0\n")
-    with pytest.raises(ValueError):
-        geo.load_features(str(path))

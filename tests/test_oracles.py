@@ -11,6 +11,7 @@ from pivotlearn import (
     InstanceOracle,
     NoiseSpec,
     Pool,
+    load_class_csv,
     make_clustering_oracle,
     make_ranking_oracle,
 )
@@ -18,7 +19,6 @@ from pivotlearn import clustering as clu
 from pivotlearn import ranking as rk
 from pivotlearn import verify
 from pivotlearn.core import index_dtype
-from pivotlearn.generic import load_class_csv
 from pivotlearn.oracles import OracleFormatError, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng, pair_uniform
 
@@ -557,6 +557,12 @@ _LOADER_CASES = {
                              OracleFormatError, r"pair \(1, 0\) violates skew-symmetry"),
     "oracle-symmetry": (load_oracle, "u,v,label\n0,1,1\n1,0,0\n", {"mode": "clustering"},
                         OracleFormatError, r"pair \(1, 0\) violates symmetry"),
+    "oracle-repeat-conflict": (load_oracle, "u,v,label\n0,1,1\n0,1,0\n0,2,1\n1,2,1\n",
+                               {"mode": "ranking"}, OracleFormatError,
+                               r"pair \(0, 1\) given twice with conflicting labels"),
+    "oracle-repeat-conflict-clustering": (load_oracle, "u,v,label\n0,1,1\n0,1,0\n",
+                                          {"mode": "clustering"}, OracleFormatError,
+                                          r"pair \(0, 1\) given twice with conflicting labels"),
     "oracle-missing-pair": (load_oracle, "u,v,label\n0,1,1\n1,0,0\n0,2,1\n", {"mode": "ranking"},
                             OracleFormatError, r"pair \(1, 2\) is missing from"),
     "class-non-integer": (load_class_csv, "0,1\n0,x\n", {},
@@ -575,3 +581,26 @@ def test_loaders_name_what_is_wrong(case, tmp_path):
     path.write_text(text)
     with pytest.raises(error, match=message):
         loader(str(path), **kwargs)
+
+
+@pytest.mark.parametrize("ids", [np.array([1.7, 0.2]), np.array([True, False])],
+                         ids=["float", "bool"])
+@pytest.mark.parametrize("kind", ["pair", "instance"])
+def test_oracles_refuse_non_integer_ids(kind, ids):
+    """Ids are never truncated or read as 0/1: a non-integer id array is refused, uncharged;
+    an empty batch of any dtype is still an empty batch."""
+    other = np.array([2, 3])
+    if kind == "pair":
+        oracle = make_ranking_oracle(_perm(5, 15), NoiseSpec(kind="none"), seed=15)
+        reads = [lambda: oracle.query_many(ids, other), lambda: oracle.query_many(other, ids),
+                 lambda: oracle.verification_labels(ids, other)]
+        empty = lambda: oracle.query_many(np.array([]), np.array([]))
+    else:
+        oracle = InstanceOracle(np.array([0, 1, 1, 0], np.uint8))
+        reads = [lambda: oracle.query_many(ids)]
+        empty = lambda: oracle.query_many(np.array([]))
+    for read in reads:
+        with pytest.raises(ValueError, match="integer"):
+            read()
+    assert len(empty()) == 0
+    assert oracle.counters == type(oracle.counters)()

@@ -591,22 +591,6 @@ def test_regret_helper_agrees_with_scan():
     assert regret(pivot, h, oracle) == pytest.approx(_regret_scan(pivot, h, oracle))
 
 
-# -------------------------------------------------------------- persistence
-
-def test_permutation_roundtrip(tmp_path):
-    p = rk.Permutation.from_order([4, 0, 3, 1, 2])
-    path = str(tmp_path / "perm.csv")
-    rk.save_permutation(p, path)
-    assert rk.load_permutation(path) == p
-
-
-def test_load_permutation_rejects_bad_ids(tmp_path):
-    path = tmp_path / "perm.csv"
-    path.write_text("0,1,1\n")
-    with pytest.raises(ValueError):
-        rk.load_permutation(str(path))
-
-
 def test_enumerate_sn_class_shape():
     cls = rk.enumerate_sn_class(4)
     assert len(cls) == 24

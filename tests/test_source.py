@@ -78,6 +78,41 @@ def test_every_export_exists(path):
     assert [n for n in exports if not hasattr(module, n)] == []
 
 
+def _unread_exports(sources: dict[str, str], package_exports) -> list[str]:
+    """module.name for each __all__ entry of a module that neither the package exports
+    nor any module reads (a load of the bare name or an attribute of that name)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _exports(tree) or ()
+        if name not in package_exports and name not in read
+    ]
+
+
+def test_unread_export_check_sees_definitions_and_all_entries_only():
+    sources = {
+        "a": "__all__ = ['used', 'by_attr', 'unread', 'public']\n"
+             "def used(): pass\ndef by_attr(): pass\ndef unread(): pass\ndef public(): pass\n",
+        "b": "from . import a\nfrom .a import used\nunread = 1\nused()\na.by_attr()\n",
+    }
+    assert _unread_exports(sources, ["public"]) == ["a.unread"]
+
+
+def test_every_export_has_a_reader():
+    """A name in a module's __all__ is in the package's __all__ or read elsewhere in the source."""
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    package_exports = _exports(ast.parse(sources.pop("__init__")))
+    assert _unread_exports(sources, package_exports) == []
+
+
 def test_syntax_check_refuses_newer_constructs():
     assert _python_floor() == (3, 10)
     source = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # exception groups: 3.11
