@@ -27,9 +27,8 @@ from .core import (
     is_integer,
     packed_argmin,
     pair_coefficients,
-    pair_estimator,
     pair_min_error,
-    pair_runs,
+    pair_rows,
     pair_table,
     sample_size,
     segment_offsets,
@@ -196,7 +195,8 @@ def build_clustering_estimator(
     pos = start[src].repeat(count) + offset
     pos += ~cross & (pos >= at)  # step past u itself
     # a cross-cluster draw stands for both orientations: twice its weight
-    return pair_estimator(pivot, oracle, items[at], items[pos], w_num << cross, q)
+    us, vs = items[at], items[pos]
+    return RegretEstimator(pivot, us, vs, w_num << cross, q, oracle.query_many(us, vs))
 
 
 # -- enumeration of partitions into at most k blocks ---------------------------
@@ -278,15 +278,14 @@ def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
 class _GainTable:
     """Exact integer gain table over the pair samples of an estimator.
 
-    cost[u, c] is the total weight of u's samples that would be mismatched
-    if u sat in cluster c, the others staying put (Kernighan and Lin, 1970).
-    The samples on one unordered pair are merged at build time: their summed
-    w*y adds to every entry of both rows, and their summed w*(1 - 2y), the
-    pair's signed weight, at the column of the partner's cluster.  A pair
-    whose signed weight is 0 is dropped, so row u lists each partner once:
-    moving an item changes its partners' rows by plain indexed updates, and
-    a move's objective change is a read of O(1) entries.  `assign` is
-    updated in place.
+    cost[u, c] is the change in u's mismatched sample weight if u left its
+    cluster for cluster c, coming from a cluster of its own, the others
+    staying put (Kernighan and Lin, 1970).  It sums the weights of
+    core.pair_rows over u's partners in c, so column 0, which is never a
+    cluster id, stays 0, and every read of the table is a difference
+    within one row.  Row u lists each partner once: moving an item changes
+    its partners' rows by plain indexed updates, and a move's objective
+    change is a read of O(1) entries.  `assign` is updated in place.
     """
 
     __slots__ = (
@@ -299,44 +298,22 @@ class _GainTable:
         if np.any(est.us == est.vs):  # a merged row would lose the sample's second update
             raise ValueError("gain table samples must pair two distinct items")
         width = k + 1
-        by_pair, first, lo, hi = pair_runs(est.us, est.vs, n)
-        weight = est.weight_num[by_pair]
-        mismatch = weight * est.labels[by_pair]
-        del by_pair
-        mismatch = np.add.reduceat(mismatch, first)
-        signed = np.add.reduceat(weight, first)
-        signed -= 2 * mismatch
-        del weight, first
-        base = np.zeros(n, dtype=np.int64)
-        np.add.at(base, lo, mismatch)
-        np.add.at(base, hi, mismatch)
-        del mismatch
-        keep = signed != 0
-        lo, hi, signed = lo[keep], hi[keep], signed[keep]
-        del keep
-        # rows placed by a stable sort of narrow ids, a radix sort up to 2**16 items
-        by_item = np.concatenate([lo, hi]).argsort(kind="stable")
-        pair_counts = np.bincount(lo, minlength=n)
-        counts = pair_counts + np.bincount(hi, minlength=n)
-        lo, hi = lo.astype(np.int64), hi.astype(np.int64)  # cells and swap offsets pass n
-        self.signed = signed.take(by_item, mode="wrap")  # both ends of each pair
-        partners = np.concatenate([hi, lo])[by_item]
-        del by_item
+        partners, self.signed, self.bounds = pair_rows(est, oriented=False)
+        owner = np.arange(n).repeat(np.diff(self.bounds))
         self.cells = partners * width
-        self.bounds = [0, *counts.cumsum().tolist()]
         self.index = np.arange(n, dtype=index_dtype(n))  # narrow: a cheaper b > a mask
         self.row_cells = np.arange(n) * width
         self.assign = assign
         self.cost = np.zeros((n, width), dtype=np.int64)
         self.flat = self.cost.reshape(-1)
-        cells = self.row_cells.repeat(counts)
+        cells = owner * width
         cells += assign[partners]
-        del partners
         np.add.at(self.flat, cells, self.signed)
-        self.cost += base[:, None]
         # the merged pairs, by smaller item, for the swap correction
-        self.pair_lo, self.pair_hi, self.pair_twice = lo, hi, 2 * signed
-        self.pair_bounds = [0, *pair_counts.cumsum().tolist()]
+        as_lo = partners > owner
+        self.pair_lo, self.pair_hi = owner[as_lo], partners[as_lo]
+        self.pair_twice = 2 * self.signed[as_lo]
+        self.pair_bounds = [0, *np.bincount(self.pair_lo, minlength=n).cumsum().tolist()]
 
     def move(self, item: int, cid: int) -> None:
         """Put `item` in cluster `cid` and update its partners' rows."""

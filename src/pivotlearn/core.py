@@ -8,9 +8,14 @@ permutations (pivotlearn.ranking) answer "is u ranked above v", clusterings
 
 A RegretEstimator is a weighted sample of the instance space centred on a
 pivot hypothesis.  Its value at h is an unbiased, cheap stand-in for
-err(h) - err(pivot).  All costs are accumulated as exact integer counts and
-divided once at the end, so evaluation is reproducible to the bit and the
-pivot always evaluates to exactly 0.
+err(h) - err(pivot).  A builder hands it the pivot, the sampled ids, their
+weights and their labels; the pivot's side of every sample, the pool and
+the instance measure follow from those.  All costs are accumulated as
+exact integer counts and divided once at the end, so evaluation is
+reproducible to the bit and the pivot always evaluates to exactly 0.
+
+Both local searches read their moves from pair_rows: the pair samples
+merged into one exact weight per unordered pair, one row per item.
 """
 
 from __future__ import annotations
@@ -175,48 +180,43 @@ class Params:
 class RegretEstimator:
     """Weighted sample estimating err(h) - err(pivot).
 
-    Pair mode (vs is an array): samples are ordered pairs scored through
-    h.pair_values.  Indexed mode (vs is None): samples are pool indices and
-    h is a 0/1 label vector.  Sample ids are held in index_dtype of the pool
-    (n_items pairs, measure_count instances), and an id outside it is
-    refused.  weight_num / weight_denom are exact rational weights in int64;
-    evaluation sums integers and applies the single global scale
+    Pair mode (vs is an array): samples are ordered pairs over the pivot's
+    n items, scored through h.pair_values; the instance space holds
+    n * (n - 1) pairs.  Indexed mode (vs is None): the pivot and h are 0/1
+    label vectors over len(pivot) instances, and samples are their indices.
+    Sample ids are held in index_dtype of the pool and refused outside it.
+    weight_num / weight_denom are exact rational weights in int64 and labels
+    are 0/1; anything else is refused, never truncated.  pivot_costs, the
+    pivot's mismatches, follow from the pivot and the labels.  Evaluation
+    sums integers and applies the single global scale
     1 / (measure_count * weight_denom) at the end.
     """
 
-    def __init__(
-        self,
-        pivot,
-        us: np.ndarray,
-        vs: Optional[np.ndarray],
-        weight_num: np.ndarray,
-        weight_denom: int,
-        labels: np.ndarray,
-        pivot_costs: np.ndarray,
-        measure_count: int,
-        n_items: int,
-    ):
+    def __init__(self, pivot, us, vs: Optional[np.ndarray], weight_num, weight_denom: int, labels):
         self.pivot = pivot
-        self.measure_count = int(measure_count)
-        self.n_items = int(n_items)
-        pool = self.measure_count if vs is None else self.n_items
-        self.us = sample_ids(us, pool, "us")
-        self.vs = None if vs is None else sample_ids(vs, pool, "vs")
-        self.weight_num = np.asarray(weight_num, dtype=np.int64)
+        self.n_items = len(pivot) if vs is None else pivot.n_items
+        self.measure_count = self.n_items if vs is None else self.n_items * (self.n_items - 1)
+        self.us = sample_ids(us, self.n_items, "us")
+        self.vs = None if vs is None else sample_ids(vs, self.n_items, "vs")
+        self.weight_num = integer_ids(weight_num, "weight_num").astype(np.int64, copy=False)
+        if not is_integer(weight_denom) or weight_denom < 1:
+            raise ValueError(f"weight_denom must be an integer >= 1, got {weight_denom!r}")
         self.weight_denom = int(weight_denom)
-        self.labels = np.asarray(labels, dtype=np.uint8)
-        self.pivot_costs = np.asarray(pivot_costs, dtype=np.uint8)
-        if self.weight_denom <= 0:
-            raise ValueError("weight_denom must be positive")
+        self.labels = zero_one(labels, "labels")
         if self.weight_num.min(initial=1) <= 0:
             raise ValueError("every sample weight must be positive")
-        sizes = {len(self.us), len(self.weight_num), len(self.labels), len(self.pivot_costs)}
+        sizes = {len(self.us), len(self.weight_num), len(self.labels)}
         if self.vs is not None:
             sizes.add(len(self.vs))
         if len(sizes) > 1:
             raise ValueError("sample arrays must have equal length")
-        if self.vs is not None and (self.us == self.vs).any():
+        if self.vs is None:
+            pred = np.asarray(pivot)[self.us]
+        elif (self.us == self.vs).any():
             raise ValueError("self pairs are outside the pool")
+        else:
+            pred = pivot.pair_values(self.us, self.vs)
+        self.pivot_costs = (pred != self.labels).view(np.uint8)
         # integer part of the pivot regret, fixed at construction
         self._pivot_int = sum(int(self.weight_num[b] @ self.pivot_costs[b]) for b in self._blocks())
 
@@ -404,23 +404,65 @@ def pair_keys(us, vs, n: int) -> np.ndarray:
     return keys
 
 
-def pair_runs(us, vs, n: int):
-    """(by_pair, first, lo, hi): pair samples of ids in 0..n-1 grouped by unordered pair.
+def pair_rows(est, oriented: bool) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(partners, weights, bounds): the pair samples of est merged per unordered pair, as rows.
 
-    by_pair orders the samples so that the samples on one pair run
-    together, the runs ascending in key lo * n + hi; run j starts at
-    first[j] of that order and holds the pair lo[j] <= hi[j], both in
-    index_dtype(n).  The order within a run is unspecified, so narrow keys
-    are radix-sorted up to 16 bits and quicksorted above.
+    Row u, entries bounds[u]:bounds[u + 1], holds u itself at weight 0,
+    then its pairs as the lower id in ascending partner order, then its
+    pairs as the higher id in ascending partner order.  An entry's weight is
+    the exact change in mismatched sample weight when u moves from before
+    its partner to after it (`oriented`, ranking) or from apart to together
+    with it (otherwise, clustering): all samples on one pair are summed
+    into one int64 weight, the lower id's entries negated when `oriented`,
+    and a pair whose weight sums to 0 is dropped.  Partners and weights are
+    int64, because both searches gather by them; merge keys and ids stay
+    narrow while the rows are placed, so keys up to 16 bits are
+    radix-sorted.
     """
-    keys = pair_keys(us, vs, n)
+    n = est.n_items
+    keys = pair_keys(est.us, est.vs, n)
     by_pair = keys.argsort(kind="stable" if keys.itemsize <= 2 else "quicksort")
     keys = keys[by_pair]
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     first = np.flatnonzero(first)
     lo, hi = np.divmod(keys[first], n)
-    return by_pair, first, lo.astype(index_dtype(n)), hi.astype(index_dtype(n))
+    lo, hi = lo.astype(index_dtype(n)), hi.astype(index_dtype(n))
+    del keys
+    bit = est.labels != (est.us > est.vs) if oriented else est.labels != 0  # the (lo, hi) bit
+    bit = bit[by_pair]
+    w = est.weight_num[by_pair]
+    del by_pair
+    np.negative(w, out=w, where=bit)
+    del bit
+    w = np.add.reduceat(w, first)
+    keep = w != 0
+    lo, hi, w = lo[keep], hi[keep], w[keep]
+    del first, keep
+    # rows placed by counts: the pairs run in key order, so each lo's pairs
+    # come together, and a stable sort (a radix sort up to 2**16 items)
+    # groups them by hi
+    lo_count, hi_count = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+    sizes = np.stack([np.ones(n, dtype=lo_count.dtype), lo_count, hi_count], axis=1)
+    row_len = sizes.sum(axis=1)
+    ends = row_len.cumsum()
+    role = np.tile(np.arange(3, dtype=np.uint8), n).repeat(sizes.reshape(-1))
+    as_lo, as_hi = role == 1, role == 2
+    del role
+    by_hi = hi.argsort(kind="stable")
+    lo_by_hi, w_by_hi = lo[by_hi], w[by_hi]
+    del by_hi, lo
+    if oriented:
+        np.negative(w, out=w)
+    weights = np.zeros(ends[-1], dtype=np.int64)
+    weights[as_lo] = w
+    weights[as_hi] = w_by_hi
+    del w, w_by_hi
+    partners = np.empty(ends[-1], dtype=np.int64)
+    partners[ends - row_len] = np.arange(n)  # each row's first slot: its own item
+    partners[as_lo] = hi
+    partners[as_hi] = lo_by_hi
+    return partners, weights, [0, *ends.tolist()]
 
 
 _UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
@@ -434,7 +476,7 @@ def unsigned_max(ids: np.ndarray) -> int:
 
 
 def integer_ids(ids, name: str) -> np.ndarray:
-    """ids as an array in their own integer dtype, so narrow ids stay narrow.
+    """ids (or weights) as an array in their own integer dtype, so narrow ids stay narrow.
 
     A non-empty array of any other dtype (floats, bools) is refused with a
     ValueError rather than truncated; an empty one is an empty int64 array.
@@ -443,8 +485,17 @@ def integer_ids(ids, name: str) -> np.ndarray:
     if ids.dtype.kind in "iu":
         return ids
     if ids.size:
-        raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
+        raise ValueError(f"{name} must hold integers, got dtype {ids.dtype}")
     return ids.astype(np.int64)
+
+
+def zero_one(values, name: str) -> np.ndarray:
+    """values as uint8, refusing any entry that is not exactly 0 or 1 rather than truncating it."""
+    values = np.asarray(values)
+    unsigned = values.dtype.kind in "bu"  # nothing below 0, so one max decides
+    if values.max(initial=0) > 1 if unsigned else np.any((values != 0) & (values != 1)):
+        raise ValueError(f"{name} must be 0 or 1")
+    return values.astype(np.uint8, copy=False)
 
 
 def sample_ids(ids, pool: int, name: str) -> np.ndarray:
@@ -472,22 +523,6 @@ def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=Non
     offset = segment_offsets(count)
     offset[drawn.repeat(count)] = rng.integers(0, sizes[drawn].repeat(q))
     return count, offset, np.where(drawn, sizes, q).repeat(count)
-
-
-def pair_estimator(pivot, oracle, us, vs, w_num, weight_denom: int) -> RegretEstimator:
-    """Label sampled pairs in one batch and centre them on a pivot hypothesis.
-
-    Sample i is the pair (us[i], vs[i]) at weight numerator w_num[i], in
-    sampling order.
-    """
-    labels = oracle.query_many(us, vs)
-    pivot_costs = pivot.pair_values(us, vs)  # a fresh 0/1 uint8 array
-    pivot_costs ^= labels  # 1 where the pivot mismatches the label
-    n = pivot.n_items
-    return RegretEstimator(
-        pivot, us, vs, w_num, weight_denom, labels, pivot_costs,
-        measure_count=n * (n - 1), n_items=n,
-    )
 
 
 def distance(h1, h2) -> float:

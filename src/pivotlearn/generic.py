@@ -28,6 +28,7 @@ from .core import (
     packed_argmin,
     sample_size,
     stratum_draws,
+    zero_one,
 )
 from .seeding import derive_rng
 
@@ -69,11 +70,9 @@ class FiniteClass:
     """
 
     def __init__(self, labels):
-        labels = np.array(labels, dtype=np.uint8, order="C")
+        labels = np.array(zero_one(labels, "labels"), order="C")
         if labels.ndim != 2 or labels.shape[0] < 1 or labels.shape[1] < 1:
             raise ValueError("labels must be a nonempty 2-D 0/1 array")
-        if labels.max(initial=0) > 1:
-            raise ValueError("labels must be 0/1")
         # rows as big-endian bytes for distances; columns as pack_columns for class_argmin
         self.packed = np.packbits(labels, axis=1)
         if len(np.unique(self.packed, axis=0)) != len(labels):
@@ -319,8 +318,6 @@ def build_generic_estimator(
     params: Params,
     *,
     m: Optional[int] = None,
-    theta: Optional[float] = None,
-    d: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> RegretEstimator:
     """Annulus-stratified estimator around cls.labels[pivot_idx].
@@ -338,10 +335,8 @@ def build_generic_estimator(
         raise PoolMismatchError("oracle pool size does not match the class")
     mu = params.resolved_mu(pool)
     if m is None:
-        if theta is None:
-            theta = max(1.0, disagreement_coefficient(cls, pivot_idx, mu))
-        if d is None:
-            d = max(1, vc_dimension(cls))
+        theta = max(1.0, disagreement_coefficient(cls, pivot_idx, mu))
+        d = max(1, vc_dimension(cls))
         m = sample_size_m(theta, d, params.epsilon, mu, params.delta, params.c3)
     if rng is None:
         rng = derive_rng(params.master_seed, "generic-build")
@@ -349,20 +344,8 @@ def build_generic_estimator(
     sizes = np.array([len(shell) for shell in plan.annuli])
     count, offset, w_num = stratum_draws(sizes, m, rng)
     instances = plan.covered[(sizes.cumsum() - sizes).repeat(count) + offset]
-    labels = oracle.query_many(instances)
-    pivot_row = cls.labels[pivot_idx]
-    pivot_costs = (pivot_row[instances] != labels).astype(np.uint8)
-    return RegretEstimator(
-        pivot_row,
-        instances,
-        None,
-        w_num,
-        m,
-        labels,
-        pivot_costs,
-        measure_count=pool,
-        n_items=pool,
-    )
+    return RegretEstimator(cls.labels[pivot_idx], instances, None, w_num, m,
+                           oracle.query_many(instances))
 
 
 def class_argmin(cls: FiniteClass, est: RegretEstimator) -> tuple[int, float]:

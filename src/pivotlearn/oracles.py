@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import (
     _SCAN_BLOCK_PAIRS, csv_rows, index_dtype, integer_ids, pair_keys, true_error,
-    unordered_verification_labels, unsigned_max, upper_pairs,
+    unordered_verification_labels, unsigned_max, upper_pairs, zero_one,
 )
 from .seeding import pair_uniform
 
@@ -286,10 +287,7 @@ class InstanceOracle(_Ledger):
     """
 
     def __init__(self, labels: np.ndarray, *, budget: Optional[int] = None):
-        labels = np.asarray(labels)
-        if np.any((labels != 0) & (labels != 1)):
-            raise ValueError("instance labels must be 0 or 1")
-        self.labels = labels.astype(np.uint8)
+        self.labels = zero_one(labels, "instance labels").copy()
         self.pool_size = len(self.labels)
         super().__init__(budget, index_dtype(self.pool_size))
 
@@ -376,6 +374,36 @@ def save_oracle(oracle: LabelOracle, csv_path: str, sidecar_path: Optional[str] 
     return sidecar_path
 
 
+def _first_fault(us, vs, ys, n: int, mode: str) -> Optional[str]:
+    """What is wrong with the first faulty row of a pair-label file, in file order, or None.
+
+    A row is faulty when it is not a pair of distinct ids in 0..n-1, gives
+    its pair again with another label, or breaks the mode's (skew-)symmetry
+    with its mirror pair.  Every row before the first faulty one agrees with
+    the first row given on its pair, so each row is checked against that one.
+    """
+    invalid = (us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
+    end = int(invalid.argmax()) if invalid.any() else len(us)  # rows before it are pairs
+    u, v, y = us[:end], vs[:end], ys[:end].astype(np.uint8)
+    rows = np.arange(end, dtype=index_dtype(end + 1))
+    first = np.full((n, n), end, dtype=rows.dtype)  # the first row on each pair, or end
+    np.minimum.at(first, (u, v), rows)
+    conflict = y != y[first[u, v]]
+    mirror = np.minimum(first[v, u], rows)  # the first row on the mirror pair, if earlier
+    earlier = mirror < rows
+    skew = mode == "ranking"  # a ranking pair and its mirror carry opposite labels
+    faulty = conflict | (earlier & ((y ^ y[mirror]) != skew))
+    if faulty.any():
+        row = int(faulty.argmax())
+        pair = f"pair ({u[row]}, {v[row]})"
+        if conflict[row]:
+            return f"{pair} given twice with conflicting labels"
+        return f"{pair} violates {'skew-symmetry' if skew else 'symmetry'}"
+    if end < len(us):
+        return f"invalid pair ({us[end]}, {vs[end]}) for n={n}"
+    return None
+
+
 def load_oracle(
     csv_path: str,
     *,
@@ -399,35 +427,32 @@ def load_oracle(
         raise OracleFormatError("oracle mode unknown: pass mode= or provide the JSON sidecar")
     if os.path.getsize(csv_path) == 0:
         raise OracleFormatError(f"{csv_path} is empty")
-    rows = []
+    cells = array("q")  # u, v and label of each row, in file order
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         if [c.strip().lower() for c in next(reader, [])[:3]] != ["u", "v", "label"]:
             raise OracleFormatError(f"{csv_path} must start with a 'u,v,label' header")
         parse = lambda row: (int(row[0]), int(row[1]), int(row[2]))
-        for line_no, (u, v, y) in csv_rows(csv_path, reader, parse, OracleFormatError):
-            if y not in (0, 1):
+        for line_no, row in csv_rows(csv_path, reader, parse, OracleFormatError):
+            if row[2] not in (0, 1):
                 raise OracleFormatError(f"{csv_path}:{line_no}: label must be 0 or 1")
-            rows.append((u, v, y))
-    if not rows:
+            try:
+                cells.extend(row)
+            except OverflowError:
+                raise OracleFormatError(f"{csv_path}:{line_no}: id past 64 bits") from None
+    if not cells:
         raise OracleFormatError(f"{csv_path} holds no pair rows")
-    n = n or meta.get("n") or (max(max(u, v) for u, v, _ in rows) + 1)
-    n = int(n)
-    if len(rows) < n * (n - 1) // 2:  # counted before the n x n table is allocated
+    us, vs, ys = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3).T
+    n = int(n or meta.get("n") or max(int(us.max()), int(vs.max())) + 1)
+    if len(us) < n * (n - 1) // 2:  # counted before the n x n table is allocated
         raise OracleFormatError(
-            f"{csv_path} holds {len(rows)} pair rows; n={n} needs all {n * (n - 1) // 2} pairs"
+            f"{csv_path} holds {len(us)} pair rows; n={n} needs all {n * (n - 1) // 2} pairs"
         )
+    fault = _first_fault(us, vs, ys, n, mode)
+    if fault:
+        raise OracleFormatError(fault)
     table = np.full((n, n), 255, dtype=np.uint8)
-    for u, v, y in rows:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise OracleFormatError(f"invalid pair ({u}, {v}) for n={n}")
-        if table[u, v] not in (255, y):
-            raise OracleFormatError(f"pair ({u}, {v}) given twice with conflicting labels")
-        mirror = table[v, u]
-        if mirror != 255 and y != (mirror if mode == "clustering" else 1 - mirror):
-            constraint = "symmetry" if mode == "clustering" else "skew-symmetry"
-            raise OracleFormatError(f"pair ({u}, {v}) violates {constraint}")
-        table[u, v] = y
+    table[us, vs] = ys
     # a pair given in one orientation only: its mirror cell follows from the mode
     fill = (table == 255) & (table.T != 255)
     table[fill] = table.T[fill] if mode == "clustering" else 1 - table.T[fill]

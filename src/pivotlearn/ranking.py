@@ -25,9 +25,8 @@ from .core import (
     integer_array,
     is_integer,
     pair_coefficients,
-    pair_estimator,
     pair_min_error,
-    pair_runs,
+    pair_rows,
     sample_size,
     stratum_draws,
     upper_pairs,
@@ -266,7 +265,7 @@ def build_ranking_estimator(
     vs = pivot.order.astype(ids).take(spot)
     del spot
     us = np.arange(n, dtype=ids).repeat(count.reshape(n, -1).sum(axis=1))
-    return pair_estimator(pivot, oracle, us, vs, w_num, p)
+    return RegretEstimator(pivot, us, vs, w_num, p, oracle.query_many(us, vs))
 
 
 # -- exact ERM by subset dynamic programming --------------------------------
@@ -354,57 +353,6 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
 # -- local search ERM ---------------------------------------------------------
 
 
-def _insertion_csr(est: RegretEstimator):
-    """Per-item merged partner/delta arrays for insertion moves, as CSR.
-
-    For each sample (a, b, y, w), moving endpoint u from before its partner
-    to after it changes the objective by +w when y says u should win and -w
-    otherwise.  All samples on one unordered pair {lo, hi} are merged into
-    one exact int64 delta for lo (hi's is its negation); a pair whose delta
-    sums to 0 changes no insertion objective and is dropped.  Merging before
-    mirroring sorts each sample once, not once per endpoint.  Row u holds u
-    itself at delta 0, then its pairs as the lower id, then its pairs as the
-    higher id, so a row of length 1 means u has no partners.  The climb
-    needs no order among the partners: it sorts each row by its (distinct)
-    ranks.  Merge keys and ids are narrow; the rows are int64, because the
-    climb's gathers and prefix sums run fastest on int64.
-    """
-    n = est.n_items
-    by_pair, first, lo, hi = pair_runs(est.us, est.vs, n)
-    lo_loses = (est.labels == (est.us > est.vs))[by_pair]  # y says the pair's higher id wins
-    w = est.weight_num[by_pair]
-    del by_pair
-    np.negative(w, out=w, where=lo_loses)  # the delta for the pair's lower id
-    del lo_loses
-    w = np.add.reduceat(w, first)
-    keep = w != 0
-    lo, hi, w = lo[keep], hi[keep], w[keep]
-    del first, keep
-    # rows placed by counts: the pairs run in key order, so each lo's pairs
-    # come together, and a stable sort (a radix sort up to 2**16 items)
-    # groups them by hi
-    lo_count, hi_count = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
-    sizes = np.stack([np.ones(n, dtype=lo_count.dtype), lo_count, hi_count], axis=1)
-    row_len = sizes.sum(axis=1)
-    ends = row_len.cumsum()
-    role = np.tile(np.arange(3, dtype=np.uint8), n).repeat(sizes.reshape(-1))
-    as_lo, as_hi = role == 1, role == 2
-    del role
-    by_hi = hi.argsort(kind="stable")
-    lo_by_hi, w_by_hi = lo[by_hi], w[by_hi]
-    del by_hi, lo
-    np.negative(w_by_hi, out=w_by_hi)
-    deltas = np.zeros(ends[-1], dtype=np.int64)
-    deltas[as_lo] = w
-    deltas[as_hi] = w_by_hi
-    del w, w_by_hi
-    partners = np.empty(ends[-1], dtype=np.int64)
-    partners[ends - row_len] = np.arange(n)  # each row's first slot: its own item
-    partners[as_lo] = hi
-    partners[as_hi] = lo_by_hi
-    return partners, deltas, [0, *ends.tolist()]
-
-
 def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutation, int]:
     """First-improvement insertion climb from `start`; returns (local optimum, evaluate_int).
 
@@ -481,7 +429,7 @@ def local_search_erm(
     over its merged partner list only (samples on one pair summed into one
     delta), and its result is cached until it or one of its partners moves.
     """
-    partners, deltas, bounds = _insertion_csr(est)
+    partners, deltas, bounds = pair_rows(est, oriented=True)
     return best_of_restarts(
         start, restarts, rng, lambda rng: random_permutation(est.n_items, rng),
         lambda h: _climb(est, h, partners, deltas, bounds),

@@ -20,7 +20,7 @@ from . import clustering as clu
 from . import generic as gen
 from . import geometric as geo
 from . import ranking as rk
-from .core import Params, Pool, distance
+from .core import Params, Pool, distance, pair_rows
 from .harness import _TASKS, ExperimentConfig, run_experiment, sweep, write_run
 from .oracles import InstanceOracle, NoiseSpec, make_clustering_oracle, make_ranking_oracle
 from .seeding import derive_rng
@@ -205,7 +205,7 @@ def _insertion_deltas(n: int, seed: int):
     oracle = _pair_case(n, None, 0.2, 1000 + seed)[0]
     pivot, h = rk.random_permutation(n, rng), rk.random_permutation(n, rng)
     est = rk.build_ranking_estimator(pivot, oracle, Params(epsilon=0.3), p=2, rng=rng)
-    partners, deltas, bounds = rk._insertion_csr(est)
+    partners, deltas, bounds = pair_rows(est, oriented=True)
     base = est.evaluate_int(h)
     for u in range(n):
         # at slot j, u sits after exactly its partners ranked below j once u is lifted out

@@ -376,13 +376,14 @@ def test_local_search_never_worse_than_start():
 # Per-sample references: each sample on its own, none merged with another.
 
 def _reference_cost(samples, assign, k):
-    """cost[u, c] summed sample by sample with np.add.at."""
+    """cost[u, c] summed sample by sample with np.add.at, less column 0: u's
+    mismatched weight in cluster c, less its weight sitting alone."""
     cost = np.zeros((samples.n_items, k + 1), dtype=np.int64)
     w, y = samples.weight_num, samples.labels.astype(np.int64)
     for u, v in ((samples.us, samples.vs), (samples.vs, samples.us)):
         np.add.at(cost, u, (w * y)[:, None])
         np.add.at(cost, (u, assign[v]), w * (1 - 2 * y))
-    return cost
+    return cost - cost[:, :1]
 
 
 def _objective(samples, assign):
@@ -510,7 +511,7 @@ def test_gain_table_tracks_moves(case, moves):
     samples, assign, k = case
     n = len(assign)
     table = clu._GainTable(samples, assign, k)
-    assert table.signed.all()  # a pair whose samples cancel is dropped
+    assert table.pair_twice.all()  # a pair whose samples cancel is dropped
     np.testing.assert_array_equal(table.cost, _reference_cost(samples, assign, k))
     for is_swap, x, y in moves:
         before = _objective(samples, assign)

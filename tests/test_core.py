@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,13 +178,7 @@ def _tiny_estimator():
     vs = np.array([1, 3, 0])
     labels = np.array([1, 0, 0], dtype=np.uint8)
     w = np.array([2, 1, 2], dtype=np.int64)
-    # pivot predicts 1,1,0 on the samples; costs = prediction != label
-    costs = np.array([0, 1, 0], dtype=np.uint8)
-    return RegretEstimator(
-        pivot=pivot, us=us, vs=vs, labels=labels,
-        weight_num=w, weight_denom=2, pivot_costs=costs,
-        measure_count=12, n_items=4,
-    )
+    return RegretEstimator(pivot=pivot, us=us, vs=vs, labels=labels, weight_num=w, weight_denom=2)
 
 
 @given(st.integers(2, 12), st.none() | st.integers(1, 4), st.integers(1, 12),
@@ -195,6 +190,8 @@ def test_estimator_pivot_evaluates_to_zero(n, k, size, eta, seed):
 
 def test_estimator_matches_hand_computation():
     est = _tiny_estimator()
+    # pivot predicts 1,1,0 on the samples; costs = prediction != label
+    assert est.pivot_costs.tolist() == [0, 1, 0]
     h = rk.Permutation([2, 1, 3, 4])  # swaps items 0 and 1
     # pivot costs: pairs (0,1),(2,3),(1,0) labeled 1,0,0 -> pivot predicts 1,1,0
     # pivot disagreement on samples: [0,1,0] -> pivot_int = 0*2+1*1+0*2 = 1
@@ -218,8 +215,7 @@ def test_estimator_rejects_shape_mismatch():
             pivot=pivot, us=np.array([0]), vs=np.array([1, 2]),
             labels=np.array([1], dtype=np.uint8),
             weight_num=np.array([1], dtype=np.int64),
-            weight_denom=1, pivot_costs=np.array([0], dtype=np.uint8),
-            measure_count=12, n_items=4,
+            weight_denom=1,
         )
 
 
@@ -230,8 +226,7 @@ def test_estimator_rejects_self_pairs():
             pivot=pivot, us=np.array([2]), vs=np.array([2]),
             labels=np.array([1], dtype=np.uint8),
             weight_num=np.array([1], dtype=np.int64),
-            weight_denom=1, pivot_costs=np.array([0], dtype=np.uint8),
-            measure_count=12, n_items=4,
+            weight_denom=1,
         )
 
 
@@ -258,14 +253,14 @@ def test_estimator_ids_narrow_exactly_at_dtype_boundaries(n, dtype):
     labels = rng.integers(0, 2, size=len(us)).astype(np.uint8)
     pivot, h = rk.random_permutation(n, rng), rk.random_permutation(n, rng)
     costs = pivot.pair_values(us, vs) ^ labels
-    est = RegretEstimator(pivot, us, vs, w, 3, labels, costs, n * (n - 1), n)
+    est = RegretEstimator(pivot, us, vs, w, 3, labels)
     assert est.us.dtype == est.vs.dtype == dtype
     want = int(w @ (h.pair_values(us, vs) != labels)) - int(w @ costs)
     assert est.evaluate_int(h) == want
     # indexed mode: instance ids over a pool of n
     row, truth = rng.integers(0, 2, size=n).astype(np.uint8), rng.integers(0, 2, size=n)
     idx = np.concatenate([[0, n - 1], rng.integers(0, n, size=38)])
-    est = RegretEstimator(row, idx, None, w, 3, truth[idx], row[idx] ^ truth[idx], n, n)
+    est = RegretEstimator(row, idx, None, w, 3, truth[idx])
     assert est.us.dtype == dtype and est.vs is None
     values = rng.integers(0, 2, size=n)
     assert est.evaluate_int(values) == int(w @ (values[idx] != truth[idx])) - int(w @ (row[idx] != truth[idx]))
@@ -279,20 +274,115 @@ def test_estimator_refuses_ids_outside_the_pool(us, vs, name):
     """-1 would read as item 3 (or as 65,535 once narrowed); 7 would fail later with an IndexError."""
     with pytest.raises(ValueError, match=name):
         RegretEstimator(rk.Permutation.identity(4), us=us, vs=vs, weight_num=[1, 1],
-                        weight_denom=1, labels=[0, 1], pivot_costs=[0, 0],
-                        measure_count=12, n_items=4)
+                        weight_denom=1, labels=[0, 1])
 
 
 def test_estimator_refuses_an_instance_id_outside_the_pool():
-    """Indexed-mode ids range over the measure_count instances, not n_items."""
+    """Indexed-mode ids range over the pivot's len(pivot) instances."""
     with pytest.raises(ValueError, match="us"):
         RegretEstimator(np.zeros(6, np.uint8), us=[0, 6], vs=None, weight_num=[1, 1],
-                        weight_denom=1, labels=[0, 1], pivot_costs=[0, 1],
-                        measure_count=6, n_items=9)
+                        weight_denom=1, labels=[0, 1])
     at_256 = RegretEstimator(np.zeros(257, np.uint8), us=[256], vs=None, weight_num=[1],
-                             weight_denom=1, labels=[0], pivot_costs=[0],
-                             measure_count=257, n_items=2)
+                             weight_denom=1, labels=[0])
     assert at_256.us.tolist() == [256] and at_256.us.dtype == np.uint16
+
+
+@given(st.integers(2, 12), st.integers(0, 30), st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_hand_built_estimator_evaluates_its_pivot_to_zero(n, m, pair_mode, seed):
+    """The pivot's side of every sample follows from the pivot and the labels,
+    so any labels leave the pivot at exactly 0, in both modes."""
+    rng = derive_rng(seed, "hand-built")
+    w = rng.integers(1, 2**40, size=m)
+    labels = rng.integers(0, 2, size=m).astype(np.uint8)
+    if pair_mode:
+        us = rng.integers(0, n, size=m)
+        vs = (us + rng.integers(1, n, size=m)) % n
+        if rng.integers(2):
+            pivot = rk.random_permutation(n, rng)
+        else:
+            pivot = clu.random_clustering(n, 3, rng)
+        est = RegretEstimator(pivot, us, vs, w, int(rng.integers(1, 9)), labels)
+        assert est.measure_count == n * (n - 1)
+    else:
+        pivot = rng.integers(0, 2, size=n).astype(np.uint8)
+        est = RegretEstimator(pivot, rng.integers(0, n, size=m), None, w, 3, labels)
+        assert est.measure_count == n
+    assert est.n_items == n
+    assert (est.evaluate_int(pivot), est.evaluate(pivot)) == (0, 0.0)
+
+
+def test_three_item_example_evaluates_its_pivot_to_zero():
+    pivot = rk.Permutation.identity(3)
+    est = RegretEstimator(pivot, [0, 1], [1, 2], [1, 1], 1, [1, 0])
+    assert est.pivot_costs.tolist() == [0, 1]
+    assert est.evaluate(pivot) == 0.0
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: RegretEstimator(rk.Permutation.identity(3), [0, 1], [1, 2], [1.5, 2.7], 1, [1, 0]),
+     "weight_num"),
+    (lambda: RegretEstimator(rk.Permutation.identity(3), [0, 1], [1, 2], [1, 1], 2.5, [1, 0]),
+     "weight_denom"),
+    (lambda: RegretEstimator(rk.Permutation.identity(3), [0, 1], [1, 2], [1, 1], True, [1, 0]),
+     "weight_denom"),
+    (lambda: RegretEstimator(rk.Permutation.identity(3), [0, 1], [1, 2], [1, 1], 0, [1, 0]),
+     "weight_denom"),
+    (lambda: RegretEstimator(rk.Permutation.identity(3), [0, 1], [1, 2], [1, 1], 1, [1, 2]),
+     "labels"),
+    (lambda: RegretEstimator(np.zeros(4, np.uint8), [0, 1], None, [1, 1], 1, [0.5, 1]), "labels"),
+    (lambda: gen.FiniteClass([[0.5, 1], [1, 0]]), "labels"),
+    (lambda: gen.FiniteClass([[1.7, 0], [0, 1]]), "labels"),
+    (lambda: InstanceOracle([0, 1, 2]), "labels"),
+], ids=["float-weights", "float-denom", "bool-denom", "zero-denom", "label-2", "label-half",
+        "class-half", "class-1.7", "instance-label-2"])
+def test_estimator_and_class_refuse_what_they_would_truncate(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+def _merged_pairs(samples, oriented):
+    """Per-sample dict merge: {(lo, hi): summed weight of the higher id's entry}."""
+    sums = {}
+    for u, v, y, w in zip(samples.us.tolist(), samples.vs.tolist(), samples.labels.tolist(),
+                          samples.weight_num.tolist()):
+        lo, hi = min(u, v), max(u, v)
+        bit = y ^ (oriented and u > v)  # "lo before hi" or "same cluster"
+        sums[lo, hi] = sums.get((lo, hi), 0) + (-w if bit else w)
+    return {pair: w for pair, w in sums.items() if w}
+
+
+@pytest.mark.parametrize("oriented", [True, False])
+@given(st.integers(2, 300), st.integers(2, 10), st.integers(0, 40), st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_pair_rows_match_a_per_sample_merge(oriented, n, active, m, seed):
+    """Row u is u at weight 0, then its pairs as the lower id, then as the
+    higher id, each in ascending partner order.  Samples repeat, come in both
+    orientations, and may weigh 0; pairs whose weights cancel are dropped."""
+    rng = derive_rng(seed, "pair-rows")
+    ids = rng.choice(n, size=min(active, n), replace=False)
+    pick = rng.integers(0, len(ids), size=m)
+    us, vs = ids[pick], ids[(pick + rng.integers(1, len(ids), size=m)) % len(ids)]
+    labels = rng.integers(0, 2, size=m).astype(np.uint8)
+    weights = rng.integers(0, 3, size=m)
+    mirror = rng.integers(0, 2, size=m).astype(bool)  # reversed, saying the opposite: it cancels
+    us, vs = np.concatenate([us, vs[mirror]]), np.concatenate([vs, us[mirror]])
+    labels = np.concatenate([labels, labels[mirror] ^ (not oriented)])
+    weights = np.concatenate([weights, weights[mirror]])
+    samples = SimpleNamespace(n_items=n, us=us.astype(core.index_dtype(n)),
+                              vs=vs.astype(core.index_dtype(n)), labels=labels, weight_num=weights)
+    partners, weights, bounds = core.pair_rows(samples, oriented)
+    assert partners.dtype == weights.dtype == np.int64
+    merged = _merged_pairs(samples, oriented)
+    want = [[(u, 0)] for u in range(n)]
+    for (lo, hi), w in sorted(merged.items()):
+        want[lo].append((hi, -w if oriented else w))
+    for (lo, hi), w in sorted(merged.items(), key=lambda item: item[0][::-1]):
+        want[hi].append((lo, w))
+    assert bounds[0] == 0 and len(bounds) == n + 1
+    got = [list(zip(partners[a:b].tolist(), weights[a:b].tolist()))
+           for a, b in zip(bounds, bounds[1:])]
+    assert got == want
 
 # ---------------------------------------------------------------- distances
 
@@ -661,25 +751,24 @@ def test_exact_erm_first_minimizer_tie_break(task):
     empty = dict(
         us=np.array([], dtype=np.int64), labels=np.array([], dtype=np.uint8),
         weight_num=np.array([], dtype=np.int64), weight_denom=1,
-        pivot_costs=np.array([], dtype=np.uint8),
     )
     if task == "generic":
         cls = gen.thresholds_class(6)
-        est = RegretEstimator(cls.labels[3], vs=None, measure_count=6, n_items=6, **empty)
+        est = RegretEstimator(cls.labels[3], vs=None, **empty)
         assert gen.class_argmin(cls, est) == (0, 0.0)
         return
     pair = dict(vs=np.array([], dtype=np.int64), **empty)
     if task == "ranking":
         # 9! rows span several enumeration blocks, so the tie crosses blocks
         pivot = rk.Permutation(np.arange(9, 0, -1))
-        est = RegretEstimator(pivot, measure_count=72, n_items=9, **pair)
+        est = RegretEstimator(pivot, **pair)
         assert rk.exact_erm(est).rank.tolist() == list(range(1, 10))
     elif task == "clustering":
         pivot = clu.Clustering([1, 2, 3, 1, 2], 3)
-        est = RegretEstimator(pivot, measure_count=20, n_items=5, **pair)
+        est = RegretEstimator(pivot, **pair)
         assert clu.exact_erm(est).assign.tolist() == [1] * 5
     else:
         feats = geo.random_features(6, 2, derive_rng(3, "tie"))
         orders, _ = geo.enumerate_orders_2d(feats)
-        est = RegretEstimator(orders[-1], measure_count=30, n_items=6, **pair)
+        est = RegretEstimator(orders[-1], **pair)
         assert geo.geometric_erm_2d(est, feats) == orders[0]

@@ -545,6 +545,8 @@ _LOADER_CASES = {
                              OracleFormatError, r"\.csv:3: malformed row \['0', 'x', '1'\]"),
     "oracle-label-2": (load_oracle, "u,v,label\n0,1,2\n", {"mode": "ranking"},
                        OracleFormatError, r"\.csv:2: label must be 0 or 1"),
+    "oracle-id-past-64-bits": (load_oracle, "u,v,label\n0,1,1\n0,99999999999999999999,1\n",
+                               {"mode": "ranking"}, OracleFormatError, r"\.csv:3: id past 64 bits"),
     "oracle-header-only": (load_oracle, "u,v,label\n", {"mode": "ranking"},
                            OracleFormatError, r"holds no pair rows"),
     "oracle-self-pair": (load_oracle, "u,v,label\n0,1,1\n1,1,0\n", {"mode": "ranking"},
@@ -581,6 +583,24 @@ def test_loaders_name_what_is_wrong(case, tmp_path):
     path.write_text(text)
     with pytest.raises(error, match=message):
         loader(str(path), **kwargs)
+
+
+@pytest.mark.parametrize("text, kwargs, message", [
+    ("0,1,1\n1,0,1\n0,1,0\n", {"mode": "ranking"}, r"pair \(1, 0\) violates skew-symmetry"),
+    ("0,1,1\n0,1,0\n1,0,1\n", {"mode": "ranking"}, r"pair \(0, 1\) given twice"),
+    ("0,1,1\n1,0,0\n2,2,0\n0,1,1\n1,0,0\n", {"mode": "clustering", "n": 2},
+     r"pair \(1, 0\) violates symmetry"),
+    ("0,1,1\n3,3,0\n1,0,1\n", {"mode": "ranking", "n": 2}, r"invalid pair \(3, 3\) for n=2"),
+    ("0,2,1\n1,2,0\n2,1,1\n0,1,1\n2,1,0\n", {"mode": "ranking"},
+     r"pair \(2, 1\) given twice"),
+], ids=["symmetry-then-repeat", "repeat-then-symmetry", "symmetry-then-invalid",
+        "invalid-then-symmetry", "mirror-then-repeat"])
+def test_load_names_the_first_faulty_row(text, kwargs, message, tmp_path):
+    """A file with several faults is refused for the one on its earliest row."""
+    path = tmp_path / "in.csv"
+    path.write_text("u,v,label\n" + text)
+    with pytest.raises(OracleFormatError, match=message):
+        load_oracle(str(path), **kwargs)
 
 
 @pytest.mark.parametrize("ids", [np.array([1.7, 0.2]), np.array([True, False])],

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pivotlearn import NoiseSpec, Params, Pool, RegretEstimator, make_ranking_oracle, regret
 from pivotlearn import ranking as rk
 from pivotlearn import verify
-from pivotlearn.core import index_dtype, stratum_draws
+from pivotlearn.core import index_dtype, pair_rows, stratum_draws
 from pivotlearn.seeding import derive_rng
 
 
@@ -271,7 +271,7 @@ def test_build_and_rows_traced_peak_on_the_scale_config():
     tracemalloc.start()
     try:
         est = rk.build_ranking_estimator(pivot, oracle, params, p=p, rng=derive_rng(0, "build", 1))
-        partners, _, _ = rk._insertion_csr(est)
+        partners, _, _ = pair_rows(est, oriented=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -436,10 +436,9 @@ def test_sparse_climb_matches_dense_reference(n, pairs, m, wmax, seed):
     vs = np.where(flip, pool_u[pick], pool_v[pick])
     labels = rng.integers(0, 2, size=m).astype(np.uint8)
     pivot = rk.random_permutation(n, rng)
-    est = RegretEstimator(pivot, us, vs, rng.integers(1, wmax + 1, size=m), wmax, labels,
-                          pivot.pair_values(us, vs) != labels, n * (n - 1), n)
+    est = RegretEstimator(pivot, us, vs, rng.integers(1, wmax + 1, size=m), wmax, labels)
     start = rk.random_permutation(n, rng)
-    found, obj = rk._climb(est, start, *rk._insertion_csr(est))
+    found, obj = rk._climb(est, start, *pair_rows(est, oriented=True))
     ref, ref_obj = _dense_climb(est, start)
     assert found == ref
     assert obj == ref_obj == est.evaluate_int(found)
@@ -457,9 +456,8 @@ def test_sparse_climb_matches_dense_reference_past_16_bit_ranks():
     vs = pool[(pick + rng.integers(1, 40, size=m)) % 40]
     labels = rng.integers(0, 2, size=m).astype(np.uint8)
     pivot = rk.random_permutation(n, rng)
-    est = RegretEstimator(pivot, us, vs, rng.integers(1, 4, size=m), 3, labels,
-                          pivot.pair_values(us, vs) != labels, n * (n - 1), n)
-    found, obj = rk._climb(est, start, *rk._insertion_csr(est))
+    est = RegretEstimator(pivot, us, vs, rng.integers(1, 4, size=m), 3, labels)
+    found, obj = rk._climb(est, start, *pair_rows(est, oriented=True))
     ref, ref_obj = _dense_climb(est, start)
     assert found == ref
     assert obj == ref_obj == est.evaluate_int(found) < est.evaluate_int(start)
@@ -480,10 +478,9 @@ def test_rows_and_climb_exact_at_id_dtype_boundaries(n):
     vs = pool[(pick + rng.integers(1, 40, size=m)) % 40]
     labels = rng.integers(0, 2, size=m).astype(np.uint8)
     pivot, start = rk.random_permutation(n, rng), rk.random_permutation(n, rng)
-    est = RegretEstimator(pivot, us, vs, rng.integers(1, 4, size=m), 3, labels,
-                          pivot.pair_values(us, vs) != labels, n * (n - 1), n)
+    est = RegretEstimator(pivot, us, vs, rng.integers(1, 4, size=m), 3, labels)
     assert est.us.dtype == index_dtype(n)
-    partners, deltas, bounds = rk._insertion_csr(est)
+    partners, deltas, bounds = pair_rows(est, oriented=True)
     assert partners.dtype == deltas.dtype == np.int64
     rows = _merged_rows(est)
     assert np.diff(bounds).tolist() == [1 + len(row) for row in rows]
@@ -536,9 +533,8 @@ def test_insertion_rows_hold_self_then_merged_partners(n, active, m, seed):
     labels = np.concatenate([labels, labels[mirror]])
     weights = np.concatenate([weights, weights[mirror]])
     pivot = rk.Permutation.identity(n)
-    est = RegretEstimator(pivot, us, vs, weights, 2, labels,
-                          pivot.pair_values(us, vs) != labels, n * (n - 1), n)
-    partners, deltas, bounds = rk._insertion_csr(est)
+    est = RegretEstimator(pivot, us, vs, weights, 2, labels)
+    partners, deltas, bounds = pair_rows(est, oriented=True)
     assert len(bounds) == n + 1 and bounds[-1] == len(partners) == len(deltas)
     for u, ref in enumerate(_merged_rows(est)):
         row = slice(bounds[u], bounds[u + 1])
