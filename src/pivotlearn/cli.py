@@ -37,72 +37,66 @@ def _default_out(kind: str) -> str:
     return os.path.join(os.environ.get(_ENV_OUT, "pivotlearn-out"), kind)
 
 
+# A flag that sets a config field has its config path as dest and no default:
+# its subparser leaves out a flag not given, and the dataclasses fill it in.
+
+
+def _add_noise_and_seed_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", dest="params.master_seed", type=int, help="master seed")
+    parser.add_argument("--noise", dest="noise.kind",
+                        choices=("none", "uniform_flip", "distance_decay"))
+    parser.add_argument("--eta", dest="noise.eta", type=float, help="uniform flip probability")
+    parser.add_argument("--rho", dest="noise.rho", type=float, help="distance-decay exponent")
+    parser.add_argument("--scale", dest="noise.scale", type=float, help="distance-decay scale")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; overrides the flags below")
     parser.add_argument("--task", choices=TASKS, help="hypothesis class to learn")
     parser.add_argument("--n", type=int, help="item count (pool size for generic)")
     parser.add_argument("--k", type=int, help="cluster capacity (clustering)")
     parser.add_argument("--d", type=int, help="feature dimension (geometric, must be 2)")
-    parser.add_argument("--epsilon", type=float, default=0.2)
-    parser.add_argument("--mu", type=float, default=None, help="smoothing floor, default 1/N")
-    parser.add_argument("--delta", type=float, default=0.1)
-    parser.add_argument("--iterations", type=int, default=3)
-    parser.add_argument("--c1", type=float, default=1.0, help="ranking sample-size constant")
-    parser.add_argument("--c2", type=float, default=1.0, help="clustering sample-size constant")
-    parser.add_argument("--c3", type=float, default=1.0, help="generic sample-size constant")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--noise", choices=("none", "uniform_flip", "distance_decay"),
-                        default="none")
-    parser.add_argument("--eta", type=float, default=0.0, help="uniform flip probability")
-    parser.add_argument("--rho", type=float, default=1.0, help="distance-decay exponent")
-    parser.add_argument("--scale", type=float, default=0.5, help="distance-decay scale")
-    parser.add_argument("--erm", choices=("exact", "local_search"), default="exact")
-    parser.add_argument("--restarts", type=int, default=5)
-    parser.add_argument("--force-p", type=int, default=None, help="override ranking sample size")
-    parser.add_argument("--force-q", type=int, default=None, help="override clustering sample size")
-    parser.add_argument("--force-m", type=int, default=None, help="override generic sample size")
-    parser.add_argument("--oracle-file", default=None, help="labels CSV to load instead of synthesizing")
-    parser.add_argument("--class-file", default=None, help="hypothesis CSV for generic runs")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--epsilon", dest="params.epsilon", type=float)
+    parser.add_argument("--mu", dest="params.mu", type=float, help="smoothing floor, default 1/N")
+    parser.add_argument("--delta", dest="params.delta", type=float)
+    parser.add_argument("--iterations", dest="params.iterations", type=int)
+    parser.add_argument("--c1", dest="params.c1", type=float, help="ranking sample-size constant")
+    parser.add_argument("--c2", dest="params.c2", type=float, help="clustering sample-size constant")
+    parser.add_argument("--c3", dest="params.c3", type=float, help="generic sample-size constant")
+    _add_noise_and_seed_flags(parser)
+    parser.add_argument("--erm", choices=("exact", "local_search"))
+    parser.add_argument("--restarts", type=int)
+    parser.add_argument("--force-p", type=int, help="override ranking sample size")
+    parser.add_argument("--force-q", type=int, help="override clustering sample size")
+    parser.add_argument("--force-m", type=int, help="override generic sample size")
+    parser.add_argument("--oracle-file", dest="oracle_path",
+                        help="labels CSV to load instead of synthesizing")
+    parser.add_argument("--class-file", dest="class_path", help="hypothesis CSV for generic runs")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
+
+
+def _config_fields(args) -> dict:
+    """The given flags that set config fields, nested as ExperimentConfig.from_dict reads them."""
+    data: dict = {}
+    for dest, value in vars(args).items():
+        section, _, name = dest.rpartition(".")
+        if section:
+            data.setdefault(section, {})[name] = value
+        elif dest in ExperimentConfig.__dataclass_fields__:
+            data[dest] = value
+    return data
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
+    if "config" in args:
         with open(args.config) as fh:
             return ExperimentConfig.from_dict(json.load(fh))
-    if args.task is None or args.n is None:
-        raise ConfigError("task" if args.task is None else "n",
-                          "required (pass flags or --config)")
-    return ExperimentConfig.from_dict({
-        "task": args.task,
-        "n": args.n,
-        "k": args.k,
-        "d": args.d,
-        "params": {
-            "epsilon": args.epsilon,
-            "mu": args.mu,
-            "delta": args.delta,
-            "iterations": args.iterations,
-            "c1": args.c1,
-            "c2": args.c2,
-            "c3": args.c3,
-            "master_seed": args.seed,
-        },
-        "noise": {"kind": args.noise, "eta": args.eta, "rho": args.rho, "scale": args.scale},
-        "erm": args.erm,
-        "restarts": args.restarts,
-        "force_p": args.force_p,
-        "force_q": args.force_q,
-        "force_m": args.force_m,
-        "oracle_path": args.oracle_file,
-        "class_path": args.class_file,
-        "output_dir": args.out,
-    })
+    return ExperimentConfig.from_dict(_config_fields(args))
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    out_dir = args.out or config.output_dir or _default_out("run")
+    config = _config_from_args(args)  # --out wins over a config file's output_dir
+    out_dir = getattr(args, "output_dir", None) or config.output_dir or _default_out("run")
     record = run(config, out_dir)
     final = record.final_err
     print(f"task={config.task} n={config.n} status={record.trajectory.status}")
@@ -121,7 +115,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError("values", f"{args.axis} takes {kind.__name__} values, got "
                                     f"{args.values!r}") from None
-    out_dir = args.out or template.output_dir or _default_out("sweep")
+    out_dir = getattr(args, "output_dir", None) or template.output_dir or _default_out("sweep")
     _, summary = sweep(template, args.axis, values, workers=args.workers, out_dir=out_dir)
     print(f"{args.axis:>10}  {'queries':>10}  {'final_err':>12}  {'excess':>12}")
     for value, queries, err, _nu, excess, _mx in summary:
@@ -151,11 +145,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle_gen(args) -> int:
     # erm and epsilon do not shape the labels; local search takes any n
-    oracle = experiment_oracle(ExperimentConfig.from_dict({
-        "task": args.task, "n": args.n, "k": args.k, "erm": "local_search",
-        "params": {"epsilon": 0.2, "master_seed": args.seed},
-        "noise": {"kind": args.noise, "eta": args.eta, "rho": args.rho, "scale": args.scale},
-    }))
+    config = ExperimentConfig.from_dict({**_config_fields(args), "erm": "local_search"})
+    oracle = experiment_oracle(config)
     out_csv = args.out or os.path.join(_default_out("oracle"), f"{args.task}-n{args.n}.csv")
     os.makedirs(os.path.dirname(out_csv) or ".", exist_ok=True)
     sidecar = save_oracle(oracle, out_csv)
@@ -212,11 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment and write its artifacts")
+    p_run = sub.add_parser("run", help="run one experiment and write its artifacts",
+                           argument_default=argparse.SUPPRESS)
     _add_config_flags(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run one experiment per value of an axis")
+    p_sweep = sub.add_parser("sweep", help="run one experiment per value of an axis",
+                             argument_default=argparse.SUPPRESS)
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
@@ -228,16 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"suites to run (default: all). Known: {', '.join(sorted(SUITES))}")
     p_verify.set_defaults(fn=_cmd_verify)
 
-    p_gen = sub.add_parser("oracle-gen", help="synthesize and persist a label oracle")
+    p_gen = sub.add_parser("oracle-gen", help="synthesize and persist a label oracle",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("--task", choices=("ranking", "clustering"), required=True)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--k", type=int, default=None)
-    p_gen.add_argument("--noise", choices=("none", "uniform_flip", "distance_decay"),
-                       default="none")
-    p_gen.add_argument("--eta", type=float, default=0.0)
-    p_gen.add_argument("--rho", type=float, default=1.0)
-    p_gen.add_argument("--scale", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--k", type=int)
+    _add_noise_and_seed_flags(p_gen)
     p_gen.add_argument("--out", default=None, help="output CSV path")
     p_gen.set_defaults(fn=_cmd_oracle_gen)
 

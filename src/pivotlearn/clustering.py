@@ -285,12 +285,13 @@ class _GainTable:
     cluster id, stays 0, and every read of the table is a difference
     within one row.  Row u lists each partner once: moving an item changes
     its partners' rows by plain indexed updates, and a move's objective
-    change is a read of O(1) entries.  `assign` is updated in place.
+    change is a read of O(1) entries.  `assign` is updated in place;
+    reset() starts over from another assignment on the same rows.
     """
 
     __slots__ = (
         "assign", "cost", "flat", "index", "row_cells", "bounds", "cells", "signed",
-        "pair_lo", "pair_hi", "pair_twice", "pair_bounds",
+        "owner_cells", "partners", "pair_lo", "pair_hi", "pair_twice", "pair_bounds",
     )
 
     def __init__(self, est: RegretEstimator, assign: np.ndarray, k: int):
@@ -298,22 +299,26 @@ class _GainTable:
         if np.any(est.us == est.vs):  # a merged row would lose the sample's second update
             raise ValueError("gain table samples must pair two distinct items")
         width = k + 1
-        partners, self.signed, self.bounds = pair_rows(est, oriented=False)
+        self.partners, self.signed, self.bounds = pair_rows(est, oriented=False)
         owner = np.arange(n).repeat(np.diff(self.bounds))
-        self.cells = partners * width
+        self.cells = self.partners * width
+        self.owner_cells = owner * width
         self.index = np.arange(n, dtype=index_dtype(n))  # narrow: a cheaper b > a mask
         self.row_cells = np.arange(n) * width
-        self.assign = assign
         self.cost = np.zeros((n, width), dtype=np.int64)
         self.flat = self.cost.reshape(-1)
-        cells = owner * width
-        cells += assign[partners]
-        np.add.at(self.flat, cells, self.signed)
         # the merged pairs, by smaller item, for the swap correction
-        as_lo = partners > owner
-        self.pair_lo, self.pair_hi = owner[as_lo], partners[as_lo]
+        as_lo = self.partners > owner
+        self.pair_lo, self.pair_hi = owner[as_lo], self.partners[as_lo]
         self.pair_twice = 2 * self.signed[as_lo]
         self.pair_bounds = [0, *np.bincount(self.pair_lo, minlength=n).cumsum().tolist()]
+        self.reset(assign)
+
+    def reset(self, assign: np.ndarray) -> None:
+        """Fill the table for `assign`, which it then updates in place."""
+        self.assign = assign
+        self.cost.fill(0)
+        np.add.at(self.flat, self.owner_cells + assign[self.partners], self.signed)
 
     def move(self, item: int, cid: int) -> None:
         """Put `item` in cluster `cid` and update its partners' rows."""
@@ -446,22 +451,23 @@ def local_search_erm(
 
     Each restart alternates first-improvement reassignment sweeps with
     cross-cluster swap sweeps until neither improves; moves are scored from
-    one gain table per restart.  Restart 0 starts from `start`, so the
-    result never evaluates worse than it.
+    one gain table, built once and reset for each restart.  Restart 0
+    starts from `start`, so the result never evaluates worse than it.
     """
     k = start.k
+    table = _GainTable(est, start.assign.copy(), k)
 
     def climb(h: Clustering) -> tuple[Clustering, int]:
-        assign = h.assign.copy()
+        if h is not start:  # restart 0 climbs on the table as built
+            table.reset(h.assign.copy())
         obj = est.evaluate_int(h)
-        table = _GainTable(est, assign, k)
         while True:
             gained, moved_a = _reassign_pass(table)
             obj += gained
             gained, moved_b = _swap_pass(table)
             obj += gained
             if not (moved_a or moved_b):
-                return Clustering(assign, k), obj
+                return Clustering(table.assign, k), obj
 
     return best_of_restarts(
         start, restarts, rng, lambda rng: random_clustering(est.n_items, k, rng), climb

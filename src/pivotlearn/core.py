@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -172,9 +172,6 @@ class Params:
     def resolved_mu(self, measure_count: int) -> float:
         """mu, defaulting to one atom of the instance measure (1/N)."""
         return self.mu if self.mu is not None else 1.0 / measure_count
-
-    def with_overrides(self, **kw) -> "Params":
-        return replace(self, **kw)
 
 
 class RegretEstimator:

@@ -44,6 +44,7 @@ __all__ = [
     "uniform_disagreement_coefficient",
     "vc_dimension",
     "sample_size_m",
+    "class_sample_size",
     "annulus_plan",
     "build_generic_estimator",
     "class_argmin",
@@ -273,6 +274,14 @@ def sample_size_m(
     return sample_size("m", lambda: c3 * epsilon**-2 * theta * body)
 
 
+def class_sample_size(cls: FiniteClass, pivot_idx: int, params: Params) -> tuple[int, float, int]:
+    """(m, theta, d): sample_size_m at the class's theta at pivot_idx and dimension, both >= 1."""
+    mu = params.resolved_mu(cls.pool_size)
+    theta = max(1.0, disagreement_coefficient(cls, pivot_idx, mu))
+    d = max(1, vc_dimension(cls))
+    return sample_size_m(theta, d, params.epsilon, mu, params.delta, params.c3), theta, d
+
+
 @dataclass(frozen=True)
 class AnnulusPlan:
     """Disjoint instance shells around a pivot, by doubling ball radii.
@@ -335,9 +344,7 @@ def build_generic_estimator(
         raise PoolMismatchError("oracle pool size does not match the class")
     mu = params.resolved_mu(pool)
     if m is None:
-        theta = max(1.0, disagreement_coefficient(cls, pivot_idx, mu))
-        d = max(1, vc_dimension(cls))
-        m = sample_size_m(theta, d, params.epsilon, mu, params.delta, params.c3)
+        m = class_sample_size(cls, pivot_idx, params)[0]
     if rng is None:
         rng = derive_rng(params.master_seed, "generic-build")
     plan = annulus_plan(cls, pivot_idx, mu)

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -58,9 +58,7 @@ __all__ = [
 
 SWEEP_AXES = ("n", "epsilon", "k")
 
-_PARAM_FIELDS = ("epsilon", "mu", "delta", "iterations", "c1", "c2", "c3", "master_seed")
 _RESTARTS = 5
-_NOISE_FIELDS = ("kind", "eta", "rho", "scale", "path")
 
 
 class ConfigError(ValueError):
@@ -71,9 +69,10 @@ class ConfigError(ValueError):
         self.field = field_path
 
 
-def _is_float(value) -> bool:
-    """A number that converts to a float: an integer past the float range does not."""
-    return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
+def _is_finite(value) -> bool:
+    """A finite float, or an integer inside the float range; bools do not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and (
+        abs(value) <= sys.float_info.max)
 
 
 def _json_object(value, field_path: str) -> dict:
@@ -152,44 +151,38 @@ class ExperimentConfig:
             raise ConfigError("noise.kind", f"{self.task} runs support {' or '.join(task.noise)}")
         if self.noise.kind == "adversarial_file" and self.oracle_path is None:
             raise ConfigError("noise.kind", "adversarial_file labels are read from oracle_path")
+        for f in fields(NoiseSpec):  # a noise field the kind never reads keeps its default
+            read = f.name in ("kind", *NoiseSpec.READS[self.noise.kind])
+            if not read and getattr(self.noise, f.name) != f.default:
+                raise ConfigError(f"noise.{f.name}", f"{self.noise.kind} noise never reads it")
+        if self.noise.path not in (None, self.oracle_path):
+            raise ConfigError("noise.path", f"the labels are read from {self.oracle_path!r}")
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["params"] = {name: getattr(self.params, name) for name in _PARAM_FIELDS}
-        data["noise"] = self.noise.to_dict()
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
+        """A config from JSON: each field left out takes its dataclass default."""
+        defaults = {f.name: f.default for f in fields(cls)}
         for key in _json_object(data, "config"):
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(key, "unknown config field")
         if "task" not in data or "n" not in data:
             raise ConfigError("task" if "task" not in data else "n", "required field missing")
-        raw_params = _json_object(data.get("params", {}), "params")
-        for key in raw_params:
-            if key not in _PARAM_FIELDS:
-                raise ConfigError(f"params.{key}", "unknown parameter field")
-        try:
-            params = Params(**{k: raw_params[k] for k in _PARAM_FIELDS if k in raw_params})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("params", str(exc)) from exc
-        raw_noise = _json_object(data.get("noise", {}), "noise")
-        for key, value in raw_noise.items():
-            if key not in _NOISE_FIELDS:
-                raise ConfigError(f"noise.{key}", "unknown noise field")
-            if key in ("eta", "rho", "scale") and not _is_float(value):
-                raise ConfigError(f"noise.{key}", f"must be a number, got {value!r}")
-        try:
-            noise = NoiseSpec.from_dict(raw_noise)
-        except ValueError as exc:
-            raise ConfigError("noise", str(exc)) from exc
-        simple = {k: data[k] for k in known - {"params", "noise"} if k in data}
-        return cls(params=params, noise=noise, **simple)
-
-    def with_overrides(self, **kw) -> "ExperimentConfig":
-        return replace(self, **kw)
+        values = dict(data)
+        for name in ("params", "noise"):
+            section = _json_object(data.get(name, {}), name)
+            for key, value in section.items():
+                if key not in {f.name for f in fields(defaults[name])}:
+                    raise ConfigError(f"{name}.{key}", "unknown field")
+                if name == "noise" and key in ("eta", "rho", "scale") and not _is_finite(value):
+                    raise ConfigError(f"noise.{key}", f"must be a finite number, got {value!r}")
+            try:
+                values[name] = replace(defaults[name], **section)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(name, str(exc)) from exc
+        return cls(**values)
 
 
 @dataclass
@@ -213,7 +206,7 @@ class RunRecord:
             return None
         return self.final_err - self.nu
 
-    def row_dicts(self, real_wall: bool = False) -> list[dict]:
+    def row_dicts(self) -> list[dict]:
         out = []
         for row in self.trajectory.rows:
             excess = None
@@ -227,7 +220,7 @@ class RunRecord:
                     "estimator_value": row.estimator_value,
                     "distinct_queries": row.distinct_queries,
                     "cumulative_queries": row.cumulative_queries,
-                    "wall_ms": row.wall_ms if real_wall else 0.0,
+                    "wall_ms": 0.0,
                 }
             )
         return out
@@ -370,7 +363,7 @@ def _geometric(config: ExperimentConfig) -> _Plan:
 def _generic(config: ExperimentConfig) -> _Plan:
     """Hypotheses are class row indices; the instance pool is the class's own
     pool (n = pool size, thresholds class unless class_path is given)."""
-    params, seed, path = config.params, config.params.master_seed, config.class_path
+    seed, path = config.params.master_seed, config.class_path
     cls = gen.load_class_csv(path) if path else gen.thresholds_class(config.n)
     pool = cls.pool_size
     truth_idx = int(derive_rng(seed, "ground-truth").integers(len(cls)))
@@ -383,10 +376,7 @@ def _generic(config: ExperimentConfig) -> _Plan:
     info: dict = {"pool_size": pool, "class_size": len(cls)}
     m = config.force_m
     if m is None:
-        mu = params.resolved_mu(pool)
-        theta = max(1.0, gen.disagreement_coefficient(cls, 0, mu))
-        dim = max(1, gen.vc_dimension(cls))
-        m = gen.sample_size_m(theta, dim, params.epsilon, mu, params.delta, params.c3)
+        m, theta, dim = gen.class_sample_size(cls, 0, config.params)
         info.update({"theta": theta, "vc_dim": dim})
     info["m"] = m
     return _Plan(
@@ -451,7 +441,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         traj = _class_iteration(plan, config.params)
     nu = plan.nu() if _enumerable(config) else None  # read before the counters: it scans labels
     return RunRecord(
-        config=config, trajectory=traj, nu=nu, counters=plan.oracle.counters.to_dict(),
+        config=config, trajectory=traj, nu=nu, counters=asdict(plan.oracle.counters),
         task_info=plan.info, wall_ms_total=(time.perf_counter() - t0) * 1000.0,
     )
 
@@ -506,20 +496,18 @@ def _axis_override(template: ExperimentConfig, axis: str, value) -> ExperimentCo
     point_seed = _derived_seed(template.params.master_seed, "sweep-point", axis, repr(value))
     params, fields = {"master_seed": point_seed}, {}
     if axis == "epsilon":
-        if isinstance(value, bool) or not _is_float(value):  # the summary would carry '0.3'
-            raise ConfigError("values", f"epsilon takes number values, got {value!r}")
+        if not _is_finite(value):  # the summary would carry '0.3'
+            raise ConfigError("values", f"epsilon takes finite number values, got {value!r}")
         params["epsilon"] = float(value)
-    elif axis in ("n", "k"):
+    else:  # n or k: sweep has checked the axis
         if not is_integer(value):  # int() would truncate 7.5, while the summary says 7.5
             raise ConfigError("values", f"{axis} takes integer values, got {value!r}")
         fields[axis] = int(value)
-    else:
-        raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
     try:
-        params = template.params.with_overrides(**params)
+        params = replace(template.params, **params)
     except ValueError as exc:
         raise ConfigError("params", str(exc)) from exc
-    return template.with_overrides(params=params, **fields)
+    return replace(template, params=params, **fields)
 
 
 def sweep(

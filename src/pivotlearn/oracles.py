@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -48,9 +49,6 @@ __all__ = [
     "save_oracle",
     "load_oracle",
 ]
-
-_NOISE_KINDS = ("none", "uniform_flip", "distance_decay", "adversarial_file")
-
 
 class BudgetExceededError(RuntimeError):
     """A query would push distinct labels past the budget.
@@ -76,7 +74,8 @@ class NoiseSpec:
     uniform_flip flips each unordered pair independently with probability
     eta.  distance_decay (ranking only) flips pair (u, v) with probability
     min(1, scale * |rank(u) - rank(v)| ** -rho).  adversarial_file takes the
-    labels verbatim from a CSV, see load_oracle.
+    labels verbatim from a CSV, see load_oracle.  READS names the fields
+    besides kind that each kind reads; eta, rho and scale are stored as floats.
     """
 
     kind: str = "none"
@@ -85,9 +84,19 @@ class NoiseSpec:
     scale: float = 0.5
     path: Optional[str] = None
 
+    READS: ClassVar[dict] = {"none": (), "uniform_flip": ("eta",),
+                             "distance_decay": ("rho", "scale"), "adversarial_file": ("path",)}
+
     def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {_NOISE_KINDS}")
+        if self.kind not in self.READS:
+            raise ValueError(f"unknown noise kind {self.kind!r}, not one of {tuple(self.READS)}")
+        for name in ("eta", "rho", "scale"):
+            value = getattr(self, name)
+            if isinstance(value, (str, bool)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.path, (str, type(None))):
+            raise ValueError(f"path must be a path string, got {self.path!r}")
         if self.kind == "uniform_flip" and not (0.0 <= self.eta < 0.5):
             raise ValueError(f"uniform_flip needs eta in [0, 0.5), got {self.eta}")
         if self.kind == "distance_decay":
@@ -98,43 +107,12 @@ class NoiseSpec:
         if self.kind == "adversarial_file" and not self.path:
             raise ValueError("adversarial_file needs a path")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "eta": self.eta,
-            "rho": self.rho,
-            "scale": self.scale,
-            "path": self.path,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        if not isinstance(d.get("path"), (str, type(None))):
-            raise ValueError(f"path must be a path string, got {d['path']!r}")
-        return cls(
-            kind=d.get("kind", "none"),
-            eta=float(d.get("eta", 0.0)),
-            rho=float(d.get("rho", 1.0)),
-            scale=float(d.get("scale", 0.5)),
-            path=d.get("path"),
-        )
-
 
 @dataclass
 class QueryCounters:
     distinct_labeled: int = 0
     raw_calls: int = 0
     verification_reads: int = 0
-
-    def snapshot(self) -> "QueryCounters":
-        return QueryCounters(self.distinct_labeled, self.raw_calls, self.verification_reads)
-
-    def to_dict(self) -> dict:
-        return {
-            "distinct_labeled": self.distinct_labeled,
-            "raw_calls": self.raw_calls,
-            "verification_reads": self.verification_reads,
-        }
 
 
 class _Ledger:
@@ -171,7 +149,7 @@ class _Ledger:
             raise BudgetExceededError(
                 f"budget of {self.budget} distinct labels would be exceeded "
                 f"({self.counters.distinct_labeled} used, {n_new} new requested)",
-                self.counters.snapshot(),
+                replace(self.counters),
                 n_new,
             )
         if n_new:
@@ -363,7 +341,7 @@ def save_oracle(oracle: LabelOracle, csv_path: str, sidecar_path: Optional[str] 
     meta = {
         "mode": oracle.mode,
         "n": n,
-        "noise": oracle.noise.to_dict(),
+        "noise": asdict(oracle.noise),
         "seed": oracle.seed,
         "ground_truth": None if gt is None else gt.to_dict(),
         "ground_truth_error": oracle.ground_truth_error(),

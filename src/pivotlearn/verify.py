@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pathlib
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -482,7 +482,7 @@ SUITES = _suites(  # (suite, property, check, the inputs `pivotlearn verify` run
     ("geometric-bound", "disagreement measure within 8rn", _disagreement_bound, _GEOMETRY),
     ("determinism", "repeated run records identical", _rerun_identical, [dict(config=_RUN)]),
     ("determinism", "sweep summaries identical at 1 and 8 workers", _sweep_identical,
-     [dict(config=_RUN.with_overrides(erm="local_search", restarts=3), axis="n",
+     [dict(config=replace(_RUN, erm="local_search", restarts=3), axis="n",
            values=(6, 8, 10), workers=8)]),
     ("stress", "small runs complete, account for their labels, keep errors in [nu, 1] and "
                "repeat across reruns and workers", _stress, _STRESS),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotlearn import ExperimentConfig, NoiseSpec, Params, run_experiment, verify
-from pivotlearn.cli import main
+from pivotlearn.cli import _config_from_args, build_parser, main
 from pivotlearn.harness import _TASKS, TASKS
 from pivotlearn.oracles import LabelOracle
 from pivotlearn.verify import SUITES, run_suite
@@ -60,6 +61,51 @@ def test_run_config_file_wins(tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "fromcfg" / "record.json"))
 
 
+# (flags, the config they parse to): together the cases give every config flag
+_FLAG_CONFIGS = [
+    (["--task", "ranking", "--n", "6"], ExperimentConfig(task="ranking", n=6)),
+    (["--task", "ranking", "--n", "20", "--epsilon", "0.3", "--iterations", "2", "--c1", "0.5",
+      "--seed", "4", "--noise", "distance_decay", "--rho", "1.5", "--scale", "0.4",
+      "--erm", "local_search", "--restarts", "2", "--oracle-file", "l.csv", "--out", "o"],
+     ExperimentConfig(task="ranking", n=20, params=Params(0.3, iterations=2, c1=0.5, master_seed=4),
+                      noise=NoiseSpec("distance_decay", rho=1.5, scale=0.4), erm="local_search",
+                      restarts=2, oracle_path="l.csv", output_dir="o")),
+    (["--task", "clustering", "--n", "8", "--k", "3", "--c2", "0.5", "--noise", "uniform_flip",
+      "--eta", "0.1"],
+     ExperimentConfig(task="clustering", n=8, k=3, params=Params(0.2, c2=0.5),
+                      noise=NoiseSpec("uniform_flip", eta=0.1))),
+    (["--task", "clustering", "--n", "8", "--k", "3", "--force-q", "2"],
+     ExperimentConfig(task="clustering", n=8, k=3, force_q=2)),
+    (["--task", "generic", "--n", "30", "--mu", "0.1", "--delta", "0.2", "--c3", "0.5",
+      "--class-file", "c.csv"],
+     ExperimentConfig(task="generic", n=30, params=Params(0.2, mu=0.1, delta=0.2, c3=0.5),
+                      class_path="c.csv")),
+    (["--task", "generic", "--n", "30", "--force-m", "4"],
+     ExperimentConfig(task="generic", n=30, force_m=4)),
+    (["--task", "geometric", "--n", "8", "--d", "2", "--force-p", "3"],
+     ExperimentConfig(task="geometric", n=8, d=2, force_p=3)),
+]
+
+
+@pytest.mark.parametrize("flags, config", _FLAG_CONFIGS)
+def test_flags_parse_to_the_config_they_set(flags, config):
+    assert _config_from_args(build_parser().parse_args(["run", *flags])) == config
+
+
+def test_every_config_field_has_a_flag_and_takes_the_dataclass_default():
+    """A run flag sets each field of ExperimentConfig, Params and NoiseSpec
+    but noise.path, and no flag that sets one has a default of its own."""
+    paths = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params", "noise"}
+    paths |= {f"params.{f.name}" for f in dataclasses.fields(Params)}
+    paths |= {f"noise.{f.name}" for f in dataclasses.fields(NoiseSpec)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert paths - {a.dest for a in sub.choices["run"]._actions} == {"noise.path"}
+    for name in ("run", "sweep", "oracle-gen"):
+        for action in sub.choices[name]._actions:
+            if action.dest in paths:
+                assert action.default is argparse.SUPPRESS, (name, action.dest)
+
+
 def test_run_missing_required_flags_is_config_error(capsys):
     assert main(["run", "--n", "6"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -95,6 +141,7 @@ def test_run_exact_erm_beyond_its_cap_is_config_error(tmp_path, capsys, monkeypa
     (["--task", "geometric", "--oracle-file", "labels.csv"], "oracle_path"),
     (["--task", "generic", "--erm", "local_search"], "erm"),
     (["--task", "clustering", "--k", "3", "--noise", "distance_decay"], "noise.kind"),
+    (["--task", "ranking", "--eta", "0.3"], "noise.eta"),
 ])
 def test_run_field_the_task_never_reads_is_config_error(tmp_path, capsys, monkeypatch,
                                                         flags, named):

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,8 +119,8 @@ def test_sample_size_cap_is_inclusive():
 def test_params_resolved_mu_and_overrides():
     p = Params(epsilon=0.2)
     assert p.resolved_mu(56) == 1.0 / 56
-    assert p.with_overrides(mu=0.25).resolved_mu(56) == 0.25
-    assert p.with_overrides(epsilon=0.3).epsilon == 0.3
+    assert replace(p, mu=0.25).resolved_mu(56) == 0.25
+    assert replace(p, epsilon=0.3).epsilon == 0.3
     assert p.epsilon == 0.2  # original untouched
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -26,7 +27,7 @@ from pivotlearn import generic as gen
 from pivotlearn import oracles as orc
 from pivotlearn import ranking as rk
 from pivotlearn import verify
-from pivotlearn.harness import _NOISE_FIELDS, _PARAM_FIELDS, TASKS
+from pivotlearn.harness import TASKS
 from pivotlearn.seeding import derive_rng
 
 
@@ -227,6 +228,40 @@ def test_noise_path_must_be_a_string():
     assert ExperimentConfig.from_dict(data).noise.path == "labels.csv"
 
 
+# (noise section, oracle_path, field the error must name): noise a run cannot honour
+_NOISE_REFUSED = [
+    ({"kind": "distance_decay", "rho": math.nan}, None, "noise.rho"),
+    ({"kind": "distance_decay", "scale": math.inf}, None, "noise.scale"),
+    ({"kind": "uniform_flip", "eta": -math.inf}, None, "noise.eta"),
+    ({"kind": "uniform_flip", "eta": 0.1, "rho": 3.0}, None, "noise.rho"),
+    ({"kind": "none", "eta": 0.3}, None, "noise.eta"),
+    ({"kind": "none", "scale": 0.3}, None, "noise.scale"),
+    ({"kind": "distance_decay", "eta": 0.1}, None, "noise.eta"),
+    ({"kind": "none", "path": "b.csv"}, "b.csv", "noise.path"),
+    ({"kind": "adversarial_file", "path": "b.csv", "rho": 2.0}, "b.csv", "noise.rho"),
+    ({"kind": "adversarial_file", "path": "elsewhere.csv"}, "b.csv", "noise.path"),
+]
+
+
+@pytest.mark.parametrize("noise, oracle_path, named", _NOISE_REFUSED)
+def test_config_refuses_noise_the_run_cannot_honour(noise, oracle_path, named):
+    data = {"task": "ranking", "n": 6, "params": {"epsilon": 0.3}, "noise": noise,
+            "oracle_path": oracle_path}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(data)
+    assert exc.value.field == named
+
+
+def test_config_from_dict_fills_left_out_fields_with_their_defaults():
+    assert ExperimentConfig.from_dict({"task": "ranking", "n": 6}) == ExperimentConfig("ranking", 6)
+    data = {"task": "ranking", "n": 6, "params": {"iterations": 2},
+            "noise": {"kind": "uniform_flip", "eta": 0}}
+    config = ExperimentConfig.from_dict(data)
+    assert config == ExperimentConfig("ranking", 6, params=Params(0.2, iterations=2),
+                                      noise=NoiseSpec("uniform_flip", eta=0.0))
+    assert json.dumps(config.to_dict()["noise"]["eta"]) == "0.0"
+
+
 def test_config_roundtrip():
     cfg = _cfg(task="clustering", k=3, erm="local_search", restarts=7)
     d = cfg.to_dict()
@@ -305,8 +340,8 @@ _JSON_VALUES = st.recursive(
 )
 _CONFIG_PATHS = [
     *[(name,) for name in ExperimentConfig.__dataclass_fields__],
-    *[("params", name) for name in _PARAM_FIELDS],
-    *[("noise", name) for name in _NOISE_FIELDS],
+    *[("params", f.name) for f in dataclasses.fields(Params)],
+    *[("noise", f.name) for f in dataclasses.fields(NoiseSpec)],
     ("verbosity",), ("params", "verbosity"), ("noise", "verbosity"),
 ]
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_noise_spec_validation():
 
 def test_noise_spec_roundtrip():
     spec = NoiseSpec(kind="distance_decay", rho=0.5, scale=0.3)
-    assert NoiseSpec.from_dict(spec.to_dict()) == spec
+    assert NoiseSpec(**asdict(spec)) == spec
 
 
 def test_noiseless_ranking_labels_follow_truth():
@@ -148,7 +149,7 @@ def test_query_many_batches_are_atomic(n, budget, seed, batches):
             continue
         us = np.array([u for u, _ in pairs])
         vs = np.array([v for _, v in pairs])
-        before, seen = oracle.counters.snapshot(), _seen_pairs(oracle)
+        before, seen = replace(oracle.counters), _seen_pairs(oracle)
         new = {(min(u, v), max(u, v)) for u, v in pairs} - seen
         if before.distinct_labeled + len(new) > budget:
             with pytest.raises(BudgetExceededError):
@@ -310,7 +311,7 @@ def test_rejected_multi_block_batch_changes_nothing():
                                  seed=17, budget=2**15)
     us, vs = _random_pairs(n, 1000, 17)
     oracle.query_many(us, vs)
-    before, seen = oracle.counters.snapshot(), oracle._seen.copy()
+    before, seen = replace(oracle.counters), oracle._seen.copy()
     big_us, big_vs = _random_pairs(n, 2**16 + 1, 18)
     with pytest.raises(BudgetExceededError):
         oracle.query_many(big_us, big_vs)
@@ -332,7 +333,7 @@ def test_instance_query_many_batches_are_atomic(pool, budget, batches):
     oracle = InstanceOracle(np.arange(pool) % 2, budget=budget)
     for raw in batches:
         idx = np.array([i % pool for i in raw])
-        before, seen = oracle.counters.snapshot(), _instance_seen(oracle)
+        before, seen = replace(oracle.counters), _instance_seen(oracle)
         new = set(idx.tolist()) - seen
         if before.distinct_labeled + len(new) > budget:
             with pytest.raises(BudgetExceededError) as exc:
