@@ -33,6 +33,7 @@ from .seeding import LazyRng, derive_rng
 __all__ = [
     "Pool",
     "Params",
+    "ParamError",
     "RegretEstimator",
     "Trajectory",
     "TrajectoryRow",
@@ -47,6 +48,15 @@ __all__ = [
 
 class PoolMismatchError(ValueError):
     """Hypothesis and pool (or two hypotheses) disagree on the item count."""
+
+
+class ParamError(ValueError):
+    """A Params field refused: `field` names it and `reason` says why."""
+
+    def __init__(self, field_name: str, reason: str):
+        super().__init__(f"{field_name} {reason}")
+        self.field = field_name
+        self.reason = reason
 
 
 class ErmFailedError(RuntimeError):
@@ -150,24 +160,26 @@ class Params:
     def __post_init__(self):
         for name in ("iterations", "master_seed"):
             if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("mu", "c1", "c2", "c3"):  # their ranges admit True, read as 1
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+                raise ParamError(name, f"must be an integer, got {getattr(self, name)!r}")
+        for name in ("epsilon", "mu", "delta", "c1", "c2", "c3"):  # True would read as 1
+            value = getattr(self, name)
+            if not (is_integer(value) or isinstance(value, (float, np.floating))
+                    or (name == "mu" and value is None)):
+                raise ParamError(name, f"must be a number, got {value!r}")
         if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+            raise ParamError("epsilon", f"must be in (0, 1), got {self.epsilon}")
         if self.mu is not None and not (0.0 < self.mu <= 1.0):
-            raise ValueError(f"mu must be in (0, 1], got {self.mu}")
+            raise ParamError("mu", f"must be in (0, 1], got {self.mu}")
         if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+            raise ParamError("delta", f"must be in (0, 1), got {self.delta}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ParamError("iterations", "must be >= 1")
         for name in ("c1", "c2", "c3"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ParamError(name, f"must be positive and finite, got {value!r}")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+            raise ParamError("master_seed", "must be non-negative")
 
     def resolved_mu(self, measure_count: int) -> float:
         """mu, defaulting to one atom of the instance measure (1/N)."""
@@ -546,7 +558,7 @@ def unordered_verification_labels(oracle, us, vs, scans: int = 1) -> np.ndarray:
     scored on one read cost one scan each.
     """
     labels = oracle.verification_labels(us, vs)
-    oracle.counters.verification_reads += (2 * scans - 1) * len(labels)
+    oracle.counters.verification_reads += (2 * scans - 1) * labels.size
     return labels
 
 
@@ -593,17 +605,38 @@ def best_of_restarts(start, restarts: int, rng, random_start, climb):
 _SCAN_BLOCK_PAIRS = 1 << 16
 
 
+def _triangle(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(us, vs) over every pair a <= u < v < b, row by row."""
+    rows = np.arange(a, b)
+    counts = b - 1 - rows
+    us = np.repeat(rows, counts)
+    return us, us + 1 + segment_offsets(counts)
+
+
 def _unordered_pair_blocks(n: int):
-    """Yield (us, vs) over every pair u < v, whole rows of about _SCAN_BLOCK_PAIRS pairs."""
-    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..u
+    """Yield (us, vs) over every pair u < v, in blocks of at most _SCAN_BLOCK_PAIRS pairs.
+
+    A scan that fits one block goes as one 1-d batch.  Otherwise rows
+    a..b-1 go as an outer block, the column arange(a, b)[:, None] against
+    the row arange(b, n)[None, :], so no per-pair index array is built; a
+    row longer than the cap goes in column chunks.  Their inner pairs go as
+    a 1-d batch, which stays small because a block never takes more than
+    half the rows left.
+    """
+    cap = _SCAN_BLOCK_PAIRS
+    if n * (n - 1) // 2 <= cap:
+        yield _triangle(0, n)
+        return
     row = 0
     while row < n - 1:
-        done = int(ends[row - 1]) if row else 0
-        stop = max(row + 1, int(np.searchsorted(ends, done + _SCAN_BLOCK_PAIRS, side="right")))
-        rows = np.arange(row, stop)
-        counts = n - 1 - rows
-        us = np.repeat(rows, counts)
-        yield us, us + 1 + segment_offsets(counts)
+        height = max(1, min(cap // (n - row), (n - row) // 2))
+        stop = row + height
+        us = np.arange(row, stop)[:, None]
+        width = cap // height
+        for col in range(stop, n, width):
+            yield us, np.arange(col, min(n, col + width))[None, :]
+        if height > 1:
+            yield _triangle(row, stop)
         row = stop
 
 
@@ -612,10 +645,10 @@ def true_error(h, oracle) -> float | list[float]:
 
     Given a list or tuple of hypotheses, returns the list of their errors
     from one pass over the labels, each equal to its own single call and
-    charged a full scan.  Walks the unordered pairs in row blocks, so memory
-    stays flat in n; by (skew-)symmetry each mismatch there stands for two
-    ordered ones.  Reads the full label table through the verification
-    counter; refuses to run against a budget-capped oracle.
+    charged a full scan.  Walks the unordered pairs in outer blocks, so
+    memory stays flat in n; by (skew-)symmetry each mismatch there stands
+    for two ordered ones.  Reads the full label table through the
+    verification counter; refuses to run against a budget-capped oracle.
     """
     if getattr(oracle, "budget", None) is not None:
         raise ValueError("true_error needs an unrestricted oracle (budget is set)")

@@ -28,6 +28,7 @@ from . import geometric as geo
 from . import ranking as rk
 from .core import (
     MAX_SAMPLE_SIZE,
+    ParamError,
     Params,
     Trajectory,
     TrajectoryRow,
@@ -151,6 +152,9 @@ class ExperimentConfig:
             raise ConfigError("noise.kind", f"{self.task} runs support {' or '.join(task.noise)}")
         if self.noise.kind == "adversarial_file" and self.oracle_path is None:
             raise ConfigError("noise.kind", "adversarial_file labels are read from oracle_path")
+        if self.oracle_path is not None and self.noise.kind not in ("none", "adversarial_file"):
+            raise ConfigError("noise.kind", f"the labels are read from {self.oracle_path!r}, "
+                                            f"so {self.noise.kind} noise would never apply")
         for f in fields(NoiseSpec):  # a noise field the kind never reads keeps its default
             read = f.name in ("kind", *NoiseSpec.READS[self.noise.kind])
             if not read and getattr(self.noise, f.name) != f.default:
@@ -180,6 +184,8 @@ class ExperimentConfig:
                     raise ConfigError(f"noise.{key}", f"must be a finite number, got {value!r}")
             try:
                 values[name] = replace(defaults[name], **section)
+            except ParamError as exc:
+                raise ConfigError(f"params.{exc.field}", exc.reason) from exc
             except (TypeError, ValueError) as exc:
                 raise ConfigError(name, str(exc)) from exc
         return cls(**values)
@@ -505,8 +511,8 @@ def _axis_override(template: ExperimentConfig, axis: str, value) -> ExperimentCo
         fields[axis] = int(value)
     try:
         params = replace(template.params, **params)
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from exc
+    except ParamError as exc:
+        raise ConfigError(f"params.{exc.field}", exc.reason) from exc
     return replace(template, params=params, **fields)
 
 

@@ -197,9 +197,12 @@ class LabelOracle(_Ledger):
 
     # -- label computation (pure, no accounting) ---------------------------
 
-    def _labels_pure(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    def _labels_pure(self, us: np.ndarray, vs: np.ndarray, outer: bool = False) -> np.ndarray:
+        """Labels of the pairs (us[i], vs[i]), or with `outer` also of every
+        (us[r, 0], vs[0, c]) for us of shape (R, 1) and vs of shape (1, C)."""
         us, vs = integer_ids(us, "us"), integer_ids(vs, "vs")
-        if us.shape != vs.shape:
+        outer = outer and us.ndim == vs.ndim == 2 and us.shape[1] == vs.shape[0] == 1
+        if us.shape != vs.shape and not outer:
             raise ValueError("query arrays must have the same shape")
         if (us == vs).any():
             raise ValueError("pairs must be distinct (u != v)")
@@ -207,15 +210,24 @@ class LabelOracle(_Ledger):
             raise ValueError("pair index out of range")
         if self._table is not None:
             return self._table[us, vs]
-        if us.size <= _SCAN_BLOCK_PAIRS:
+        shape = (len(us), vs.shape[1]) if outer else us.shape
+        if math.prod(shape) <= _SCAN_BLOCK_PAIRS:
             return self._hashed_labels(us, vs)
         # larger batches go in blocks, so the hashing temporaries stay a few megabytes
-        flat_us, flat_vs = us.reshape(-1), vs.reshape(-1)
-        labels = np.empty(us.size, dtype=np.uint8)
+        labels = np.empty(shape, dtype=np.uint8)
+        if outer:  # runs of whole rows, or column chunks of a row longer than a block
+            width = min(shape[1], _SCAN_BLOCK_PAIRS)
+            height = _SCAN_BLOCK_PAIRS // width
+            for r in range(0, shape[0], height):
+                for c in range(0, shape[1], width):
+                    labels[r:r + height, c:c + width] = self._hashed_labels(
+                        us[r:r + height], vs[:, c:c + width])
+            return labels
+        flat_us, flat_vs, flat = us.reshape(-1), vs.reshape(-1), labels.reshape(-1)
         for start in range(0, us.size, _SCAN_BLOCK_PAIRS):
             block = slice(start, start + _SCAN_BLOCK_PAIRS)
-            labels[block] = self._hashed_labels(flat_us[block], flat_vs[block])
-        return labels.reshape(us.shape)
+            flat[block] = self._hashed_labels(flat_us[block], flat_vs[block])
+        return labels
 
     def _hashed_labels(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Base label of each pair under the ground truth, xor its frozen noise flip, as uint8."""
@@ -246,8 +258,12 @@ class LabelOracle(_Ledger):
         return labels
 
     def verification_labels(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Uncapped read for ground-truth evaluation; charged to verification_reads."""
-        labels = self._labels_pure(us, vs)
+        """Uncapped read for ground-truth evaluation; charged to verification_reads.
+
+        Besides equal shapes, takes the outer form of a scan block: us of
+        shape (R, 1) against vs of shape (1, C) reads the (R, C) labels.
+        """
+        labels = self._labels_pure(us, vs, outer=True)
         self.counters.verification_reads += labels.size
         return labels
 

@@ -66,16 +66,16 @@ _FLAG_CONFIGS = [
     (["--task", "ranking", "--n", "6"], ExperimentConfig(task="ranking", n=6)),
     (["--task", "ranking", "--n", "20", "--epsilon", "0.3", "--iterations", "2", "--c1", "0.5",
       "--seed", "4", "--noise", "distance_decay", "--rho", "1.5", "--scale", "0.4",
-      "--erm", "local_search", "--restarts", "2", "--oracle-file", "l.csv", "--out", "o"],
+      "--erm", "local_search", "--restarts", "2", "--out", "o"],
      ExperimentConfig(task="ranking", n=20, params=Params(0.3, iterations=2, c1=0.5, master_seed=4),
                       noise=NoiseSpec("distance_decay", rho=1.5, scale=0.4), erm="local_search",
-                      restarts=2, oracle_path="l.csv", output_dir="o")),
+                      restarts=2, output_dir="o")),
     (["--task", "clustering", "--n", "8", "--k", "3", "--c2", "0.5", "--noise", "uniform_flip",
       "--eta", "0.1"],
      ExperimentConfig(task="clustering", n=8, k=3, params=Params(0.2, c2=0.5),
                       noise=NoiseSpec("uniform_flip", eta=0.1))),
-    (["--task", "clustering", "--n", "8", "--k", "3", "--force-q", "2"],
-     ExperimentConfig(task="clustering", n=8, k=3, force_q=2)),
+    (["--task", "clustering", "--n", "8", "--k", "3", "--force-q", "2", "--oracle-file", "l.csv"],
+     ExperimentConfig(task="clustering", n=8, k=3, force_q=2, oracle_path="l.csv")),
     (["--task", "generic", "--n", "30", "--mu", "0.1", "--delta", "0.2", "--c3", "0.5",
       "--class-file", "c.csv"],
      ExperimentConfig(task="generic", n=30, params=Params(0.2, mu=0.1, delta=0.2, c3=0.5),
@@ -224,7 +224,8 @@ def test_run_config_non_string_path_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("axis, values, named", [
-    ("n", "6,7.5", "values"), ("epsilon", "0.2,abc", "values"), ("epsilon", "1.5", "params"),
+    ("n", "6,7.5", "values"), ("epsilon", "0.2,abc", "values"),
+    ("epsilon", "1.5", "params.epsilon"),
 ])
 def test_sweep_bad_values_are_config_errors(tmp_path, capsys, axis, values, named):
     argv = ["sweep", "--task", "ranking", "--n", "6", "--axis", axis, "--values", values,
@@ -367,6 +368,32 @@ def test_generated_oracle_feeds_run(tmp_path, capsys):
                  "--oracle-file", out, "--out", str(tmp_path / "run")])
     assert code == 0
     assert "status=completed" in capsys.readouterr().out
+
+
+def test_run_from_an_oracle_file_refuses_noise_it_would_never_apply(tmp_path, capsys):
+    """The file's labels are the run's labels: a noise flag beside it would be
+    recorded, yet change nothing."""
+    out = str(tmp_path / "orc.csv")
+    assert main(["oracle-gen", "--task", "ranking", "--n", "12", "--out", out]) == 0
+    run = ["run", "--task", "ranking", "--n", "12", "--oracle-file", out, "--force-p", "3"]
+    for noise in (["--noise", "uniform_flip", "--eta", "0.2"], ["--noise", "distance_decay"]):
+        capsys.readouterr()
+        assert main([*run, *noise, "--out", str(tmp_path / "x")]) == 2
+        assert "config error: noise.kind:" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+    for noise in ([], ["--noise", "none"]):
+        assert main([*run, *noise, "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "2"), ("--mu", "1.5"), ("--delta", "0"), ("--iterations", "0"),
+    ("--c1", "-1"), ("--seed", "-3"),
+])
+def test_run_names_the_parameter_it_refuses(tmp_path, capsys, flag, value):
+    assert main(["run", "--task", "ranking", "--n", "6", flag, value,
+                 "--out", str(tmp_path / "x")]) == 2
+    field = {"--seed": "master_seed"}.get(flag, flag[2:])
+    assert f"config error: params.{field}: must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("task, k", [("ranking", None), ("clustering", 3)])

@@ -464,6 +464,52 @@ def test_true_error_memory_is_flat_in_n():
     assert peak < 16 * 2**20
 
 
+def test_true_error_scan_peak_is_under_three_mib():
+    """Outer blocks hash labels without per-pair id arrays or gathers by them;
+    a scan of 3 hypotheses at n = 2000 peaks well under 3 MiB."""
+    import tracemalloc
+
+    oracle, hs = _scan_fixture("ranking", 2000, 35)
+    tracemalloc.start()
+    try:
+        true_error(hs, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["ranking", "clustering"])
+@pytest.mark.parametrize("cap", [7, 64])
+@pytest.mark.parametrize("n", [2, 3, 40, 257])
+def test_true_error_scan_blocks_stay_under_the_cap(mode, cap, n, monkeypatch):
+    """With the block cap at a few pairs, the scan still reads each pair u < v
+    once, in reads of at most cap pairs, and charges a full scan per hypothesis."""
+    oracle, hs = _scan_fixture(mode, n, 34)
+    us, vs = Pool(n).all_pairs()
+    labels = oracle.verification_labels(us, vs)
+    ref = [float(np.count_nonzero(labels != h.pair_values(us, vs))) / Pool(n).pair_count
+           for h in hs]
+    sizes, keys = [], []
+    read = oracle.verification_labels
+
+    def spy(u, v):
+        out = read(u, v)
+        sizes.append(out.size)
+        keys.append((np.asarray(u) * n + np.asarray(v)).ravel())
+        assert (np.asarray(u) < np.asarray(v)).all()
+        return out
+
+    monkeypatch.setattr(oracle, "verification_labels", spy)
+    monkeypatch.setattr(core, "_SCAN_BLOCK_PAIRS", cap)
+    reads = oracle.counters.verification_reads
+    assert true_error(hs, oracle) == ref
+    assert oracle.counters.verification_reads - reads == len(hs) * n * (n - 1)
+    assert max(sizes) <= max(cap, 1)
+    lo, hi = np.triu_indices(n, 1)
+    np.testing.assert_array_equal(np.sort(np.concatenate(keys)), lo * n + hi)
+
+
 def test_true_error_refuses_budget_capped_oracle():
     truth = rk.Permutation([1, 2, 3, 4])
     oracle = make_ranking_oracle(truth, NoiseSpec(kind="none"), seed=0, budget=5)

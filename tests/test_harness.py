@@ -83,7 +83,7 @@ def test_config_paths_must_be_strings(field, value):
 
 
 def test_config_paths_accept_strings_and_none():
-    cfg = _cfg(oracle_path="labels.csv", class_path=None, output_dir="out")
+    cfg = _cfg(oracle_path="labels.csv", class_path=None, output_dir="out", noise=NoiseSpec())
     assert (cfg.oracle_path, cfg.class_path, cfg.output_dir) == ("labels.csv", None, "out")
 
 
@@ -215,6 +215,8 @@ def test_config_refuses_adversarial_noise_without_an_oracle_file(task):
 ])
 def test_config_keeps_fields_the_task_reads(task, name, value):
     extra = {"oracle_path": "labels.csv"} if name == "noise" and value.path else {}
+    if name == "oracle_path":  # the file's labels carry no noise of the run's
+        extra = {"noise": NoiseSpec()}
     assert getattr(_task_cfg(task, **{name: value}, **extra), name) == value
 
 
@@ -240,6 +242,9 @@ _NOISE_REFUSED = [
     ({"kind": "none", "path": "b.csv"}, "b.csv", "noise.path"),
     ({"kind": "adversarial_file", "path": "b.csv", "rho": 2.0}, "b.csv", "noise.rho"),
     ({"kind": "adversarial_file", "path": "elsewhere.csv"}, "b.csv", "noise.path"),
+    # the file's labels are the run's: noise beside them would never apply
+    ({"kind": "uniform_flip", "eta": 0.2}, "b.csv", "noise.kind"),
+    ({"kind": "distance_decay"}, "b.csv", "noise.kind"),
 ]
 
 
@@ -288,6 +293,21 @@ def test_config_from_dict_nested_error_path():
     assert exc.value.field.startswith("params")
 
 
+@pytest.mark.parametrize("name, value, why", [
+    ("epsilon", 7.0, "must be in (0, 1)"), ("epsilon", "0.3", "must be a number"),
+    ("mu", 1.5, "must be in (0, 1]"), ("delta", 0, "must be in (0, 1)"),
+    ("iterations", 0, "must be >= 1"), ("c1", math.inf, "must be positive and finite"),
+    ("master_seed", -1, "must be non-negative"),
+])
+def test_config_from_dict_names_the_refused_parameter(name, value, why):
+    d = _cfg().to_dict()
+    d["params"][name] = value
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert exc.value.field == f"params.{name}"
+    assert str(exc.value).startswith(f"params.{name}: {why}")
+
+
 # (field path in the config dict, bad value, field the error must name)
 _NON_INTEGER_FIELDS = [
     (("n",), "8", "n"),
@@ -314,7 +334,7 @@ def test_config_from_dict_rejects_a_bool_parameter(name, task):
     d["params"][name] = True
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict(d)
-    assert exc.value.field == "params" and f"{name} must be a number" in str(exc.value)
+    assert exc.value.field == f"params.{name}" and "must be a number" in str(exc.value)
 
 
 @pytest.mark.parametrize("path, value, name", _NON_INTEGER_FIELDS)
@@ -475,7 +495,7 @@ def test_oracle_path_roundtrip(tmp_path):
     oracle = orc.make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.2), seed=55)
     path = str(tmp_path / "labels.csv")
     orc.save_oracle(oracle, path)
-    rec = run_experiment(_cfg(oracle_path=path))
+    rec = run_experiment(_cfg(oracle_path=path, noise=NoiseSpec()))
     # the run consumed the saved labels: rebuilding them gives the same nu
     nu, _ = rk.exact_min_error(orc.load_oracle(path))
     assert rec.nu == pytest.approx(nu)
@@ -487,7 +507,7 @@ def test_oracle_path_size_mismatch(tmp_path):
     path = str(tmp_path / "labels.csv")
     orc.save_oracle(oracle, path)
     with pytest.raises(ConfigError):
-        run_experiment(_cfg(n=7, oracle_path=path))
+        run_experiment(_cfg(n=7, oracle_path=path, noise=NoiseSpec()))
 
 
 def test_class_path_generic(tmp_path):

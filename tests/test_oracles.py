@@ -17,10 +17,11 @@ from pivotlearn import (
     make_ranking_oracle,
 )
 from pivotlearn import clustering as clu
+from pivotlearn import oracles
 from pivotlearn import ranking as rk
 from pivotlearn import verify
 from pivotlearn.core import index_dtype
-from pivotlearn.oracles import OracleFormatError, load_oracle, save_oracle
+from pivotlearn.oracles import LabelOracle, OracleFormatError, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng, pair_uniform
 
 
@@ -365,6 +366,78 @@ def test_pair_queries_refuse_bad_batches_in_order(us, vs, message):
         with pytest.raises(ValueError, match=message):
             read(np.array(us), np.array(vs))
     assert oracle.counters == type(oracle.counters)()
+
+
+@pytest.mark.parametrize("us, vs, message", [
+    ([[0], [2]], [[1, 2, 3]], "must be distinct"),  # a self pair inside the block
+    ([[0], [5]], [[1, 2]], "out of range"),
+    ([[0], [1]], [[2, -1]], "out of range"),
+    ([[0.0], [1.0]], [[2, 3]], "integer"),
+    ([[0, 1], [2, 3], [4, 0]], [[1, 2, 3, 4], [3, 4, 0, 2]], "same shape"),  # (R, 2) x (2, C)
+    ([[0, 1]], [[2], [3]], "same shape"),  # (1, C) x (R, 1): the outer form turned over
+    ([[0], [1]], [2, 3, 4], "same shape"),
+])
+def test_outer_blocks_refuse_bad_batches(us, vs, message):
+    oracle = make_ranking_oracle(_perm(5, 11), NoiseSpec(kind="uniform_flip", eta=0.1), seed=11)
+    with pytest.raises(ValueError, match=message):
+        oracle.verification_labels(np.array(us), np.array(vs))
+    assert oracle.counters == type(oracle.counters)()
+
+
+def test_query_many_refuses_the_outer_form():
+    """Ledger keys are per pair, so a labeled query names every pair itself."""
+    oracle = make_ranking_oracle(_perm(5, 11), NoiseSpec(kind="none"), seed=11)
+    with pytest.raises(ValueError, match="same shape"):
+        oracle.query_many(np.array([[0], [1]]), np.array([[2, 3, 4]]))
+    assert oracle.counters == type(oracle.counters)()
+    assert oracle.verification_labels(np.array([[0], [1]]), np.array([[2, 3, 4]])).shape == (2, 3)
+
+
+_OUTER_NOISES = [
+    ("ranking", NoiseSpec(kind="none")),
+    ("ranking", NoiseSpec(kind="uniform_flip", eta=0.3)),
+    ("ranking", NoiseSpec(kind="distance_decay", rho=0.7, scale=0.6)),
+    ("clustering", NoiseSpec(kind="none")),
+    ("clustering", NoiseSpec(kind="uniform_flip", eta=0.3)),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_outer_block_labels_match_pair_by_pair(cap, data):
+    """(R, 1) ids against (1, C) ids read the labels of each pair on its own,
+    hashed under every noise kind or read from a label table; with the block
+    cap at a few pairs, in row runs and column chunks."""
+    n = data.draw(st.integers(2, 16), label="n")
+    mode, noise = data.draw(st.sampled_from(_OUTER_NOISES), label="oracle")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    ids = data.draw(st.permutations(range(n)), label="ids")
+    rows = data.draw(st.integers(1, n - 1), label="rows")
+    cols = data.draw(st.integers(1, n - rows), label="cols")
+    us, vs = np.array(ids[:rows])[:, None], np.array(ids[rows:rows + cols])[None, :]
+    rng = derive_rng(seed, "outer")
+    if mode == "ranking":
+        hashed = make_ranking_oracle(rk.random_permutation(n, rng), noise, seed=seed)
+    else:
+        hashed = make_clustering_oracle(clu.random_clustering(n, 3, rng), noise, seed=seed)
+    table = np.zeros((n, n), np.uint8)
+    off = ~np.eye(n, dtype=bool)
+    table[off] = hashed.verification_labels(*np.nonzero(off))
+    tabled = LabelOracle(mode, n, base_values=np.zeros(n, np.int64), seed=seed,
+                         noise=NoiseSpec(kind="adversarial_file", path="labels.csv"),
+                         label_table=table)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(oracles, "_SCAN_BLOCK_PAIRS", cap)
+        for oracle in (hashed, tabled):
+            reads = oracle.counters.verification_reads
+            got = oracle.verification_labels(us, vs)
+            assert got.shape == (rows, cols) and got.dtype == np.uint8
+            assert oracle.counters.verification_reads - reads == rows * cols
+            ref = [[int(oracle.verification_labels(np.array([u]), np.array([v]))[0])
+                    for v in vs[0].tolist()] for u in us[:, 0].tolist()]
+            assert got.tolist() == ref
 
 
 def test_pair_queries_accept_an_empty_batch():
