@@ -159,6 +159,8 @@ def _cmd_oracle_gen(args) -> int:
 
 
 def _theta_class(args) -> gen.FiniteClass:
+    if args.family in ("thresholds", "intervals") and args.pool < 2:
+        raise ConfigError("pool", f"{args.family[:-1]} classes need pool >= 2")
     if args.family == "thresholds":
         return gen.thresholds_class(args.pool)
     if args.family == "intervals":

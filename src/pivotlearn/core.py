@@ -720,21 +720,26 @@ def run_erm_iteration(
     derive_rng(seed, "erm", i), derived only if the ERM reads it (exact
     searches and one-restart local search never do).
     """
+    budgeted = getattr(oracle, "budget", None) is not None  # true_error refuses a budgeted oracle
+    errors = None if budgeted else lambda hs: true_error(hs, oracle)
+    return _erm_loop(h0, oracle, params, builder, erm, lambda h: h, errors)
+
+
+def _erm_loop(h, oracle, params: Params, builder: BuilderFn, erm: ErmFn, scored, errors):
+    """The loop of run_erm_iteration: the estimator evaluates scored(h) for a
+    hypothesis h, and errors(hs) reads the errors of a list of hypotheses
+    (None where none can be read).  Every exit fills the errors it can read.
+    """
     from .oracles import BudgetExceededError  # local import, no cycle at module load
 
-    record_errors = getattr(oracle, "budget", None) is None
     seed = params.master_seed
-    traj = Trajectory()
+    traj = Trajectory([TrajectoryRow(0, h, None, None, 0, oracle.counters.distinct_labeled, 0.0)])
 
     def fill_errors():
-        if record_errors:
-            errs = true_error([row.hypothesis for row in traj.rows], oracle)
-            for row, err in zip(traj.rows, errs):
+        if errors is not None:
+            for row, err in zip(traj.rows, errors([row.hypothesis for row in traj.rows])):
                 row.err = err
 
-    cumulative = oracle.counters.distinct_labeled
-    traj.rows.append(TrajectoryRow(0, h0, None, None, 0, cumulative, 0.0))
-    h = h0
     for i in range(1, params.iterations + 1):
         t0 = time.perf_counter()
         before = oracle.counters.distinct_labeled
@@ -742,20 +747,17 @@ def run_erm_iteration(
             est = builder(h, oracle, params, rng=derive_rng(seed, "build", i))
         except BudgetExceededError:
             traj.status = "budget_exhausted"
-            return traj
+            break
         try:
-            h_next = erm(est, h, rng=LazyRng(seed, "erm", i))
+            h = erm(est, h, rng=LazyRng(seed, "erm", i))
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all at the loop boundary
             traj.status = "erm_failed"
             fill_errors()
             raise ErmFailedError(f"ERM failed at iteration {i}: {exc}", traj) from exc
-        spent = oracle.counters.distinct_labeled - before
-        cumulative = oracle.counters.distinct_labeled
+        total = oracle.counters.distinct_labeled
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        traj.rows.append(
-            TrajectoryRow(i, h_next, None, est.evaluate(h_next), spent, cumulative, wall_ms)
-        )
+        value = est.evaluate(scored(h))
+        traj.rows.append(TrajectoryRow(i, h, None, value, total - before, total, wall_ms))
         del est  # so only one estimator is alive while the next one is built
-        h = h_next
     fill_errors()
     return traj

@@ -162,8 +162,8 @@ def disagreement_coefficient(
     """
     if r_floor is None:
         r_floor = 1.0 / cls.pool_size
-    if r_floor <= 0:
-        raise ValueError("r_floor must be positive")
+    if not (r_floor > 0 and math.isfinite(r_floor)):  # nan compares False, inf scans no radius
+        raise ValueError(f"r_floor must be positive and finite, got {r_floor!r}")
     key = ("theta", int(pivot_idx), float(r_floor))
     if key not in cls._derived:
         cls._derived[key] = _disagreement_coefficient(cls, int(pivot_idx), float(r_floor))
@@ -355,16 +355,15 @@ def build_generic_estimator(
                            oracle.query_many(instances))
 
 
-def class_argmin(cls: FiniteClass, est: RegretEstimator) -> tuple[int, float]:
-    """(row index of the estimator minimizer over the class, its value).
+def class_argmin(cls: FiniteClass, est: RegretEstimator) -> int:
+    """Row index of the estimator minimizer over the class.
 
     Ties resolve to the smallest row index.
     """
     if est.is_pair_mode:
         raise ValueError("class_argmin expects an indexed-mode estimator")
     coef, base = column_coefficients(est.us, est.labels, est.weight_num, cls.pool_size)
-    idx, _ = packed_argmin(cls.packed_columns, coef, base)
-    return idx, est.evaluate(cls.labels[idx])
+    return packed_argmin(cls.packed_columns, coef, base)[0]
 
 
 # -- synthetic classes ----------------------------------------------------------

@@ -31,7 +31,7 @@ from .core import (
     ParamError,
     Params,
     Trajectory,
-    TrajectoryRow,
+    _erm_loop,
     is_integer,
     run_erm_iteration,
     true_error,
@@ -281,9 +281,8 @@ class _Plan(NamedTuple):
     search: Callable  # (estimator, start, rng=) -> next hypothesis
     nu: Callable  # () -> least error in the class
     info: dict
-    # hypothesis -> error, for a class run off the batched scan; its search
-    # is then estimator -> (next hypothesis, estimate)
-    error: Optional[Callable] = None
+    scored: Optional[Callable] = None  # a class run's row -> the labels its estimator scores
+    errors: Optional[Callable] = None  # a class run's rows -> their errors, from the class table
 
 
 @dataclass(frozen=True)
@@ -372,6 +371,8 @@ def _generic(config: ExperimentConfig) -> _Plan:
     seed, path = config.params.master_seed, config.class_path
     cls = gen.load_class_csv(path) if path else gen.thresholds_class(config.n)
     pool = cls.pool_size
+    if pool != config.n:
+        raise ConfigError("n", f"class file holds {pool} instances, config says {config.n}")
     truth_idx = int(derive_rng(seed, "ground-truth").integers(len(cls)))
     labels = cls.labels[truth_idx].copy()
     if config.noise.kind == "uniform_flip":
@@ -386,8 +387,9 @@ def _generic(config: ExperimentConfig) -> _Plan:
         info.update({"theta": theta, "vc_dim": dim})
     info["m"] = m
     return _Plan(
-        oracle, 0, partial(gen.build_generic_estimator, cls, m=m), partial(gen.class_argmin, cls),
-        lambda: float(errors.min()), info, error=lambda h: float(errors[h]),
+        oracle, 0, partial(gen.build_generic_estimator, cls, m=m),
+        lambda est, start, rng=None: gen.class_argmin(cls, est), lambda: float(errors.min()),
+        info, scored=lambda h: cls.labels[h], errors=lambda hs: errors[hs].tolist(),
     )
 
 
@@ -421,30 +423,15 @@ def experiment_oracle(config: ExperimentConfig):
     return _TASKS[config.task].plan(config).oracle
 
 
-def _class_iteration(plan: _Plan, params: Params) -> Trajectory:
-    """The build -> ERM loop over a finite class: each row's value comes from
-    the class-wide argmin and its error from plan.error."""
-    oracle, h, traj = plan.oracle, plan.h0, Trajectory()
-    traj.rows.append(TrajectoryRow(0, h, plan.error(h), None, 0, 0, 0.0))
-    for i in range(1, params.iterations + 1):
-        t0 = time.perf_counter()
-        before = oracle.counters.distinct_labeled
-        est = plan.build(h, oracle, params, rng=derive_rng(params.master_seed, "build", i))
-        h, value = plan.search(est)
-        wall = (time.perf_counter() - t0) * 1000.0
-        total = oracle.counters.distinct_labeled
-        traj.rows.append(TrajectoryRow(i, h, plan.error(h), value, total - before, total, wall))
-    return traj
-
-
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute one config end to end; no files are written."""
     t0 = time.perf_counter()
     plan = _TASKS[config.task].plan(config)
-    if plan.error is None:
-        traj = run_erm_iteration(plan.h0, plan.oracle, config.params, plan.build, plan.search)
-    else:
-        traj = _class_iteration(plan, config.params)
+    loop = (plan.h0, plan.oracle, config.params, plan.build, plan.search)
+    if plan.errors is None:
+        traj = run_erm_iteration(*loop)
+    else:  # the loop body: the benchmark pins a class run's build and argmin under this function
+        traj = _erm_loop(*loop, plan.scored, plan.errors)
     nu = plan.nu() if _enumerable(config) else None  # read before the counters: it scans labels
     return RunRecord(
         config=config, trajectory=traj, nu=nu, counters=asdict(plan.oracle.counters),

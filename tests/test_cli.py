@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotlearn import ExperimentConfig, NoiseSpec, Params, run_experiment, verify
+from pivotlearn import generic as gen
 from pivotlearn.cli import _config_from_args, build_parser, main
 from pivotlearn.harness import _TASKS, TASKS
 from pivotlearn.oracles import LabelOracle
@@ -385,6 +386,18 @@ def test_run_from_an_oracle_file_refuses_noise_it_would_never_apply(tmp_path, ca
         assert main([*run, *noise, "--out", str(tmp_path / "ok")]) == 0
 
 
+def test_run_refuses_a_class_file_of_another_pool_size(tmp_path, capsys):
+    path = str(tmp_path / "class.csv")
+    gen.save_class_csv(gen.intervals_class(6), path)
+    run = ["run", "--task", "generic", "--class-file", path, "--force-m", "2"]
+    for n in ("500", "3"):
+        assert main([*run, "--n", n, "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: n: class file holds 6 instances, config says {n}" in (
+            capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "x")
+    assert main([*run, "--n", "6", "--out", str(tmp_path / "ok")]) == 0
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--epsilon", "2"), ("--mu", "1.5"), ("--delta", "0"), ("--iterations", "0"),
     ("--c1", "-1"), ("--seed", "-3"),
@@ -431,6 +444,22 @@ def test_theta_families(capsys):
     assert "theta[pivot=0]" in capsys.readouterr().out
     assert main(["theta", "--family", "permutations", "--n", "5", "--uniform"]) == 0
     assert "uniform" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("r_floor", ["nan", "inf", "0"])
+@pytest.mark.parametrize("uniform", [[], ["--uniform"]])
+def test_theta_refuses_a_floor_that_is_not_positive_and_finite(capsys, r_floor, uniform):
+    assert main(["theta", "--family", "thresholds", "--r-floor", r_floor, *uniform]) == 1
+    out, err = capsys.readouterr()
+    assert "theta[" not in out
+    assert "error: r_floor must be positive and finite" in err
+
+
+@pytest.mark.parametrize("family", ["thresholds", "intervals"])
+@pytest.mark.parametrize("pool", ["1", "0", "-4"])
+def test_theta_refuses_a_pool_below_two(capsys, family, pool):
+    assert main(["theta", "--family", family, "--pool", pool]) == 2
+    assert f"config error: pool: {family[:-1]} classes need pool >= 2" in capsys.readouterr().err
 
 
 def test_theta_permutations_cap(capsys):

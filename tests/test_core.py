@@ -674,6 +674,24 @@ def test_run_erm_iteration_budget_exhaustion():
     assert spent <= oracle.budget
 
 
+def test_class_loop_stops_at_the_budget_with_the_errors_of_its_rows():
+    # unbudgeted, iteration 1 labels 10 instances and iteration 2 one more;
+    # the class table's errors need no label, so both kept rows carry them
+    cls = gen.thresholds_class(12)
+    errors = (cls.labels != cls.labels[7]).mean(axis=1)
+    params = Params(epsilon=0.3, iterations=4, master_seed=2)
+    traj = core._erm_loop(
+        0, InstanceOracle(cls.labels[7], budget=10), params,
+        lambda h, orc, prm, rng=None: gen.build_generic_estimator(cls, h, orc, prm, m=3, rng=rng),
+        lambda est, start, rng=None: gen.class_argmin(cls, est),
+        lambda h: cls.labels[h], lambda hs: errors[hs].tolist(),
+    )
+    assert traj.status == "budget_exhausted"
+    assert [(r.iteration, r.hypothesis, r.distinct_queries) for r in traj.rows] == [
+        (0, 0, 0), (1, 7, 10)]
+    assert [r.err for r in traj.rows] == [errors[0], 0.0]
+
+
 def test_run_erm_iteration_wraps_erm_failure():
     n = 5
     oracle = _ranking_setup(n, 24)
@@ -802,7 +820,7 @@ def test_exact_erm_first_minimizer_tie_break(task):
     if task == "generic":
         cls = gen.thresholds_class(6)
         est = RegretEstimator(cls.labels[3], vs=None, **empty)
-        assert gen.class_argmin(cls, est) == (0, 0.0)
+        assert gen.class_argmin(cls, est) == 0
         return
     pair = dict(vs=np.array([], dtype=np.int64), **empty)
     if task == "ranking":

@@ -123,6 +123,15 @@ def test_uniform_theta_takes_max():
     assert per[pivot] == pytest.approx(theta)
 
 
+@pytest.mark.parametrize("r_floor", [float("nan"), float("inf"), 0.0, -0.5])
+def test_theta_refuses_a_floor_that_is_not_positive_and_finite(r_floor):
+    cls = gen.thresholds_class(9)
+    with pytest.raises(ValueError, match="r_floor must be positive and finite"):
+        gen.disagreement_coefficient(cls, 0, r_floor)
+    with pytest.raises(ValueError, match="r_floor must be positive and finite"):
+        gen.uniform_disagreement_coefficient(cls, r_floor)
+
+
 def test_intervals_blow_up_past_thresholds():
     """At tiny radius floor the empty interval sees everything: theta ~ pool."""
     pool = 20
@@ -323,9 +332,9 @@ def test_class_argmin_matches_scan():
     oracle = InstanceOracle(labels)
     est = gen.build_generic_estimator(cls, 5, oracle, Params(epsilon=0.2, mu=0.2), m=8,
                                       rng=derive_rng(3, "b"))
-    idx, val = gen.class_argmin(cls, est)
+    idx = gen.class_argmin(cls, est)
     vals = [est.evaluate(cls.labels[i]) for i in range(len(cls))]
-    assert val == pytest.approx(min(vals), abs=1e-15)
+    assert est.evaluate(cls.labels[idx]) == pytest.approx(min(vals), abs=1e-15)
     assert idx == int(np.argmin(vals))
 
 
@@ -344,7 +353,7 @@ def test_class_argmin_matches_unpacked_reference_on_one_class(seed):
                                           rng=derive_rng(seed, "b", b))
         mismatch = (cls.labels[:, est.us] != est.labels).astype(np.int64) @ est.weight_num
         row = int(np.argmin(mismatch))
-        assert gen.class_argmin(cls, est) == (row, est.evaluate(cls.labels[row]))
+        assert gen.class_argmin(cls, est) == row
     assert cls.packed_columns is packed
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pivotlearn import (
     ConfigError,
+    ErmFailedError,
     ExperimentConfig,
     NoiseSpec,
     Params,
@@ -519,6 +520,37 @@ def test_class_path_generic(tmp_path):
     assert rec.task_info["vc_dim"] == 2
 
 
+@pytest.mark.parametrize("n", [500, 3])
+def test_class_path_of_another_pool_size_is_refused(tmp_path, n):
+    path = str(tmp_path / "class.csv")
+    gen.save_class_csv(gen.intervals_class(6), path)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(_cfg(task="generic", n=n, class_path=path, force_m=2))
+    assert exc.value.field == "n"
+    assert str(exc.value) == f"n: class file holds 6 instances, config says {n}"
+
+
+def test_generic_erm_failure_raises_with_the_errors_of_its_rows(monkeypatch):
+    cfg = _cfg(task="generic", n=20, force_m=3,
+               params=Params(epsilon=0.3, iterations=3, master_seed=6))
+    full = run_experiment(cfg).trajectory.rows
+    argmin, calls = gen.class_argmin, []
+
+    def failing(cls, est):
+        calls.append(est)
+        if len(calls) == 2:
+            raise RuntimeError("argmin blew up")
+        return argmin(cls, est)
+
+    monkeypatch.setattr(gen, "class_argmin", failing)
+    with pytest.raises(ErmFailedError, match="ERM failed at iteration 2: argmin blew up") as exc:
+        run_experiment(cfg)
+    traj = exc.value.trajectory
+    assert traj.status == "erm_failed"
+    assert [(r.hypothesis, r.err) for r in traj.rows] == [(r.hypothesis, r.err) for r in full[:2]]
+    assert all(r.err is not None for r in traj.rows)
+
+
 # Small configs that reach every ERM path (exact and local search for both
 # pair tasks, the class-wide argmin, the planar-order argmin) with sampled
 # bands, clusters and annuli.  The digests were taken from the code before the
@@ -616,6 +648,7 @@ def _derivation_tags(monkeypatch, cfg) -> list[tuple]:
     ("clustering", "exact", dict(n=10, k=3, force_q=2)),
     ("clustering", "local_search", dict(n=16, k=3, force_q=3, restarts=1)),
     ("geometric", "exact", dict(n=8, force_p=2)),
+    ("generic", "exact", dict(n=12, force_m=3)),
 ])
 def test_unread_erm_stream_is_never_derived(monkeypatch, task, erm, extra):
     cfg = _cfg(task=task, erm=erm, params=Params(epsilon=0.3, iterations=3, master_seed=4),
