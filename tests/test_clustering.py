@@ -571,8 +571,9 @@ def test_block_passes_match_loop_reference(cap, case):
 # per-pair swap scan before the gain table replaced it, (300, 4) from the
 # one-row gain-table scans before the block scans replaced them, and
 # (2000, 6) from the per-sample gain table before its rows were merged per
-# pair; a rewrite of the search must keep every returned assignment
-# byte-identical.
+# pair, and k in {n, 10n} (empty clusters from the start) from the table that
+# held a cell index per row entry; a rewrite of the search must keep every
+# returned assignment byte-identical.
 _LS_GOLDEN_DIGESTS = {
     (13, 2): "d6f252dba872e2265d713e2db7572e14e27d7c209af92d9c111170ea988162c1",
     (13, 3): "6c4a10034568d55e32d7440cbc98df5fb302e5620dd9679c78c7935a4b249880",
@@ -588,6 +589,12 @@ _LS_GOLDEN_DIGESTS = {
     (90, 6): "0443f33804b19551cd8ff797d6b4ce4da3fdc666b19b4f22616b6ca85abee596",
     (300, 4): "62bfdc5899178ba58e9277a9f46924fb8a2605a4da49e57903d230a89e7f664f",
     (2000, 6): "78f7d4a8b08eb871488eeb4c862ba8a83cb2367cb78ae288e6549e543bc2b01d",
+    (13, 13): "145da3cae1badc226d6618531ed2028739dd5743e22abc113722f8ad181e52f0",
+    (13, 130): "0616d14f9fd6e6a09b53fa27e7dec2c453350ab31ba7fb4d3fad7348694dc11e",
+    (40, 40): "1c4f9bda0deee607a704e17e350431c307e68b1e2c7c293b39184a6412eea490",
+    (40, 400): "41952ce7b5263a9d22974ce37b88c6eff0709f3ea5a75d5229d06a006bb34bea",
+    (90, 90): "ed9d47eb546e93b1c5bb19367e7b8c9bf7ba98a43235930c4a311748887fc4f2",
+    (90, 900): "6b56dfe7e191f692cf0a67148be6b3881ed7397bec505d49f7f8237d27474ffa",
 }
 
 
