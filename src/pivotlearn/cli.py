@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -180,6 +181,8 @@ def _theta_class(args) -> gen.FiniteClass:
 
 
 def _cmd_theta(args) -> int:
+    if args.r_floor is not None and not (args.r_floor > 0 and math.isfinite(args.r_floor)):
+        raise ConfigError("r_floor", f"must be positive and finite, got {args.r_floor!r}")
     cls = _theta_class(args)
     r_floor = args.r_floor if args.r_floor is not None else 1.0 / cls.pool_size
     if args.uniform:

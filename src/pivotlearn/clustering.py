@@ -290,42 +290,41 @@ class _GainTable:
     """
 
     __slots__ = (
-        "assign", "cost", "flat", "index", "row_cells", "bounds", "cells", "signed",
-        "owner_cells", "partners", "pair_lo", "pair_hi", "pair_twice", "pair_bounds",
+        "assign", "cost", "flat", "index", "row_cells", "bounds", "signed",
+        "partners", "pair_hi", "pair_twice", "pair_bounds",
     )
 
     def __init__(self, est: RegretEstimator, assign: np.ndarray, k: int):
         n = est.n_items
         if np.any(est.us == est.vs):  # a merged row would lose the sample's second update
             raise ValueError("gain table samples must pair two distinct items")
-        width = k + 1
         self.partners, self.signed, self.bounds = pair_rows(est, oriented=False)
-        owner = np.arange(n).repeat(np.diff(self.bounds))
-        self.cells = self.partners * width
-        self.owner_cells = owner * width
         self.index = np.arange(n, dtype=index_dtype(n))  # narrow: a cheaper b > a mask
-        self.row_cells = np.arange(n) * width
-        self.cost = np.zeros((n, width), dtype=np.int64)
+        self.row_cells = np.arange(n) * (k + 1)
+        self.cost = np.zeros((n, k + 1), dtype=np.int64)
         self.flat = self.cost.reshape(-1)
         # the merged pairs, by smaller item, for the swap correction
-        as_lo = self.partners > owner
-        self.pair_lo, self.pair_hi = owner[as_lo], self.partners[as_lo]
-        self.pair_twice = 2 * self.signed[as_lo]
-        self.pair_bounds = [0, *np.bincount(self.pair_lo, minlength=n).cumsum().tolist()]
+        as_lo = self.partners > self.index.repeat(np.diff(self.bounds))
+        self.pair_hi, self.pair_twice = self.partners[as_lo], 2 * self.signed[as_lo]
+        lows = np.add.reduceat(as_lo, self.bounds[:-1], dtype=np.intp)  # pairs per smaller item
+        self.pair_bounds = np.append(0, lows.cumsum())
+        del as_lo
         self.reset(assign)
 
     def reset(self, assign: np.ndarray) -> None:
         """Fill the table for `assign`, which it then updates in place."""
         self.assign = assign
         self.cost.fill(0)
-        np.add.at(self.flat, self.owner_cells + assign[self.partners], self.signed)
+        cells = self.row_cells.repeat(np.diff(self.bounds))
+        cells += assign[self.partners]
+        np.add.at(self.flat, cells, self.signed)
 
     def move(self, item: int, cid: int) -> None:
         """Put `item` in cluster `cid` and update its partners' rows."""
         lo, hi = self.bounds[item], self.bounds[item + 1]
-        cells, signed = self.cells[lo:hi], self.signed[lo:hi]
-        self.flat[cells + self.assign[item]] -= signed
-        self.flat[cells + cid] += signed
+        partners, signed = self.partners[lo:hi], self.signed[lo:hi]
+        self.cost[:, self.assign[item]][partners] -= signed  # a column view: 1-d indexing
+        self.cost[:, cid][partners] += signed
         self.assign[item] = cid
 
     def reassign_deltas(self, start: int, stop: int) -> np.ndarray:
@@ -369,7 +368,8 @@ class _GainTable:
         score = cost[start:stop].take(cb, axis=1)  # C order, for the flat correction
         score += cost[lo:, ca].T
         score -= current
-        at += (self.pair_lo[first:last] - start) * len(cb)
+        bounds = self.pair_bounds[start:stop + 1]  # each pair to its row of the flat block
+        at += np.arange(0, score.size, len(cb)).repeat(bounds[1:] - bounds[:-1])
         score.reshape(-1)[at] -= twice
         better = score < self.flat[self.row_cells[start:stop] + ca][:, None]
         better &= ca[:, None] != cb

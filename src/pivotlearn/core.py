@@ -599,9 +599,9 @@ def best_of_restarts(start, restarts: int, rng, random_start, climb):
     return best[0]
 
 
-# Pairs per block of a true_error scan and of an oracle's label hashing:
-# enough to amortize per-call numpy overhead, few enough that a block's
-# temporaries take a few megabytes.
+# Pairs per block of a true_error scan, of an estimator's sample walk and of
+# a clustering local-search pass: enough to amortize per-call numpy overhead,
+# few enough that a block's temporaries take a few megabytes.
 _SCAN_BLOCK_PAIRS = 1 << 16
 
 

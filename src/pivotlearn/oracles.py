@@ -32,7 +32,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import (
-    _SCAN_BLOCK_PAIRS, csv_rows, index_dtype, integer_ids, pair_keys, true_error,
+    csv_rows, index_dtype, integer_ids, pair_keys, true_error,
     unordered_verification_labels, unsigned_max, upper_pairs, zero_one,
 )
 from .seeding import pair_uniform
@@ -49,6 +49,12 @@ __all__ = [
     "save_oracle",
     "load_oracle",
 ]
+
+# Pairs per block of label hashing: few enough that a block's 8-byte
+# temporaries stay in a core's L2 cache, which a whole scan block of
+# core._SCAN_BLOCK_PAIRS pairs overflowed.
+_HASH_BLOCK_PAIRS = 1 << 14
+
 
 class BudgetExceededError(RuntimeError):
     """A query would push distinct labels past the budget.
@@ -211,21 +217,21 @@ class LabelOracle(_Ledger):
         if self._table is not None:
             return self._table[us, vs]
         shape = (len(us), vs.shape[1]) if outer else us.shape
-        if math.prod(shape) <= _SCAN_BLOCK_PAIRS:
+        if math.prod(shape) <= _HASH_BLOCK_PAIRS:
             return self._hashed_labels(us, vs)
-        # larger batches go in blocks, so the hashing temporaries stay a few megabytes
+        # larger batches go in blocks, so the hashing temporaries stay in cache
         labels = np.empty(shape, dtype=np.uint8)
         if outer:  # runs of whole rows, or column chunks of a row longer than a block
-            width = min(shape[1], _SCAN_BLOCK_PAIRS)
-            height = _SCAN_BLOCK_PAIRS // width
+            width = min(shape[1], _HASH_BLOCK_PAIRS)
+            height = _HASH_BLOCK_PAIRS // width
             for r in range(0, shape[0], height):
                 for c in range(0, shape[1], width):
                     labels[r:r + height, c:c + width] = self._hashed_labels(
                         us[r:r + height], vs[:, c:c + width])
             return labels
         flat_us, flat_vs, flat = us.reshape(-1), vs.reshape(-1), labels.reshape(-1)
-        for start in range(0, us.size, _SCAN_BLOCK_PAIRS):
-            block = slice(start, start + _SCAN_BLOCK_PAIRS)
+        for start in range(0, us.size, _HASH_BLOCK_PAIRS):
+            block = slice(start, start + _HASH_BLOCK_PAIRS)
             flat[block] = self._hashed_labels(flat_us[block], flat_vs[block])
         return labels
 

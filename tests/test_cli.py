@@ -449,10 +449,10 @@ def test_theta_families(capsys):
 @pytest.mark.parametrize("r_floor", ["nan", "inf", "0"])
 @pytest.mark.parametrize("uniform", [[], ["--uniform"]])
 def test_theta_refuses_a_floor_that_is_not_positive_and_finite(capsys, r_floor, uniform):
-    assert main(["theta", "--family", "thresholds", "--r-floor", r_floor, *uniform]) == 1
+    assert main(["theta", "--family", "thresholds", "--r-floor", r_floor, *uniform]) == 2
     out, err = capsys.readouterr()
     assert "theta[" not in out
-    assert "error: r_floor must be positive and finite" in err
+    assert "config error: r_floor: must be positive and finite" in err
 
 
 @pytest.mark.parametrize("family", ["thresholds", "intervals"])

@@ -541,6 +541,23 @@ def test_gain_table_refuses_a_self_pair():
         clu._GainTable(samples, np.array([1, 1, 2]), 2)
 
 
+def test_gain_table_holds_few_row_sized_arrays():
+    """Partners, signed weights and the merged pairs (half a row each) are all
+    the table keeps at row length: about 3 rows of int64, the rest derived."""
+    oracle, pivot = _fixture(2000, 6, 7)
+    est = clu.build_clustering_estimator(pivot, oracle, Params(epsilon=0.3), q=20,
+                                         rng=derive_rng(7, "b"))
+    assign = pivot.assign.copy()
+    tracemalloc.start()
+    try:
+        table = clu._GainTable(est, assign, 6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.partners.dtype == np.int64 and len(table.partners) > 100 * len(assign)
+    assert held <= 4 * table.partners.nbytes
+
+
 @pytest.mark.parametrize("cap", [None, 6])
 @given(_search_cases())
 @settings(max_examples=150, deadline=None)

@@ -429,7 +429,7 @@ def test_outer_block_labels_match_pair_by_pair(cap, data):
                          label_table=table)
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
-            mp.setattr(oracles, "_SCAN_BLOCK_PAIRS", cap)
+            mp.setattr(oracles, "_HASH_BLOCK_PAIRS", cap)
         for oracle in (hashed, tabled):
             reads = oracle.counters.verification_reads
             got = oracle.verification_labels(us, vs)
