@@ -22,9 +22,11 @@ of unique keys, so memory follows the labels a run spends.  Counters:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
+import warnings
 from array import array
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar, Optional
@@ -210,7 +212,11 @@ class LabelOracle(_Ledger):
         outer = outer and us.ndim == vs.ndim == 2 and us.shape[1] == vs.shape[0] == 1
         if us.shape != vs.shape and not outer:
             raise ValueError("query arrays must have the same shape")
-        if (us == vs).any():
+        if outer:  # on the R + C ids; at once when every u lies below every v, as in a scan
+            shared = us.size and vs.size and us.max() >= vs.min() and np.isin(us, vs).any()
+        else:
+            shared = (us == vs).any()
+        if shared:
             raise ValueError("pairs must be distinct (u != v)")
         if max(unsigned_max(us), unsigned_max(vs)) >= self.n:  # negative ids included
             raise ValueError("pair index out of range")
@@ -240,15 +246,14 @@ class LabelOracle(_Ledger):
         base_u, base_v = self._base.take(us), self._base.take(vs)  # take: fast with narrow ids
         labels = base_u < base_v if self.mode == "ranking" else base_u == base_v
         kind = self.noise.kind
-        if kind != "none":
-            unif = pair_uniform(self.seed, us, vs)
-            if kind == "uniform_flip":
-                labels ^= unif < self.noise.eta
-            elif kind == "distance_decay":
-                gap = np.abs(base_u - base_v).astype(np.float64)
-                labels ^= unif < np.minimum(1.0, self.noise.scale * gap**-self.noise.rho)
-            else:
-                raise AssertionError(f"unreachable noise kind {kind}")
+        if kind == "uniform_flip":
+            labels ^= pair_uniform(self.seed, us, vs, below=self.noise.eta)
+        elif kind == "distance_decay":
+            gap = np.abs(base_u - base_v).astype(np.float64)
+            labels ^= pair_uniform(self.seed, us, vs) < np.minimum(
+                1.0, self.noise.scale * gap**-self.noise.rho)
+        elif kind != "none":
+            raise AssertionError(f"unreachable noise kind {kind}")
         return labels.view(np.uint8)
 
     # -- counted access -----------------------------------------------------
@@ -404,6 +409,51 @@ def _first_fault(us, vs, ys, n: int, mode: str) -> Optional[str]:
     return None
 
 
+# The characters of a file body whose cells numpy's reader parses as int() would
+_PLAIN_BODY = b"0123456789+-, \t\r\n"
+
+
+def _pair_cells(csv_path: str) -> np.ndarray:
+    """u, v and label of each row of a pair-label file, in file order, as (rows, 3) int64.
+
+    numpy's C reader parses a body of plain integer cells in one pass.  A
+    body it refuses or does not take exactly as int() would (other
+    characters, a ragged row, an id past 64 bits, a label other than 0 or 1)
+    is read again row by row, which names the first faulty line.
+    """
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        if [c.strip().lower() for c in next(reader, [])[:3]] != ["u", "v", "label"]:
+            raise OracleFormatError(f"{csv_path} must start with a 'u,v,label' header")
+        chunks = iter(functools.partial(fh.read, 1 << 20), "")  # the body, checked in 1 MiB chunks
+        plain = reader.line_num == 1 and all(
+            c.isascii() and not c.encode().translate(None, _PLAIN_BODY) for c in chunks)
+    if plain:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body warns; the caller refuses it
+                cells = np.loadtxt(csv_path, np.int64, delimiter=",", comments=None,
+                                   skiprows=1, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if cells.shape[1] == 3 and unsigned_max(cells[:, 2]) <= 1:
+                return cells
+    cells = array("q")
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked above
+        parse = lambda row: (int(row[0]), int(row[1]), int(row[2]))
+        for line_no, row in csv_rows(csv_path, reader, parse, OracleFormatError):
+            if row[2] not in (0, 1):
+                raise OracleFormatError(f"{csv_path}:{line_no}: label must be 0 or 1")
+            try:
+                cells.extend(row)
+            except OverflowError:
+                raise OracleFormatError(f"{csv_path}:{line_no}: id past 64 bits") from None
+    return np.frombuffer(cells, dtype=np.int64).reshape(-1, 3)
+
+
 def load_oracle(
     csv_path: str,
     *,
@@ -427,22 +477,10 @@ def load_oracle(
         raise OracleFormatError("oracle mode unknown: pass mode= or provide the JSON sidecar")
     if os.path.getsize(csv_path) == 0:
         raise OracleFormatError(f"{csv_path} is empty")
-    cells = array("q")  # u, v and label of each row, in file order
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        if [c.strip().lower() for c in next(reader, [])[:3]] != ["u", "v", "label"]:
-            raise OracleFormatError(f"{csv_path} must start with a 'u,v,label' header")
-        parse = lambda row: (int(row[0]), int(row[1]), int(row[2]))
-        for line_no, row in csv_rows(csv_path, reader, parse, OracleFormatError):
-            if row[2] not in (0, 1):
-                raise OracleFormatError(f"{csv_path}:{line_no}: label must be 0 or 1")
-            try:
-                cells.extend(row)
-            except OverflowError:
-                raise OracleFormatError(f"{csv_path}:{line_no}: id past 64 bits") from None
-    if not cells:
+    cells = _pair_cells(csv_path)
+    if not len(cells):
         raise OracleFormatError(f"{csv_path} holds no pair rows")
-    us, vs, ys = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3).T
+    us, vs, ys = cells.T
     n = int(n or meta.get("n") or max(int(us.max()), int(vs.max())) + 1)
     if len(us) < n * (n - 1) // 2:  # counted before the n x n table is allocated
         raise OracleFormatError(

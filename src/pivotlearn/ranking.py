@@ -373,7 +373,7 @@ def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutati
     positions = np.arange(n, dtype=index_dtype(n))
     rank0 = np.empty_like(positions)
     rank0[order] = positions
-    obj = est.evaluate_int(start)
+    obj = 0 if start is est.pivot else est.evaluate_int(start)  # the pivot is 0 by construction
     settled = np.diff(bounds) == 1  # no partners: nothing to gain
     moved = True
     while moved:

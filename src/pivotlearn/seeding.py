@@ -10,12 +10,17 @@ Every random decision in the package flows through one of two primitives:
   float in [0, 1) with a splitmix64-style finalizer.  Label noise is frozen
   through this function, so an oracle's answers are a pure function of
   (ground truth, noise spec, seed) no matter when or how often it is asked.
+  ``pair_uniform(seed, u, v, below=t)`` returns value < t, decided on the
+  64-bit hash against an integer threshold, without the float conversion;
+  an outer block of ids u (R, 1) below ids v (1, C) keys its pairs in one
+  broadcast pass.  Both give the bits of the plain call.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 
 import numpy as np
 
@@ -94,20 +99,44 @@ def _mix64(z: np.ndarray) -> None:
     z ^= z >> _S31
 
 
-def pair_uniform(seed: int, u, v) -> np.ndarray:
+def _pair_keys(u, v) -> np.ndarray:
+    """(min << 32) ^ max of each pair, as a fresh uint64 array of the broadcast shape.
+
+    An ordered outer block, u a column (R, 1) below every id of a row v
+    (1, C), takes its key in one broadcast pass, since there u is the
+    lesser id of every pair.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    if u.ndim == v.ndim == 2 and u.shape[1] == v.shape[0] == 1 and u.size and v.size \
+            and u.max() < v.min():
+        return (u.astype(np.uint64) << _S32) ^ v.astype(np.uint64)
+    z = np.minimum(u, v).astype(np.uint64)
+    z <<= _S32
+    z ^= np.maximum(u, v).astype(np.uint64)
+    return z
+
+
+def pair_uniform(seed: int, u, v, below=None) -> np.ndarray:
     """Uniform [0, 1) value per unordered pair {u, v}, seed-keyed.
 
     Accepts scalars or arrays; the result is symmetric in (u, v), a float64
-    scalar for scalar inputs and of their broadcast shape otherwise.
+    scalar for scalar inputs and of their broadcast shape otherwise.  With a
+    float `below`, returns the bools value < below instead, decided on the
+    integer hash: each value is x * 2**-53 for an integer x = z >> 11 of the
+    64-bit hash z, so value < below exactly when z < ceil(below * 2**53) << 11.
     """
-    lo = np.minimum(u, v).astype(np.uint64)
-    z = lo.reshape(-1)  # a fresh flat array, hashed in place
-    z <<= _S32
-    z ^= np.maximum(u, v).astype(np.uint64).reshape(-1)
+    z = _pair_keys(u, v)
+    shape = z.shape
+    z = z.reshape(-1)  # a fresh flat array, hashed in place
     _mix64(z)
     z ^= _U64(tag_to_int(seed))
     _mix64(z)
-    z >>= _S11
-    out = z.astype(np.float64)
-    out *= 2.0**-53
-    return out.reshape(lo.shape) if lo.shape else out[0]
+    if below is None:
+        z >>= _S11
+        out = z.astype(np.float64)
+        out *= 2.0**-53
+    elif 0.0 < below < 1.0:  # so 1 <= ceil(below * 2**53) < 2**53
+        out = z < _U64(math.ceil(below * 2.0**53) << 11)
+    else:  # every value lies below 1 or more, none below 0 or less or below nan
+        out = np.full(z.shape, below >= 1.0)
+    return out.reshape(shape) if shape else out[0]

@@ -376,6 +376,8 @@ def test_pair_queries_refuse_bad_batches_in_order(us, vs, message):
     ([[0, 1], [2, 3], [4, 0]], [[1, 2, 3, 4], [3, 4, 0, 2]], "same shape"),  # (R, 2) x (2, C)
     ([[0, 1]], [[2], [3]], "same shape"),  # (1, C) x (R, 1): the outer form turned over
     ([[0], [1]], [2, 3, 4], "same shape"),
+    ([[4], [1]], [[0, 4]], "must be distinct"),  # at the largest row id and column id
+    ([[1], [3]], [[3, 9]], "must be distinct"),  # at the largest row id and least column id
 ])
 def test_outer_blocks_refuse_bad_batches(us, vs, message):
     oracle = make_ranking_oracle(_perm(5, 11), NoiseSpec(kind="uniform_flip", eta=0.1), seed=11)
@@ -675,6 +677,51 @@ def test_load_names_the_first_faulty_row(text, kwargs, message, tmp_path):
     path.write_text("u,v,label\n" + text)
     with pytest.raises(OracleFormatError, match=message):
         load_oracle(str(path), **kwargs)
+
+
+def _load_outcome(path, mode):
+    try:
+        loaded = load_oracle(path, mode=mode)
+    except OracleFormatError as exc:
+        return str(exc)
+    return loaded.n, loaded._table.tobytes()
+
+
+# ids and labels mostly, so many files load; then cells that int() and numpy's
+# reader take differently or refuse
+_CELLS = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "+1", " 1", "1\t", "00", "-0",
+                          "", " ", "1.0", "1e0", "x", "1_0", "99999999999999999999",
+                          "\u0661", "\u01fe", "1\x1c", "\"1\"", "#1"])
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("bulk reader off")
+
+
+@given(st.lists(st.lists(_CELLS, min_size=2, max_size=4), max_size=9),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["ranking", "clustering"]))
+@settings(max_examples=300, deadline=None)
+def test_bulk_parse_agrees_with_the_row_reader(tmp_path_factory, rows, newline, mode):
+    """numpy's bulk reader and the row-by-row reader load the same table, or
+    refuse the file with the same message, whatever its cells."""
+    path = str(tmp_path_factory.mktemp("bulk") / "in.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(["u,v,label"] + [",".join(row) for row in rows]) + newline)
+    bulk = _load_outcome(path, mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _refuse)  # every body goes row by row
+        assert _load_outcome(path, mode) == bulk
+
+
+def test_saved_oracle_loads_without_the_row_reader(tmp_path, monkeypatch):
+    n = 40
+    oracle = make_ranking_oracle(_perm(n, 16), NoiseSpec(kind="uniform_flip", eta=0.2), seed=16)
+    path = str(tmp_path / "o.csv")
+    save_oracle(oracle, path)
+    monkeypatch.setattr(oracles, "csv_rows", None)  # a call would raise TypeError
+    loaded = load_oracle(path)
+    us, vs = Pool(n).all_pairs()
+    assert np.array_equal(loaded.verification_labels(us, vs), oracle.verification_labels(us, vs))
 
 
 @pytest.mark.parametrize("ids", [np.array([1.7, 0.2]), np.array([True, False])],

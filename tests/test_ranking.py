@@ -444,6 +444,26 @@ def test_sparse_climb_matches_dense_reference(n, pairs, m, wmax, seed):
     assert obj == ref_obj == est.evaluate_int(found)
 
 
+@given(st.integers(2, 14), st.integers(1, 60), st.integers(1, 3), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_climb_from_the_pivot_skips_its_evaluation(n, m, wmax, seed):
+    """A climb from est.pivot starts at objective 0 without a full evaluation
+    and still returns evaluate_int of its result, as the dense reference does."""
+    rng = derive_rng(seed, "pivot-climb")
+    us = rng.integers(0, n, size=m)
+    vs = (us + rng.integers(1, n, size=m)) % n
+    labels = rng.integers(0, 2, size=m).astype(np.uint8)
+    est = RegretEstimator(rk.random_permutation(n, rng), us, vs,
+                          rng.integers(1, wmax + 1, size=m), wmax, labels)
+    calls = []
+    est.evaluate_int = lambda h, f=est.evaluate_int: calls.append(h) or f(h)
+    found, obj = rk._climb(est, est.pivot, *pair_rows(est, oriented=True))
+    assert calls == []
+    ref, ref_obj = _dense_climb(est, est.pivot)
+    assert found == ref
+    assert obj == ref_obj == est.evaluate_int(found) <= 0
+
+
 def test_sparse_climb_matches_dense_reference_past_16_bit_ranks():
     """At n = 70,000 ranks need more than 16 bits.  About 200 samples on items
     that start around rank 2**16 climb exactly like the dense reference."""

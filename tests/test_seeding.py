@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pivotlearn import seeding
 from pivotlearn.seeding import derive_rng, derive_seed_seq, pair_uniform, tag_to_int
 
 
@@ -97,8 +98,8 @@ def test_non_int_tags_hash_via_string_form():
     assert tag_to_int(3.5) != tag_to_int(3)
 
 
-def _reference_pair_uniform(seed, u, v):
-    """The out-of-place splitmix64 hash the in-place one replaced."""
+def _reference_hash(seed, u, v):
+    """The out-of-place splitmix64 hash the in-place one replaced, as uint64."""
     def mix64(x):
         z = (x + np.uint64(0x9E3779B97F4A7C15)) & ~np.uint64(0)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -111,8 +112,11 @@ def _reference_pair_uniform(seed, u, v):
     hi = np.maximum(u, v)
     with np.errstate(over="ignore"):
         key = mix64((lo << np.uint64(32)) ^ hi)
-        h = mix64(key ^ np.uint64(tag_to_int(seed)))
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        return mix64(key ^ np.uint64(tag_to_int(seed)))
+
+
+def _reference_pair_uniform(seed, u, v):
+    return (_reference_hash(seed, u, v) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
 _NEAR_2_32 = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
@@ -138,3 +142,55 @@ def test_pair_uniform_matches_reference(seed, u, v):
     np.testing.assert_array_equal(got, want)
     if np.ndim(want) == 0:
         assert type(got) is np.float64
+
+
+_BELOW_INPUTS = {
+    "scalar": (3, 9),
+    "1-d": (np.arange(40), np.arange(40)[::-1] + 3),
+    "ordered-outer": (np.arange(5)[:, None], np.arange(5, 3200)[None, :]),
+    "unordered-outer": (np.arange(3000, 3005)[:, None], np.arange(0, 2000)[None, :]),
+    "overlapping-outer": (np.arange(100, 110)[:, None], np.arange(95, 1600)[None, :]),
+}
+
+
+def _exact_thresholds(seed):
+    """x * 2**-53 for the value of a pair whose hash has its low 11 bits clear, so
+    the value sits exactly on the integer threshold, with its float neighbours."""
+    z = _reference_hash(seed, *_BELOW_INPUTS["ordered-outer"]).reshape(-1)
+    x = int(z[(z & np.uint64(2047)) == 0][0] >> np.uint64(11))
+    t = x * 2.0**-53
+    return [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("case", list(_BELOW_INPUTS))
+def test_pair_uniform_below_matches_the_float_compare(seed, case):
+    """below=t returns value < t bit for bit, for thresholds on both sides of
+    (0, 1), between and on the value grid, and nan."""
+    u, v = _BELOW_INPUTS[case]
+    values = pair_uniform(seed, u, v)
+    thresholds = [-1.0, 0.0, 0.1, 0.3, 1.0, 1.5, np.inf, np.nan, *_exact_thresholds(seed)]
+    for t in thresholds:
+        got = pair_uniform(seed, u, v, below=t)
+        want = values < t
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want, err_msg=f"below={t!r}")
+    if case == "ordered-outer":  # the exact thresholds split equal and next values
+        _, t, above = _exact_thresholds(seed)
+        assert (values == t).any() and not pair_uniform(seed, u, v, below=t)[values == t].any()
+        assert pair_uniform(seed, u, v, below=above)[values == t].all()
+
+
+@pytest.mark.parametrize("u, v", [
+    (np.arange(5)[:, None], np.arange(5, 3200)[None, :]),
+    (np.arange(2**32 - 3, 2**32 - 1)[:, None], np.arange(2**32 - 1, 2**32 + 2)[None, :]),
+    (np.arange(3, dtype=np.uint16)[:, None], np.arange(3, 9, dtype=np.uint16)[None, :]),
+    (np.array([[-3], [-1]]), np.arange(0, 4)[None, :]),
+    (np.arange(10, 15)[:, None], np.arange(0, 20)[None, :]),  # overlapping: the min/max path
+])
+def test_ordered_outer_key_equals_the_min_max_key(u, v):
+    want = (np.minimum(u, v).astype(np.uint64) << np.uint64(32)) ^ np.maximum(u, v).astype(np.uint64)
+    got = seeding._pair_keys(u, v)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, want)
