@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -52,6 +53,19 @@ def test_intervals_class_shape():
         on = np.flatnonzero(row)
         if on.size:
             assert np.all(np.diff(on) == 1)
+
+
+@pytest.mark.parametrize("pool", range(2, 10))
+def test_intervals_class_matches_the_double_loop(pool):
+    """Reference: the empty row, then [a, b] for a ascending and b ascending within a."""
+    x = np.arange(pool)
+    rows = [np.zeros(pool, dtype=np.uint8)]
+    for a in range(pool):
+        for b in range(a, pool):
+            rows.append(((x >= a) & (x <= b)).astype(np.uint8))
+    cls = gen.intervals_class(pool)
+    assert cls.labels.dtype == np.uint8
+    assert np.array_equal(cls.labels, np.stack(rows))
 
 
 def test_distances_hamming():
@@ -393,6 +407,13 @@ def test_class_csv_roundtrip(tmp_path):
     gen.save_class_csv(cls, path)
     loaded = gen.load_class_csv(path)
     assert np.array_equal(loaded.labels, cls.labels)
+
+
+def test_class_csv_bytes_golden(tmp_path):
+    path = tmp_path / "class.csv"
+    gen.save_class_csv(gen.intervals_class(6), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "517650291e6aacd3a0f093215f548b67e9d1a0dd1b4705a5298e0dd6bea70e73")
 
 
 def test_load_class_csv_rejects_ragged(tmp_path):

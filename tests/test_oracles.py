@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import asdict, replace
@@ -611,6 +612,34 @@ def test_clustering_oracle_roundtrip(tmp_path):
     assert np.array_equal(loaded.verification_labels(us, vs),
                           oracle.verification_labels(us, vs))
 
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# (mode, oracle maker, sha256 of the CSV, sha256 of the sidecar): the bytes save_oracle writes
+_SAVED_GOLDENS = [
+    ("ranking", lambda: make_ranking_oracle(
+        rk.random_permutation(41, derive_rng(21, "perm")),
+        NoiseSpec(kind="uniform_flip", eta=0.2), seed=21),
+     "616de8b96bb8092868ba56a3121800df98e21e9fe8608030a22f55be6a19d5ad",
+     "ca21b2e198308bdc7f607a2fd14bdd15902da7b15056a09f244fafe9e76c42d0"),
+    ("clustering", lambda: make_clustering_oracle(
+        clu.random_clustering(39, 4, derive_rng(22, "t")),
+        NoiseSpec(kind="uniform_flip", eta=0.15), seed=22),
+     "69059303f984276e09a6dfef297dc7d97800e4d4862f093f69be9d443ef6af89",
+     "7a3c226b2e6dc183bdddd45fcca3e471ca1d8694bf00313b5b52c977de0fd647"),
+]
+
+
+@pytest.mark.parametrize("mode, make, csv_digest, sidecar_digest", _SAVED_GOLDENS,
+                         ids=[case[0] for case in _SAVED_GOLDENS])
+def test_saved_oracle_bytes_golden(mode, make, csv_digest, sidecar_digest, tmp_path):
+    path = str(tmp_path / f"{mode}.csv")
+    sidecar = save_oracle(make(), path)
+    assert (_sha256(path), _sha256(sidecar)) == (csv_digest, sidecar_digest)
 
 _LOADER_CASES = {
     # name: (loader, file text, keyword arguments, error type, message pattern)
