@@ -153,7 +153,8 @@ def _cmd_oracle_gen(args) -> int:
     sidecar = save_oracle(oracle, out_csv)
     print(f"labels:  {out_csv}")
     print(f"sidecar: {sidecar}")
-    err = oracle.ground_truth_error()
+    with open(sidecar) as fh:  # the error save_oracle scanned for, not a second scan
+        err = json.load(fh)["ground_truth_error"]
     if err is not None:
         print(f"realized ground-truth error: {err:.6f}")
     return 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,6 +39,7 @@ __all__ = [
     "Trajectory",
     "TrajectoryRow",
     "ErmFailedError",
+    "BudgetExceededError",
     "PoolMismatchError",
     "distance",
     "true_error",
@@ -51,7 +53,7 @@ class PoolMismatchError(ValueError):
 
 
 class ParamError(ValueError):
-    """A Params field refused: `field` names it and `reason` says why."""
+    """A Params or NoiseSpec field refused: `field` names it and `reason` says why."""
 
     def __init__(self, field_name: str, reason: str):
         super().__init__(f"{field_name} {reason}")
@@ -67,9 +69,29 @@ class ErmFailedError(RuntimeError):
         self.trajectory = trajectory
 
 
+class BudgetExceededError(RuntimeError):
+    """A query would push distinct labels past the budget.
+
+    The failed call consumes nothing; `counters` is the snapshot at failure
+    and `requested` the number of new distinct labels the call asked for.
+    """
+
+    def __init__(self, message: str, counters: "QueryCounters", requested: int):
+        super().__init__(message)
+        self.counters = counters
+        self.requested = requested
+
+
 def is_integer(value) -> bool:
     """True for Python and NumPy integers; bools and integral floats do not count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite Python or NumPy float, or an integer inside the float range; bools do not count."""
+    if is_integer(value):  # compared as an int: 10**400 cannot overflow, a NumPy int cannot warn
+        return abs(int(value)) <= sys.float_info.max
+    return isinstance(value, (float, np.floating)) and math.isfinite(value)
 
 
 def integer_array(values) -> np.ndarray:
@@ -249,8 +271,6 @@ class RegretEstimator:
         that score a block, stays a block long.
         """
         step = _SCAN_BLOCK_PAIRS
-        if self.n_samples <= step:
-            return [slice(None)]
         return [slice(start, start + step) for start in range(0, self.n_samples, step)]
 
     def evaluate_int(self, h) -> int:
@@ -730,8 +750,6 @@ def _erm_loop(h, oracle, params: Params, builder: BuilderFn, erm: ErmFn, scored,
     hypothesis h, and errors(hs) reads the errors of a list of hypotheses
     (None where none can be read).  Every exit fills the errors it can read.
     """
-    from .oracles import BudgetExceededError  # local import, no cycle at module load
-
     seed = params.master_seed
     traj = Trajectory([TrajectoryRow(0, h, None, None, 0, oracle.counters.distinct_labeled, 0.0)])
 

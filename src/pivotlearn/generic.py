@@ -127,16 +127,16 @@ def ball(cls: FiniteClass, pivot_idx: int, r: float) -> np.ndarray:
     return np.flatnonzero(cls.distance_counts(pivot_idx) <= _count_radius(cls, r))
 
 
+def _disagreement_bits(cls: FiniteClass, indices) -> np.ndarray:
+    """Packed pool bits of the instances where the rows `indices` are not unanimous."""
+    sub = cls.packed[np.asarray(indices, dtype=np.int64)]
+    # OR ^ AND, as AND lies within OR; over no rows AND is all ones, so no bit is set
+    return np.bitwise_or.reduce(sub, axis=0) & ~np.bitwise_and.reduce(sub, axis=0, initial=255)
+
+
 def disagreement_mask(cls: FiniteClass, indices) -> np.ndarray:
     """Boolean pool mask of instances where the subset is not unanimous."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if len(indices) == 0:
-        return np.zeros(cls.pool_size, dtype=bool)
-    sub = cls.packed[indices]
-    any_one = np.bitwise_or.reduce(sub, axis=0)
-    all_one = np.bitwise_and.reduce(sub, axis=0)
-    bits = np.unpackbits(any_one ^ all_one, count=cls.pool_size)
-    return bits.astype(bool)
+    return np.unpackbits(_disagreement_bits(cls, indices), count=cls.pool_size).astype(bool)
 
 
 def disagreement_region(cls: FiniteClass, indices) -> np.ndarray:
@@ -144,12 +144,7 @@ def disagreement_region(cls: FiniteClass, indices) -> np.ndarray:
 
 
 def disagreement_measure(cls: FiniteClass, indices) -> float:
-    indices = np.asarray(indices, dtype=np.int64)
-    if len(indices) == 0:
-        return 0.0
-    sub = cls.packed[indices]
-    bits = np.bitwise_or.reduce(sub, axis=0) ^ np.bitwise_and.reduce(sub, axis=0)
-    return int(np.bitwise_count(bits).sum()) / cls.pool_size
+    return int(np.bitwise_count(_disagreement_bits(cls, indices)).sum()) / cls.pool_size
 
 
 def disagreement_coefficient(
@@ -201,13 +196,10 @@ def _disagreement_coefficient(cls: FiniteClass, pivot_idx: int, r_floor: float) 
 def uniform_disagreement_coefficient(
     cls: FiniteClass, r_floor: Optional[float] = None
 ) -> tuple[float, int]:
-    """(max over pivots of the disagreement coefficient, attaining pivot)."""
-    best, best_idx = 0.0, 0
-    for idx in range(len(cls)):
-        theta = disagreement_coefficient(cls, idx, r_floor)
-        if theta > best:
-            best, best_idx = theta, idx
-    return best, best_idx
+    """(max over pivots of the disagreement coefficient, the first pivot attaining it)."""
+    thetas = [disagreement_coefficient(cls, idx, r_floor) for idx in range(len(cls))]
+    best_idx = max(range(len(cls)), key=thetas.__getitem__)
+    return thetas[best_idx], best_idx
 
 
 # Subsets per shattering block: one block's label gather holds about this
@@ -299,7 +291,7 @@ class AnnulusPlan:
 
     @property
     def covered(self) -> np.ndarray:
-        return np.concatenate([a for a in self.annuli]) if self.annuli else np.array([], int)
+        return np.concatenate(self.annuli) if self.annuli else np.array([], int)
 
 
 def annulus_plan(cls: FiniteClass, pivot_idx: int, mu: float) -> AnnulusPlan:
@@ -387,12 +379,10 @@ def intervals_class(pool_size: int) -> FiniteClass:
     """The empty hypothesis plus every 1[a <= x <= b] over 0..pool_size-1."""
     if pool_size < 2:
         raise ValueError("pool_size must be >= 2")
-    rows = [np.zeros(pool_size, dtype=np.uint8)]
+    a, b = np.triu_indices(pool_size)  # a ascending, then b ascending from a
     x = np.arange(pool_size)
-    for a in range(pool_size):
-        for b in range(a, pool_size):
-            rows.append(((x >= a) & (x <= b)).astype(np.uint8))
-    return FiniteClass(np.stack(rows))
+    rows = (x >= a[:, None]) & (x <= b[:, None])
+    return FiniteClass(np.vstack([np.zeros(pool_size, bool), rows]))
 
 
 # -- persistence ----------------------------------------------------------------
@@ -400,10 +390,9 @@ def intervals_class(pool_size: int) -> FiniteClass:
 
 def save_class_csv(cls: FiniteClass, path: str) -> None:
     """One headerless CSV row per hypothesis: its 0/1 label on each pool instance."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in cls.labels:
-            writer.writerow(row.tolist())
+    with open(path, "w", newline="") as fh:  # the bytes csv.writer writes: CRLF endings
+        for row in cls.labels.tolist():
+            fh.write(",".join(map(str, row)) + "\r\n")
 
 
 def load_class_csv(path: str) -> FiniteClass:

@@ -84,22 +84,26 @@ def random_features(n: int, d: int, rng: np.random.Generator) -> FeatureSet:
     return FeatureSet(rng.standard_normal((n, d)))
 
 
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """Items by decreasing score in each column of (n, m) scores; the first exact tie raises."""
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=0)
+    ties = (ranked[:-1] == ranked[1:]).T
+    if ties.any():
+        col, t = np.argwhere(ties)[0]
+        pair = (int(order[t, col]), int(order[t + 1, col]))
+        raise DegenerateGeometryError(
+            f"direction scores items {pair[0]} and {pair[1]} equally", pair
+        )
+    return order
+
+
 def induced_permutation(w, features: FeatureSet) -> Permutation:
     """Items sorted by decreasing <w, vector>; errors on an exact score tie."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (features.d,):
         raise ValueError(f"direction must have shape ({features.d},)")
-    scores = features.vectors @ w
-    order = np.argsort(-scores, kind="stable")
-    ranked = scores[order]
-    ties = np.flatnonzero(ranked[:-1] == ranked[1:])
-    if len(ties):
-        t = int(ties[0])
-        pair = (int(order[t]), int(order[t + 1]))
-        raise DegenerateGeometryError(
-            f"direction scores items {pair[0]} and {pair[1]} equally", pair
-        )
-    return Permutation.from_order(order)
+    return Permutation.from_order(_descending((features.vectors @ w)[:, None])[:, 0])
 
 
 def _pair_normals(features: FeatureSet):
@@ -150,17 +154,7 @@ def _planar_class(features: FeatureSet) -> tuple[list[Permutation], np.ndarray, 
     angles = np.sort(mids)
     directions = np.array([[math.cos(a) for a in angles.tolist()],
                            [math.sin(a) for a in angles.tolist()]])
-    scores = features.vectors @ directions  # (n, midpoints)
-    order = np.argsort(-scores, axis=0, kind="stable")
-    ranked = np.take_along_axis(scores, order, axis=0)
-    ties = ranked[:-1] == ranked[1:]
-    if ties.any():
-        col = int(np.flatnonzero(ties.any(axis=0))[0])
-        t = int(np.flatnonzero(ties[:, col])[0])
-        pair = (int(order[t, col]), int(order[t + 1, col]))
-        raise DegenerateGeometryError(
-            f"direction scores items {pair[0]} and {pair[1]} equally", pair
-        )
+    order = _descending(features.vectors @ directions)  # (n, midpoints)
     first = np.sort(np.unique(order.T, axis=0, return_index=True)[1])
     ranks = np.argsort(order[:, first].T, axis=1) + 1  # each distinct order's rank array
     angles = angles[first]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -22,6 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import __version__
 from . import clustering as clu
 from . import generic as gen
 from . import geometric as geo
@@ -32,6 +32,7 @@ from .core import (
     Params,
     Trajectory,
     _erm_loop,
+    is_finite_number,
     is_integer,
     run_erm_iteration,
     true_error,
@@ -68,12 +69,6 @@ class ConfigError(ValueError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field = field_path
-
-
-def _is_finite(value) -> bool:
-    """A finite float, or an integer inside the float range; bools do not count."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and (
-        abs(value) <= sys.float_info.max)
 
 
 def _json_object(value, field_path: str) -> dict:
@@ -177,15 +172,13 @@ class ExperimentConfig:
         values = dict(data)
         for name in ("params", "noise"):
             section = _json_object(data.get(name, {}), name)
-            for key, value in section.items():
+            for key in section:
                 if key not in {f.name for f in fields(defaults[name])}:
                     raise ConfigError(f"{name}.{key}", "unknown field")
-                if name == "noise" and key in ("eta", "rho", "scale") and not _is_finite(value):
-                    raise ConfigError(f"noise.{key}", f"must be a finite number, got {value!r}")
             try:
                 values[name] = replace(defaults[name], **section)
             except ParamError as exc:
-                raise ConfigError(f"params.{exc.field}", exc.reason) from exc
+                raise ConfigError(f"{name}.{exc.field}", exc.reason) from exc
             except (TypeError, ValueError) as exc:
                 raise ConfigError(name, str(exc)) from exc
         return cls(**values)
@@ -232,8 +225,6 @@ class RunRecord:
         return out
 
     def to_dict(self) -> dict:
-        from . import __version__
-
         return {
             "version": __version__,
             "config": self.config.to_dict(),
@@ -263,10 +254,6 @@ def _serialize_hypothesis(h) -> Optional[dict]:
     if isinstance(h, (int, np.integer)):
         return {"kind": "class_member", "index": int(h)}
     raise TypeError(f"cannot serialize hypothesis of type {type(h)!r}")
-
-
-def _derived_seed(master_seed: int, *tags) -> int:
-    return int(derive_rng(master_seed, *tags).integers(0, 2**63))
 
 
 # -- the task table --------------------------------------------------------------
@@ -486,10 +473,10 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> RunRecord:
 
 
 def _axis_override(template: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    point_seed = _derived_seed(template.params.master_seed, "sweep-point", axis, repr(value))
-    params, fields = {"master_seed": point_seed}, {}
+    rng = derive_rng(template.params.master_seed, "sweep-point", axis, repr(value))
+    params, fields = {"master_seed": int(rng.integers(0, 2**63))}, {}
     if axis == "epsilon":
-        if not _is_finite(value):  # the summary would carry '0.3'
+        if not is_finite_number(value):  # the summary would carry '0.3'
             raise ConfigError("values", f"epsilon takes finite number values, got {value!r}")
         params["epsilon"] = float(value)
     else:  # n or k: sweep has checked the axis

@@ -34,8 +34,8 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import (
-    csv_rows, index_dtype, integer_ids, pair_keys, true_error,
-    unordered_verification_labels, unsigned_max, upper_pairs, zero_one,
+    BudgetExceededError, ParamError, csv_rows, index_dtype, integer_ids, is_finite_number,
+    pair_keys, true_error, unordered_verification_labels, unsigned_max, zero_one,
 )
 from .seeding import pair_uniform
 
@@ -58,19 +58,6 @@ __all__ = [
 _HASH_BLOCK_PAIRS = 1 << 14
 
 
-class BudgetExceededError(RuntimeError):
-    """A query would push distinct labels past the budget.
-
-    The failed call consumes nothing; `counters` is the snapshot at failure
-    and `requested` the number of new distinct labels the call asked for.
-    """
-
-    def __init__(self, message: str, counters: "QueryCounters", requested: int):
-        super().__init__(message)
-        self.counters = counters
-        self.requested = requested
-
-
 class OracleFormatError(ValueError):
     """A persisted oracle file is incomplete or inconsistent."""
 
@@ -83,7 +70,8 @@ class NoiseSpec:
     eta.  distance_decay (ranking only) flips pair (u, v) with probability
     min(1, scale * |rank(u) - rank(v)| ** -rho).  adversarial_file takes the
     labels verbatim from a CSV, see load_oracle.  READS names the fields
-    besides kind that each kind reads; eta, rho and scale are stored as floats.
+    besides kind that each kind reads; eta, rho and scale are stored as floats,
+    and one that is not a finite number raises ParamError naming it.
     """
 
     kind: str = "none"
@@ -96,13 +84,13 @@ class NoiseSpec:
                              "distance_decay": ("rho", "scale"), "adversarial_file": ("path",)}
 
     def __post_init__(self):
-        if self.kind not in self.READS:
-            raise ValueError(f"unknown noise kind {self.kind!r}, not one of {tuple(self.READS)}")
         for name in ("eta", "rho", "scale"):
             value = getattr(self, name)
-            if isinstance(value, (str, bool)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not is_finite_number(value):
+                raise ParamError(name, f"must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
+        if self.kind not in self.READS:
+            raise ValueError(f"unknown noise kind {self.kind!r}, not one of {tuple(self.READS)}")
         if not isinstance(self.path, (str, type(None))):
             raise ValueError(f"path must be a path string, got {self.path!r}")
         if self.kind == "uniform_flip" and not (0.0 <= self.eta < 0.5):
@@ -317,15 +305,7 @@ def make_ranking_oracle(
     budget: Optional[int] = None,
 ) -> LabelOracle:
     """Oracle preferring u to v when the ground-truth permutation ranks u higher."""
-    return LabelOracle(
-        "ranking",
-        ground_truth.n_items,
-        base_values=ground_truth.rank.astype(np.int64),
-        noise=noise,
-        seed=seed,
-        ground_truth=ground_truth,
-        budget=budget,
-    )
+    return _truth_oracle("ranking", ground_truth, ground_truth.rank, noise, seed, budget)
 
 
 def make_clustering_oracle(
@@ -335,15 +315,14 @@ def make_clustering_oracle(
     seed: int = 0,
     budget: Optional[int] = None,
 ) -> LabelOracle:
-    return LabelOracle(
-        "clustering",
-        ground_truth.n_items,
-        base_values=ground_truth.assign.astype(np.int64),
-        noise=noise,
-        seed=seed,
-        ground_truth=ground_truth,
-        budget=budget,
-    )
+    """Oracle putting u and v together when the ground-truth clustering does."""
+    return _truth_oracle("clustering", ground_truth, ground_truth.assign, noise, seed, budget)
+
+
+def _truth_oracle(mode: str, ground_truth, base_values, noise, seed, budget) -> LabelOracle:
+    """The oracle of one ground truth, labelling pairs from its per-item base values."""
+    return LabelOracle(mode, ground_truth.n_items, base_values=base_values.astype(np.int64),
+                       noise=noise, seed=seed, ground_truth=ground_truth, budget=budget)
 
 
 # -- persistence -------------------------------------------------------------
@@ -353,17 +332,19 @@ def save_oracle(oracle: LabelOracle, csv_path: str, sidecar_path: Optional[str] 
     """Write all unordered pair labels as CSV plus a JSON metadata sidecar.
 
     Returns the sidecar path.  Writing reads the full table once (charged to
-    verification_reads as one full scan).
+    verification_reads as one full scan), a row u of pairs (u, v > u) at a
+    time, and writes the bytes csv.writer would, CRLF line ends included.
     """
     sidecar_path = sidecar_path or csv_path + ".json"
     n = oracle.n
-    iu, iv = upper_pairs(n)
-    labels = unordered_verification_labels(oracle, iu, iv)
+    ends = (",0\r\n", ",1\r\n")  # a line's label and end
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "label"])
-        for u, v, y in zip(iu.tolist(), iv.tolist(), labels.tolist()):
-            writer.writerow([u, v, y])
+        fh.write("u,v,label\r\n")
+        for u in range(n - 1):
+            vs = np.arange(u + 1, n)
+            labels = unordered_verification_labels(oracle, np.full(len(vs), u), vs)
+            head = f"{u},"
+            fh.write("".join([f"{head}{v}{ends[y]}" for v, y in zip(vs.tolist(), labels.tolist())]))
     gt = oracle.ground_truth
     meta = {
         "mode": oracle.mode,
@@ -494,11 +475,10 @@ def load_oracle(
     # a pair given in one orientation only: its mirror cell follows from the mode
     fill = (table == 255) & (table.T != 255)
     table[fill] = table.T[fill] if mode == "clustering" else 1 - table.T[fill]
-    iu, iv = upper_pairs(n)
-    missing = table[iu, iv] == 255
-    if np.any(missing):
-        at = int(np.argmax(missing))
-        raise OracleFormatError(f"pair ({int(iu[at])}, {int(iv[at])}) is missing from {csv_path}")
+    missing = np.triu(table == 255, 1)  # a pair's cells are both filled or both not
+    if missing.any():
+        u, v = divmod(int(missing.argmax()), n)  # the first in row-major order
+        raise OracleFormatError(f"pair ({u}, {v}) is missing from {csv_path}")
     np.fill_diagonal(table, 0)
     noise = NoiseSpec(kind="adversarial_file", path=csv_path)
     return LabelOracle(
@@ -507,7 +487,6 @@ def load_oracle(
         base_values=np.zeros(n, dtype=np.int64),
         noise=noise,
         seed=int(meta.get("seed", 0)),
-        ground_truth=None,
         label_table=table,
         budget=budget,
     )

@@ -305,7 +305,7 @@ def _annuli(family: str, pool: int, mu: float, seed: int):
     cls = getattr(gen, f"{family}_class")(pool)
     pivot = int(derive_rng(seed, "verify", "annuli").integers(len(cls)))
     plan = gen.annulus_plan(cls, pivot, mu)
-    return cls, pivot, plan, np.concatenate(plan.annuli)
+    return cls, pivot, plan, plan.covered
 
 
 def _annuli_disjoint(**case):

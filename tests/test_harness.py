@@ -246,6 +246,12 @@ _NOISE_REFUSED = [
     # the file's labels are the run's: noise beside them would never apply
     ({"kind": "uniform_flip", "eta": 0.2}, "b.csv", "noise.kind"),
     ({"kind": "distance_decay"}, "b.csv", "noise.kind"),
+    # a number that is not finite, named by its field
+    ({"kind": "uniform_flip", "eta": 10**400}, None, "noise.eta"),
+    ({"kind": "distance_decay", "rho": None}, None, "noise.rho"),
+    ({"kind": "distance_decay", "scale": [0.1]}, None, "noise.scale"),
+    ({"kind": "uniform_flip", "eta": True}, None, "noise.eta"),
+    ({"kind": "distance_decay", "rho": "x"}, None, "noise.rho"),
 ]
 
 
@@ -256,6 +262,11 @@ def test_config_refuses_noise_the_run_cannot_honour(noise, oracle_path, named):
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict(data)
     assert exc.value.field == named
+
+
+def test_config_takes_numpy_noise_numbers():
+    data = {"task": "ranking", "n": 6, "noise": {"kind": "uniform_flip", "eta": np.float32(0.25)}}
+    assert ExperimentConfig.from_dict(data).noise == NoiseSpec("uniform_flip", eta=0.25)
 
 
 def test_config_from_dict_fills_left_out_fields_with_their_defaults():

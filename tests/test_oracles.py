@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -21,7 +23,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import oracles
 from pivotlearn import ranking as rk
 from pivotlearn import verify
-from pivotlearn.core import index_dtype
+from pivotlearn.core import index_dtype, upper_pairs
 from pivotlearn.oracles import LabelOracle, OracleFormatError, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng, pair_uniform
 
@@ -41,6 +43,28 @@ def test_noise_spec_validation():
         NoiseSpec(kind="distance_decay", rho=-1.0)
     with pytest.raises(ValueError):
         NoiseSpec(kind="adversarial_file")  # needs a path
+
+
+_NOT_FINITE = {"1e400": 10**400, "None": None, "list": [0.1], "True": True, "str": "x",
+               "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize("name", ["eta", "rho", "scale"])
+@pytest.mark.parametrize("value", list(_NOT_FINITE.values()), ids=list(_NOT_FINITE))
+def test_noise_spec_refuses_a_non_finite_number_by_name(name, value):
+    with pytest.raises(ValueError) as exc:
+        NoiseSpec(kind="uniform_flip", **{name: value})
+    assert exc.value.field == name
+    assert str(exc.value) == f"{name} must be a finite number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [np.float16(0.25), np.float32(0.25), np.float64(0.25),
+                                   np.int64(0), np.uint8(0), 0, 0.25])
+def test_noise_spec_takes_numpy_numbers_without_a_warning(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = NoiseSpec(kind="uniform_flip", eta=value)
+    assert type(spec.eta) is float and spec.eta == float(value)
 
 
 def test_noise_spec_roundtrip():
@@ -640,6 +664,30 @@ def test_saved_oracle_bytes_golden(mode, make, csv_digest, sidecar_digest, tmp_p
     path = str(tmp_path / f"{mode}.csv")
     sidecar = save_oracle(make(), path)
     assert (_sha256(path), _sha256(sidecar)) == (csv_digest, sidecar_digest)
+
+
+def test_save_memory_is_flat_in_the_pair_count(tmp_path):
+    """n = 800 has 319,600 pairs: the whole triangle as id arrays or as Python
+    lists takes tens of MiB, one row of it a few KiB.  Most of the peak left
+    is the sidecar's error scan, in blocks of 2**16 pairs."""
+    oracle = make_ranking_oracle(_perm(800, 23), NoiseSpec(kind="uniform_flip", eta=0.1), seed=23)
+    path = str(tmp_path / "wide.csv")
+    tracemalloc.start()
+    try:
+        save_oracle(oracle, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_save_and_load_leave_no_pair_triangle_cached(tmp_path):
+    upper_pairs.cache_clear()
+    oracle = make_ranking_oracle(_perm(400, 24), NoiseSpec(kind="uniform_flip", eta=0.1), seed=24)
+    path = str(tmp_path / "o.csv")
+    save_oracle(oracle, path)
+    load_oracle(path)
+    assert upper_pairs.cache_info().currsize == 0
 
 _LOADER_CASES = {
     # name: (loader, file text, keyword arguments, error type, message pattern)

@@ -1,6 +1,6 @@
-"""Source checks: no imported name goes unused, every export exists, every module
-parses at the oldest Python the package supports, and tier-1 runs every
-registered property."""
+"""Source checks: no imported name goes unused, no package module is imported
+inside a function, every export exists, every module parses at the oldest
+Python the package supports, and tier-1 runs every registered property."""
 
 import ast
 import importlib
@@ -60,6 +60,42 @@ def test_unused_import_check_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _function_imports(source: str) -> list[str]:
+    """'line N' for each import of a package module inside a function body.
+
+    Such an import hides a cycle between modules until the function runs.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom):
+                    names = [inner.module or ""] if not inner.level else ["pivotlearn"]
+                elif isinstance(inner, ast.Import):
+                    names = [alias.name for alias in inner.names]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "pivotlearn" for name in names):
+                    lines.add(inner.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_function_import_check_sees_package_imports_only():
+    source = (
+        "from . import core\nimport json\n"
+        "def f():\n    import math\n    from . import __version__\n"
+        "    def g():\n        from .oracles import x\n"
+        "class C:\n    def m(self):\n        import pivotlearn.core\n"
+        "        from pivotlearn import seeding\n        from collections import abc\n"
+    )
+    assert _function_imports(source) == ["line 5", "line 7", "line 10", "line 11"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_import_inside_a_function(path):
+    assert _function_imports(path.read_text()) == []
 
 
 _EXPORTING = [p for p in sorted(SRC.glob("*.py")) if _exports(ast.parse(p.read_text())) is not None]
