@@ -100,11 +100,9 @@ class Clustering:
 
     def canonical(self) -> "Clustering":
         """Clusters renumbered 1, 2, ... by first occurrence."""
-        mapping: dict[int, int] = {}
-        out = np.empty_like(self.assign)
-        for i, cid in enumerate(self.assign.tolist()):
-            out[i] = mapping.setdefault(cid, len(mapping) + 1)
-        return Clustering(out, self.k)
+        _, first, index = np.unique(self.assign, return_index=True, return_inverse=True)
+        place = np.argsort(np.argsort(first))  # each distinct id's rank by first occurrence
+        return Clustering(place[index.reshape(-1)] + 1, self.k)
 
     def distance_to(self, other: "Clustering") -> float:
         """Pair-disagreement distance from cluster and intersection sizes.

@@ -24,7 +24,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,6 +92,13 @@ def is_finite_number(value) -> bool:
     if is_integer(value):  # compared as an int: 10**400 cannot overflow, a NumPy int cannot warn
         return abs(int(value)) <= sys.float_info.max
     return isinstance(value, (float, np.floating)) and math.isfinite(value)
+
+
+def python_scalars(obj) -> None:
+    """Store each NumPy scalar field of a frozen dataclass as its Python value, which JSON takes."""
+    for f in fields(obj):
+        if isinstance(getattr(obj, f.name), np.generic):
+            object.__setattr__(obj, f.name, getattr(obj, f.name).item())
 
 
 def integer_array(values) -> np.ndarray:
@@ -180,6 +187,7 @@ class Params:
     master_seed: int = 0
 
     def __post_init__(self):
+        python_scalars(self)
         for name in ("iterations", "master_seed"):
             if not is_integer(getattr(self, name)):
                 raise ParamError(name, f"must be an integer, got {getattr(self, name)!r}")
@@ -198,7 +206,7 @@ class Params:
             raise ParamError("iterations", "must be >= 1")
         for name in ("c1", "c2", "c3"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if not (is_finite_number(value) and value > 0):
                 raise ParamError(name, f"must be positive and finite, got {value!r}")
         if self.master_seed < 0:
             raise ParamError("master_seed", "must be non-negative")

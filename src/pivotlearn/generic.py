@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -35,7 +34,6 @@ from .seeding import derive_rng
 __all__ = [
     "FiniteClass",
     "pair_class",
-    "AnnulusPlan",
     "ball",
     "disagreement_region",
     "disagreement_mask",
@@ -56,8 +54,6 @@ __all__ = [
 
 _VC_POOL_CAP = 40
 _VC_DIM_CAP = 4
-# past every realized distance count, so the largest count ends a run too
-_COUNT_END = np.iinfo(np.int64).max
 
 
 class FiniteClass:
@@ -182,15 +178,12 @@ def _nested_balls(cls: FiniteClass, pivot_idx: int) -> tuple[np.ndarray, np.ndar
 
 def _disagreement_coefficient(cls: FiniteClass, pivot_idx: int, r_floor: float) -> float:
     sorted_counts, split = _nested_balls(cls, pivot_idx)
-    pool = cls.pool_size
-    best = 0.0
     # last ball index per distinct count; each candidate radius is either a
     # realized distance above the floor or the floor itself
-    for end in np.flatnonzero(np.diff(sorted_counts, append=_COUNT_END) > 0):
-        r = max(sorted_counts[end] / pool, r_floor)
-        measure = int(np.bitwise_count(split[end]).sum()) / pool
-        best = max(best, measure / r)
-    return best
+    ends = np.searchsorted(sorted_counts, np.unique(sorted_counts), "right") - 1
+    radii = np.maximum(sorted_counts[ends] / cls.pool_size, r_floor)
+    measures = np.bitwise_count(split[ends]).sum(axis=1) / cls.pool_size
+    return float((measures / radii).max())
 
 
 def uniform_disagreement_coefficient(
@@ -274,42 +267,23 @@ def class_sample_size(cls: FiniteClass, pivot_idx: int, params: Params) -> tuple
     return sample_size_m(theta, d, params.epsilon, mu, params.delta, params.c3), theta, d
 
 
-@dataclass(frozen=True)
-class AnnulusPlan:
+def annulus_plan(cls: FiniteClass, pivot_idx: int, mu: float) -> tuple:
     """Disjoint instance shells around a pivot, by doubling ball radii.
 
-    annuli[0] is the disagreement region of the radius-mu ball; annuli[i]
-    adds what the radius mu*2^i ball disagrees on beyond the previous shell.
-    measures[i] is the instance measure of annuli[i].
+    Shell 0 is the disagreement region of the radius-mu ball; shell i adds
+    what the radius mu*2^i ball disagrees on beyond shell i - 1, up to the
+    first radius at or past 1: ceil(log2(1/mu)) + 1 shells in all.
     """
-
-    pivot_idx: int
-    mu: float
-    levels: int
-    annuli: tuple
-    measures: tuple
-
-    @property
-    def covered(self) -> np.ndarray:
-        return np.concatenate(self.annuli) if self.annuli else np.array([], int)
-
-
-def annulus_plan(cls: FiniteClass, pivot_idx: int, mu: float) -> AnnulusPlan:
     if not (0 < mu <= 1):
         raise ValueError("mu must be in (0, 1]")
     levels = 0 if mu >= 1 else math.ceil(math.log2(1.0 / mu))
     sorted_counts, split = _nested_balls(cls, pivot_idx)
     radii = [_count_radius(cls, mu * (1 << i)) for i in range(levels + 1)]
-    prev = np.zeros(cls.pool_size, dtype=bool)
-    annuli, measures = [], []
     # every ball holds the pivot, so each prefix is at least one row long
-    for end in np.searchsorted(sorted_counts, radii, side="right").tolist():
-        mask = np.unpackbits(split[end - 1], count=cls.pool_size).view(bool)
-        shell = mask & ~prev
-        annuli.append(np.flatnonzero(shell).astype(np.int64))
-        measures.append(len(annuli[-1]) / cls.pool_size)
-        prev = mask
-    return AnnulusPlan(pivot_idx, mu, levels, tuple(annuli), tuple(measures))
+    ends = np.searchsorted(sorted_counts, radii, side="right") - 1
+    masks = np.unpackbits(split[ends], axis=1, count=cls.pool_size).view(bool)
+    masks[1:] &= ~masks[:-1]  # the regions nest: a shell is its region less the previous one
+    return tuple(np.flatnonzero(shell) for shell in masks)
 
 
 def build_generic_estimator(
@@ -339,10 +313,10 @@ def build_generic_estimator(
         m = class_sample_size(cls, pivot_idx, params)[0]
     if rng is None:
         rng = derive_rng(params.master_seed, "generic-build")
-    plan = annulus_plan(cls, pivot_idx, mu)
-    sizes = np.array([len(shell) for shell in plan.annuli])
+    shells = annulus_plan(cls, pivot_idx, mu)
+    sizes = np.array([len(shell) for shell in shells])
     count, offset, w_num = stratum_draws(sizes, m, rng)
-    instances = plan.covered[(sizes.cumsum() - sizes).repeat(count) + offset]
+    instances = np.concatenate(shells)[(sizes.cumsum() - sizes).repeat(count) + offset]
     return RegretEstimator(cls.labels[pivot_idx], instances, None, w_num, m,
                            oracle.query_many(instances))
 

@@ -34,6 +34,7 @@ from .core import (
     _erm_loop,
     is_finite_number,
     is_integer,
+    python_scalars,
     run_erm_iteration,
     true_error,
 )
@@ -97,6 +98,7 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        python_scalars(self)
         if self.task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}, got {self.task!r}")
         for name in ("n", "k", "d", "restarts", "force_p", "force_q", "force_m"):
@@ -114,8 +116,8 @@ class ExperimentConfig:
             if getattr(self, name) is not None and name not in task.reads:
                 readers = " or ".join(t for t in TASKS if name in _TASKS[t].reads)
                 raise ConfigError(name, f"only {readers} runs take {name}, not {self.task!r}")
-        if "k" in task.reads and (self.k is None or self.k < 1):
-            raise ConfigError("k", "clustering needs k >= 1")
+        if "k" in task.reads and (self.k is None or not 1 <= self.k <= clu._MAX_K):
+            raise ConfigError("k", "clustering needs k in 1..2**31 - 1")
         if "d" in task.reads:
             if self.d is None:
                 object.__setattr__(self, "d", 2)

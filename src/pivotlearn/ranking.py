@@ -133,30 +133,24 @@ def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
 
 
 def count_inversions(seq) -> int:
-    """Out-of-order pair count of a sequence, via merge sort in O(n log n)."""
-    arr = list(seq)
+    """Out-of-order pair count of a sequence, by a bottom-up merge count.
 
-    def sort(lo: int, hi: int) -> int:
-        if hi - lo <= 1:
-            return 0
-        mid = (lo + hi) // 2
-        inv = sort(lo, mid) + sort(mid, hi)
-        merged = []
-        i, j = lo, mid
-        while i < mid and j < hi:
-            if arr[i] <= arr[j]:
-                merged.append(arr[i])
-                i += 1
-            else:
-                merged.append(arr[j])
-                j += 1
-                inv += mid - i
-        merged.extend(arr[i:mid])
-        merged.extend(arr[j:hi])
-        arr[lo:hi] = merged
-        return inv
-
-    return sort(0, len(arr))
+    A bare iterator has no len() and is refused.  Values are ranked densely
+    first, ties kept.  At width w every w-run is sorted, so the left runs'
+    (run pair, value) keys form one sorted array, and a right value's larger
+    left partners are the (j + 1) * w left keys of pairs 0..j, j its own
+    pair, less those at or below its key.
+    """
+    values = np.unique(np.asarray(seq).reshape(len(seq)), return_inverse=True)[1].reshape(-1)
+    idx, total, w = np.arange(len(values)), 0, 1
+    while w < len(values):
+        pair, right = idx // (2 * w), idx % (2 * w) >= w
+        keys = pair * len(values) + values  # dense ranks lie in 0..n-1
+        below = np.searchsorted(keys[~right], keys[right], "right")
+        total += int(w * (pair[right] + 1).sum() - below.sum())
+        values = np.sort(keys) - pair * len(values)
+        w *= 2
+    return total
 
 
 def kendall_distance(p1: Permutation, p2: Permutation) -> float:
@@ -164,8 +158,7 @@ def kendall_distance(p1: Permutation, p2: Permutation) -> float:
     if p1.n_items != p2.n_items:
         raise PoolMismatchError("permutations have different item counts")
     n = p1.n_items
-    seq = p2.rank[p1.order]
-    return 2.0 * count_inversions(seq.tolist()) / (n * (n - 1))
+    return 2.0 * count_inversions(p2.rank[p1.order]) / (n * (n - 1))
 
 
 def footrule_distance(p1: Permutation, p2: Permutation) -> int:

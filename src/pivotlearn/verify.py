@@ -304,8 +304,8 @@ def _generic_query_cap(family: str, pool: int, pivot: int, m: int, mu: float):
 def _annuli(family: str, pool: int, mu: float, seed: int):
     cls = getattr(gen, f"{family}_class")(pool)
     pivot = int(derive_rng(seed, "verify", "annuli").integers(len(cls)))
-    plan = gen.annulus_plan(cls, pivot, mu)
-    return cls, pivot, plan, plan.covered
+    shells = gen.annulus_plan(cls, pivot, mu)
+    return cls, pivot, shells, np.concatenate(shells)
 
 
 def _annuli_disjoint(**case):
@@ -314,14 +314,14 @@ def _annuli_disjoint(**case):
 
 
 def _annuli_cover(**case):
-    cls, pivot, plan, combined = _annuli(**case)
-    top = gen.disagreement_region(cls, gen.ball(cls, pivot, case["mu"] * (1 << plan.levels)))
+    cls, pivot, shells, combined = _annuli(**case)
+    top = gen.disagreement_region(cls, gen.ball(cls, pivot, case["mu"] * 2 ** (len(shells) - 1)))
     ok = np.array_equal(np.sort(combined), top)
     return None if ok else f"{case}: union is not the top ball's region"
 
 
 def _annuli_mass(**case):
-    return None if sum(_annuli(**case)[2].measures) <= 1 + 1e-12 else f"{case}: mass past 1"
+    return None if len(_annuli(**case)[3]) <= case["pool"] else f"{case}: mass past 1"
 
 
 def _planar(n: int, seed: int):

@@ -166,6 +166,18 @@ def test_run_adversarial_noise_without_an_oracle_file_is_config_error(tmp_path, 
     assert f"config error: {named}:" in capsys.readouterr().err
 
 
+def test_run_k_past_the_cluster_id_range_is_config_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a label was bought")
+
+    monkeypatch.setattr(LabelOracle, "query_many", refuse)
+    argv = ["run", "--task", "clustering", "--n", "5", "--k", "10000000000",
+            "--erm", "local_search", "--force-q", "2", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "config error: k:" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x"))
+
+
 def test_run_bad_epsilon_is_config_error(tmp_path, capsys):
     code = main(["run", "--task", "ranking", "--n", "6", "--epsilon", "2.0",
                  "--out", str(tmp_path / "x")])

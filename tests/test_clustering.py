@@ -90,6 +90,21 @@ def test_work_scales_with_clusters_in_use_not_k():
         assert np.array_equal(getattr(built[0], name), getattr(built[1], name))
 
 
+def _canonical_loop(assign) -> list:
+    """Reference: the first-occurrence dict relabel canonical replaced."""
+    mapping = {}
+    return [mapping.setdefault(cid, len(mapping) + 1) for cid in assign]
+
+
+@given(st.lists(st.sampled_from([1, 2, 3, 7, 2**31 - 2, 2**31 - 1]), min_size=2, max_size=40)
+       | st.lists(st.integers(1, 2**31 - 1), min_size=2, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_canonical_matches_first_occurrence_loop(assign):
+    c = clu.Clustering(assign, 2**31 - 1).canonical()
+    assert c.assign.tolist() == _canonical_loop(assign)
+    assert c.assign.dtype == np.int32 and c.k == 2**31 - 1
+
+
 def test_canonical_relabeling():
     a = clu.Clustering([2, 2, 1, 3], 3)
     b = clu.Clustering([1, 1, 3, 2], 3)

@@ -6,6 +6,7 @@ import pytest
 
 from pivotlearn import InstanceOracle, Params
 from pivotlearn import generic as gen
+from pivotlearn import ranking as rk
 from pivotlearn import verify
 from pivotlearn.seeding import derive_rng
 
@@ -129,6 +130,32 @@ def test_theta_matches_brute_scan():
             assert got == pytest.approx(want), (cls.pool_size, pivot)
 
 
+def _loop_theta(cls, pivot_idx, r_floor):
+    """Reference: the per-radius loop _disagreement_coefficient replaced."""
+    sorted_counts, split = gen._nested_balls(cls, pivot_idx)
+    pool = cls.pool_size
+    best = 0.0
+    for end in np.flatnonzero(np.diff(sorted_counts, append=np.iinfo(np.int64).max) > 0):
+        r = max(sorted_counts[end] / pool, r_floor)
+        measure = int(np.bitwise_count(split[end]).sum()) / pool
+        best = max(best, measure / r)
+    return best
+
+
+@pytest.mark.parametrize("family", ["thresholds", "intervals", "permutations"])
+@pytest.mark.parametrize("floor_atoms", [1, 3, 17, 10**6])
+def test_theta_equals_loop_reference_bit_for_bit(family, floor_atoms):
+    if family == "permutations":
+        cls = rk.enumerate_sn_class(5)
+    else:
+        cls = getattr(gen, f"{family}_class")(14)
+    r_floor = min(1.0, floor_atoms / cls.pool_size)
+    for pivot in range(0, len(cls), max(1, len(cls) // 12)):
+        got = gen._disagreement_coefficient(cls, pivot, r_floor)
+        assert type(got) is float
+        assert got == _loop_theta(cls, pivot, r_floor), (pivot, r_floor)
+
+
 def test_uniform_theta_takes_max():
     cls = gen.intervals_class(9)
     theta, pivot = gen.uniform_disagreement_coefficient(cls, 1 / 9)
@@ -157,8 +184,6 @@ def test_intervals_blow_up_past_thresholds():
 
 
 def test_permutation_class_theta_scales_linearly():
-    from pivotlearn import ranking as rk
-
     for n in (5, 6):
         cls = rk.enumerate_sn_class(n)
         theta, _ = gen.uniform_disagreement_coefficient(cls, 1.0 / (n * (n - 1)))
@@ -270,14 +295,34 @@ def test_annulus_plan_structure():
     cls = gen.thresholds_class(32)
     for mu in (1.0, 0.5, 0.11, 0.03):
         want_levels = 0 if mu >= 1.0 else int(np.ceil(np.log2(1.0 / mu)))
-        assert gen.annulus_plan(cls, 16, mu).levels == want_levels
+        assert len(gen.annulus_plan(cls, 16, mu)) == want_levels + 1
 
 
-def test_annulus_measures_are_set_fractions():
-    cls = gen.intervals_class(12)
-    plan = gen.annulus_plan(cls, 3, 0.25)
-    for items, eta in zip(plan.annuli, plan.measures):
-        assert eta == pytest.approx(len(items) / cls.pool_size)
+def _loop_annuli(cls, pivot_idx, mu):
+    """Reference: the shell loop annulus_plan ran before it returned a tuple."""
+    levels = 0 if mu >= 1 else int(np.ceil(np.log2(1.0 / mu)))
+    sorted_counts, split = gen._nested_balls(cls, pivot_idx)
+    radii = [gen._count_radius(cls, mu * (1 << i)) for i in range(levels + 1)]
+    prev = np.zeros(cls.pool_size, dtype=bool)
+    annuli = []
+    for end in np.searchsorted(sorted_counts, radii, side="right").tolist():
+        mask = np.unpackbits(split[end - 1], count=cls.pool_size).view(bool)
+        annuli.append(np.flatnonzero(mask & ~prev).astype(np.int64))
+        prev = mask
+    return annuli
+
+
+@pytest.mark.parametrize("family, pool", [("thresholds", 32), ("intervals", 12),
+                                          ("thresholds", 2)])
+@pytest.mark.parametrize("mu", [1.0, 0.5, 0.25, 0.11, 0.03, 1e-3])
+def test_annulus_plan_shells_equal_loop_reference(family, pool, mu):
+    cls = getattr(gen, f"{family}_class")(pool)
+    for pivot in range(0, len(cls), max(1, len(cls) // 7)):
+        got, want = gen.annulus_plan(cls, pivot, mu), _loop_annuli(cls, pivot, mu)
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for shell, ref in zip(got, want):
+            assert shell.dtype == np.int64
+            np.testing.assert_array_equal(shell, ref)
 
 
 # ---------------------------------------------------------------- estimator
@@ -294,7 +339,7 @@ def _loop_build(cls, pivot_idx, oracle, mu, m, rng):
     (instances, w_num, labels).
     """
     instances, w_num = [], []
-    for shell in gen.annulus_plan(cls, pivot_idx, mu).annuli:
+    for shell in gen.annulus_plan(cls, pivot_idx, mu):
         if len(shell) <= m:
             sample, w = shell, m
         else:

@@ -320,6 +320,63 @@ def test_config_from_dict_names_the_refused_parameter(name, value, why):
     assert str(exc.value).startswith(f"params.{name}: {why}")
 
 
+@pytest.mark.parametrize("name, task", [("c1", "ranking"), ("c2", "clustering"), ("c3", "generic")])
+def test_config_refuses_a_constant_past_the_float_range(name, task):
+    # 0 < 10**400 < inf holds for a Python int, but its sample size is infinite
+    d = _task_cfg(task, erm="local_search" if task != "generic" else "exact").to_dict()
+    d["params"][name] = 10**400
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert exc.value.field == f"params.{name}"
+    assert str(exc.value).startswith(f"params.{name}: must be positive and finite")
+
+
+def test_config_caps_k_where_clustering_does():
+    assert _cfg(task="clustering", k=clu._MAX_K, erm="local_search").k == 2**31 - 1
+    for k in (clu._MAX_K + 1, 10**10):
+        with pytest.raises(ConfigError) as exc:
+            _cfg(task="clustering", k=k, erm="local_search")
+        assert exc.value.field == "k" and "1..2**31 - 1" in str(exc.value)
+
+
+# (task, config fields, Params fields): NumPy scalars a config stores as Python numbers
+_NUMPY_CONFIGS = [
+    ("ranking", {"n": np.int64(7), "erm": "local_search", "restarts": np.uint8(2)},
+     {"epsilon": np.float64(0.25), "c1": np.float32(0.5), "iterations": np.int16(2),
+      "master_seed": np.int64(5)}),
+    ("ranking", {"force_p": np.int32(3)}, {"master_seed": np.uint64(5)}),
+    ("clustering", {"k": np.int8(3), "force_q": np.int64(2)}, {}),
+    ("clustering", {}, {"c2": np.int64(2)}),
+    ("generic", {"n": np.int64(12), "force_m": np.int64(4)}, {"mu": np.float64(0.25)}),
+    ("generic", {"n": np.int64(12)}, {"delta": np.float16(0.25), "c3": np.float64(0.5)}),
+]
+
+
+@pytest.mark.parametrize("task, top, params", _NUMPY_CONFIGS)
+def test_config_stores_numpy_scalars_as_python_numbers(tmp_path, task, top, params):
+    # a NumPy scalar used to reach record.json only after the run had bought its labels
+    def config(plain):
+        def value(v):
+            return v.item() if plain and isinstance(v, np.generic) else v
+
+        fields_ = {"k": 3} if task == "clustering" else {}
+        fields_.update({name: value(v) for name, v in top.items()})
+        prm = {"epsilon": 0.25, "iterations": 2, "master_seed": 5,
+               **{name: value(v) for name, v in params.items()}}
+        return _cfg(task=task, **fields_, params=Params(**prm))
+
+    got, want = config(plain=False), config(plain=True)
+    for holder, ref in ((got, want), (got.params, want.params)):
+        for f in dataclasses.fields(holder):
+            value = getattr(holder, f.name)
+            assert value == getattr(ref, f.name) and type(value) is type(getattr(ref, f.name))
+    run(got, str(tmp_path / "got"))
+    run(want, str(tmp_path / "want"))
+    for name in ("record.json", "trajectory.csv"):
+        with open(tmp_path / "got" / name, "rb") as a, open(tmp_path / "want" / name, "rb") as b:
+            assert a.read() == b.read()
+
+
 # (field path in the config dict, bad value, field the error must name)
 _NON_INTEGER_FIELDS = [
     (("n",), "8", "n"),

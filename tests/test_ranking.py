@@ -115,6 +115,63 @@ def test_inversions_match_quadratic_scan(n, seed):
     assert verify._inversions_match_scan(n, seed) is None
 
 
+def _merge_sort_inversions(seq) -> int:
+    """Reference: the recursive list merge sort count_inversions replaced."""
+    arr = list(seq)
+
+    def sort(lo: int, hi: int) -> int:
+        if hi - lo <= 1:
+            return 0
+        mid = (lo + hi) // 2
+        inv = sort(lo, mid) + sort(mid, hi)
+        merged = []
+        i, j = lo, mid
+        while i < mid and j < hi:
+            if arr[i] <= arr[j]:
+                merged.append(arr[i])
+                i += 1
+            else:
+                merged.append(arr[j])
+                j += 1
+                inv += mid - i
+        merged.extend(arr[i:mid])
+        merged.extend(arr[j:hi])
+        arr[lo:hi] = merged
+        return inv
+
+    return sort(0, len(arr))
+
+
+@given(st.lists(st.integers(-3, 3), max_size=70)
+       | st.lists(st.integers(-(2**63), 2**63 - 1), max_size=70))
+@settings(max_examples=200, deadline=None)
+def test_inversions_match_merge_sort_reference_with_ties(seq):
+    # ties are not inversions; the first strategy repeats values almost everywhere
+    want = _merge_sort_inversions(seq)
+    assert rk.count_inversions(seq) == want
+    assert rk.count_inversions(np.array(seq, dtype=np.int64)) == want
+
+
+@pytest.mark.parametrize("seq, want", [([], 0), ([5], 0), ([2, 2], 0), ([2, 1], 1),
+                                       ([3, 1, 2, 1], 4), ([0, 0, 0, 0, 0], 0)])
+def test_inversions_small_inputs(seq, want):
+    assert rk.count_inversions(seq) == _merge_sort_inversions(seq) == want
+
+
+def test_inversions_refuse_what_is_not_a_sequence():
+    # np.asarray would wrap an iterator or a scalar as one element and count 0
+    for bad in (iter([2, 1]), 7):
+        with pytest.raises(TypeError):
+            rk.count_inversions(bad)
+
+
+def test_kendall_distance_at_scale_matches_merge_sort_reference():
+    rng = derive_rng(0, "kendall-scale")
+    p1, p2 = rk.random_permutation(5000, rng), rk.random_permutation(5000, rng)
+    want = _merge_sort_inversions(p2.rank[p1.order].tolist())
+    assert rk.kendall_distance(p1, p2) == 2.0 * want / (5000 * 4999)
+
+
 def test_kendall_frozen_adjacent_swap():
     # n=4, one adjacent swap: 2 discordant ordered pairs out of 12
     p1 = rk.Permutation([1, 2, 3, 4])

@@ -1,0 +1,47 @@
+"""scripts/trajectory.py --compare, run at toy size on this checkout against itself."""
+
+import json
+import os
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "trajectory.py")
+
+
+def _compare(*flags):
+    argv = [sys.executable, SCRIPT, "--compare", ROOT, ROOT, "--toy", "--seconds", "0.1", *flags]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60)
+
+
+def test_compare_reports_every_pair_and_metric_in_under_10_s():
+    t0 = time.monotonic()
+    proc = _compare("--pairs", "2", "--workload", "clustering-search")
+    assert time.monotonic() - t0 < 10.0
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    runs = [line for line in lines if line.startswith("clustering-search seed ")]
+    # pair i runs at seed i; A goes first in pair 0 and B in pair 1
+    assert [line.split(":")[0] for line in runs] == [
+        "clustering-search seed 0 A", "clustering-search seed 0 B",
+        "clustering-search seed 1 B", "clustering-search seed 1 A"]
+    assert not any("NOT CORRECT" in line for line in lines)
+    summary = json.loads(lines[-1])
+    assert summary["not_correct"] == 0
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = {m["name"] for m in json.load(fh)["end_to_end"]}
+    rows = summary["workloads"]["clustering-search"]
+    assert set(rows) == names
+    assert all(row["pairs"] == 2 for row in rows.values())
+    for name in ("labels_distinct", "final_err"):  # the same code gives the same outputs
+        row = rows[name]
+        assert row["a_median"] == row["b_median"] and row["b_wins"] == 0
+        assert row["change"] == 0.0 and not row["worse_than_bound"]
+
+
+def test_compare_flags_a_run_that_is_not_correct():
+    proc = _compare("--pairs", "1", "--workload", "no-such-workload")
+    assert proc.returncode == 1
+    assert "NOT CORRECT" in proc.stdout
+    assert json.loads(proc.stdout.splitlines()[-1])["not_correct"] == 2
