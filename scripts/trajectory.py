@@ -14,6 +14,10 @@ workload and end-to-end metric (names, units, directions and bounds from A's
 BENCHMARK.json): A's and B's medians, B's change against A's median, A's
 quartile spread, B's wins (pairs where B reads better, ties counting for
 neither) and a flag when B's median is worse than A's by more than the bound.
+Before each run a host-speed probe, the best of 3 np.sort calls on a fixed
+2**20-element float64 array, is timed in a fresh process and printed beside
+the run; each side's probe median per workload goes in the table and the
+JSON, so host drift between the sides can be told from a change in the code.
 A run that is not `correct` (a failed output check, a failed repetition or no
 result at all) is flagged, and the exit code is then 1.  The last stdout line
 is the summary as JSON.
@@ -29,6 +33,17 @@ import subprocess
 import sys
 
 RUN_TIMEOUT_S = 600.0
+
+PROBE = ("import timeit; import numpy as np; values = np.random.default_rng(0).random(1 << 20); "
+         "print(min(timeit.repeat(lambda: np.sort(values), number=1, repeat=3)))")
+
+
+def host_probe_s() -> float:
+    """Seconds of the best of 3 np.sort calls on a fixed 2**20-element float64 array, timed
+    in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S, check=True)
+    return float(proc.stdout)
 
 
 def bench_run(checkout: str, workload: str, seed: int, seconds: float, toy: bool) -> dict:
@@ -74,18 +89,21 @@ def summarize(metric: dict, a: list[float], b: list[float]) -> dict:
 
 
 def compare(a: str, b: str, workloads: list[str], pairs: int, seconds: float, toy: bool,
-            metrics: list[dict]) -> tuple[dict, int]:
-    """(summary per workload and metric, number of runs that were not correct)."""
-    summary, not_correct = {}, 0
+            metrics: list[dict]) -> tuple[dict, dict, int]:
+    """(summary per workload and metric, each side's probe median per workload, number of
+    runs that were not correct)."""
+    summary, probes, not_correct = {}, {}, 0
     for workload in workloads:
         runs = {"A": [], "B": []}
+        probe = {"A": [], "B": []}
         for seed in range(pairs):
             for side in ("AB" if seed % 2 == 0 else "BA"):
+                probe[side].append(host_probe_s())
                 result = bench_run(a if side == "A" else b, workload, seed, seconds, toy)
                 runs[side].append(result)
                 values = {name: m["value"] for name, m in result["metrics"].items()}
                 flag = "" if result["correct"] else f"  NOT CORRECT: {result.get('why', '')}"
-                print(f"{workload} seed {seed} {side}: "
+                print(f"{workload} seed {seed} {side}: probe_s={probe[side][-1]:.6g} "
                       + " ".join(f"{k}={v:.6g}" for k, v in values.items()) + flag, flush=True)
                 not_correct += not result["correct"]
                 if seed == 0 and result.get("env"):  # each side's first run names its code and host
@@ -98,10 +116,12 @@ def compare(a: str, b: str, workloads: list[str], pairs: int, seconds: float, to
                     if name in x["metrics"] and name in y["metrics"]]
             if kept:
                 summary[workload][name] = summarize(metric, *map(list, zip(*kept)))
-    return summary, not_correct
+        probes[workload] = {f"{side.lower()}_median": statistics.median(times)
+                            for side, times in probe.items()}
+    return summary, probes, not_correct
 
 
-def print_table(summary: dict) -> None:
+def print_table(summary: dict, probes: dict) -> None:
     print(f"{'workload':<18} {'metric':<16} {'A median':>12} {'B median':>12} {'change':>8} "
           f"{'A IQR':>10} {'B wins':>7}")
     for workload, rows in summary.items():
@@ -110,6 +130,9 @@ def print_table(summary: dict) -> None:
             print(f"{workload:<18} {name:<16} {s['a_median']:>12.6g} {s['b_median']:>12.6g} "
                   f"{s['change']:>+8.2%} {s['a_iqr']:>10.4g} {s['b_wins']:>3}/{s['pairs']:<3}"
                   f" {s['unit']}{flag}")
+        a_med, b_med = probes[workload]["a_median"], probes[workload]["b_median"]
+        print(f"{workload:<18} {'host probe_s':<16} {a_med:>12.6g} {b_med:>12.6g} "
+              f"{(b_med - a_med) / a_med:>+8.2%}")
 
 
 def main(argv=None) -> int:
@@ -132,11 +155,12 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    summary, not_correct = compare(a, b, workloads, args.pairs, seconds, args.toy,
-                                   spec["end_to_end"])
-    print_table(summary)
+    summary, probes, not_correct = compare(a, b, workloads, args.pairs, seconds, args.toy,
+                                           spec["end_to_end"])
+    print_table(summary, probes)
     print(f"{not_correct} run(s) not correct")
-    print(json.dumps({"a": a, "b": b, "not_correct": not_correct, "workloads": summary}))
+    print(json.dumps({"a": a, "b": b, "not_correct": not_correct, "workloads": summary,
+                      "probe_s": probes}))
     return 1 if not_correct else 0
 
 

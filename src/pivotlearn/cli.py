@@ -19,6 +19,7 @@ from . import __version__
 from . import clustering as clu
 from . import generic as gen
 from . import ranking as rk
+from .core import ErmFailedError
 from .harness import (
     SWEEP_AXES,
     TASKS,
@@ -91,7 +92,10 @@ def _config_fields(args) -> dict:
 def _config_from_args(args) -> ExperimentConfig:
     if "config" in args:
         with open(args.config) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+            try:
+                return ExperimentConfig.from_dict(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise ConfigError("config", f"{args.config}: {exc}") from None
     return ExperimentConfig.from_dict(_config_fields(args))
 
 
@@ -257,8 +261,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ErmFailedError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

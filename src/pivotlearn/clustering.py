@@ -294,8 +294,6 @@ class _GainTable:
 
     def __init__(self, est: RegretEstimator, assign: np.ndarray, k: int):
         n = est.n_items
-        if np.any(est.us == est.vs):  # a merged row would lose the sample's second update
-            raise ValueError("gain table samples must pair two distinct items")
         self.partners, self.signed, self.bounds = pair_rows(est, oriented=False)
         self.index = np.arange(n, dtype=index_dtype(n))  # narrow: a cheaper b > a mask
         self.row_cells = np.arange(n) * (k + 1)

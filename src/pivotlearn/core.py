@@ -94,6 +94,11 @@ def is_finite_number(value) -> bool:
     return isinstance(value, (float, np.floating)) and math.isfinite(value)
 
 
+def is_smoothing_floor(mu) -> bool:
+    """mu in (0, 1] with a finite reciprocal, so log2(1 / mu) counts annuli."""
+    return 0 < mu <= 1 and math.isfinite(1.0 / float(mu))
+
+
 def python_scalars(obj) -> None:
     """Store each NumPy scalar field of a frozen dataclass as its Python value, which JSON takes."""
     for f in fields(obj):
@@ -160,11 +165,8 @@ class Pool:
         return self.n * (self.n - 1)
 
     def all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (us, vs) enumerating every ordered distinct pair once."""
-        idx = np.arange(self.n)
-        us = np.repeat(idx, self.n - 1)
-        grid = np.tile(idx, (self.n, 1))
-        vs = grid[~np.eye(self.n, dtype=bool)]
+        """Arrays (us, vs) enumerating every ordered distinct pair once, row by row."""
+        us, vs = np.nonzero(~np.eye(self.n, dtype=bool))
         return us.astype(np.int32), vs.astype(np.int32)
 
 
@@ -198,8 +200,8 @@ class Params:
                 raise ParamError(name, f"must be a number, got {value!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ParamError("epsilon", f"must be in (0, 1), got {self.epsilon}")
-        if self.mu is not None and not (0.0 < self.mu <= 1.0):
-            raise ParamError("mu", f"must be in (0, 1], got {self.mu}")
+        if self.mu is not None and not is_smoothing_floor(self.mu):
+            raise ParamError("mu", f"must be in (0, 1] with a finite reciprocal, got {self.mu}")
         if not (0.0 < self.delta < 1.0):
             raise ParamError("delta", f"must be in (0, 1), got {self.delta}")
         if self.iterations < 1:
@@ -345,14 +347,12 @@ def column_coefficients(columns, labels, weight_num, size: int) -> tuple[np.ndar
 
 
 def pair_coefficients(n: int, us, vs, labels, weight_num, oriented: bool) -> tuple[np.ndarray, int]:
-    """column_coefficients of pair samples over the unordered pairs of n items.
+    """column_coefficients of pair samples u != v over the unordered pairs of n items.
 
     Column p is the p-th pair lo < hi in np.triu_indices(n, 1) order, whose
     bit is "lo ranks before hi" when `oriented`, else "lo and hi share a
     cluster".  An oriented sample with u > v reads the bit negated, so it
-    counts with the opposite label.  A sample with u == v adds a constant:
-    its bit is 0 when oriented (no item ranks before itself) and 1
-    otherwise (every item shares its cluster).
+    counts with the opposite label.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
@@ -360,16 +360,12 @@ def pair_coefficients(n: int, us, vs, labels, weight_num, oriented: bool) -> tup
     if oriented:
         y = y ^ (us > vs)
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    size = n * (n - 1) // 2
-    # lo * n - lo * (lo + 1) / 2 + hi - lo - 1, and one extra column for u == v
-    columns = (2 * n - 3) - lo
+    columns = (2 * n - 3) - lo  # lo * n - lo * (lo + 1) / 2 + hi - lo - 1
     columns *= lo
     columns >>= 1
     columns += hi
     columns -= 1
-    np.copyto(columns, size, where=lo == hi)
-    coef, base = column_coefficients(columns, y, weight_num, size + 1)
-    return coef[:size], base + (0 if oriented else int(coef[size]))
+    return column_coefficients(columns, y, weight_num, n * (n - 1) // 2)
 
 
 def pack_columns(table) -> np.ndarray:
@@ -644,19 +640,16 @@ def _triangle(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 def _unordered_pair_blocks(n: int):
     """Yield (us, vs) over every pair u < v, in blocks of at most _SCAN_BLOCK_PAIRS pairs.
 
-    A scan that fits one block goes as one 1-d batch.  Otherwise rows
-    a..b-1 go as an outer block, the column arange(a, b)[:, None] against
-    the row arange(b, n)[None, :], so no per-pair index array is built; a
-    row longer than the cap goes in column chunks.  Their inner pairs go as
-    a 1-d batch, which stays small because a block never takes more than
-    half the rows left.
+    While the rows left hold more pairs than that, rows a..b-1 go as an
+    outer block, the column arange(a, b)[:, None] against the row
+    arange(b, n)[None, :], so no per-pair index array is built; a row
+    longer than the cap goes in column chunks.  Their inner pairs go as a
+    1-d batch, which stays small because a block never takes more than
+    half the rows left.  The last triangle goes as one 1-d batch.
     """
     cap = _SCAN_BLOCK_PAIRS
-    if n * (n - 1) // 2 <= cap:
-        yield _triangle(0, n)
-        return
     row = 0
-    while row < n - 1:
+    while (n - row) * (n - row - 1) // 2 > cap:
         height = max(1, min(cap // (n - row), (n - row) // 2))
         stop = row + height
         us = np.arange(row, stop)[:, None]
@@ -666,6 +659,7 @@ def _unordered_pair_blocks(n: int):
         if height > 1:
             yield _triangle(row, stop)
         row = stop
+    yield _triangle(row, n)
 
 
 def true_error(h, oracle) -> float | list[float]:

@@ -23,6 +23,7 @@ from .core import (
     RegretEstimator,
     column_coefficients,
     csv_rows,
+    is_smoothing_floor,
     pack_columns,
     packed_argmin,
     sample_size,
@@ -59,8 +60,8 @@ _VC_DIM_CAP = 4
 class FiniteClass:
     """Explicit hypothesis class: one 0/1 label row per hypothesis.
 
-    The labels are copied, packed once and read-only, so the packed forms
-    never go stale, and neither do the class-wide quantities kept in
+    The labels are copied, packed once and read-only, so the packed form
+    never goes stale, and neither do the class-wide quantities kept in
     `_derived` (vc_dimension per cap, disagreement_coefficient per pivot and
     floor), each computed on first request.  Threads that race on an entry
     each compute the same deterministic value, so no lock is needed.
@@ -70,12 +71,10 @@ class FiniteClass:
         labels = np.array(zero_one(labels, "labels"), order="C")
         if labels.ndim != 2 or labels.shape[0] < 1 or labels.shape[1] < 1:
             raise ValueError("labels must be a nonempty 2-D 0/1 array")
-        # rows as big-endian bytes for distances; columns as pack_columns for class_argmin
-        self.packed = np.packbits(labels, axis=1)
-        if len(np.unique(self.packed, axis=0)) != len(labels):
+        self.packed_columns = pack_columns(labels)  # byte g of row r at [g, r], little bit order
+        if np.unique(self.packed_columns, axis=1).shape[1] != len(labels):
             raise ValueError("hypotheses must be distinct")
-        self.packed_columns = pack_columns(labels)
-        for arr in (labels, self.packed, self.packed_columns):
+        for arr in (labels, self.packed_columns):
             arr.flags.writeable = False
         self._labels = labels
         self._derived: dict = {}
@@ -93,8 +92,8 @@ class FiniteClass:
 
     def distance_counts(self, pivot_idx: int) -> np.ndarray:
         """Hamming distance (instance count) from one row to every row."""
-        diff = self.packed ^ self.packed[pivot_idx]
-        return np.bitwise_count(diff).sum(axis=1).astype(np.int64)
+        diff = self.packed_columns ^ self.packed_columns[:, pivot_idx, None]
+        return np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
 
     def distances(self, pivot_idx: int) -> np.ndarray:
         return self.distance_counts(pivot_idx) / self.pool_size
@@ -125,14 +124,15 @@ def ball(cls: FiniteClass, pivot_idx: int, r: float) -> np.ndarray:
 
 def _disagreement_bits(cls: FiniteClass, indices) -> np.ndarray:
     """Packed pool bits of the instances where the rows `indices` are not unanimous."""
-    sub = cls.packed[np.asarray(indices, dtype=np.int64)]
+    sub = cls.packed_columns[:, np.asarray(indices, dtype=np.int64)]
     # OR ^ AND, as AND lies within OR; over no rows AND is all ones, so no bit is set
-    return np.bitwise_or.reduce(sub, axis=0) & ~np.bitwise_and.reduce(sub, axis=0, initial=255)
+    return np.bitwise_or.reduce(sub, axis=1) & ~np.bitwise_and.reduce(sub, axis=1, initial=255)
 
 
 def disagreement_mask(cls: FiniteClass, indices) -> np.ndarray:
     """Boolean pool mask of instances where the subset is not unanimous."""
-    return np.unpackbits(_disagreement_bits(cls, indices), count=cls.pool_size).astype(bool)
+    bits = _disagreement_bits(cls, indices)
+    return np.unpackbits(bits, count=cls.pool_size, bitorder="little").astype(bool)
 
 
 def disagreement_region(cls: FiniteClass, indices) -> np.ndarray:
@@ -170,7 +170,7 @@ def _nested_balls(cls: FiniteClass, pivot_idx: int) -> tuple[np.ndarray, np.ndar
     """
     counts = cls.distance_counts(pivot_idx)
     order = np.argsort(counts, kind="stable")
-    sub = cls.packed[order]
+    sub = cls.packed_columns.T[order]
     split = np.bitwise_or.accumulate(sub, axis=0)
     split ^= np.bitwise_and.accumulate(sub, axis=0)
     return counts[order], split
@@ -249,8 +249,8 @@ def sample_size_m(
         raise ValueError("theta must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not (0 < mu <= 1):
-        raise ValueError("mu must be in (0, 1]")
+    if not is_smoothing_floor(mu):
+        raise ValueError("mu must be in (0, 1] with a finite reciprocal")
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
     body = d * math.log2(max(theta, 2.0)) + math.log2(
@@ -274,14 +274,14 @@ def annulus_plan(cls: FiniteClass, pivot_idx: int, mu: float) -> tuple:
     what the radius mu*2^i ball disagrees on beyond shell i - 1, up to the
     first radius at or past 1: ceil(log2(1/mu)) + 1 shells in all.
     """
-    if not (0 < mu <= 1):
-        raise ValueError("mu must be in (0, 1]")
+    if not is_smoothing_floor(mu):
+        raise ValueError("mu must be in (0, 1] with a finite reciprocal")
     levels = 0 if mu >= 1 else math.ceil(math.log2(1.0 / mu))
     sorted_counts, split = _nested_balls(cls, pivot_idx)
-    radii = [_count_radius(cls, mu * (1 << i)) for i in range(levels + 1)]
+    radii = [_count_radius(cls, math.ldexp(mu, i)) for i in range(levels + 1)]  # mu * 2**i
     # every ball holds the pivot, so each prefix is at least one row long
     ends = np.searchsorted(sorted_counts, radii, side="right") - 1
-    masks = np.unpackbits(split[ends], axis=1, count=cls.pool_size).view(bool)
+    masks = np.unpackbits(split[ends], axis=1, count=cls.pool_size, bitorder="little").view(bool)
     masks[1:] &= ~masks[:-1]  # the regions nest: a shell is its region less the previous one
     return tuple(np.flatnonzero(shell) for shell in masks)
 

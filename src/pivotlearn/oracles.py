@@ -159,17 +159,17 @@ class _Ledger:
 class LabelOracle(_Ledger):
     """Pair-label oracle over n items.
 
-    Labels come either from a (ground truth, noise, seed) triple or from an
-    explicit label table.  The ledger keys are lo*n + hi (lo < hi) in
-    index_dtype(n*n).
+    Labels come from exactly one source: a ground truth, whose per-item
+    values (rank in ranking mode, assign in clustering mode) are labelled
+    under `noise` and `seed`, or an explicit n x n label table, which goes
+    with adversarial_file noise only.  n is the source's item count.  The
+    ledger keys are lo*n + hi (lo < hi) in index_dtype(n*n).
     """
 
     def __init__(
         self,
         mode: str,
-        n: int,
         *,
-        base_values: np.ndarray,
         noise: NoiseSpec,
         seed: int,
         ground_truth=None,
@@ -178,17 +178,24 @@ class LabelOracle(_Ledger):
     ):
         if mode not in ("ranking", "clustering"):
             raise ValueError(f"mode must be 'ranking' or 'clustering', got {mode!r}")
-        if n < 2:
-            raise ValueError("oracle needs at least 2 items")
+        if (ground_truth is None) == (label_table is None):
+            raise ValueError("an oracle takes one label source: ground_truth or label_table")
+        if (label_table is None) == (noise.kind == "adversarial_file"):
+            need = "needs a" if label_table is None else "takes no"
+            raise ValueError(f"{noise.kind} noise {need} label_table")
         if noise.kind == "distance_decay" and mode != "ranking":
             raise ValueError("distance_decay noise is defined for ranking oracles only")
         self.mode = mode
-        self.n = int(n)
+        self.n = int(len(label_table) if ground_truth is None else ground_truth.n_items)
+        if self.n < 2:
+            raise ValueError("oracle needs at least 2 items")
         super().__init__(budget, index_dtype(self.n * self.n))
         self.noise = noise
         self.seed = int(seed)
         self.ground_truth = ground_truth
-        self._base = base_values  # per-item helper values, interpretation per mode
+        if ground_truth is not None:  # per-item values, compared as the mode says
+            base = ground_truth.rank if mode == "ranking" else ground_truth.assign
+            self._base = base.astype(np.int64)
         self._table = label_table
 
     # -- label computation (pure, no accounting) ---------------------------
@@ -233,15 +240,12 @@ class LabelOracle(_Ledger):
         """Base label of each pair under the ground truth, xor its frozen noise flip, as uint8."""
         base_u, base_v = self._base.take(us), self._base.take(vs)  # take: fast with narrow ids
         labels = base_u < base_v if self.mode == "ranking" else base_u == base_v
-        kind = self.noise.kind
-        if kind == "uniform_flip":
+        if self.noise.kind == "uniform_flip":
             labels ^= pair_uniform(self.seed, us, vs, below=self.noise.eta)
-        elif kind == "distance_decay":
+        elif self.noise.kind == "distance_decay":
             gap = np.abs(base_u - base_v).astype(np.float64)
             labels ^= pair_uniform(self.seed, us, vs) < np.minimum(
                 1.0, self.noise.scale * gap**-self.noise.rho)
-        elif kind != "none":
-            raise AssertionError(f"unreachable noise kind {kind}")
         return labels.view(np.uint8)
 
     # -- counted access -----------------------------------------------------
@@ -305,7 +309,7 @@ def make_ranking_oracle(
     budget: Optional[int] = None,
 ) -> LabelOracle:
     """Oracle preferring u to v when the ground-truth permutation ranks u higher."""
-    return _truth_oracle("ranking", ground_truth, ground_truth.rank, noise, seed, budget)
+    return LabelOracle("ranking", noise=noise, seed=seed, ground_truth=ground_truth, budget=budget)
 
 
 def make_clustering_oracle(
@@ -316,13 +320,8 @@ def make_clustering_oracle(
     budget: Optional[int] = None,
 ) -> LabelOracle:
     """Oracle putting u and v together when the ground-truth clustering does."""
-    return _truth_oracle("clustering", ground_truth, ground_truth.assign, noise, seed, budget)
-
-
-def _truth_oracle(mode: str, ground_truth, base_values, noise, seed, budget) -> LabelOracle:
-    """The oracle of one ground truth, labelling pairs from its per-item base values."""
-    return LabelOracle(mode, ground_truth.n_items, base_values=base_values.astype(np.int64),
-                       noise=noise, seed=seed, ground_truth=ground_truth, budget=budget)
+    return LabelOracle("clustering", noise=noise, seed=seed, ground_truth=ground_truth,
+                       budget=budget)
 
 
 # -- persistence -------------------------------------------------------------
@@ -472,21 +471,12 @@ def load_oracle(
         raise OracleFormatError(fault)
     table = np.full((n, n), 255, dtype=np.uint8)
     table[us, vs] = ys
-    # a pair given in one orientation only: its mirror cell follows from the mode
-    fill = (table == 255) & (table.T != 255)
-    table[fill] = table.T[fill] if mode == "clustering" else 1 - table.T[fill]
+    table[vs, us] = ys if mode == "clustering" else 1 - ys  # agrees with any mirror row given
     missing = np.triu(table == 255, 1)  # a pair's cells are both filled or both not
     if missing.any():
         u, v = divmod(int(missing.argmax()), n)  # the first in row-major order
         raise OracleFormatError(f"pair ({u}, {v}) is missing from {csv_path}")
     np.fill_diagonal(table, 0)
     noise = NoiseSpec(kind="adversarial_file", path=csv_path)
-    return LabelOracle(
-        mode,
-        n,
-        base_values=np.zeros(n, dtype=np.int64),
-        noise=noise,
-        seed=int(meta.get("seed", 0)),
-        label_table=table,
-        budget=budget,
-    )
+    return LabelOracle(mode, noise=noise, seed=int(meta.get("seed", 0)), label_table=table,
+                       budget=budget)

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotlearn import ExperimentConfig, NoiseSpec, Params, run_experiment, verify
+from pivotlearn import clustering as clu
 from pivotlearn import generic as gen
+from pivotlearn import ranking as rk
 from pivotlearn.cli import _config_from_args, build_parser, main
 from pivotlearn.harness import _TASKS, TASKS
 from pivotlearn.oracles import LabelOracle
@@ -494,3 +496,40 @@ def test_theta_permutations_cap(capsys):
 def test_theta_partitions_range(capsys, args, field):
     assert main(["theta", "--family", "partitions", *args]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("force", [[], ["--force-m", "3"]])
+def test_run_mu_without_a_finite_reciprocal_is_config_error(tmp_path, capsys, force):
+    assert main(["run", "--task", "generic", "--n", "20", "--mu", "5e-324", *force,
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: params.mu: must be in (0, 1] with a finite reciprocal")
+
+
+@pytest.mark.parametrize("task, patch, failure, line", [
+    ("clustering", "local_search_erm", MemoryError("Unable to allocate 14.9 GiB"),
+     "error: ERM failed at iteration 1: Unable to allocate 14.9 GiB"),
+    ("ranking", "random_permutation", MemoryError("Unable to allocate 7.28 TiB"),
+     "error: Unable to allocate 7.28 TiB"),
+    ("ranking", "random_permutation", MemoryError(), "error: MemoryError"),
+])
+def test_run_failure_prints_one_error_line(tmp_path, capsys, monkeypatch, task, patch,
+                                           failure, line):
+    """A failed ERM step or an allocation that fails exits 1 without a traceback."""
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr({"ranking": rk, "clustering": clu}[task], patch, fail)
+    args = ["run", "--task", task, "--n", "12", "--erm", "local_search", "--iterations", "1"]
+    if task == "clustering":
+        args += ["--k", "3"]
+    assert main([*args, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_run_config_that_is_not_json_is_config_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"task": "ranking", "n": 5,}')
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: {path}: Expecting property name")

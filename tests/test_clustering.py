@@ -549,13 +549,6 @@ def test_gain_table_tracks_moves(case, moves):
         np.testing.assert_array_equal(table.cost, _reference_cost(samples, assign, k))
 
 
-def test_gain_table_refuses_a_self_pair():
-    samples = SimpleNamespace(n_items=3, us=np.array([0, 2]), vs=np.array([1, 2]),
-                              labels=np.uint8([1, 0]), weight_num=np.array([1, 1]))
-    with pytest.raises(ValueError, match="two distinct items"):
-        clu._GainTable(samples, np.array([1, 1, 2]), 2)
-
-
 def test_gain_table_holds_few_row_sized_arrays():
     """Partners, signed weights and the merged pairs (half a row each) are all
     the table keeps at row length: about 3 rows of int64, the rest derived."""

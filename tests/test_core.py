@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -31,7 +32,7 @@ from pivotlearn import generic as gen
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
 from pivotlearn import verify
-from pivotlearn.core import MAX_SAMPLE_SIZE, sample_size
+from pivotlearn.core import MAX_SAMPLE_SIZE, ParamError, sample_size
 from pivotlearn.oracles import load_oracle, save_oracle
 from pivotlearn.seeding import LazyRng, derive_rng
 
@@ -837,3 +838,52 @@ def test_exact_erm_first_minimizer_tie_break(task):
         orders, _ = geo.enumerate_orders_2d(feats)
         est = RegretEstimator(orders[-1], **pair)
         assert geo.geometric_erm_2d(est, feats) == orders[0]
+
+
+@pytest.mark.parametrize("pivot", [rk.Permutation([3, 1, 4, 2]), clu.Clustering([1, 2, 1, 2], 2)])
+def test_estimator_refuses_a_self_pair_among_distinct_pairs(pivot):
+    """Every pair kernel and the gain table rely on this refusal: none checks for u == v."""
+    with pytest.raises(ValueError, match="self pairs are outside the pool"):
+        RegretEstimator(pivot, np.array([0, 1, 3]), np.array([1, 3, 3]), np.array([2, 2, 2]),
+                        2, np.array([1, 0, 1], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("mu", [5e-324, 1e-310, np.nextafter(1 / sys.float_info.max, 0)])
+def test_params_refuse_a_mu_whose_reciprocal_is_not_finite(mu):
+    with pytest.raises(ParamError) as exc:
+        Params(epsilon=0.2, mu=mu)
+    assert exc.value.field == "mu"
+
+
+@pytest.mark.parametrize("mu", [1e-308, 2.3e-308, np.nextafter(1 / sys.float_info.max, 1)])
+def test_params_keep_a_tiny_mu_whose_reciprocal_is_finite(mu):
+    assert Params(epsilon=0.2, mu=mu).mu == mu
+
+
+def _pairs_once(n, cap):
+    """Keys of every pair the scan yields, each block checked against the cap."""
+    keys = []
+    for us, vs in core._unordered_pair_blocks(n):
+        us, vs = np.broadcast_arrays(us, vs)
+        assert 0 < us.size <= cap and (us < vs).all()
+        keys.append((us * n + vs).ravel())
+    keys = np.sort(np.concatenate(keys))
+    lo, hi = np.triu_indices(n, 1)
+    np.testing.assert_array_equal(keys, lo * n + hi)  # every pair, none twice
+
+
+@pytest.mark.parametrize("n", [361, 362, 363, 364])
+def test_scan_blocks_yield_every_pair_once_within_the_cap(n):
+    _pairs_once(n, core._SCAN_BLOCK_PAIRS)
+    blocks = list(core._unordered_pair_blocks(n))
+    if n * (n - 1) // 2 <= core._SCAN_BLOCK_PAIRS:  # the whole triangle as one 1-d batch
+        assert len(blocks) == 1 and blocks[0][0].ndim == 1
+
+
+@pytest.mark.parametrize("n, cap", [(20, 8), (20, 19), (30, 40), (9, 1), (2, 1)])
+def test_scan_blocks_chunk_rows_longer_than_the_cap(monkeypatch, n, cap):
+    monkeypatch.setattr(core, "_SCAN_BLOCK_PAIRS", cap)
+    _pairs_once(n, cap)
+    if n - 1 > cap:  # the first row is longer than a block: it goes in column chunks
+        us, vs = next(core._unordered_pair_blocks(n))
+        assert us.shape == (1, 1) and vs.shape == (1, cap)

@@ -201,12 +201,13 @@ def test_class_argmin_matches_predicate_scan(family, pool, m):
 
 @st.composite
 def _samples(draw, max_n=6):
-    """Pair samples with repeats, both orientations, self pairs and zero or equal weights."""
+    """Pair samples of distinct items with repeats, both orientations and zero or equal weights."""
     n = draw(st.integers(2, max_n))
     size = draw(st.integers(0, 30))
-    item = st.integers(0, n - 1)
-    us = np.array(draw(st.lists(item, min_size=size, max_size=size)), dtype=np.int64)
-    vs = np.array(draw(st.lists(item, min_size=size, max_size=size)), dtype=np.int64)
+    us = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+                  dtype=np.int64)
+    steps = draw(st.lists(st.integers(1, n - 1), min_size=size, max_size=size))
+    vs = (us + np.array(steps, dtype=np.int64)) % n
     labels = np.array(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
     weights = draw(st.sampled_from(["zero", "equal", "small", "wide"]))
     if weights == "zero":

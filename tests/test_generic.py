@@ -1,4 +1,5 @@
 import hashlib
+import math
 from itertools import combinations
 
 import numpy as np
@@ -306,7 +307,7 @@ def _loop_annuli(cls, pivot_idx, mu):
     prev = np.zeros(cls.pool_size, dtype=bool)
     annuli = []
     for end in np.searchsorted(sorted_counts, radii, side="right").tolist():
-        mask = np.unpackbits(split[end - 1], count=cls.pool_size).view(bool)
+        mask = np.unpackbits(split[end - 1], count=cls.pool_size, bitorder="little").view(bool)
         annuli.append(np.flatnonzero(mask & ~prev).astype(np.int64))
         prev = mask
     return annuli
@@ -421,7 +422,7 @@ def test_finite_class_labels_are_a_read_only_copy():
     cls = gen.FiniteClass(raw)
     raw[0, 0] = 1  # the caller's array stays writable and does not reach the class
     assert cls.labels[0].tolist() == [0, 1, 1]
-    for arr in (cls.labels, cls.packed, cls.packed_columns):
+    for arr in (cls.labels, cls.packed_columns):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
     with pytest.raises(ValueError):
@@ -466,3 +467,60 @@ def test_load_class_csv_rejects_ragged(tmp_path):
     path.write_text("0,1,0\n1,1\n")
     with pytest.raises(ValueError):
         gen.load_class_csv(str(path))
+
+
+# ------------------------------------------- column-packed class against row bytes
+
+def _row_reference(cls, pivot):
+    """(distance counts, nearest-first order, unpacked prefix disagreement rows) from
+    big-endian row bytes, the layout FiniteClass read its rows from before."""
+    rows = np.packbits(cls.labels, axis=1)
+    counts = np.bitwise_count(rows ^ rows[pivot]).sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    split = np.bitwise_or.accumulate(rows[order], axis=0)
+    split ^= np.bitwise_and.accumulate(rows[order], axis=0)
+    return rows, counts, order, np.unpackbits(split, axis=1, count=cls.pool_size).view(bool)
+
+
+_CLASSES = {"thresholds": lambda: gen.thresholds_class(13),
+            "intervals": lambda: gen.intervals_class(9),
+            "permutations": lambda: rk.enumerate_sn_class(5)}
+
+
+@pytest.mark.parametrize("family", list(_CLASSES))
+def test_column_packed_class_reads_as_the_row_bytes(family):
+    cls = _CLASSES[family]()
+    rng = derive_rng(5, family)
+    for pivot in rng.choice(len(cls), size=min(len(cls), 6), replace=False).tolist():
+        rows, counts, order, prefixes = _row_reference(cls, pivot)
+        np.testing.assert_array_equal(cls.distance_counts(pivot), counts)
+        got_counts, split = gen._nested_balls(cls, pivot)
+        np.testing.assert_array_equal(got_counts, counts[order])
+        unpacked = np.unpackbits(split, axis=1, count=cls.pool_size, bitorder="little")
+        np.testing.assert_array_equal(unpacked.view(bool), prefixes)
+        for mu in (1.0, 0.3, 0.07, 1e-3):
+            levels = 0 if mu >= 1 else math.ceil(math.log2(1 / mu))
+            radii = [gen._count_radius(cls, mu * 2**i) for i in range(levels + 1)]
+            masks = prefixes[np.searchsorted(counts[order], radii, side="right") - 1]
+            want = [np.flatnonzero(m & ~prev) for m, prev in
+                    zip(masks, [np.zeros(cls.pool_size, bool), *masks[:-1]])]
+            got = gen.annulus_plan(cls, pivot, mu)
+            assert [s.tolist() for s in got] == [s.tolist() for s in want]
+    for size in (0, 1, 2, 5, len(cls)):
+        idx = rng.choice(len(cls), size=size, replace=False)
+        sub = np.packbits(cls.labels, axis=1)[idx]
+        bits = np.bitwise_or.reduce(sub, axis=0) & ~np.bitwise_and.reduce(sub, axis=0, initial=255)
+        want = np.unpackbits(bits, count=cls.pool_size).astype(bool)
+        np.testing.assert_array_equal(gen.disagreement_mask(cls, idx), want)
+        assert gen.disagreement_measure(cls, idx) == want.sum() / cls.pool_size
+
+
+def test_mu_without_a_finite_reciprocal_is_refused_and_a_tiny_one_plans_every_shell():
+    cls = gen.thresholds_class(8)
+    with pytest.raises(ValueError, match="finite reciprocal"):
+        gen.annulus_plan(cls, 0, 5e-324)
+    with pytest.raises(ValueError, match="finite reciprocal"):
+        gen.sample_size_m(2.0, 1, 0.3, 5e-324, 0.1)
+    shells = gen.annulus_plan(cls, 0, 1e-308)  # radii mu * 2**i past 2**1023
+    assert len(shells) == math.ceil(math.log2(1e308)) + 1
+    assert sorted(np.concatenate(shells).tolist()) == list(range(8))

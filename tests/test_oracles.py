@@ -451,9 +451,8 @@ def test_outer_block_labels_match_pair_by_pair(cap, data):
     table = np.zeros((n, n), np.uint8)
     off = ~np.eye(n, dtype=bool)
     table[off] = hashed.verification_labels(*np.nonzero(off))
-    tabled = LabelOracle(mode, n, base_values=np.zeros(n, np.int64), seed=seed,
-                         noise=NoiseSpec(kind="adversarial_file", path="labels.csv"),
-                         label_table=table)
+    tabled = LabelOracle(mode, seed=seed, label_table=table,
+                         noise=NoiseSpec(kind="adversarial_file", path="labels.csv"))
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setattr(oracles, "_HASH_BLOCK_PAIRS", cap)
@@ -822,3 +821,43 @@ def test_oracles_refuse_non_integer_ids(kind, ids):
             read()
     assert len(empty()) == 0
     assert oracle.counters == type(oracle.counters)()
+
+
+def _table_and_truth(mode, n=5):
+    rng = derive_rng(3, "sources")
+    truth = rk.random_permutation(n, rng) if mode == "ranking" else clu.random_clustering(n, 2, rng)
+    table = np.zeros((n, n), np.uint8)
+    off = ~np.eye(n, dtype=bool)
+    table[off] = truth.pair_values(*np.nonzero(off))
+    return truth, table
+
+
+@pytest.mark.parametrize("mode", ["ranking", "clustering"])
+@pytest.mark.parametrize("sources, kind, message", [
+    ((), "none", "one label source"),
+    (("ground_truth", "label_table"), "adversarial_file", "one label source"),
+    (("ground_truth",), "adversarial_file", "adversarial_file noise needs a label_table"),
+    (("label_table",), "none", "none noise takes no label_table"),
+    (("label_table",), "uniform_flip", "uniform_flip noise takes no label_table"),
+])
+def test_label_oracle_refuses_a_mismatched_label_source(mode, sources, kind, message):
+    truth, table = _table_and_truth(mode)
+    given = {"ground_truth": truth, "label_table": table}
+    noise = NoiseSpec(kind=kind, eta=0.1, path="labels.csv")
+    with pytest.raises(ValueError, match=message):
+        LabelOracle(mode, noise=noise, seed=0, **{s: given[s] for s in sources})
+    if sources == ("ground_truth",):  # refused at construction, not at the first query
+        make = make_ranking_oracle if mode == "ranking" else make_clustering_oracle
+        with pytest.raises(ValueError, match=message):
+            make(truth, noise)
+
+
+@pytest.mark.parametrize("mode", ["ranking", "clustering"])
+def test_label_oracle_takes_n_from_its_one_source(mode):
+    truth, table = _table_and_truth(mode, n=7)
+    for oracle in (LabelOracle(mode, noise=NoiseSpec(), seed=0, ground_truth=truth),
+                   LabelOracle(mode, noise=NoiseSpec(kind="adversarial_file", path="t.csv"),
+                               seed=0, label_table=table)):
+        us, vs = np.nonzero(~np.eye(7, dtype=bool))
+        assert oracle.n == 7
+        assert oracle.verification_labels(us, vs).tolist() == table[us, vs].tolist()

@@ -38,6 +38,12 @@ def test_compare_reports_every_pair_and_metric_in_under_10_s():
         row = rows[name]
         assert row["a_median"] == row["b_median"] and row["b_wins"] == 0
         assert row["change"] == 0.0 and not row["worse_than_bound"]
+    # a host-speed probe is timed before every run and summarized per side
+    assert all(" probe_s=" in line for line in runs)
+    probe = summary["probe_s"]["clustering-search"]
+    assert set(probe) == {"a_median", "b_median"}
+    assert all(0 < value < 1 for value in probe.values())
+    assert any(line.split()[1] == "host" for line in lines if line.startswith("clustering-search "))
 
 
 def test_compare_flags_a_run_that_is_not_correct():
