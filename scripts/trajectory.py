@@ -21,6 +21,16 @@ JSON, so host drift between the sides can be told from a change in the code.
 A run that is not `correct` (a failed output check, a failed repetition or no
 result at all) is flagged, and the exit code is then 1.  The last stdout line
 is the summary as JSON.
+
+peak_rss_mb follows glibc's heap layout as well as live data, and the layout
+moves with the length of the checkout path: ranking-scale has read anywhere
+from 57.8 to 61.2 MB for the same code.  So a warning is printed first when
+A's and B's paths differ in length.  bench/run.py passes its environment to
+its workers, so
+
+    MALLOC_MMAP_THRESHOLD_=131072 python3 scripts/trajectory.py --compare A B
+
+gives the fixed-threshold reading, with glibc's dynamic mmap threshold off.
 """
 
 from __future__ import annotations
@@ -151,6 +161,10 @@ def main(argv=None) -> int:
             ap.error(f"{checkout} has no bench/run.py")
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if len(a) != len(b):
+        print(f"warning: the checkout paths differ in length ({len(a)} and {len(b)} characters), "
+              "and glibc's heap layout, so peak_rss_mb, can move with that alone; compare from "
+              "paths of equal length, or under MALLOC_MMAP_THRESHOLD_=131072", flush=True)
     with open(os.path.join(a, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]

@@ -192,8 +192,10 @@ def build_clustering_estimator(
     at = np.arange(n).repeat(n_strata).repeat(count)  # u's place in `items`, per sample
     pos = start[src].repeat(count) + offset
     pos += ~cross & (pos >= at)  # step past u itself
-    # a cross-cluster draw stands for both orientations: twice its weight
     us, vs = items[at], items[pos]
+    # a cross-cluster draw stands for both orientations: twice its weight, in
+    # a dtype that holds twice the largest numerator
+    w_num = w_num.astype(np.min_scalar_type(2 * int(w_num.max(initial=0))), copy=False)
     return RegretEstimator(pivot, us, vs, w_num << cross, q, oracle.query_many(us, vs))
 
 
@@ -297,7 +299,7 @@ class _GainTable:
         self.partners, self.signed, self.bounds = pair_rows(est, oriented=False)
         self.index = np.arange(n, dtype=index_dtype(n))  # narrow: a cheaper b > a mask
         self.row_cells = np.arange(n) * (k + 1)
-        self.cost = np.zeros((n, k + 1), dtype=np.int64)
+        self.cost = np.zeros((n, k + 1), dtype=self.signed.dtype)  # pair_rows' bound covers it
         self.flat = self.cost.reshape(-1)
         # the merged pairs, by smaller item, for the swap correction
         as_lo = self.partners > self.index.repeat(np.diff(self.bounds))

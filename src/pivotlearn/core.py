@@ -134,6 +134,8 @@ def csv_rows(path: str, reader, parse, error=ValueError, malformed="malformed ro
         yield reader.line_num, value
 
 
+_INT64_MAX = 2**63 - 1
+
 # Largest per-stratum sample size a run accepts, forced or computed; a larger
 # one could not be drawn in memory, and past 2**63 not even counted in int64.
 MAX_SAMPLE_SIZE = 2**31 - 1
@@ -226,8 +228,11 @@ class RegretEstimator:
     n * (n - 1) pairs.  Indexed mode (vs is None): the pivot and h are 0/1
     label vectors over len(pivot) instances, and samples are their indices.
     Sample ids are held in index_dtype of the pool and refused outside it.
-    weight_num / weight_denom are exact rational weights in int64 and labels
-    are 0/1; anything else is refused, never truncated.  pivot_costs, the
+    weight_num / weight_denom are exact rational weights: the positive
+    integer numerators are kept in the dtype they come in (a builder's are
+    the narrowest unsigned dtype that holds them), and every sum over them
+    is taken in int64, so their total must be at most 2**63 - 1.  Labels are
+    0/1; anything else is refused, never truncated.  pivot_costs, the
     pivot's mismatches, follow from the pivot and the labels.  Evaluation
     sums integers and applies the single global scale
     1 / (measure_count * weight_denom) at the end.
@@ -239,13 +244,19 @@ class RegretEstimator:
         self.measure_count = self.n_items if vs is None else self.n_items * (self.n_items - 1)
         self.us = sample_ids(us, self.n_items, "us")
         self.vs = None if vs is None else sample_ids(vs, self.n_items, "vs")
-        self.weight_num = integer_ids(weight_num, "weight_num").astype(np.int64, copy=False)
+        self.weight_num = integer_ids(weight_num, "weight_num")
         if not is_integer(weight_denom) or weight_denom < 1:
             raise ValueError(f"weight_denom must be an integer >= 1, got {weight_denom!r}")
         self.weight_denom = int(weight_denom)
         self.labels = zero_one(labels, "labels")
         if self.weight_num.min(initial=1) <= 0:
             raise ValueError("every sample weight must be positive")
+        # int64 sums of positive weights wrap only past their total, which
+        # weights below 2**32 cannot reach with at most 2**31 samples
+        w = self.weight_num
+        if (w.itemsize == 8 or len(w) > 2**31) and int(w.max(initial=0)) * len(w) > _INT64_MAX:
+            if int(w.sum(dtype=object)) > _INT64_MAX:
+                raise ValueError("sample weights must total at most 2**63 - 1")
         sizes = {len(self.us), len(self.weight_num), len(self.labels)}
         if self.vs is not None:
             sizes.add(len(self.vs))
@@ -259,7 +270,7 @@ class RegretEstimator:
             pred = pivot.pair_values(self.us, self.vs)
         self.pivot_costs = (pred != self.labels).view(np.uint8)
         # integer part of the pivot regret, fixed at construction
-        self._pivot_int = sum(int(self.weight_num[b] @ self.pivot_costs[b]) for b in self._blocks())
+        self._pivot_int = sum(self._weighted(b, self.pivot_costs[b]) for b in self._blocks())
 
     @property
     def n_samples(self) -> int:
@@ -276,12 +287,21 @@ class RegretEstimator:
     def _blocks(self) -> list[slice]:
         """The samples in slices of _SCAN_BLOCK_PAIRS.
 
-        numpy widens 0/1 costs to int64 for a product with the weights, so
-        sums are taken a block at a time, and that copy, like the gathers
-        that score a block, stays a block long.
+        Sums are taken a block at a time, so their products, like the
+        gathers that score a block, stay a block long.
         """
         step = _SCAN_BLOCK_PAIRS
         return [slice(start, start + step) for start in range(0, self.n_samples, step)]
+
+    def _weighted(self, block: slice, costs: np.ndarray) -> int:
+        """Sum of the block's weights times its 0/1 costs, in int64.
+
+        The products stay in the weights' dtype, which holds them since a
+        cost is 0 or 1; a dot product would sum there too, and numpy wraps
+        a narrow dtype silently: two uint16 weights of 60000 would sum to
+        54464.
+        """
+        return int((self.weight_num[block] * costs).sum(dtype=np.int64))
 
     def evaluate_int(self, h) -> int:
         """Integer numerator of evaluate(); exact, order-independent."""
@@ -300,7 +320,7 @@ class RegretEstimator:
                 pred = values[self.us[block]]
             else:
                 pred = h.pair_values(self.us[block], self.vs[block])
-            total += int(self.weight_num[block] @ (pred != self.labels[block]).view(np.uint8))
+            total += self._weighted(block, (pred != self.labels[block]).view(np.uint8))
         return total - self._pivot_int
 
     def evaluate(self, h) -> float:
@@ -413,9 +433,12 @@ def packed_argmin(packed: np.ndarray, coef: np.ndarray, base: int) -> tuple[int,
 
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:
-    """0..c-1 for each count c, concatenated."""
+    """0..c-1 for each count c, concatenated, in index_dtype of their total plus one."""
     ends = counts.cumsum()
-    return np.arange(ends[-1] if len(ends) else 0) - (ends - counts).repeat(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    offsets = np.arange(total, dtype=index_dtype(total + 1))
+    offsets -= (ends - counts).astype(offsets.dtype).repeat(counts)
+    return offsets
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,29 +469,34 @@ def pair_rows(est, oriented: bool) -> tuple[np.ndarray, np.ndarray, list[int]]:
     the exact change in mismatched sample weight when u moves from before
     its partner to after it (`oriented`, ranking) or from apart to together
     with it (otherwise, clustering): all samples on one pair are summed
-    into one int64 weight, the lower id's entries negated when `oriented`,
-    and a pair whose weight sums to 0 is dropped.  Partners and weights are
-    int64, because both searches gather by them; merge keys and ids stay
-    narrow while the rows are placed, so keys up to 16 bits are
-    radix-sorted.
+    into one weight, the lower id's entries negated when `oriented`, and a
+    pair whose weight sums to 0 is dropped.  Partners are int64, because
+    both searches gather by them.  Weights are int32 when eight times the
+    largest per-item total sample weight is below 2**31, which bounds every
+    sum either search forms from one or a few rows, and int64 otherwise.
+    Merge keys and ids stay narrow while the rows are placed, so keys up to
+    16 bits are radix-sorted.
     """
     n = est.n_items
+    totals = np.bincount(est.us, est.weight_num, n) + np.bincount(est.vs, est.weight_num, n)
+    narrow = 8 * totals.max(initial=0) < 2**31
     keys = pair_keys(est.us, est.vs, n)
-    by_pair = keys.argsort(kind="stable" if keys.itemsize <= 2 else "quicksort")
-    keys = keys[by_pair]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    lo, hi = np.divmod(keys[first], n)
-    lo, hi = lo.astype(index_dtype(n)), hi.astype(index_dtype(n))
-    del keys
+    kind = "stable" if keys.itemsize <= 2 else "quicksort"
+    by_pair = keys.argsort(kind=kind)
+    keys.sort(kind=kind)  # keys[by_pair], without a second key array
     bit = est.labels != (est.us > est.vs) if oriented else est.labels != 0  # the (lo, hi) bit
     bit = bit[by_pair]
-    w = est.weight_num[by_pair]
+    w = est.weight_num[by_pair].astype(np.int32 if narrow else np.int64)
     del by_pair
     np.negative(w, out=w, where=bit)
     del bit
-    w = np.add.reduceat(w, first)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    w = np.add.reduceat(w, first, dtype=w.dtype)
+    lo, hi = np.empty(len(first), index_dtype(n)), np.empty(len(first), index_dtype(n))
+    np.divmod(keys[first], n, out=(lo, hi))
+    del keys
     keep = w != 0
     lo, hi, w = lo[keep], hi[keep], w[keep]
     del first, keep
@@ -487,7 +515,7 @@ def pair_rows(est, oriented: bool) -> tuple[np.ndarray, np.ndarray, list[int]]:
     del by_hi, lo
     if oriented:
         np.negative(w, out=w)
-    weights = np.zeros(ends[-1], dtype=np.int64)
+    weights = np.zeros(ends[-1], dtype=w.dtype)
     weights[as_lo] = w
     weights[as_hi] = w_by_hi
     del w, w_by_hi
@@ -545,7 +573,9 @@ def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=Non
     A stratum of at most q members, or one flagged in `whole`, enters whole:
     offsets 0..size-1, numerator q.  A larger one gets q draws with repetition
     at numerator size, from one rng call over all strata in order, which
-    yields what one q-draw call per stratum would.
+    yields what one q-draw call per stratum would.  Offsets are held in
+    index_dtype of the largest stratum and numerators in the narrowest
+    unsigned dtype that holds the largest one; only the draws are int64.
     """
     if not is_integer(q) or q < 1:
         raise ValueError(f"per-stratum sample size must be an integer >= 1, got {q!r}")
@@ -553,9 +583,10 @@ def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=Non
     if whole is not None:
         drawn &= ~whole
     count = np.where(drawn, q, sizes)
-    offset = segment_offsets(count)
+    offset = segment_offsets(count).astype(index_dtype(int(sizes.max(initial=1))), copy=False)
     offset[drawn.repeat(count)] = rng.integers(0, sizes[drawn].repeat(q))
-    return count, offset, np.where(drawn, sizes, q).repeat(count)
+    num = np.where(drawn, sizes, q)
+    return count, offset, num.astype(np.min_scalar_type(int(num.max(initial=0)))).repeat(count)
 
 
 def distance(h1, h2) -> float:
@@ -630,11 +661,13 @@ _SCAN_BLOCK_PAIRS = 1 << 16
 
 
 def _triangle(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(us, vs) over every pair a <= u < v < b, row by row."""
-    rows = np.arange(a, b)
+    """(us, vs) over every pair a <= u < v < b, row by row, in index_dtype(b)."""
+    rows = np.arange(a, b, dtype=index_dtype(b))
     counts = b - 1 - rows
-    us = np.repeat(rows, counts)
-    return us, us + 1 + segment_offsets(counts)
+    us = rows.repeat(counts)
+    vs = us + 1
+    vs += segment_offsets(counts)  # below b, whatever dtype the offsets take
+    return us, vs
 
 
 def _unordered_pair_blocks(n: int):

@@ -34,8 +34,9 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import (
-    BudgetExceededError, ParamError, csv_rows, index_dtype, integer_ids, is_finite_number,
-    pair_keys, true_error, unordered_verification_labels, unsigned_max, zero_one,
+    _SCAN_BLOCK_PAIRS, BudgetExceededError, ParamError, csv_rows, index_dtype, integer_ids,
+    is_finite_number, pair_keys, true_error, unordered_verification_labels, unsigned_max,
+    zero_one,
 )
 from .seeding import pair_uniform
 
@@ -130,13 +131,17 @@ class _Ledger:
         The batch is atomic: if its new distinct keys would exceed the
         budget, BudgetExceededError is raised and no counter or ledger state
         changes.  One sort of the batch both drops its repeats and feeds the
-        lookup in the ledger; the new keys are then merged into it in one
-        linear pass.
+        lookup in the ledger, which goes _SCAN_BLOCK_PAIRS keys at a time, so
+        its intp positions stay a block long; the new keys are then merged
+        into the ledger in one linear pass.
         """
         keys.sort()
         seen = self._seen
-        at = np.searchsorted(seen, keys)
-        fresh = seen.take(at, mode="clip") != keys if len(seen) else np.ones(len(keys), bool)
+        fresh = np.ones(len(keys), bool)
+        for start in range(0, len(keys), _SCAN_BLOCK_PAIRS) if len(seen) else ():
+            block = keys[start : start + _SCAN_BLOCK_PAIRS]
+            at = np.searchsorted(seen, block)
+            np.not_equal(seen.take(at, mode="clip"), block, out=fresh[start : start + len(block)])
         n_new = int(np.count_nonzero(fresh))
         if n_new:
             fresh[1:] &= keys[1:] != keys[:-1]  # a repeat within the batch is not new again

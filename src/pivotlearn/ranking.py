@@ -226,9 +226,9 @@ def build_ranking_estimator(
     each nonempty band contributes p draws with repetition at weight
     band_size / p (or all its pairs at weight 1 when band_size <= p).
     Draws are taken in one call, in (item, band) order, so the result
-    depends only on the provided stream, never on scheduling.  Positions
-    and sample ids are held in the narrowest dtype that holds them; only
-    the draws themselves and the weight numerators are int64.
+    depends only on the provided stream, never on scheduling.  Positions,
+    sample ids and weight numerators are held in the narrowest dtype that
+    holds them; only the draws themselves are int64.
     """
     n = pivot.n_items
     if oracle.n != n:
@@ -248,7 +248,7 @@ def build_ranking_estimator(
     del hi
     # offset of each sample within its ring's items, left arm first
     count, offset, w_num = stratum_draws(arm.sum(axis=1, dtype=np.int64), p, rng, whole=near)
-    spot = offset.astype(lo.dtype)  # below the ring's size, so below n
+    spot = offset.astype(lo.dtype, copy=False)  # below the ring's size, so below n
     del offset
     right = spot >= arm[:, 0].repeat(count)
     spot += lo.repeat(count)
@@ -379,7 +379,8 @@ def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutati
             mine = partners[lo:hi]
             ranks = rank0[mine]
             by_rank = ranks.argsort(kind="stable")
-            prefix = np.add.accumulate(deltas[lo:hi][by_rank])
+            # without dtype= numpy widens int32 sums to int64, half again slower
+            prefix = np.add.accumulate(deltas[lo:hi][by_rank], dtype=deltas.dtype)
             k = prefix.argmin()
             best = min(prefix.item(k), 0)
             gain = best - prefix.item(by_rank.argmin())  # u's own slot is row entry 0

@@ -35,6 +35,7 @@ from pivotlearn import verify
 from pivotlearn.core import MAX_SAMPLE_SIZE, ParamError, sample_size
 from pivotlearn.oracles import load_oracle, save_oracle
 from pivotlearn.seeding import LazyRng, derive_rng
+from test_clustering import _reference_cost
 
 
 @pytest.mark.parametrize("module", ["pivotlearn"] + [
@@ -149,6 +150,21 @@ def test_one_draw_matches_sequential_draws(q):
     count, offset, _ = core.stratum_draws(sizes[sizes <= q], q, one)
     np.testing.assert_array_equal(offset, core.segment_offsets(count))  # no draw consumed
     assert one.integers(0, 2**62) == seq.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("sizes, q, offsets, numerators", [
+    ([3, 200], 5, np.uint8, np.uint8),
+    ([3, 256, 257], 5, np.uint16, np.uint16),
+    ([3, 300, 70_000], 5, np.uint32, np.uint32),
+    ([2, 3], 300, np.uint8, np.uint16),  # every stratum whole, at numerator q
+    ([0, 0], 1, np.uint8, np.uint8),
+])
+def test_stratum_draws_hold_offsets_and_numerators_narrow(sizes, q, offsets, numerators):
+    """Offsets take index_dtype of the largest stratum, numerators the
+    narrowest unsigned dtype holding the largest one."""
+    count, offset, w_num = core.stratum_draws(np.array(sizes), q, derive_rng(q, "narrow"))
+    assert (offset.dtype, w_num.dtype) == (np.dtype(offsets), np.dtype(numerators))
+    assert len(offset) == len(w_num) == count.sum()
 
 
 @pytest.mark.parametrize("task", ["ranking", "clustering", "generic"])
@@ -321,6 +337,37 @@ def test_three_item_example_evaluates_its_pivot_to_zero():
     assert est.evaluate(pivot) == 0.0
 
 
+@pytest.mark.parametrize("us, vs, weights", [
+    ([0, 1], [1, 2], [2**62, 2**62]),
+    ([0], [1], np.array([2**63], dtype=np.uint64)),
+    ([0, 1], [1, 2], np.array([2**63 - 1, 1], dtype=np.uint64)),
+], ids=["int64-pair", "uint64-2**63", "uint64-total"])
+def test_estimator_refuses_weights_whose_total_passes_int64(us, vs, weights):
+    """Sums over the weights are int64, so a total past 2**63 - 1 is refused:
+    two weights of 2**62 would read -2**63 at the pivot and +2**63 at the
+    reversed order, where -2**63 is exact."""
+    with pytest.raises(ValueError, match=r"total at most 2\*\*63 - 1"):
+        RegretEstimator(rk.Permutation.identity(3), us, vs, weights, 1, [0] * len(us))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_estimator_is_exact_at_a_weight_total_of_int64_max(dtype):
+    pivot = rk.Permutation.identity(3)
+    est = RegretEstimator(pivot, [0, 1], [1, 2], np.array([2**62, 2**62 - 1], dtype), 1, [0, 0])
+    assert est.evaluate_int(pivot) == 0
+    assert est.evaluate_int(rk.Permutation([3, 2, 1])) == -(2**63 - 1)
+
+
+@pytest.mark.parametrize("labels, want", [([1, 1], 120_000), ([0, 0], -120_000)])
+def test_narrow_weights_sum_exactly_past_their_dtype(labels, want):
+    """Weights stay in the dtype they come in, and their sums are int64: a
+    plain uint16 @ uint8 product would read 2 x 60000 as 54464."""
+    pivot = rk.Permutation.identity(3)
+    est = RegretEstimator(pivot, [0, 1], [1, 2], np.array([60_000] * 2, np.uint16), 1, labels)
+    assert est.weight_num.dtype == np.uint16
+    assert est.evaluate_int(rk.Permutation([3, 2, 1])) == want
+
+
 @pytest.mark.parametrize("build, name", [
     (lambda: RegretEstimator(rk.Permutation.identity(3), [0, 1], [1, 2], [1.5, 2.7], 1, [1, 0]),
      "weight_num"),
@@ -374,7 +421,14 @@ def test_pair_rows_match_a_per_sample_merge(oriented, n, active, m, seed):
     samples = SimpleNamespace(n_items=n, us=us.astype(core.index_dtype(n)),
                               vs=vs.astype(core.index_dtype(n)), labels=labels, weight_num=weights)
     partners, weights, bounds = core.pair_rows(samples, oriented)
-    assert partners.dtype == weights.dtype == np.int64
+    assert (partners.dtype, weights.dtype) == (np.int64, np.int32)  # weights far under the bound
+    _assert_rows_are_the_merge(samples, oriented, partners, weights, bounds)
+
+
+def _assert_rows_are_the_merge(samples, oriented, partners, weights, bounds):
+    """Row u is u at weight 0, then the merged pairs with u as the lower id,
+    then as the higher id, each in ascending partner order."""
+    n = samples.n_items
     merged = _merged_pairs(samples, oriented)
     want = [[(u, 0)] for u in range(n)]
     for (lo, hi), w in sorted(merged.items()):
@@ -385,6 +439,42 @@ def test_pair_rows_match_a_per_sample_merge(oriented, n, active, m, seed):
     got = [list(zip(partners[a:b].tolist(), weights[a:b].tolist()))
            for a, b in zip(bounds, bounds[1:])]
     assert got == want
+
+
+_ROW_LIMIT = 2**31 // 8  # the per-item total sample weight at which rows widen to int64
+
+
+@pytest.mark.parametrize("oriented", [True, False])
+@given(st.integers(3, 30), st.integers(0, 30), st.integers(-3, 2), st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_row_weights_are_int32_exactly_when_the_bound_allows(oriented, n, m, edge, seed):
+    """One heavy sample on pair (0, 1) puts the largest per-item total sample
+    weight at 2**28 + edge, on either side of where eight times it reaches
+    2**31.  Rows are int32 exactly below that, hold the per-sample int64
+    merge either way, and read as int64 rows would: the climb makes the same
+    moves on them widened, and the gain table equals its per-sample
+    reference."""
+    rng = derive_rng(seed, "row-dtype")
+    us = rng.integers(0, n, size=m)
+    vs = (us + rng.integers(1, n, size=m)) % n
+    weights = rng.integers(1, 1000, size=m)
+    light = [int(weights[(us == item) | (vs == item)].sum()) for item in (0, 1)]
+    us, vs = np.append(us, 0), np.append(vs, 1)
+    weights = np.append(weights, _ROW_LIMIT + edge - max(light))
+    labels = rng.integers(0, 2, size=m + 1).astype(np.uint8)
+    k = 3
+    pivot = rk.random_permutation(n, rng) if oriented else clu.random_clustering(n, k, rng)
+    est = RegretEstimator(pivot, us, vs, weights, 7, labels)
+    partners, row_weights, bounds = core.pair_rows(est, oriented)
+    assert row_weights.dtype == (np.int32 if edge < 0 else np.int64)
+    _assert_rows_are_the_merge(est, oriented, partners, row_weights, bounds)
+    if oriented:
+        start = rk.random_permutation(n, rng)
+        found = rk._climb(est, start, partners, row_weights, bounds)
+        assert found == rk._climb(est, start, partners, row_weights.astype(np.int64), bounds)
+    else:
+        table = clu._GainTable(est, pivot.assign.copy(), k)
+        np.testing.assert_array_equal(table.cost, _reference_cost(est, pivot.assign, k))
 
 # ---------------------------------------------------------------- distances
 
@@ -480,6 +570,25 @@ def test_true_error_scan_peak_is_under_three_mib():
     assert peak < 3 * 2**20
 
 
+def test_true_error_scan_tail_ids_are_narrow():
+    """The scan's last triangle, up to 2**16 pairs, holds its ids in
+    index_dtype(n): two hypotheses at n = 3200 peak under 1 MiB traced,
+    where int64 tail ids took about 1.4 MiB."""
+    import tracemalloc
+
+    n = 3200
+    oracle, hs = _scan_fixture("ranking", n, 36)
+    *_, (us, vs) = core._unordered_pair_blocks(n)
+    assert us.dtype == vs.dtype == core.index_dtype(n) and us.size > 2**15
+    tracemalloc.start()
+    try:
+        true_error(hs[:2], oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("mode", ["ranking", "clustering"])
 @pytest.mark.parametrize("cap", [7, 64])
 @pytest.mark.parametrize("n", [2, 3, 40, 257])
@@ -497,7 +606,7 @@ def test_true_error_scan_blocks_stay_under_the_cap(mode, cap, n, monkeypatch):
     def spy(u, v):
         out = read(u, v)
         sizes.append(out.size)
-        keys.append((np.asarray(u) * n + np.asarray(v)).ravel())
+        keys.append((np.asarray(u, dtype=np.int64) * n + np.asarray(v)).ravel())
         assert (np.asarray(u) < np.asarray(v)).all()
         return out
 
@@ -866,7 +975,7 @@ def _pairs_once(n, cap):
     for us, vs in core._unordered_pair_blocks(n):
         us, vs = np.broadcast_arrays(us, vs)
         assert 0 < us.size <= cap and (us < vs).all()
-        keys.append((us * n + vs).ravel())
+        keys.append((us.astype(np.int64) * n + vs).ravel())  # ids may be narrower than keys
     keys = np.sort(np.concatenate(keys))
     lo, hi = np.triu_indices(n, 1)
     np.testing.assert_array_equal(keys, lo * n + hi)  # every pair, none twice

@@ -336,6 +336,29 @@ def test_build_and_rows_traced_peak_on_the_scale_config():
     assert peak < 17 * 2**20
 
 
+def test_scale_config_weights_take_the_narrowest_exact_dtype():
+    """On the same config, numerators (the largest is 1,153) are uint16 and
+    the rows' weights int32, and one build plus its rows peaks at about
+    10.2 MiB traced.  With int64 numerators, offsets, ledger lookups and row
+    weights it peaked at about 13.4 MiB."""
+    n = 3200
+    params = Params(epsilon=0.3, c1=1.3e-4, iterations=2, master_seed=0)
+    truth = rk.random_permutation(n, derive_rng(0, "ground-truth"))
+    oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.1), seed=0)
+    pivot = rk.Permutation.identity(n)
+    p = rk.sample_size_p(n, params.epsilon, params.c1)
+    tracemalloc.start()
+    try:
+        est = rk.build_ranking_estimator(pivot, oracle, params, p=p, rng=derive_rng(0, "build", 1))
+        _, deltas, _ = pair_rows(est, oriented=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.weight_num.itemsize == 2 and est.weight_num.max() == 1153
+    assert deltas.itemsize == 4
+    assert peak < 11.5 * 2**20
+
+
 def _fixture(n, seed, eta=0.2):
     truth = rk.random_permutation(n, derive_rng(seed, "t"))
     oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=eta), seed=seed)
@@ -546,7 +569,8 @@ def test_rows_and_climb_exact_at_id_dtype_boundaries(n):
     """Ids leave uint8 past 256 items and uint16 past 65,536.  200 samples on
     40 items, the top ids among them, merge into the reference rows (summed
     as Python ints) and climb like the dense reference fed int64 ids; the
-    rows themselves stay int64."""
+    rows' partners stay int64, and their weights, far under the bound, are
+    int32."""
     m = 200
     rng = derive_rng(n, "boundary-climb")
     pool = np.concatenate([[0, n - 2, n - 1], rng.choice(np.arange(1, n - 2), 37, replace=False)])
@@ -558,7 +582,7 @@ def test_rows_and_climb_exact_at_id_dtype_boundaries(n):
     est = RegretEstimator(pivot, us, vs, rng.integers(1, 4, size=m), 3, labels)
     assert est.us.dtype == index_dtype(n)
     partners, deltas, bounds = pair_rows(est, oriented=True)
-    assert partners.dtype == deltas.dtype == np.int64
+    assert (partners.dtype, deltas.dtype) == (np.int64, np.int32)
     rows = _merged_rows(est)
     assert np.diff(bounds).tolist() == [1 + len(row) for row in rows]
     for u in pool.tolist():

@@ -10,8 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "trajectory.py")
 
 
-def _compare(*flags):
-    argv = [sys.executable, SCRIPT, "--compare", ROOT, ROOT, "--toy", "--seconds", "0.1", *flags]
+def _compare(*flags, other=ROOT):
+    argv = [sys.executable, SCRIPT, "--compare", ROOT, other, "--toy", "--seconds", "0.1", *flags]
     return subprocess.run(argv, capture_output=True, text=True, timeout=60)
 
 
@@ -51,3 +51,16 @@ def test_compare_flags_a_run_that_is_not_correct():
     assert proc.returncode == 1
     assert "NOT CORRECT" in proc.stdout
     assert json.loads(proc.stdout.splitlines()[-1])["not_correct"] == 2
+
+
+def test_compare_warns_when_the_checkout_paths_differ_in_length(tmp_path):
+    """Heap layout, and so peak RSS, moves with the checkout path's length."""
+    link = tmp_path / "checkout"
+    if len(str(link)) == len(ROOT):
+        link = tmp_path / "checkout-2"
+    link.symlink_to(ROOT)
+    warned, same = (_compare("--pairs", "1", "--workload", "no-such-workload", other=other)
+                    for other in (str(link), ROOT))
+    assert warned.stdout.startswith("warning: the checkout paths differ in length")
+    assert "MALLOC_MMAP_THRESHOLD_=131072" in warned.stdout.splitlines()[0]
+    assert "warning" not in same.stdout
