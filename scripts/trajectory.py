@@ -13,7 +13,15 @@ bench/run.py wrote (commit, source digest, Python, numpy, cores).  Then, per
 workload and end-to-end metric (names, units, directions and bounds from A's
 BENCHMARK.json): A's and B's medians, B's change against A's median, A's
 quartile spread, B's wins (pairs where B reads better, ties counting for
-neither) and a flag when B's median is worse than A's by more than the bound.
+neither) and the verdict the benchmark's rules give, the first that holds of
+
+    worse       B's median is worse than A's by more than the bound
+    unresolved  A's quartile spread exceeds bound x |A's median|, unless
+                every B run beats every A run
+    gain        B wins at least 90% of the pairs, and its median beats A's
+                by more than A's quartile spread
+    same        none of these
+
 Before each run a host-speed probe, the best of 3 np.sort calls on a fixed
 2**20-element float64 array, is timed in a fresh process and printed beside
 the run; each side's probe median per workload goes in the table and the
@@ -87,14 +95,26 @@ def quartile_spread(values: list[float]) -> float:
 
 
 def summarize(metric: dict, a: list[float], b: list[float]) -> dict:
-    """Medians, A's quartile spread, B's wins over the pairs and the bound verdict."""
+    """Medians, A's quartile spread, B's wins over the pairs and the benchmark's verdict."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
+    bound = metric["bound"]
     a_med, b_med = statistics.median(a), statistics.median(b)
     change = (b_med - a_med) / abs(a_med) if a_med else 0.0
+    a_iqr = quartile_spread(a)
+    wins = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+    worse = sign * change > bound
+    if worse:
+        verdict = "worse"
+    elif a_iqr > bound * abs(a_med) and max(sign * y for y in b) >= min(sign * x for x in a):
+        verdict = "unresolved"
+    elif wins >= 0.9 * len(a) and sign * (a_med - b_med) > a_iqr:
+        verdict = "gain"
+    else:
+        verdict = "same"
     return {
         "unit": metric["unit"], "a_median": a_med, "b_median": b_med, "change": change,
-        "a_iqr": quartile_spread(a), "b_wins": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
-        "pairs": len(a), "bound": metric["bound"], "worse_than_bound": sign * change > metric["bound"],
+        "a_iqr": a_iqr, "b_wins": wins, "pairs": len(a), "bound": bound,
+        "worse_than_bound": worse, "verdict": verdict,
     }
 
 
@@ -133,13 +153,12 @@ def compare(a: str, b: str, workloads: list[str], pairs: int, seconds: float, to
 
 def print_table(summary: dict, probes: dict) -> None:
     print(f"{'workload':<18} {'metric':<16} {'A median':>12} {'B median':>12} {'change':>8} "
-          f"{'A IQR':>10} {'B wins':>7}")
+          f"{'A IQR':>10} {'B wins':>7} {'verdict':<10}")
     for workload, rows in summary.items():
         for name, s in rows.items():
-            flag = "  WORSE THAN BOUND" if s["worse_than_bound"] else ""
             print(f"{workload:<18} {name:<16} {s['a_median']:>12.6g} {s['b_median']:>12.6g} "
                   f"{s['change']:>+8.2%} {s['a_iqr']:>10.4g} {s['b_wins']:>3}/{s['pairs']:<3}"
-                  f" {s['unit']}{flag}")
+                  f" {s['verdict']:<10} {s['unit']}")
         a_med, b_med = probes[workload]["a_median"], probes[workload]["b_median"]
         print(f"{workload:<18} {'host probe_s':<16} {a_med:>12.6g} {b_med:>12.6g} "
               f"{(b_med - a_med) / a_med:>+8.2%}")

@@ -258,13 +258,12 @@ def _exact_argmin(n: int, k: int, us, vs, labels, weight_num) -> tuple[Clusterin
     return Clustering(all_assignments(n, k)[row], k), value
 
 
-def exact_erm(est: RegretEstimator, start=None, *, rng=None, k: Optional[int] = None) -> Clustering:
-    """Global estimator minimizer over all <=k-partitions.
+def exact_erm(est: RegretEstimator, start=None, *, rng=None) -> Clustering:
+    """Global estimator minimizer over all <=k-partitions, k = est.pivot.k.
 
     Ties resolve to the lexicographically smallest canonical assignment.
     """
-    k = k if k is not None else est.pivot.k
-    return _exact_argmin(est.n_items, k, est.us, est.vs, est.labels, est.weight_num)[0]
+    return _exact_argmin(est.n_items, est.pivot.k, est.us, est.vs, est.labels, est.weight_num)[0]
 
 
 def exact_min_error(oracle, k: int) -> tuple[float, Clustering]:
@@ -383,9 +382,8 @@ class _GainTable:
 # core._SCAN_BLOCK_PAIRS entries.
 
 
-def _reassign_pass(table: _GainTable) -> tuple[int, bool]:
-    """One item-major first-improvement sweep of single reassignments."""
-    gained = 0
+def _reassign_pass(table: _GainTable) -> bool:
+    """One item-major first-improvement sweep of single reassignments; whether it moved."""
     moved = False
     n, width = table.cost.shape[0], table.cost.shape[1] - 1
     most = max(1, core._SCAN_BLOCK_PAIRS // width)
@@ -402,15 +400,13 @@ def _reassign_pass(table: _GainTable) -> tuple[int, bool]:
             c = int(delta[row].argmin())
         # argmin takes the first minimum: ties go to the smallest cluster id
         table.move(start + row, c + 1)
-        gained += int(delta[row, c])
         moved = True
         start, height = start + row + 1, 1
-    return gained, moved
+    return moved
 
 
-def _swap_pass(table: _GainTable) -> tuple[int, bool]:
-    """First-improvement sweep over cross-cluster item swaps in lex order."""
-    gained = 0
+def _swap_pass(table: _GainTable) -> bool:
+    """First-improvement sweep over cross-cluster item swaps in lex order; whether it moved."""
     moved = False
     assign = table.assign
     n = len(assign)
@@ -421,7 +417,7 @@ def _swap_pass(table: _GainTable) -> tuple[int, bool]:
             continue
         width = n - lo
         stop = min(n - 1, a + min(height, max(1, core._SCAN_BLOCK_PAIRS // width)))
-        better, score = table.swap_scores(a, stop, lo)
+        better, _ = table.swap_scores(a, stop, lo)
         first = int(better.argmax())  # the first candidate in (a, b) lex order
         if not better.item(first):
             a, lo, height = stop, stop + 1, 2 * height
@@ -430,12 +426,11 @@ def _swap_pass(table: _GainTable) -> tuple[int, bool]:
         a += row
         b = lo + col
         ca, cb = int(assign[a]), int(assign[b])
-        gained += score.item(first) - table.cost.item(a, ca)
         table.move(a, cb)
         table.move(b, ca)
         moved = True
         lo, height = b + 1, 1
-    return gained, moved
+    return moved
 
 
 def local_search_erm(
@@ -451,24 +446,20 @@ def local_search_erm(
     cross-cluster swap sweeps until neither improves; moves are scored from
     one gain table, built once and reset for each restart.  Restart 0
     starts from `start`, so the result never evaluates worse than it.
+    Optima are scored only to choose among restarts (core.best_of_restarts).
     """
     k = start.k
     table = _GainTable(est, start.assign.copy(), k)
 
-    def climb(h: Clustering) -> tuple[Clustering, int]:
+    def climb(h: Clustering) -> Clustering:
         if h is not start:  # restart 0 climbs on the table as built
             table.reset(h.assign.copy())
-        obj = est.evaluate_int(h)
-        while True:
-            gained, moved_a = _reassign_pass(table)
-            obj += gained
-            gained, moved_b = _swap_pass(table)
-            obj += gained
-            if not (moved_a or moved_b):
-                return Clustering(table.assign, k), obj
+        while _reassign_pass(table) | _swap_pass(table):  # | runs both passes every round
+            pass
+        return Clustering(table.assign, k)
 
     return best_of_restarts(
-        start, restarts, rng, lambda rng: random_clustering(est.n_items, k, rng), climb
+        est, start, restarts, rng, lambda rng: random_clustering(est.n_items, k, rng), climb
     )
 
 

@@ -212,8 +212,8 @@ class Params:
             value = getattr(self, name)
             if not (is_finite_number(value) and value > 0):
                 raise ParamError(name, f"must be positive and finite, got {value!r}")
-        if self.master_seed < 0:
-            raise ParamError("master_seed", "must be non-negative")
+        if not 0 <= self.master_seed < 2**64:  # the streams read its low 64 bits only
+            raise ParamError("master_seed", "must be non-negative and below 2**64")
 
     def resolved_mu(self, measure_count: int) -> float:
         """mu, defaulting to one atom of the instance measure (1/N)."""
@@ -633,25 +633,22 @@ def pair_min_error(oracle, argmin) -> tuple[float, object]:
     return 2 * half / Pool(n).pair_count, h
 
 
-def best_of_restarts(start, restarts: int, rng, random_start, climb):
-    """The best local optimum of `restarts` climbs, climb(h) -> (optimum, objective).
+def best_of_restarts(est, start, restarts: int, rng, random_start, climb):
+    """The best local optimum of `restarts` climbs, climb(h) -> optimum.
 
     The first climb starts from `start`, so the result never evaluates
-    worse than it; the others from random_start(rng), and the first least
-    objective wins.  rng is read only from the second restart on, so a
-    LazyRng handed to a one-restart search is never derived; rng=None
-    stands for derive_rng(0, "local-search").
+    worse than it; the others from random_start(rng).  One optimum is
+    returned unscored; of several, each is scored once by est.evaluate_int
+    and the first least wins.  rng is read only from the second restart
+    on, so a LazyRng handed to a one-restart search is never derived;
+    rng=None stands for derive_rng(0, "local-search").
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if rng is None:
         rng = LazyRng(0, "local-search")
-    best = None
-    for r in range(restarts):
-        h, obj = climb(start if r == 0 else random_start(rng))
-        if best is None or obj < best[1]:
-            best = (h, obj)
-    return best[0]
+    optima = [climb(start if r == 0 else random_start(rng)) for r in range(restarts)]
+    return optima[0] if restarts == 1 else min(optima, key=est.evaluate_int)
 
 
 # Pairs per block of a true_error scan, of an estimator's sample walk and of

@@ -145,6 +145,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 1 <= value <= MAX_SAMPLE_SIZE:
                 raise ConfigError(name, "must be in 1..2**31 - 1 when present")
+        if "force_m" in task.reads and self.force_m is None and self.n > gen._VC_POOL_CAP:
+            raise ConfigError("force_m", f"must be set for n > {gen._VC_POOL_CAP}, the pool "
+                                         "size where m's VC dimension search is capped")
         if self.noise.kind not in task.noise:
             raise ConfigError("noise.kind", f"{self.task} runs support {' or '.join(task.noise)}")
         if self.noise.kind == "adversarial_file" and self.oracle_path is None:

@@ -332,14 +332,15 @@ def make_clustering_oracle(
 # -- persistence -------------------------------------------------------------
 
 
-def save_oracle(oracle: LabelOracle, csv_path: str, sidecar_path: Optional[str] = None) -> str:
+def save_oracle(oracle: LabelOracle, csv_path: str) -> str:
     """Write all unordered pair labels as CSV plus a JSON metadata sidecar.
 
-    Returns the sidecar path.  Writing reads the full table once (charged to
-    verification_reads as one full scan), a row u of pairs (u, v > u) at a
-    time, and writes the bytes csv.writer would, CRLF line ends included.
+    Returns the sidecar path, csv_path + ".json", where load_oracle reads
+    it.  Writing reads the full table once (charged to verification_reads
+    as one full scan), a row u of pairs (u, v > u) at a time, and writes
+    the bytes csv.writer would, CRLF line ends included.
     """
-    sidecar_path = sidecar_path or csv_path + ".json"
+    sidecar_path = csv_path + ".json"
     n = oracle.n
     ends = (",0\r\n", ",1\r\n")  # a line's label and end
     with open(csv_path, "w", newline="") as fh:
@@ -443,7 +444,6 @@ def load_oracle(
     csv_path: str,
     *,
     mode: Optional[str] = None,
-    n: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> LabelOracle:
     """Rebuild an oracle from a pair-label CSV (adversarial_file noise kind).
@@ -466,7 +466,7 @@ def load_oracle(
     if not len(cells):
         raise OracleFormatError(f"{csv_path} holds no pair rows")
     us, vs, ys = cells.T
-    n = int(n or meta.get("n") or max(int(us.max()), int(vs.max())) + 1)
+    n = int(meta.get("n") or max(int(us.max()), int(vs.max())) + 1)
     if len(us) < n * (n - 1) // 2:  # counted before the n x n table is allocated
         raise OracleFormatError(
             f"{csv_path} holds {len(us)} pair rows; n={n} needs all {n * (n - 1) // 2} pairs"

@@ -346,8 +346,8 @@ def exact_min_error(oracle) -> tuple[float, Permutation]:
 # -- local search ERM ---------------------------------------------------------
 
 
-def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutation, int]:
-    """First-improvement insertion climb from `start`; returns (local optimum, evaluate_int).
+def _climb(start: Permutation, partners, deltas, bounds) -> Permutation:
+    """First-improvement insertion climb from `start` to a local optimum.
 
     Item u is scored over its own row only: with the row sorted by current
     rank, the objective of putting u after the first k partners is the sum
@@ -361,12 +361,11 @@ def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutati
     of order/rank0 between the old and new position.  Ranks are held in the
     narrowest unsigned dtype, so each row's stable sort is a radix sort.
     """
-    n = est.n_items
+    n = start.n_items
     order = start.order.astype(np.int64)
     positions = np.arange(n, dtype=index_dtype(n))
     rank0 = np.empty_like(positions)
     rank0[order] = positions
-    obj = 0 if start is est.pivot else est.evaluate_int(start)  # the pivot is 0 by construction
     settled = np.diff(bounds) == 1  # no partners: nothing to gain
     moved = True
     while moved:
@@ -402,9 +401,8 @@ def _climb(est, start: Permutation, partners, deltas, bounds) -> tuple[Permutati
                 rank0[order[i : j + 1]] = positions[i : j + 1]
             settled[mine] = False
             settled[u] = True  # mine holds u itself
-            obj += gain
             moved = True
-    return Permutation.from_order(order), obj
+    return Permutation.from_order(order)
 
 
 def local_search_erm(
@@ -422,11 +420,12 @@ def local_search_erm(
     the result never evaluates worse than the start.  Each item is scored
     over its merged partner list only (samples on one pair summed into one
     delta), and its result is cached until it or one of its partners moves.
+    Optima are scored only to choose among restarts (core.best_of_restarts).
     """
     partners, deltas, bounds = pair_rows(est, oriented=True)
     return best_of_restarts(
-        start, restarts, rng, lambda rng: random_permutation(est.n_items, rng),
-        lambda h: _climb(est, h, partners, deltas, bounds),
+        est, start, restarts, rng, lambda rng: random_permutation(est.n_items, rng),
+        lambda h: _climb(h, partners, deltas, bounds),
     )
 
 

@@ -423,6 +423,22 @@ def test_run_names_the_parameter_it_refuses(tmp_path, capsys, flag, value):
     assert f"config error: params.{field}: must be" in capsys.readouterr().err
 
 
+def test_run_refuses_a_seed_past_64_bits(tmp_path, capsys):
+    assert main(["run", "--task", "ranking", "--n", "6", "--seed", str(2**64),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "config error: params.master_seed: must be non-negative and below 2**64" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_run_refuses_a_generic_pool_past_the_vc_cap(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    n = str(gen._VC_POOL_CAP + 1)
+    assert main(["run", "--task", "generic", "--n", n, "--out", out]) == 2
+    assert "config error: force_m: must be set for n > 40" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["run", "--task", "generic", "--n", n, "--force-m", "2", "--out", out]) == 0
+
+
 @pytest.mark.parametrize("task, k", [("ranking", None), ("clustering", 3)])
 def test_oracle_gen_writes_the_labels_a_run_learns_from(tmp_path, monkeypatch, task, k):
     n, seed, eta = 9, 7, 0.2

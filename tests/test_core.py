@@ -470,8 +470,8 @@ def test_row_weights_are_int32_exactly_when_the_bound_allows(oriented, n, m, edg
     _assert_rows_are_the_merge(est, oriented, partners, row_weights, bounds)
     if oriented:
         start = rk.random_permutation(n, rng)
-        found = rk._climb(est, start, partners, row_weights, bounds)
-        assert found == rk._climb(est, start, partners, row_weights.astype(np.int64), bounds)
+        found = rk._climb(start, partners, row_weights, bounds)
+        assert found == rk._climb(start, partners, row_weights.astype(np.int64), bounds)
     else:
         table = clu._GainTable(est, pivot.assign.copy(), k)
         np.testing.assert_array_equal(table.cost, _reference_cost(est, pivot.assign, k))
@@ -912,6 +912,62 @@ def test_local_search_reads_its_stream_only_past_one_restart(task):
     assert lazy._rng is None
     found = search(est, start, restarts=3, rng=LazyRng(seed, "erm", 1))
     assert found == search(est, start, restarts=3, rng=derive_rng(seed, "erm", 1))
+
+
+def _spied_search(task):
+    """(estimator, its local search, a random start, calls) of a small run.
+
+    est.evaluate_int is wrapped to append each (hypothesis, value) it
+    returns to calls.
+    """
+    n, seed = 30, 8
+    noise = NoiseSpec(kind="uniform_flip", eta=0.2)
+    if task == "ranking":
+        truth, pivot, other = (rk.random_permutation(n, derive_rng(seed, tag)) for tag in "tpo")
+        est = rk.build_ranking_estimator(pivot, make_ranking_oracle(truth, noise, seed=seed),
+                                         Params(epsilon=0.3), p=2, rng=derive_rng(seed, "b"))
+        search = rk.local_search_erm
+    else:
+        truth, pivot, other = (clu.random_clustering(n, 3, derive_rng(seed, tag)) for tag in "tpo")
+        est = clu.build_clustering_estimator(pivot, make_clustering_oracle(truth, noise, seed=seed),
+                                             Params(epsilon=0.3), q=2, rng=derive_rng(seed, "b"))
+        search = clu.local_search_erm
+    calls = []
+    est.evaluate_int = lambda h, f=est.evaluate_int: calls.append((h, f(h))) or calls[-1][1]
+    return est, search, other, calls
+
+
+@pytest.mark.parametrize("task", ["ranking", "clustering"])
+def test_one_restart_search_scores_nothing(task):
+    """One restart returns its optimum unscored, from the pivot and from a random start."""
+    est, search, other, calls = _spied_search(task)
+    for start in (est.pivot, other):
+        search(est, start, restarts=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("task", ["ranking", "clustering"])
+@pytest.mark.parametrize("restarts", [2, 5])
+def test_restarts_score_each_optimum_once(task, restarts):
+    """k > 1 restarts score k optima, once each, and return the first of least value."""
+    est, search, _, calls = _spied_search(task)
+    found = search(est, est.pivot, restarts=restarts, rng=derive_rng(8, "ls"))
+    assert len(calls) == restarts
+    values = [value for _, value in calls]
+    assert found is calls[values.index(min(values))][0]
+
+
+def test_best_of_restarts_takes_the_first_least_optimum():
+    """Optima scored 3, 1, 1, 2 give the second; one restart scores nothing."""
+    values = {"a": 3, "b": 1, "c": 1, "d": 2}
+    calls = []
+    est = SimpleNamespace(evaluate_int=lambda h: calls.append(h) or values[h])
+    starts = iter("bcd")
+    climb = lambda h: h  # noqa: E731  every start is its own optimum
+    assert core.best_of_restarts(est, "a", 4, None, lambda rng: next(starts), climb) == "b"
+    assert calls == list("abcd")
+    assert core.best_of_restarts(est, "c", 1, None, None, climb) == "c"
+    assert calls == list("abcd")
 
 
 def test_budget_error_propagates_from_oracle():

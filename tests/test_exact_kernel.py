@@ -103,7 +103,7 @@ def test_clustering_exact_erm_matches_predicate_scan(n, k):
                                              rng=derive_rng(n, k, "b", q))
         row, value = _predicate_argmin(assigns, _together(est.us, est.vs), est.labels,
                                        est.weight_num)
-        best = clu.exact_erm(est, k=k)
+        best = clu.exact_erm(est)
         assert best.assign.tolist() == assigns[row].tolist()
         at_pivot = _predicate_argmin(pivot.assign[None], _together(est.us, est.vs), est.labels,
                                      est.weight_num)[1]
@@ -118,7 +118,7 @@ def _adversarial_oracle(tmp_path, mode, n, seed):
     path = tmp_path / f"{mode}-{n}.csv"
     rows = "".join(f"{u},{v},{y}\n" for u, v, y in zip(iu, iv, labels))
     path.write_text("u,v,label\n" + rows)
-    return load_oracle(str(path), mode=mode, n=n)
+    return load_oracle(str(path), mode=mode)
 
 
 _RANKING_NOISE = [

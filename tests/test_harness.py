@@ -28,6 +28,7 @@ from pivotlearn import generic as gen
 from pivotlearn import oracles as orc
 from pivotlearn import ranking as rk
 from pivotlearn import verify
+from pivotlearn.core import ParamError
 from pivotlearn.harness import TASKS
 from pivotlearn.seeding import derive_rng
 
@@ -318,6 +319,41 @@ def test_config_from_dict_names_the_refused_parameter(name, value, why):
         ExperimentConfig.from_dict(d)
     assert exc.value.field == f"params.{name}"
     assert str(exc.value).startswith(f"params.{name}: {why}")
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5])
+def test_params_refuse_a_seed_the_streams_would_truncate(seed):
+    """The streams read a master seed's low 64 bits, so a seed at or past
+    2**64 would rerun a smaller one under its own name."""
+    assert Params(epsilon=0.3, master_seed=2**64 - 1).master_seed == 2**64 - 1
+    with pytest.raises(ParamError) as exc:
+        Params(epsilon=0.3, master_seed=seed)
+    assert exc.value.field == "master_seed"
+    d = _cfg().to_dict()
+    d["params"]["master_seed"] = seed
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert str(exc.value) == "params.master_seed: must be non-negative and below 2**64"
+
+
+def test_config_refuses_a_generic_pool_past_the_vc_cap_without_force_m():
+    """m comes from a VC dimension search capped at pool size 40: past it a
+    generic run needs force_m, and is refused before it starts without one."""
+    cap = gen._VC_POOL_CAP
+    assert _cfg(task="generic", n=cap).force_m is None
+    assert _cfg(task="generic", n=cap + 1, force_m=3).n == cap + 1
+    with pytest.raises(ConfigError, match=f"must be set for n > {cap}, ") as exc:
+        _cfg(task="generic", n=cap + 1)
+    assert exc.value.field == "force_m"
+
+
+def test_generic_sweep_past_the_vc_cap_fails_before_its_first_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr("pivotlearn.harness.run_experiment", runs.append)
+    with pytest.raises(ConfigError) as exc:
+        sweep(_cfg(task="generic", n=20), "n", [20, gen._VC_POOL_CAP + 10])
+    assert exc.value.field == "force_m"
+    assert runs == []
 
 
 @pytest.mark.parametrize("name, task", [("c1", "ranking"), ("c2", "clustering"), ("c3", "generic")])

@@ -688,6 +688,13 @@ def test_save_and_load_leave_no_pair_triangle_cached(tmp_path):
     load_oracle(path)
     assert upper_pairs.cache_info().currsize == 0
 
+def _load_with_sidecar_n(csv_path, n, **kwargs):
+    """load_oracle of a file whose sidecar fixes n and nothing else."""
+    with open(csv_path + ".json", "w") as fh:
+        json.dump({"n": n}, fh)
+    return load_oracle(csv_path, **kwargs)
+
+
 _LOADER_CASES = {
     # name: (loader, file text, keyword arguments, error type, message pattern)
     "oracle-bad-header": (load_oracle, "u,x,label\n0,1,1\n", {"mode": "ranking"},
@@ -703,7 +710,8 @@ _LOADER_CASES = {
                            OracleFormatError, r"holds no pair rows"),
     "oracle-self-pair": (load_oracle, "u,v,label\n0,1,1\n1,1,0\n", {"mode": "ranking"},
                          OracleFormatError, r"invalid pair \(1, 1\) for n=2"),
-    "oracle-id-past-n": (load_oracle, "u,v,label\n0,1,1\n0,2,1\n", {"mode": "ranking", "n": 2},
+    "oracle-id-past-n": (_load_with_sidecar_n, "u,v,label\n0,1,1\n0,2,1\n",
+                         {"mode": "ranking", "n": 2},
                          OracleFormatError, r"invalid pair \(0, 2\) for n=2"),
     "oracle-unknown-mode": (load_oracle, "u,v,label\n0,1,1\n", {},
                             OracleFormatError, r"oracle mode unknown"),
@@ -740,9 +748,9 @@ def test_loaders_name_what_is_wrong(case, tmp_path):
 @pytest.mark.parametrize("text, kwargs, message", [
     ("0,1,1\n1,0,1\n0,1,0\n", {"mode": "ranking"}, r"pair \(1, 0\) violates skew-symmetry"),
     ("0,1,1\n0,1,0\n1,0,1\n", {"mode": "ranking"}, r"pair \(0, 1\) given twice"),
-    ("0,1,1\n1,0,0\n2,2,0\n0,1,1\n1,0,0\n", {"mode": "clustering", "n": 2},
+    ("0,1,1\n1,0,0\n2,2,0\n0,1,1\n1,0,0\n", {"mode": "clustering"},
      r"pair \(1, 0\) violates symmetry"),
-    ("0,1,1\n3,3,0\n1,0,1\n", {"mode": "ranking", "n": 2}, r"invalid pair \(3, 3\) for n=2"),
+    ("0,1,1\n1,1,0\n1,0,1\n", {"mode": "ranking"}, r"invalid pair \(1, 1\) for n=2"),
     ("0,2,1\n1,2,0\n2,1,1\n0,1,1\n2,1,0\n", {"mode": "ranking"},
      r"pair \(2, 1\) given twice"),
 ], ids=["symmetry-then-repeat", "repeat-then-symmetry", "symmetry-then-invalid",

@@ -1,10 +1,13 @@
 """scripts/trajectory.py --compare, run at toy size on this checkout against itself."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "trajectory.py")
@@ -64,3 +67,35 @@ def test_compare_warns_when_the_checkout_paths_differ_in_length(tmp_path):
     assert warned.stdout.startswith("warning: the checkout paths differ in length")
     assert "MALLOC_MMAP_THRESHOLD_=131072" in warned.stdout.splitlines()[0]
     assert "warning" not in same.stdout
+
+
+def _summarize():
+    spec = importlib.util.spec_from_file_location("trajectory", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.summarize
+
+
+_LOWER = {"unit": "s", "better": "lower", "bound": 0.1}
+_HIGHER = {"unit": "ratio", "better": "higher", "bound": 0.1}
+_TEN = [1.0 + i / 100 for i in range(10)]  # median 1.045, quartile spread 0.045
+_SPREAD = [0.7, 0.9, 1.0, 1.1, 1.3]  # median 1.0, quartile spread 0.2, over 0.1 x 1.0
+
+
+@pytest.mark.parametrize("metric, a, b, verdict", [
+    (_LOWER, _TEN, [x + 0.15 for x in _TEN], "worse"),  # +14% against a 10% bound
+    (_HIGHER, _TEN, [x - 0.15 for x in _TEN], "worse"),
+    (_LOWER, _SPREAD, [x + 0.3 for x in _SPREAD], "worse"),  # worse comes before unresolved
+    (_LOWER, _SPREAD, [x - 0.01 for x in _SPREAD], "unresolved"),  # B wins every pair
+    (_LOWER, _SPREAD, [0.6, 0.6, 0.6, 0.65, 0.69], "gain"),  # every B run beats every A run
+    (_LOWER, _TEN, [x - 0.06 for x in _TEN[:9]] + [1.10], "gain"),  # 9 of 10, by 0.06
+    (_HIGHER, _TEN, [x + 0.06 for x in _TEN], "gain"),
+    (_LOWER, _TEN, [x - 0.06 for x in _TEN[:8]] + [1.09, 1.10], "same"),  # 8 of 10
+    (_LOWER, _TEN, [x - 0.02 for x in _TEN], "same"),  # by less than A's spread
+    (_LOWER, _TEN, _TEN, "same"),  # ties count for neither side
+], ids=["worse", "worse-higher", "worse-first", "unresolved", "beats-every-run", "gain",
+        "gain-higher", "too-few-wins", "within-spread", "ties"])
+def test_summary_gives_the_benchmark_verdict(metric, a, b, verdict):
+    row = _summarize()(metric, a, b)
+    assert row["verdict"] == verdict
+    assert row["worse_than_bound"] == (verdict == "worse")
