@@ -639,16 +639,16 @@ def best_of_restarts(est, start, restarts: int, rng, random_start, climb):
     The first climb starts from `start`, so the result never evaluates
     worse than it; the others from random_start(rng).  One optimum is
     returned unscored; of several, each is scored once by est.evaluate_int
-    and the first least wins.  rng is read only from the second restart
-    on, so a LazyRng handed to a one-restart search is never derived;
-    rng=None stands for derive_rng(0, "local-search").
+    as it comes, only the best so far is held, and the first least wins.
+    rng is read only from the second restart on, so a LazyRng handed to a
+    one-restart search is never derived; None is LazyRng(0, "local-search").
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if rng is None:
         rng = LazyRng(0, "local-search")
-    optima = [climb(start if r == 0 else random_start(rng)) for r in range(restarts)]
-    return optima[0] if restarts == 1 else min(optima, key=est.evaluate_int)
+    optima = (climb(start if r == 0 else random_start(rng)) for r in range(restarts))
+    return next(optima) if restarts == 1 else min(optima, key=est.evaluate_int)
 
 
 # Pairs per block of a true_error scan, of an estimator's sample walk and of

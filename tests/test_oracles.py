@@ -748,19 +748,28 @@ def test_loaders_name_what_is_wrong(case, tmp_path):
 @pytest.mark.parametrize("text, kwargs, message", [
     ("0,1,1\n1,0,1\n0,1,0\n", {"mode": "ranking"}, r"pair \(1, 0\) violates skew-symmetry"),
     ("0,1,1\n0,1,0\n1,0,1\n", {"mode": "ranking"}, r"pair \(0, 1\) given twice"),
-    ("0,1,1\n1,0,0\n2,2,0\n0,1,1\n1,0,0\n", {"mode": "clustering"},
+    ("0,1,1\n1,0,0\n2,2,0\n0,1,1\n1,0,0\n", {"mode": "clustering", "n": 2},
      r"pair \(1, 0\) violates symmetry"),
-    ("0,1,1\n1,1,0\n1,0,1\n", {"mode": "ranking"}, r"invalid pair \(1, 1\) for n=2"),
+    ("0,1,1\n3,3,0\n1,0,1\n", {"mode": "ranking", "n": 2}, r"invalid pair \(3, 3\) for n=2"),
     ("0,2,1\n1,2,0\n2,1,1\n0,1,1\n2,1,0\n", {"mode": "ranking"},
      r"pair \(2, 1\) given twice"),
 ], ids=["symmetry-then-repeat", "repeat-then-symmetry", "symmetry-then-invalid",
         "invalid-then-symmetry", "mirror-then-repeat"])
 def test_load_names_the_first_faulty_row(text, kwargs, message, tmp_path):
-    """A file with several faults is refused for the one on its earliest row."""
+    """A file with several faults is refused for the one on its earliest row.
+
+    An "n" in kwargs is written to the file's sidecar, the one place a
+    loaded n comes from besides the file's own ids.
+    """
     path = tmp_path / "in.csv"
     path.write_text("u,v,label\n" + text)
+    kwargs = dict(kwargs)
+    n = kwargs.pop("n", None)
     with pytest.raises(OracleFormatError, match=message):
-        load_oracle(str(path), **kwargs)
+        if n is None:
+            load_oracle(str(path), **kwargs)
+        else:
+            _load_with_sidecar_n(str(path), n, **kwargs)
 
 
 def _load_outcome(path, mode):
