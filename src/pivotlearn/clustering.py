@@ -18,12 +18,13 @@ import numpy as np
 
 from . import core
 from .core import (
+    RESTARTS,
     Params,
     PoolMismatchError,
     RegretEstimator,
     best_of_restarts,
     index_dtype,
-    integer_array,
+    integer_ids,
     is_integer,
     packed_argmin,
     pair_coefficients,
@@ -71,7 +72,7 @@ class Clustering:
     __slots__ = ("assign", "k")
 
     def __init__(self, assign, k: Optional[int] = None):
-        assign = integer_array(assign)
+        assign = integer_ids(assign, "assign", ndim=1)
         if len(assign) < 2:
             raise ValueError("clustering needs at least 2 items")
         if k is None:
@@ -437,7 +438,7 @@ def local_search_erm(
     est: RegretEstimator,
     start: Clustering,
     *,
-    restarts: int = 5,
+    restarts: int = RESTARTS,
     rng: Optional[np.random.Generator] = None,
 ) -> Clustering:
     """Single-item reassignment plus swap local search, best of `restarts` seeded starts.

@@ -106,18 +106,6 @@ def python_scalars(obj) -> None:
             object.__setattr__(obj, f.name, getattr(obj, f.name).item())
 
 
-def integer_array(values) -> np.ndarray:
-    """values as a 1-d integer array; floats and bools are refused, never truncated."""
-    arr = np.asarray(values)
-    if isinstance(values, np.ndarray):
-        exact = arr.dtype.kind in "iu"
-    else:
-        exact = all(map(is_integer, values))
-    if arr.ndim != 1 or not exact:
-        raise ValueError("expected a 1-d sequence of integers")
-    return arr
-
-
 def csv_rows(path: str, reader, parse, error=ValueError, malformed="malformed row {row!r}"):
     """Yield (line number, parse(row)) for each non-blank row left in a CSV reader.
 
@@ -232,9 +220,8 @@ class RegretEstimator:
     integer numerators are kept in the dtype they come in (a builder's are
     the narrowest unsigned dtype that holds them), and every sum over them
     is taken in int64, so their total must be at most 2**63 - 1.  Labels are
-    0/1; anything else is refused, never truncated.  pivot_costs, the
-    pivot's mismatches, follow from the pivot and the labels.  Evaluation
-    sums integers and applies the single global scale
+    0/1; anything else is refused, never truncated.  Evaluation sums
+    integers and applies the single global scale
     1 / (measure_count * weight_denom) at the end.
     """
 
@@ -262,15 +249,10 @@ class RegretEstimator:
             sizes.add(len(self.vs))
         if len(sizes) > 1:
             raise ValueError("sample arrays must have equal length")
-        if self.vs is None:
-            pred = np.asarray(pivot)[self.us]
-        elif (self.us == self.vs).any():
+        if self.vs is not None and (self.us == self.vs).any():
             raise ValueError("self pairs are outside the pool")
-        else:
-            pred = pivot.pair_values(self.us, self.vs)
-        self.pivot_costs = (pred != self.labels).view(np.uint8)
-        # integer part of the pivot regret, fixed at construction
-        self._pivot_int = sum(self._weighted(b, self.pivot_costs[b]) for b in self._blocks())
+        # the pivot's weighted mismatch, by the sum every hypothesis takes
+        self._pivot_int = self._mismatch_int(pivot)
 
     @property
     def n_samples(self) -> int:
@@ -284,27 +266,16 @@ class RegretEstimator:
     def scale(self) -> float:
         return 1.0 / (self.measure_count * self.weight_denom)
 
-    def _blocks(self) -> list[slice]:
-        """The samples in slices of _SCAN_BLOCK_PAIRS.
+    def _mismatch_int(self, h) -> int:
+        """Weighted count of the samples whose label h mismatches, in int64.
 
-        Sums are taken a block at a time, so their products, like the
-        gathers that score a block, stay a block long.
+        The sum is taken in blocks of _SCAN_BLOCK_PAIRS samples, so its
+        products, like the gathers that score a block, stay a block long.
+        A product stays in the weights' dtype, which holds it since a
+        mismatch is 0 or 1; a dot product would sum there too, and numpy
+        wraps a narrow dtype silently: two uint16 weights of 60000 would sum
+        to 54464.
         """
-        step = _SCAN_BLOCK_PAIRS
-        return [slice(start, start + step) for start in range(0, self.n_samples, step)]
-
-    def _weighted(self, block: slice, costs: np.ndarray) -> int:
-        """Sum of the block's weights times its 0/1 costs, in int64.
-
-        The products stay in the weights' dtype, which holds them since a
-        cost is 0 or 1; a dot product would sum there too, and numpy wraps
-        a narrow dtype silently: two uint16 weights of 60000 would sum to
-        54464.
-        """
-        return int((self.weight_num[block] * costs).sum(dtype=np.int64))
-
-    def evaluate_int(self, h) -> int:
-        """Integer numerator of evaluate(); exact, order-independent."""
         if self.vs is None:
             values = np.asarray(h, dtype=np.uint8)
             if values.shape != (self.measure_count,):
@@ -315,13 +286,19 @@ class RegretEstimator:
         elif getattr(h, "n_items", self.n_items) != self.n_items:
             raise PoolMismatchError("hypothesis item count does not match estimator")
         total = 0
-        for block in self._blocks():
+        for start in range(0, self.n_samples, _SCAN_BLOCK_PAIRS):
+            block = slice(start, start + _SCAN_BLOCK_PAIRS)
             if self.vs is None:
                 pred = values[self.us[block]]
             else:
                 pred = h.pair_values(self.us[block], self.vs[block])
-            total += self._weighted(block, (pred != self.labels[block]).view(np.uint8))
-        return total - self._pivot_int
+            miss = (pred != self.labels[block]).view(np.uint8)
+            total += int((self.weight_num[block] * miss).sum(dtype=np.int64))
+        return total
+
+    def evaluate_int(self, h) -> int:
+        """Integer numerator of evaluate(); exact, order-independent."""
+        return self._mismatch_int(h) - self._pivot_int
 
     def evaluate(self, h) -> float:
         return self.evaluate_int(h) * self.scale
@@ -536,13 +513,20 @@ def unsigned_max(ids: np.ndarray) -> int:
     return int(ids.max(initial=0))
 
 
-def integer_ids(ids, name: str) -> np.ndarray:
+def integer_ids(ids, name: str, ndim: Optional[int] = None) -> np.ndarray:
     """ids (or weights) as an array in their own integer dtype, so narrow ids stay narrow.
 
-    A non-empty array of any other dtype (floats, bools) is refused with a
-    ValueError rather than truncated; an empty one is an empty int64 array.
+    Floats and bools are refused with a ValueError rather than truncated:
+    an ndarray by its dtype, anything else element by element through an
+    object view, so a True among ints is caught before numpy reads it as 1.
+    An empty input is an empty int64 array.  ndim, if given, is the number
+    of dimensions the ids must have.
     """
+    if not isinstance(ids, np.ndarray) and not all(map(is_integer, np.asarray(ids, object).flat)):
+        raise ValueError(f"{name} must hold integers")
     ids = np.asarray(ids)
+    if ndim is not None and ids.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d integers, got shape {ids.shape}")
     if ids.dtype.kind in "iu":
         return ids
     if ids.size:
@@ -631,6 +615,9 @@ def pair_min_error(oracle, argmin) -> tuple[float, object]:
     labels = unordered_verification_labels(oracle, us, vs)
     h, half = argmin(n, us, vs, labels, np.ones(len(us), np.int64))
     return 2 * half / Pool(n).pair_count, h
+
+
+RESTARTS = 5  # climbs per local search when a caller names no count
 
 
 def best_of_restarts(est, start, restarts: int, rng, random_start, climb):

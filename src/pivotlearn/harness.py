@@ -28,6 +28,7 @@ from . import geometric as geo
 from . import ranking as rk
 from .core import (
     MAX_SAMPLE_SIZE,
+    RESTARTS,
     ParamError,
     Params,
     Trajectory,
@@ -61,8 +62,6 @@ __all__ = [
 
 SWEEP_AXES = ("n", "epsilon", "k")
 
-_RESTARTS = 5
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; `field` is the offending field path."""
@@ -89,7 +88,7 @@ class ExperimentConfig:
     params: Params = Params(epsilon=0.2)
     noise: NoiseSpec = NoiseSpec()
     erm: str = "exact"
-    restarts: int = _RESTARTS
+    restarts: int = RESTARTS
     force_p: Optional[int] = None
     force_q: Optional[int] = None
     force_m: Optional[int] = None
@@ -131,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError("erm", f"exact {self.task} ERM enumerates {bounds}; use local_search")
         if self.restarts < 1:
             raise ConfigError("restarts", "must be >= 1")
-        if self.restarts != _RESTARTS and self.erm != "local_search":
+        if self.restarts != RESTARTS and self.erm != "local_search":
             raise ConfigError("restarts", f"only local_search reads restarts, not {self.erm!r}")
         forced = {p for name, ps in _SIZE_PARAMS.items() if getattr(self, name) is not None
                   for p in ps}
@@ -512,8 +511,8 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
-    if workers < 1:
-        raise ConfigError("workers", "must be >= 1")
+    if not is_integer(workers) or workers < 1:
+        raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
     values = list(values)
     if not values:
         raise ConfigError("values", "sweep needs at least one value")

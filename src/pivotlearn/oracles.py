@@ -35,8 +35,8 @@ import numpy as np
 
 from .core import (
     _SCAN_BLOCK_PAIRS, BudgetExceededError, ParamError, csv_rows, index_dtype, integer_ids,
-    is_finite_number, pair_keys, true_error, unordered_verification_labels, unsigned_max,
-    zero_one,
+    is_finite_number, is_integer, pair_keys, true_error, unordered_verification_labels,
+    unsigned_max, zero_one,
 )
 from .seeding import pair_uniform
 
@@ -450,13 +450,25 @@ def load_oracle(
 
     The CSV must cover every unordered pair.  If both orientations of a pair
     are present they must be consistent with the mode's symmetry; a missing
-    or violating pair is rejected by name.
+    or violating pair is rejected by name.  A JSON sidecar, if present, must
+    be an object whose mode agrees with mode=, whose n is an integer >= 2
+    and whose seed is an integer, where given.
     """
     sidecar_path = csv_path + ".json"
     meta = {}
     if os.path.exists(sidecar_path):
         with open(sidecar_path) as fh:
             meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise OracleFormatError(f"{sidecar_path}: sidecar must be a JSON object")
+        if mode and meta.get("mode", mode) != mode:
+            raise OracleFormatError(
+                f"{sidecar_path}: mode {meta['mode']!r} does not match mode={mode!r}")
+        n, seed = meta.get("n", 2), meta.get("seed", 0)
+        if not (is_integer(n) and n >= 2):
+            raise OracleFormatError(f"{sidecar_path}: n must be an integer >= 2, got {n!r}")
+        if not is_integer(seed):
+            raise OracleFormatError(f"{sidecar_path}: seed must be an integer, got {seed!r}")
     mode = mode or meta.get("mode")
     if mode not in ("ranking", "clustering"):
         raise OracleFormatError("oracle mode unknown: pass mode= or provide the JSON sidecar")

@@ -17,12 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    RESTARTS,
     Params,
     PoolMismatchError,
     RegretEstimator,
     best_of_restarts,
     index_dtype,
-    integer_array,
+    integer_ids,
     is_integer,
     pair_coefficients,
     pair_min_error,
@@ -62,7 +63,7 @@ class Permutation:
     __slots__ = ("rank", "_order")
 
     def __init__(self, rank):
-        rank = integer_array(rank)
+        rank = integer_ids(rank, "rank", ndim=1)
         n = len(rank)
         if n < 2:
             raise ValueError("permutation needs at least 2 items")
@@ -78,7 +79,7 @@ class Permutation:
     @classmethod
     def from_order(cls, items) -> "Permutation":
         """Permutation listing `items` from rank 1 to rank n; the order is kept as given."""
-        items = integer_array(items)
+        items = integer_ids(items, "items", ndim=1)
         n = len(items)
         if n < 2:
             raise ValueError("permutation needs at least 2 items")
@@ -409,7 +410,7 @@ def local_search_erm(
     est: RegretEstimator,
     start: Permutation,
     *,
-    restarts: int = 5,
+    restarts: int = RESTARTS,
     rng: Optional[np.random.Generator] = None,
 ) -> Permutation:
     """First-improvement insertion search, best of `restarts` seeded starts.

@@ -20,7 +20,7 @@ from . import clustering as clu
 from . import generic as gen
 from . import geometric as geo
 from . import ranking as rk
-from .core import Params, Pool, distance, pair_rows
+from .core import Params, Pool, _erm_loop, distance, pair_rows
 from .harness import _TASKS, ExperimentConfig, run_experiment, sweep, write_run
 from .oracles import InstanceOracle, NoiseSpec, make_clustering_oracle, make_ranking_oracle
 from .seeding import derive_rng
@@ -397,10 +397,25 @@ def _run_invariants(config: ExperimentConfig):
             return f"{label}: iteration {row.iteration} error {row.err} outside [nu={record.nu}, 1]"
 
 
+def _builds_zero_their_pivots(config: ExperimentConfig):
+    """Every estimator a run of config builds evaluates its own pivot to exactly 0."""
+    plan, values = _TASKS[config.task].plan(config), set()
+
+    def build(*args, **kwargs):
+        est = plan.build(*args, **kwargs)
+        values.add((est.evaluate_int(est.pivot), est.evaluate(est.pivot)))
+        return est
+
+    _erm_loop(plan.h0, plan.oracle, config.params, build, plan.search,
+              plan.scored or (lambda h: h), None)  # as run_experiment, less the error scan
+    if values != {(0, 0.0)}:
+        return f"{config.task} n={config.n}: pivots evaluate to {sorted(values)}"
+
+
 def _stress(config: ExperimentConfig, epsilons: tuple):
-    """One small config end to end: its run's invariants, a rerun, and a sweep on two workers."""
-    return (_run_invariants(config) or _rerun_identical(config)
-            or _sweep_identical(config, "epsilon", epsilons, 2))
+    """One small config end to end: invariants, pivots at 0, a rerun and a 2-worker sweep."""
+    return (_run_invariants(config) or _builds_zero_their_pivots(config)
+            or _rerun_identical(config) or _sweep_identical(config, "epsilon", epsilons, 2))
 
 
 _STRESS_SIZES = {"ranking": dict(n=7, force_p=2), "clustering": dict(n=8, k=3, force_q=2),
@@ -484,8 +499,9 @@ SUITES = _suites(  # (suite, property, check, the inputs `pivotlearn verify` run
     ("determinism", "sweep summaries identical at 1 and 8 workers", _sweep_identical,
      [dict(config=replace(_RUN, erm="local_search", restarts=3), axis="n",
            values=(6, 8, 10), workers=8)]),
-    ("stress", "small runs complete, account for their labels, keep errors in [nu, 1] and "
-               "repeat across reruns and workers", _stress, _STRESS),
+    ("stress", "small runs complete, account for their labels, keep errors in [nu, 1], "
+               "evaluate their pivots to 0 and repeat across reruns and workers", _stress,
+     _STRESS),
 )
 
 

@@ -76,10 +76,13 @@ def _estimator_digest(shape: str) -> str:
     for seed in _SEEDS:
         rng = derive_rng(seed, "build", 1)
         est = _BUILDS[shape](seed, rng)
-        vs = np.zeros(0, np.int64) if est.vs is None else est.vs
+        if est.vs is None:
+            vs, pivot_costs = np.zeros(0, np.int64), np.asarray(est.pivot)[est.us] != est.labels
+        else:
+            vs, pivot_costs = est.vs, est.pivot.pair_values(est.us, est.vs) != est.labels
         for array, dtype in (
             (est.us, np.int64), (vs, np.int64), (est.weight_num, np.int64),
-            (est.labels, np.uint8), (est.pivot_costs, np.uint8),
+            (est.labels, np.uint8), (pivot_costs, np.uint8),
         ):
             h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
             h.update(b"|")

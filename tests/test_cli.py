@@ -400,6 +400,18 @@ def test_run_from_an_oracle_file_refuses_noise_it_would_never_apply(tmp_path, ca
         assert main([*run, *noise, "--out", str(tmp_path / "ok")]) == 0
 
 
+def test_run_refuses_a_ranking_oracle_file_for_a_clustering_task(tmp_path, capsys):
+    """A saved file holds u < v rows only, so its sidecar's mode is all that tells them apart."""
+    out = str(tmp_path / "r.csv")
+    assert main(["oracle-gen", "--task", "ranking", "--n", "6", "--seed", "3", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["run", "--task", "clustering", "--n", "6", "--k", "2", "--oracle-file", out,
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mode 'ranking' does not match mode='clustering'" in err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_run_refuses_a_class_file_of_another_pool_size(tmp_path, capsys):
     path = str(tmp_path / "class.csv")
     gen.save_class_csv(gen.intervals_class(6), path)

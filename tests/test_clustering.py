@@ -86,8 +86,10 @@ def test_work_scales_with_clusters_in_use_not_k():
     built = [clu.build_clustering_estimator(c, oracle, Params(epsilon=0.3), q=2,
                                             rng=derive_rng(0, "k")) for c in (huge, tight)]
     assert time.perf_counter() - t0 < 1.0  # a table over 1..k would take seconds or fail
-    for name in ("us", "vs", "weight_num", "labels", "pivot_costs"):
+    for name in ("us", "vs", "weight_num", "labels"):
         assert np.array_equal(getattr(built[0], name), getattr(built[1], name))
+    pivot_costs = [b.pivot.pair_values(b.us, b.vs) != b.labels for b in built]
+    assert np.array_equal(*pivot_costs)
 
 
 def _canonical_loop(assign) -> list:
@@ -241,7 +243,10 @@ def test_build_matches_loop_reference(shape, k, q, seed):
     np.testing.assert_array_equal(est.vs, vs)
     np.testing.assert_array_equal(est.weight_num, w_num)
     np.testing.assert_array_equal(est.labels, labels)
-    np.testing.assert_array_equal(est.pivot_costs, pivot.pair_values(us, vs) != labels)
+    for h in (pivot, truth):  # the reference's weighted mismatch, less the pivot's
+        ref = w_num @ ((h.pair_values(us, vs) != labels).astype(np.int64)
+                       - (pivot.pair_values(us, vs) != labels))
+        assert est.evaluate_int(h) == ref
     assert est.weight_denom == q
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same stream left
 

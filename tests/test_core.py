@@ -209,7 +209,7 @@ def test_estimator_pivot_evaluates_to_zero(n, k, size, eta, seed):
 def test_estimator_matches_hand_computation():
     est = _tiny_estimator()
     # pivot predicts 1,1,0 on the samples; costs = prediction != label
-    assert est.pivot_costs.tolist() == [0, 1, 0]
+    assert (est.pivot.pair_values(est.us, est.vs) != est.labels).tolist() == [0, 1, 0]
     h = rk.Permutation([2, 1, 3, 4])  # swaps items 0 and 1
     # pivot costs: pairs (0,1),(2,3),(1,0) labeled 1,0,0 -> pivot predicts 1,1,0
     # pivot disagreement on samples: [0,1,0] -> pivot_int = 0*2+1*1+0*2 = 1
@@ -217,6 +217,7 @@ def test_estimator_matches_hand_computation():
     # h_int = 2+1+2 = 5; value = (5-1)/(12*2)
     assert est.evaluate_int(h) == 4
     assert est.evaluate(h) == 4 / 24
+    assert (est._mismatch_int(est.pivot), est.evaluate_int(est.pivot)) == (1, 0)
 
 
 def test_estimator_scale_property():
@@ -333,7 +334,7 @@ def test_hand_built_estimator_evaluates_its_pivot_to_zero(n, m, pair_mode, seed)
 def test_three_item_example_evaluates_its_pivot_to_zero():
     pivot = rk.Permutation.identity(3)
     est = RegretEstimator(pivot, [0, 1], [1, 2], [1, 1], 1, [1, 0])
-    assert est.pivot_costs.tolist() == [0, 1]
+    assert (pivot.pair_values(est.us, est.vs) != est.labels).tolist() == [0, 1]
     assert est.evaluate(pivot) == 0.0
 
 
@@ -388,6 +389,47 @@ def test_narrow_weights_sum_exactly_past_their_dtype(labels, want):
 def test_estimator_and_class_refuse_what_they_would_truncate(build, name):
     with pytest.raises(ValueError, match=name):
         build()
+
+
+def _true_among_int_reads():
+    perm = rk.Permutation.identity(4)
+    oracle = make_ranking_oracle(perm, NoiseSpec(kind="none"), seed=0)
+    instances = InstanceOracle(np.array([0, 1, 1, 0], np.uint8))
+    return {
+        "label-query": lambda: oracle.query_many([2, True], [1, 0]),
+        "verification-flat": lambda: oracle.verification_labels([2, True], [1, 0]),
+        "verification-outer": lambda: oracle.verification_labels([[0], [True]], [[2, 3]]),
+        "instance-query": lambda: instances.query_many([True, 2]),
+        "estimator-us": lambda: RegretEstimator(perm, [0, True], [2, 3], [1, 1], 1, [1, 0]),
+        "estimator-vs": lambda: RegretEstimator(perm, [0, 2], [True, 3], [1, 1], 1, [1, 0]),
+        "estimator-weights": lambda: RegretEstimator(perm, [0, 2], [1, 3], [2, True], 1, [1, 0]),
+        "indexed-us": lambda: RegretEstimator(np.zeros(4, np.uint8), [0, True], None, [1, 1], 1,
+                                              [1, 0]),
+        "rank": lambda: rk.Permutation([1, True, 3]),
+        "order": lambda: rk.Permutation.from_order([0, True, 2]),
+        "assign": lambda: clu.Clustering([2, True, 1], 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_true_among_int_reads()))
+def test_a_true_among_int_ids_is_refused_not_read_as_1(name):
+    """A Python list upcasts True to 1; every id and weight is refused element by element."""
+    with pytest.raises(ValueError, match="integers"):
+        _true_among_int_reads()[name]()
+
+
+@pytest.mark.parametrize("make, values", [
+    (rk.Permutation, [[1, 2], [3, 4]]),
+    (rk.Permutation, np.array([[2, 1]])),
+    (rk.Permutation.from_order, [[0, 1, 2]]),
+    (rk.Permutation.from_order, np.int64(0)),
+    (clu.Clustering, [[1, 2], [2, 1]]),
+    (clu.Clustering, np.array(3)),
+], ids=["rank-nested", "rank-2d", "order-nested", "order-scalar", "assign-nested",
+        "assign-0d"])
+def test_permutations_and_clusterings_refuse_what_is_not_1d(make, values):
+    with pytest.raises(ValueError, match="1-d"):
+        make(values)
 
 
 def _merged_pairs(samples, oriented):

@@ -247,7 +247,8 @@ def test_ranking_dp_beyond_enumeration_beats_every_local_search_start(n):
                                      p=2, rng=derive_rng(n, "b"))
     perm, value = rk._exact_argmin(n, est.us, est.vs, est.labels, est.weight_num)
     # value is the weighted mismatch; evaluate_int subtracts the pivot's
-    assert est.evaluate_int(perm) == value - int(est.weight_num @ est.pivot_costs)
+    pivot_costs = est.pivot.pair_values(est.us, est.vs) != est.labels
+    assert est.evaluate_int(perm) == value - int(est.weight_num @ pivot_costs)
     best = est.evaluate_int(perm)
     starts = [rk.Permutation.identity(n), truth] + [
         rk.random_permutation(n, derive_rng(n, "s", i)) for i in range(6)

@@ -365,7 +365,10 @@ def test_build_matches_loop_reference(family, pool, pivot, mu, m):
     np.testing.assert_array_equal(est.us, instances)
     np.testing.assert_array_equal(est.weight_num, w_num)
     np.testing.assert_array_equal(est.labels, ref_labels)
-    np.testing.assert_array_equal(est.pivot_costs, cls.labels[pivot][instances] != ref_labels)
+    for h in (cls.labels[pivot], cls.labels[0]):  # the reference's sums, less the pivot's
+        ref = w_num @ ((h[instances] != ref_labels).astype(np.int64)
+                       - (cls.labels[pivot][instances] != ref_labels))
+        assert est.evaluate_int(h) == ref
     assert est.weight_denom == m
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)  # same stream left
 

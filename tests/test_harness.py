@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -777,7 +778,7 @@ def test_restarted_local_search_derives_its_erm_stream(monkeypatch, task, extra)
 def test_write_run_artifacts(tmp_path):
     rec = run_experiment(_cfg())
     paths = write_run(rec, str(tmp_path / "out"))
-    record = json.load(open(paths["record"]))
+    record = json.loads(Path(paths["record"]).read_text())
     assert record["config"]["n"] == 7
     with open(paths["trajectory"]) as fh:
         rows = list(csv.reader(fh))
@@ -785,7 +786,7 @@ def test_write_run_artifacts(tmp_path):
                        "cumulative_queries", "wall_ms"]
     assert len(rows) == 1 + 3  # header + iterations 0..2
     assert all(r[-1] == "0.0" for r in rows[1:])  # wall column zeroed
-    timings = json.load(open(paths["timings"]))
+    timings = json.loads(Path(paths["timings"]).read_text())
     assert timings["wall_ms_total"] > 0
 
 
@@ -862,6 +863,14 @@ def test_sweep_refuses_a_non_number_epsilon(value):
     with pytest.raises(ConfigError) as exc:
         sweep(_cfg(), "epsilon", [value], workers=1)
     assert exc.value.field == "values"
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True, "2"])
+def test_sweep_refuses_a_non_integer_worker_count(workers):
+    """1.5 would run on a two-thread pool; True or 2.0 would pass as a count."""
+    with pytest.raises(ConfigError) as exc:
+        sweep(_cfg(), "epsilon", [0.3], workers=workers)
+    assert exc.value.field == "workers"
 
 
 def test_sweep_k_axis_requires_clustering():

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,7 +554,7 @@ def test_save_load_roundtrip(tmp_path):
     us, vs = Pool(n).all_pairs()
     assert np.array_equal(loaded.verification_labels(us, vs),
                           oracle.verification_labels(us, vs))
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(Path(sidecar).read_text())
     assert meta["n"] == n
     assert meta["mode"] == "ranking"
 
@@ -770,6 +771,28 @@ def test_load_names_the_first_faulty_row(text, kwargs, message, tmp_path):
             load_oracle(str(path), **kwargs)
         else:
             _load_with_sidecar_n(str(path), n, **kwargs)
+
+
+@pytest.mark.parametrize("sidecar, kwargs, message", [
+    ({"mode": "ranking", "n": 3}, {"mode": "clustering"},
+     r"mode 'ranking' does not match mode='clustering'"),
+    ([1, 2], {"mode": "ranking"}, r"sidecar must be a JSON object"),
+    ({"n": 0}, {"mode": "ranking"}, r"n must be an integer >= 2, got 0"),
+    ({"n": 2.5}, {"mode": "ranking"}, r"n must be an integer >= 2, got 2\.5"),
+    ({"n": True}, {"mode": "ranking"}, r"n must be an integer >= 2, got True"),
+    ({"n": -3}, {"mode": "ranking"}, r"n must be an integer >= 2, got -3"),
+    ({"seed": 1.7}, {"mode": "ranking"}, r"seed must be an integer, got 1\.7"),
+    ({"seed": "abc"}, {"mode": "ranking"}, r"seed must be an integer, got 'abc'"),
+    ({"mode": "ranking", "seed": None}, {}, r"seed must be an integer, got None"),
+], ids=["mode-mismatch", "list", "n-0", "n-float", "n-bool", "n-negative", "seed-float",
+        "seed-string", "seed-null"])
+def test_load_refuses_a_sidecar_it_cannot_trust(sidecar, kwargs, message, tmp_path):
+    """Each refusal names the sidecar and the field; the rows themselves are sound."""
+    path = tmp_path / "in.csv"
+    path.write_text("u,v,label\n0,1,1\n0,2,1\n1,2,0\n")
+    (tmp_path / "in.csv.json").write_text(json.dumps(sidecar))
+    with pytest.raises(OracleFormatError, match=r"in\.csv\.json: " + message):
+        load_oracle(str(path), **kwargs)
 
 
 def _load_outcome(path, mode):
