@@ -17,7 +17,6 @@ from .clustering import (
 from .core import (
     ErmFailedError,
     Params,
-    Pool,
     PoolMismatchError,
     RegretEstimator,
     Trajectory,
@@ -79,7 +78,6 @@ from .seeding import derive_rng, pair_uniform
 __all__ = [
     "__version__",
     # core
-    "Pool",
     "Params",
     "RegretEstimator",
     "Trajectory",

@@ -177,14 +177,13 @@ def build_clustering_estimator(
     # clusters in use, largest first and ties to the smaller id, as clusters_by_size
     _, cluster, sizes = _ids_in_use(pivot.assign)
     ordered = np.argsort(-sizes, kind="stable")
-    rank = np.empty(len(ordered), dtype=np.int64)
-    rank[ordered] = np.arange(len(ordered))
+    rank = np.argsort(ordered)
     # clusters in order, ids ascending, as the sample ids' narrow dtype
     items = np.argsort(rank[cluster], kind="stable").astype(index_dtype(n))
     sizes = sizes[ordered]
     start = sizes.cumsum() - sizes  # where each cluster begins in `items`
     # each item's strata: its own cluster, itself left out, then every later cluster
-    own = rank[cluster[items]]
+    own = np.arange(len(sizes)).repeat(sizes)
     n_strata = len(ordered) - own
     later = segment_offsets(n_strata)  # 0 for the own cluster, then 1, 2, ... clusters on
     src = own.repeat(n_strata) + later

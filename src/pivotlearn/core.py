@@ -1,4 +1,4 @@
-"""Pool model, run parameters, regret estimators, and the ERM iteration loop.
+"""Instance space, run parameters, regret estimators, and the ERM iteration loop.
 
 The instance space is the set of N = n*(n-1) ordered distinct pairs over n
 items, weighted uniformly.  A hypothesis is anything that can score pairs:
@@ -32,7 +32,6 @@ import numpy as np
 from .seeding import LazyRng, derive_rng
 
 __all__ = [
-    "Pool",
     "Params",
     "ParamError",
     "RegretEstimator",
@@ -140,24 +139,10 @@ def sample_size(name: str, formula: Callable[[], float]) -> int:
     return max(1, math.ceil(value))
 
 
-@dataclass(frozen=True)
-class Pool:
-    """n items; the instance space is all ordered distinct pairs."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("pool needs at least 2 items")
-
-    @property
-    def pair_count(self) -> int:
-        return self.n * (self.n - 1)
-
-    def all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (us, vs) enumerating every ordered distinct pair once, row by row."""
-        us, vs = np.nonzero(~np.eye(self.n, dtype=bool))
-        return us.astype(np.int32), vs.astype(np.int32)
+def all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 arrays (us, vs) enumerating the n*(n-1) ordered distinct pairs once, row by row."""
+    us, vs = np.nonzero(~np.eye(n, dtype=bool))
+    return us.astype(np.int32), vs.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -257,10 +242,6 @@ class RegretEstimator:
     @property
     def n_samples(self) -> int:
         return len(self.us)
-
-    @property
-    def is_pair_mode(self) -> bool:
-        return self.vs is not None
 
     @property
     def scale(self) -> float:
@@ -581,9 +562,9 @@ def distance(h1, h2) -> float:
     own = getattr(h1, "distance_to", None)
     if own is not None and type(h1) is type(h2):
         return own(h2)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     diff = h1.pair_values(us, vs) != h2.pair_values(us, vs)
-    return float(np.count_nonzero(diff)) / Pool(n).pair_count
+    return float(np.count_nonzero(diff)) / (n * (n - 1))
 
 
 def unordered_verification_labels(oracle, us, vs, scans: int = 1) -> np.ndarray:
@@ -614,7 +595,7 @@ def pair_min_error(oracle, argmin) -> tuple[float, object]:
     us, vs = upper_pairs(n)
     labels = unordered_verification_labels(oracle, us, vs)
     h, half = argmin(n, us, vs, labels, np.ones(len(us), np.int64))
-    return 2 * half / Pool(n).pair_count, h
+    return 2 * half / (n * (n - 1)), h
 
 
 RESTARTS = 5  # climbs per local search when a caller names no count
@@ -703,7 +684,7 @@ def true_error(h, oracle) -> float | list[float]:
         labels = unordered_verification_labels(oracle, us, vs, scans=len(hs))
         for j, g in enumerate(hs):
             mismatches[j] += int(np.count_nonzero(g.pair_values(us, vs) != labels))
-    errors = [float(2 * m) / Pool(n).pair_count for m in mismatches]
+    errors = [float(2 * m) / (n * (n - 1)) for m in mismatches]
     return errors if batch else errors[0]
 
 

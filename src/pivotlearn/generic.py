@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import (
     Params,
-    Pool,
     PoolMismatchError,
     RegretEstimator,
+    all_pairs,
     column_coefficients,
     csv_rows,
     is_smoothing_floor,
@@ -105,7 +105,7 @@ def pair_class(rows: np.ndarray, oriented: bool) -> FiniteClass:
     Pair (u, v) reads rows[:, u] < rows[:, v] when `oriented` (rank arrays),
     else rows[:, u] == rows[:, v] (cluster assignments).
     """
-    us, vs = Pool(rows.shape[1]).all_pairs()
+    us, vs = all_pairs(rows.shape[1])
     a, b = rows[:, us], rows[:, vs]
     return FiniteClass(a < b if oriented else a == b)
 
@@ -326,7 +326,7 @@ def class_argmin(cls: FiniteClass, est: RegretEstimator) -> int:
 
     Ties resolve to the smallest row index.
     """
-    if est.is_pair_mode:
+    if est.vs is not None:
         raise ValueError("class_argmin expects an indexed-mode estimator")
     coef, base = column_coefficients(est.us, est.labels, est.weight_num, cls.pool_size)
     return packed_argmin(cls.packed_columns, coef, base)[0]

@@ -205,9 +205,7 @@ class RunRecord:
 
     @property
     def final_excess(self) -> Optional[float]:
-        if self.final_err is None or self.nu is None:
-            return None
-        return self.final_err - self.nu
+        return self.row_dicts()[-1]["excess"] if self.trajectory.rows else None
 
     def row_dicts(self) -> list[dict]:
         out = []
@@ -476,17 +474,24 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> RunRecord:
     return record
 
 
+def _axis_value(axis: str, value):
+    """value as the Python int or float a point runs, keys its stream and reports with."""
+    if axis == "epsilon":
+        if not is_finite_number(value):
+            raise ConfigError("values", f"epsilon takes finite number values, got {value!r}")
+        return float(value)
+    if not is_integer(value):  # int() would truncate 7.5, while the summary says 7.5
+        raise ConfigError("values", f"{axis} takes integer values, got {value!r}")
+    return int(value)
+
+
 def _axis_override(template: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     rng = derive_rng(template.params.master_seed, "sweep-point", axis, repr(value))
     params, fields = {"master_seed": int(rng.integers(0, 2**63))}, {}
     if axis == "epsilon":
-        if not is_finite_number(value):  # the summary would carry '0.3'
-            raise ConfigError("values", f"epsilon takes finite number values, got {value!r}")
-        params["epsilon"] = float(value)
+        params["epsilon"] = value
     else:  # n or k: sweep has checked the axis
-        if not is_integer(value):  # int() would truncate 7.5, while the summary says 7.5
-            raise ConfigError("values", f"{axis} takes integer values, got {value!r}")
-        fields[axis] = int(value)
+        fields[axis] = value
     try:
         params = replace(template.params, **params)
     except ParamError as exc:
@@ -513,7 +518,7 @@ def sweep(
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
     if not is_integer(workers) or workers < 1:
         raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
-    values = list(values)
+    values = [_axis_value(axis, v) for v in values]
     if not values:
         raise ConfigError("values", "sweep needs at least one value")
     configs = [_axis_override(template, axis, v) for v in values]

@@ -260,9 +260,8 @@ class LabelOracle(_Ledger):
 
         Ids keep the caller's integer dtype; keys are built in the ledger's.
         """
-        us, vs = integer_ids(us, "us"), integer_ids(vs, "vs")
-        labels = self._labels_pure(us, vs)  # also checks every id is in 0..n-1
-        self._charge(pair_keys(us.reshape(-1), vs.reshape(-1), self.n))
+        labels = self._labels_pure(us, vs)  # also checks the ids: integers in 0..n-1
+        self._charge(pair_keys(np.ravel(us), np.ravel(vs), self.n))
         return labels
 
     def verification_labels(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -458,7 +457,10 @@ def load_oracle(
     meta = {}
     if os.path.exists(sidecar_path):
         with open(sidecar_path) as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise OracleFormatError(f"{sidecar_path}: sidecar is not JSON: {exc}") from exc
         if not isinstance(meta, dict):
             raise OracleFormatError(f"{sidecar_path}: sidecar must be a JSON object")
         if mode and meta.get("mode", mode) != mode:

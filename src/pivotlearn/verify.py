@@ -20,7 +20,7 @@ from . import clustering as clu
 from . import generic as gen
 from . import geometric as geo
 from . import ranking as rk
-from .core import Params, Pool, _erm_loop, distance, pair_rows
+from .core import Params, _erm_loop, all_pairs, distance, pair_rows
 from .harness import _TASKS, ExperimentConfig, run_experiment, sweep, write_run
 from .oracles import InstanceOracle, NoiseSpec, make_clustering_oracle, make_ranking_oracle
 from .seeding import derive_rng
@@ -62,15 +62,17 @@ def _trials(tag: str, count: int, **ranges) -> list:
 # -- ranking and clustering estimators ----------------------------------------------
 
 
+def _draw(n: int, k, rng):
+    """A random ranking (k None) or clustering into at most k clusters."""
+    return rk.random_permutation(n, rng) if k is None else clu.random_clustering(n, k, rng)
+
+
 def _pair_case(n: int, k, eta: float, seed: int):
-    """(oracle, pivot, draw) of a seeded ranking fixture (k None) or clustering into k."""
-    if k is None:
-        draw, make = (lambda rng: rk.random_permutation(n, rng)), make_ranking_oracle
-    else:
-        draw, make = (lambda rng: clu.random_clustering(n, k, rng)), make_clustering_oracle
+    """(oracle, pivot) of a seeded ranking fixture (k None) or clustering into k."""
+    make = make_ranking_oracle if k is None else make_clustering_oracle
     noise = NoiseSpec(kind="uniform_flip", eta=eta) if eta else NoiseSpec()
-    oracle = make(draw(derive_rng(seed, "truth")), noise, seed=seed)
-    return oracle, draw(derive_rng(seed, "pivot")), draw
+    oracle = make(_draw(n, k, derive_rng(seed, "truth")), noise, seed=seed)
+    return oracle, _draw(n, k, derive_rng(seed, "pivot"))
 
 
 def _build(pivot, oracle, size: int, seed: int, **kw):
@@ -83,15 +85,19 @@ def _build(pivot, oracle, size: int, seed: int, **kw):
 
 def _regrets(pivot, oracle, hypotheses) -> np.ndarray:
     """err(h) - err(pivot) per hypothesis, by a direct scan of every ordered pair."""
-    us, vs = Pool(pivot.n_items).all_pairs()
+    us, vs = all_pairs(pivot.n_items)
     y = oracle.verification_labels(us, vs)
     base = np.mean(pivot.pair_values(us, vs) != y)
     return np.array([np.mean(h.pair_values(us, vs) != y) - base for h in hypotheses])
 
 
 def _exhaustive(n: int, k, eta: float, seed: int):
+    return _exhaustive_on(*_pair_case(n, k, eta, seed), seed)
+
+
+def _exhaustive_on(oracle, pivot, seed: int):
     """Sampled whole (p or q = n), the estimate is the regret of every hypothesis."""
-    oracle, pivot, _ = _pair_case(n, k, eta, seed)
+    n, k = pivot.n_items, getattr(pivot, "k", None)
     if k is None:
         hs = [rk.Permutation(rank) for rank in rk.all_rank_arrays(n)]
     else:
@@ -102,17 +108,20 @@ def _exhaustive(n: int, k, eta: float, seed: int):
 
 
 def _pivot_zero(n: int, k, size: int, eta: float, seed: int):
-    oracle, pivot, _ = _pair_case(n, k, eta, seed)
+    oracle, pivot = _pair_case(n, k, eta, seed)
     est = _build(pivot, oracle, size, seed)
     values = est.evaluate(pivot), est.evaluate_int(pivot)
     return None if values == (0.0, 0) else f"n={n} k={k} size={size}: pivot evaluates to {values}"
 
 
 def _unbiased(n: int, k, size: int, eta: float, seed: int, builds: int, targets: int):
+    return _unbiased_on(*_pair_case(n, k, eta, seed), size, seed, builds, targets)
+
+
+def _unbiased_on(oracle, pivot, size: int, seed: int, builds: int, targets: int):
     """Over `builds` builds the mean estimate sits within 4 standard errors of each regret."""
-    oracle, pivot, draw = _pair_case(n, k, eta, seed)
     rng = derive_rng(seed, "verify", "unbias")
-    hs = [draw(rng) for _ in range(targets)]
+    hs = [_draw(pivot.n_items, getattr(pivot, "k", None), rng) for _ in range(targets)]
     values = np.array([
         [est.evaluate(h) for h in hs]
         for est in (_build(pivot, oracle, size, seed, rng=derive_rng(seed, "b", b))
@@ -126,7 +135,7 @@ def _unbiased(n: int, k, size: int, eta: float, seed: int, builds: int, targets:
 
 def _query_cap(n: int, k, size: int, seed: int):
     """Distinct labels of one build: ranking n(2p + p(ceil log2 n + 1)), clustering nkq."""
-    oracle, pivot, _ = _pair_case(n, k, 0.1, seed)
+    oracle, pivot = _pair_case(n, k, 0.1, seed)
     _build(pivot, oracle, size, seed, rng=derive_rng(seed, "b"))
     got = oracle.counters.distinct_labeled
     ranking_cap = n * (2 * size + size * (int(np.ceil(np.log2(n))) + 1))
@@ -183,7 +192,7 @@ def _relabel_invariant(n: int, k: int, seed: int):
 def _distance_matches_scan(n: int, k: int, seed: int):
     rng = derive_rng(seed, "verify", "canon")
     a, b = clu.random_clustering(n, k, rng), clu.random_clustering(n, k, rng)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     scan = float(np.mean(a.pair_values(us, vs) != b.pair_values(us, vs)))
     table = a.distance_to(b)
     return None if abs(scan - table) <= 1e-12 else f"n={n} k={k}: table {table} vs scan {scan}"
@@ -246,7 +255,7 @@ def _labels_symmetric(n: int, k, seed: int):
         noises.append(NoiseSpec(kind="distance_decay", rho=1.5, scale=0.4))
     else:
         truth, make = clu.random_clustering(n, k, rng), make_clustering_oracle
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     for noise in noises:
         oracle = make(truth, noise, seed=seed)
         y, back = oracle.verification_labels(us, vs), oracle.verification_labels(vs, us)

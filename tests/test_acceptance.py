@@ -18,7 +18,6 @@ from pivotlearn import (
     InstanceOracle,
     NoiseSpec,
     Params,
-    Pool,
     make_clustering_oracle,
     make_ranking_oracle,
     run,
@@ -30,6 +29,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import generic as gn
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
+from pivotlearn.core import all_pairs
 from pivotlearn.seeding import derive_rng
 
 
@@ -107,7 +107,7 @@ def _mean_estimate_gap(task: str, master_seed: int, n_builds: int):
     which keeps 1e5 builds affordable.
     """
     n = 8
-    us_pool, vs_pool = Pool(n).all_pairs()
+    us_pool, vs_pool = all_pairs(n)
     pos = np.full((n, n), -1, dtype=np.int64)
     pos[us_pool, vs_pool] = np.arange(n * (n - 1))
 

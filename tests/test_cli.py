@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,3 +563,27 @@ def test_run_config_that_is_not_json_is_config_error_naming_the_file(tmp_path, c
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config: {path}: Expecting property name")
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """argv of each `pivotlearn ...` line in the sh block under README's `## CLI`,
+    continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("pivotlearn ")]
+
+
+def test_readme_cli_examples_parse():
+    """A renamed or removed flag or suite fails here, not in a reader's shell."""
+    commands = _readme_cli_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pivotlearn {' '.join(argv)}")
+        if args.command == "verify":
+            assert set(args.suites) <= set(SUITES), argv

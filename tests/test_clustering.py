@@ -12,6 +12,7 @@ import pivotlearn.core
 from pivotlearn import NoiseSpec, Params, make_clustering_oracle
 from pivotlearn import clustering as clu
 from pivotlearn import verify
+from pivotlearn.oracles import LabelOracle
 from pivotlearn.seeding import derive_rng
 
 
@@ -157,6 +158,25 @@ def test_build_exhaustive_is_exact():
 
 def test_build_unbiased_at_small_q():
     assert verify._unbiased(n=8, k=3, size=2, eta=0.15, seed=17, builds=3000, targets=5) is None
+
+
+def _overlapping_circle_oracle(n: int, reach: int) -> LabelOracle:
+    """"Same" exactly when two of n points on a circle lie within `reach` positions."""
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    table = (np.minimum(gap, n - gap) <= reach).astype(np.uint8)
+    np.fill_diagonal(table, 0)
+    return LabelOracle("clustering", noise=NoiseSpec(kind="adversarial_file", path="circle.csv"),
+                       seed=0, label_table=table)
+
+
+def test_build_exact_and_unbiased_under_overlapping_circle_labels():
+    """Exactness and unbiasedness hold whatever the labels, also where no partition fits."""
+    seed = 5
+    oracle = _overlapping_circle_oracle(8, reach=2)
+    pivot = clu.random_clustering(8, 3, derive_rng(seed, "pivot"))
+    assert clu.exact_min_error(oracle, clu._EXACT_ERM_MAX_K)[0] > 0
+    assert verify._exhaustive_on(oracle, pivot, seed) is None
+    assert verify._unbiased_on(oracle, pivot, size=2, seed=seed, builds=1500, targets=5) is None
 
 
 def test_build_query_cap():

@@ -17,7 +17,6 @@ from pivotlearn import (
     InstanceOracle,
     NoiseSpec,
     Params,
-    Pool,
     PoolMismatchError,
     RegretEstimator,
     distance,
@@ -32,7 +31,7 @@ from pivotlearn import generic as gen
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
 from pivotlearn import verify
-from pivotlearn.core import MAX_SAMPLE_SIZE, ParamError, sample_size
+from pivotlearn.core import MAX_SAMPLE_SIZE, ParamError, all_pairs, sample_size
 from pivotlearn.oracles import load_oracle, save_oracle
 from pivotlearn.seeding import LazyRng, derive_rng
 from test_clustering import _reference_cost
@@ -50,17 +49,11 @@ def test_public_names_resolve_once(module):
 
 
 def test_pool_all_pairs():
-    us, vs = Pool(4).all_pairs()
+    us, vs = all_pairs(4)
     pairs = set(zip(us.tolist(), vs.tolist()))
     assert len(pairs) == 12  # n(n-1) ordered, no self pairs
     assert (0, 0) not in pairs
     assert (1, 3) in pairs and (3, 1) in pairs
-    assert Pool(4).pair_count == 12
-
-
-def test_pool_rejects_tiny():
-    with pytest.raises(ValueError):
-        Pool(1)
 
 
 def test_params_validation():
@@ -224,7 +217,7 @@ def test_estimator_scale_property():
     est = _tiny_estimator()
     assert est.scale == 1.0 / (12 * 2)
     assert est.n_samples == 3
-    assert est.is_pair_mode
+    assert est.vs is not None
 
 
 def test_estimator_rejects_shape_mismatch():
@@ -566,9 +559,9 @@ def test_true_error_against_direct_scan(mode, noise, table, n, tmp_path):
         path = str(tmp_path / "labels.csv")
         save_oracle(oracle, path)
         oracle = load_oracle(path)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     mismatches = np.count_nonzero(oracle.verification_labels(us, vs) != h.pair_values(us, vs))
-    ref = float(mismatches) / Pool(n).pair_count
+    ref = float(mismatches) / (n * (n - 1))
     for _ in range(2):
         reads = oracle.counters.verification_reads
         assert true_error(h, oracle) == ref
@@ -638,9 +631,9 @@ def test_true_error_scan_blocks_stay_under_the_cap(mode, cap, n, monkeypatch):
     """With the block cap at a few pairs, the scan still reads each pair u < v
     once, in reads of at most cap pairs, and charges a full scan per hypothesis."""
     oracle, hs = _scan_fixture(mode, n, 34)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     labels = oracle.verification_labels(us, vs)
-    ref = [float(np.count_nonzero(labels != h.pair_values(us, vs))) / Pool(n).pair_count
+    ref = [float(np.count_nonzero(labels != h.pair_values(us, vs))) / (n * (n - 1))
            for h in hs]
     sizes, keys = [], []
     read = oracle.verification_labels

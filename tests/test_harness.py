@@ -817,6 +817,24 @@ def test_sweep_axis_values_and_summary(tmp_path):
     assert os.path.isdir(os.path.join(out, "point-01-n-8"))
 
 
+def test_sweep_over_numpy_numbers_runs_what_it_reports(tmp_path):
+    """NumPy values seed, run, summarize and name each point as their Python values do."""
+    base = _cfg(erm="local_search", restarts=2)
+    python = sweep(base, "n", [6, 8], workers=1, out_dir=str(tmp_path / "py"))
+    numpy = sweep(base, "n", np.array([6, 8]), workers=1, out_dir=str(tmp_path / "np"))
+    assert [r.to_dict() for r in numpy[0]] == [r.to_dict() for r in python[0]]
+    assert numpy[1] == python[1]
+    for name in ("summary.csv", "point-00-n-6/record.json", "point-01-n-8/record.json"):
+        assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes()
+    records, summary = sweep(_cfg(), "epsilon", [np.float32(0.3)], workers=1,
+                             out_dir=str(tmp_path / "eps"))
+    ran = records[0].config.params.epsilon
+    assert ran == float(np.float32(0.3)) and summary[0][0] == ran
+    with open(tmp_path / "eps" / "summary.csv") as fh:
+        assert list(csv.reader(fh))[1][0] == repr(ran)
+    assert (tmp_path / "eps" / f"point-00-epsilon-{ran!r}").is_dir()
+
+
 def test_sweep_worker_count_invariance():
     base = _cfg(erm="local_search", restarts=2,
                 params=Params(epsilon=0.3, iterations=2, master_seed=12))

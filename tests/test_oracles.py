@@ -15,7 +15,6 @@ from pivotlearn import (
     BudgetExceededError,
     InstanceOracle,
     NoiseSpec,
-    Pool,
     load_class_csv,
     make_clustering_oracle,
     make_ranking_oracle,
@@ -24,7 +23,7 @@ from pivotlearn import clustering as clu
 from pivotlearn import oracles
 from pivotlearn import ranking as rk
 from pivotlearn import verify
-from pivotlearn.core import index_dtype, upper_pairs
+from pivotlearn.core import all_pairs, index_dtype, upper_pairs
 from pivotlearn.oracles import LabelOracle, OracleFormatError, load_oracle, save_oracle
 from pivotlearn.seeding import derive_rng, pair_uniform
 
@@ -77,7 +76,7 @@ def test_noiseless_ranking_labels_follow_truth():
     n = 6
     truth = _perm(n, 1)
     oracle = make_ranking_oracle(truth, NoiseSpec(kind="none"), seed=1)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     assert np.array_equal(oracle.query_many(us, vs), truth.pair_values(us, vs))
     assert oracle.ground_truth_error() == 0.0
 
@@ -95,7 +94,7 @@ def test_uniform_flip_rate():
     n = 60
     truth = _perm(n, 4)
     oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.2), seed=4)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     flips = np.mean(oracle.verification_labels(us, vs) != truth.pair_values(us, vs))
     assert abs(flips - 0.2) < 0.02
     assert oracle.ground_truth_error() == pytest.approx(flips)
@@ -477,7 +476,7 @@ def test_pair_queries_accept_an_empty_batch():
 def test_verification_is_uncapped_and_counted_separately():
     n = 6
     oracle = make_ranking_oracle(_perm(n, 8), NoiseSpec(kind="none"), seed=8, budget=1)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     oracle.verification_labels(us, vs)
     assert oracle.counters.distinct_labeled == 0
     assert oracle.counters.verification_reads == len(us)
@@ -551,7 +550,7 @@ def test_save_load_roundtrip(tmp_path):
     csv_path = str(tmp_path / "labels.csv")
     sidecar = save_oracle(oracle, csv_path)
     loaded = load_oracle(csv_path)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     assert np.array_equal(loaded.verification_labels(us, vs),
                           oracle.verification_labels(us, vs))
     meta = json.loads(Path(sidecar).read_text())
@@ -632,7 +631,7 @@ def test_clustering_oracle_roundtrip(tmp_path):
     path = str(tmp_path / "c.csv")
     save_oracle(oracle, path)
     loaded = load_oracle(path)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     assert np.array_equal(loaded.verification_labels(us, vs),
                           oracle.verification_labels(us, vs))
 
@@ -795,6 +794,16 @@ def test_load_refuses_a_sidecar_it_cannot_trust(sidecar, kwargs, message, tmp_pa
         load_oracle(str(path), **kwargs)
 
 
+@pytest.mark.parametrize("raw", [b"{oops", b"", b'{"n": 3', b'{"mode": "\xff"}'],
+                         ids=["bad-key", "empty", "truncated", "not-utf8"])
+def test_load_names_a_sidecar_that_is_not_json(raw, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("u,v,label\n0,1,1\n0,2,1\n1,2,0\n")
+    (tmp_path / "in.csv.json").write_bytes(raw)
+    with pytest.raises(OracleFormatError, match=r"in\.csv\.json: sidecar is not JSON: "):
+        load_oracle(str(path), mode="ranking")
+
+
 def _load_outcome(path, mode):
     try:
         loaded = load_oracle(path, mode=mode)
@@ -836,7 +845,7 @@ def test_saved_oracle_loads_without_the_row_reader(tmp_path, monkeypatch):
     save_oracle(oracle, path)
     monkeypatch.setattr(oracles, "csv_rows", None)  # a call would raise TypeError
     loaded = load_oracle(path)
-    us, vs = Pool(n).all_pairs()
+    us, vs = all_pairs(n)
     assert np.array_equal(loaded.verification_labels(us, vs), oracle.verification_labels(us, vs))
 
 

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotlearn import NoiseSpec, Params, Pool, RegretEstimator, make_ranking_oracle, regret
+from pivotlearn import NoiseSpec, Params, RegretEstimator, make_ranking_oracle, regret
 from pivotlearn import ranking as rk
 from pivotlearn import verify
-from pivotlearn.core import index_dtype, pair_rows, stratum_draws
+from pivotlearn.core import all_pairs, index_dtype, pair_rows, stratum_draws, upper_pairs
+from pivotlearn.oracles import LabelOracle
 from pivotlearn.seeding import derive_rng
 
 
 # brute-force reference implementations, kept deliberately dumb
 def _regret_scan(pivot, h, oracle):
-    us, vs = Pool(pivot.n_items).all_pairs()
+    us, vs = all_pairs(pivot.n_items)
     y = oracle.verification_labels(us, vs)
     return (np.mean(h.pair_values(us, vs) != y)
             - np.mean(pivot.pair_values(us, vs) != y))
@@ -372,6 +373,30 @@ def test_build_exhaustive_is_exact():
 
 def test_build_unbiased_at_small_p():
     assert verify._unbiased(n=8, k=None, size=2, eta=0.15, seed=3, builds=3000, targets=5) is None
+
+
+def _pivot_adversarial_oracle(pivot, p: int, seed: int) -> LabelOracle:
+    """Labels that agree with the pivot within rank distance p and beyond it are a
+    seeded coin per pair, kept skew-symmetric."""
+    n = pivot.n_items
+    us, vs = upper_pairs(n)
+    coin = derive_rng(seed, "coin").integers(0, 2, size=len(us))
+    near = np.abs(pivot.rank[us] - pivot.rank[vs]) <= p
+    upper = np.where(near, pivot.rank[us] < pivot.rank[vs], coin).astype(np.uint8)
+    table = np.zeros((n, n), np.uint8)
+    table[us, vs], table[vs, us] = upper, 1 - upper
+    return LabelOracle("ranking", noise=NoiseSpec(kind="adversarial_file", path="adversarial.csv"),
+                       seed=seed, label_table=table)
+
+
+def test_build_exact_and_unbiased_under_pivot_adversarial_labels():
+    """Exactness and unbiasedness hold whatever the labels, also where no ranking fits."""
+    seed = 5
+    pivot = rk.random_permutation(8, derive_rng(seed, "pivot"))
+    oracle = _pivot_adversarial_oracle(pivot, p=2, seed=seed)
+    assert rk.exact_min_error(oracle)[0] > 0
+    assert verify._exhaustive_on(oracle, pivot, seed) is None
+    assert verify._unbiased_on(oracle, pivot, size=2, seed=seed, builds=1500, targets=5) is None
 
 
 def test_build_deterministic_given_rng_stream():
