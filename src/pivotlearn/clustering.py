@@ -88,8 +88,8 @@ class Clustering:
     def n_items(self) -> int:
         return len(self.assign)
 
-    def pair_values(self, us, vs) -> np.ndarray:
-        return (self.assign[us] == self.assign[vs]).view(np.uint8)
+    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids
+        return (self.assign.take(us) == self.assign.take(vs)).view(np.uint8)
 
     def to_dict(self) -> dict:
         return {"kind": "clustering", "assign": self.assign.tolist(), "k": self.k}

@@ -294,9 +294,11 @@ class RegretEstimator:
 # w*y + T[r, p]*w*(1 - 2y): linear in the bits.  So a row's weighted
 # mismatch is base + sum_p T[r, p]*coef[p], and the table is packed once.
 
-# Rows per block when packing a table or scoring it: a block's temporaries
-# stay around a few megabytes whatever the row count.
+# Rows per block when packing a table or scoring it, and cells per block when
+# packing a wide one: a block's temporaries stay within a few tens of
+# megabytes whatever the row and column counts.
 _TABLE_BLOCK_ROWS = 1 << 15
+_TABLE_BLOCK_CELLS = 1 << 21
 
 # _NIBBLE_BITS[j, b] is bit j of nibble value b (little bit order)
 _NIBBLE_BITS = (np.arange(16) >> np.arange(4)[:, None]) & 1
@@ -354,12 +356,14 @@ def pack_columns(table) -> np.ndarray:
 def pair_table(rows: np.ndarray, oriented: bool) -> np.ndarray:
     """pack_columns of each row's pair bits: rows[:, lo] < rows[:, hi] when oriented, else ==.
 
-    Packed in row blocks, so the unpacked table never exists whole.
+    Packed in row blocks of at most _TABLE_BLOCK_CELLS pair cells, so neither
+    the unpacked table nor a gather of it exists whole, however many pairs.
     """
     lo, hi = upper_pairs(rows.shape[1])
     out = np.empty(((len(lo) + 7) // 8, len(rows)), dtype=np.uint8)
-    for start in range(0, len(rows), _TABLE_BLOCK_ROWS):
-        block = rows[start : start + _TABLE_BLOCK_ROWS]
+    height = min(_TABLE_BLOCK_ROWS, max(1, _TABLE_BLOCK_CELLS // len(lo)))
+    for start in range(0, len(rows), height):
+        block = rows[start : start + height]
         bits = block[:, lo] < block[:, hi] if oriented else block[:, lo] == block[:, hi]
         out[:, start : start + len(block)] = pack_columns(bits)
     return out
@@ -555,16 +559,11 @@ def stratum_draws(sizes: np.ndarray, q: int, rng: np.random.Generator, whole=Non
 
 
 def distance(h1, h2) -> float:
-    """Normalized pair-disagreement pseudometric between two hypotheses."""
+    """Pair-disagreement pseudometric of two hypotheses of one kind, by their distance_to."""
     n = getattr(h1, "n_items", None)
-    if n is None or getattr(h2, "n_items", None) != n:
-        raise PoolMismatchError("hypotheses live on different pools")
-    own = getattr(h1, "distance_to", None)
-    if own is not None and type(h1) is type(h2):
-        return own(h2)
-    us, vs = all_pairs(n)
-    diff = h1.pair_values(us, vs) != h2.pair_values(us, vs)
-    return float(np.count_nonzero(diff)) / (n * (n - 1))
+    if n is None or type(h1) is not type(h2) or h2.n_items != n:
+        raise PoolMismatchError("distance takes two hypotheses of one kind on one pool")
+    return h1.distance_to(h2)
 
 
 def unordered_verification_labels(oracle, us, vs, scans: int = 1) -> np.ndarray:

@@ -37,7 +37,6 @@ __all__ = [
     "pair_class",
     "ball",
     "disagreement_region",
-    "disagreement_mask",
     "disagreement_measure",
     "disagreement_coefficient",
     "uniform_disagreement_coefficient",
@@ -129,14 +128,10 @@ def _disagreement_bits(cls: FiniteClass, indices) -> np.ndarray:
     return np.bitwise_or.reduce(sub, axis=1) & ~np.bitwise_and.reduce(sub, axis=1, initial=255)
 
 
-def disagreement_mask(cls: FiniteClass, indices) -> np.ndarray:
-    """Boolean pool mask of instances where the subset is not unanimous."""
-    bits = _disagreement_bits(cls, indices)
-    return np.unpackbits(bits, count=cls.pool_size, bitorder="little").astype(bool)
-
-
 def disagreement_region(cls: FiniteClass, indices) -> np.ndarray:
-    return np.flatnonzero(disagreement_mask(cls, indices))
+    """Pool indices of the instances where the rows `indices` are not unanimous."""
+    bits = _disagreement_bits(cls, indices)
+    return np.flatnonzero(np.unpackbits(bits, count=cls.pool_size, bitorder="little"))
 
 
 def disagreement_measure(cls: FiniteClass, indices) -> float:

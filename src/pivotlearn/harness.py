@@ -39,13 +39,7 @@ from .core import (
     run_erm_iteration,
     true_error,
 )
-from .oracles import (
-    InstanceOracle,
-    NoiseSpec,
-    load_oracle,
-    make_clustering_oracle,
-    make_ranking_oracle,
-)
+from .oracles import InstanceOracle, LabelOracle, NoiseSpec, load_oracle
 from .seeding import derive_rng
 
 __all__ = [
@@ -305,8 +299,8 @@ def _pair_oracle(config: ExperimentConfig, mode: str, truth: Callable):
             raise ConfigError("n", f"oracle file holds {oracle.n} items, config says {config.n}")
         return oracle
     seed = config.params.master_seed
-    make = make_ranking_oracle if mode == "ranking" else make_clustering_oracle
-    return make(truth(derive_rng(seed, "ground-truth")), config.noise, seed=seed)
+    return LabelOracle(mode, noise=config.noise, seed=seed,
+                       ground_truth=truth(derive_rng(seed, "ground-truth")))
 
 
 def _search(config: ExperimentConfig, module):
@@ -436,8 +430,6 @@ _TRAJECTORY_COLUMNS = (
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return repr(float(value))
     return str(value)

@@ -164,11 +164,11 @@ class _Ledger:
 class LabelOracle(_Ledger):
     """Pair-label oracle over n items.
 
-    Labels come from exactly one source: a ground truth, whose per-item
-    values (rank in ranking mode, assign in clustering mode) are labelled
-    under `noise` and `seed`, or an explicit n x n label table, which goes
-    with adversarial_file noise only.  n is the source's item count.  The
-    ledger keys are lo*n + hi (lo < hi) in index_dtype(n*n).
+    Labels come from exactly one source: a ground truth with the mode's
+    per-item array (rank, or assign), labelled by its own pair_values under
+    `noise` and `seed`, or an explicit n x n label table, which goes with
+    adversarial_file noise only.  n is the source's item count.  The ledger
+    keys are lo*n + hi (lo < hi) in index_dtype(n*n).
     """
 
     def __init__(
@@ -190,6 +190,9 @@ class LabelOracle(_Ledger):
             raise ValueError(f"{noise.kind} noise {need} label_table")
         if noise.kind == "distance_decay" and mode != "ranking":
             raise ValueError("distance_decay noise is defined for ranking oracles only")
+        values = "rank" if mode == "ranking" else "assign"
+        if ground_truth is not None and not hasattr(ground_truth, values):
+            raise ValueError(f"a {mode} oracle needs a ground truth with a {values} array")
         self.mode = mode
         self.n = int(len(label_table) if ground_truth is None else ground_truth.n_items)
         if self.n < 2:
@@ -198,9 +201,6 @@ class LabelOracle(_Ledger):
         self.noise = noise
         self.seed = int(seed)
         self.ground_truth = ground_truth
-        if ground_truth is not None:  # per-item values, compared as the mode says
-            base = ground_truth.rank if mode == "ranking" else ground_truth.assign
-            self._base = base.astype(np.int64)
         self._table = label_table
 
     # -- label computation (pure, no accounting) ---------------------------
@@ -242,16 +242,16 @@ class LabelOracle(_Ledger):
         return labels
 
     def _hashed_labels(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Base label of each pair under the ground truth, xor its frozen noise flip, as uint8."""
-        base_u, base_v = self._base.take(us), self._base.take(vs)  # take: fast with narrow ids
-        labels = base_u < base_v if self.mode == "ranking" else base_u == base_v
+        """Ground-truth label of each pair, xor its frozen noise flip, as uint8."""
+        labels = self.ground_truth.pair_values(us, vs)
         if self.noise.kind == "uniform_flip":
             labels ^= pair_uniform(self.seed, us, vs, below=self.noise.eta)
         elif self.noise.kind == "distance_decay":
-            gap = np.abs(base_u - base_v).astype(np.float64)
+            rank = self.ground_truth.rank
+            gap = np.abs(rank.take(us) - rank.take(vs)).astype(np.float64)
             labels ^= pair_uniform(self.seed, us, vs) < np.minimum(
                 1.0, self.noise.scale * gap**-self.noise.rho)
-        return labels.view(np.uint8)
+        return labels
 
     # -- counted access -----------------------------------------------------
 
@@ -273,12 +273,6 @@ class LabelOracle(_Ledger):
         labels = self._labels_pure(us, vs, outer=True)
         self.counters.verification_reads += labels.size
         return labels
-
-    def ground_truth_error(self) -> Optional[float]:
-        """err of the generating hypothesis (the realized noise rate)."""
-        if self.ground_truth is None:
-            return None
-        return true_error(self.ground_truth, self)
 
 
 class InstanceOracle(_Ledger):
@@ -356,7 +350,7 @@ def save_oracle(oracle: LabelOracle, csv_path: str) -> str:
         "noise": asdict(oracle.noise),
         "seed": oracle.seed,
         "ground_truth": None if gt is None else gt.to_dict(),
-        "ground_truth_error": oracle.ground_truth_error(),
+        "ground_truth_error": None if gt is None else true_error(gt, oracle),
     }
     with open(sidecar_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

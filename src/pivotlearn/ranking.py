@@ -104,8 +104,8 @@ class Permutation:
             self._order = order
         return self._order
 
-    def pair_values(self, us, vs) -> np.ndarray:
-        return (self.rank[us] < self.rank[vs]).view(np.uint8)
+    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids
+        return (self.rank.take(us) < self.rank.take(vs)).view(np.uint8)
 
     def distance_to(self, other: "Permutation") -> float:
         return kendall_distance(self, other)
@@ -114,7 +114,12 @@ class Permutation:
         return {"kind": "permutation", "rank": self.rank.tolist()}
 
     def move(self, item: int, position: int) -> "Permutation":
-        """New permutation with `item` moved to 1-based `position`."""
+        """New permutation with `item` (0..n-1) moved to 1-based `position` (1..n)."""
+        n = self.n_items
+        if not (is_integer(item) and 0 <= item < n):
+            raise ValueError(f"item must be an integer in 0..{n - 1}, got {item!r}")
+        if not (is_integer(position) and 1 <= position <= n):
+            raise ValueError(f"position must be an integer in 1..{n}, got {position!r}")
         order = np.delete(self.order, self.rank[item] - 1)
         order = np.insert(order, position - 1, item)
         return Permutation.from_order(order)

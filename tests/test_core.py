@@ -525,9 +525,9 @@ def test_distance_dispatch():
 def test_distance_pool_mismatch_and_cross_type():
     with pytest.raises(PoolMismatchError):
         distance(rk.Permutation([1, 2]), clu.Clustering([1, 1, 2], 2))
-    # mixed hypothesis kinds on the same pool fall back to the generic
-    # pair scan: perm predicts [1,0], one-cluster clustering [1,1]
-    assert distance(rk.Permutation([1, 2]), clu.Clustering([1, 1], 1)) == 0.5
+    # two kinds are not compared, even on one pool
+    with pytest.raises(PoolMismatchError):
+        distance(rk.Permutation([1, 2]), clu.Clustering([1, 1], 1))
 
 
 # ------------------------------------------------------- error/regret oracle

@@ -355,6 +355,27 @@ def test_rank_pair_table_n10_memory_is_bounded():
     assert use_peak < 2 * 2**20
 
 
+def test_wide_pair_table_memory_is_bounded():
+    """A table of many pair columns is packed in blocks of bounded cells, not rows.
+
+    The n = 60 planar class has 3,540 orders over 1,770 pairs; gathered in
+    one block of rows, its int64 ranks took two 50 MB temporaries.
+    """
+    orders, _ = geo.enumerate_orders_2d(geo.random_features(60, 2, derive_rng(0, "features")))
+    ranks = np.stack([h.rank for h in orders]).astype(np.int64)
+    assert ranks.shape == (3540, 60)
+    tracemalloc.start()
+    try:
+        table = pair_table(ranks, oriented=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    lo, hi = np.triu_indices(60, k=1)
+    narrow = ranks.astype(np.int8)
+    np.testing.assert_array_equal(table, pack_columns(narrow[:, lo] < narrow[:, hi]))
+
+
 def test_ranking_dp_n14_memory_is_bounded():
     n = 14
     truth = rk.random_permutation(n, derive_rng(14, "mem"))

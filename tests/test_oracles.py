@@ -18,6 +18,7 @@ from pivotlearn import (
     load_class_csv,
     make_clustering_oracle,
     make_ranking_oracle,
+    true_error,
 )
 from pivotlearn import clustering as clu
 from pivotlearn import oracles
@@ -78,7 +79,7 @@ def test_noiseless_ranking_labels_follow_truth():
     oracle = make_ranking_oracle(truth, NoiseSpec(kind="none"), seed=1)
     us, vs = all_pairs(n)
     assert np.array_equal(oracle.query_many(us, vs), truth.pair_values(us, vs))
-    assert oracle.ground_truth_error() == 0.0
+    assert true_error(truth, oracle) == 0.0
 
 
 def test_ranking_labels_skew_symmetric():
@@ -97,7 +98,7 @@ def test_uniform_flip_rate():
     us, vs = all_pairs(n)
     flips = np.mean(oracle.verification_labels(us, vs) != truth.pair_values(us, vs))
     assert abs(flips - 0.2) < 0.02
-    assert oracle.ground_truth_error() == pytest.approx(flips)
+    assert true_error(truth, oracle) == pytest.approx(flips)
 
 
 def test_labels_are_deterministic_per_pair():
@@ -579,7 +580,9 @@ def test_loaded_oracle_reports_realized_error(tmp_path):
     save_oracle(oracle, path)
     loaded = load_oracle(path)
     assert loaded.noise.kind == "adversarial_file"
-    assert loaded.ground_truth_error() is None  # truth not stored, only labels
+    again = str(tmp_path / "again.csv")  # truth not stored, only labels
+    save_oracle(loaded, again)
+    assert json.loads(Path(again + ".json").read_text())["ground_truth_error"] is None
 
 
 def test_load_rejects_asymmetry(tmp_path):
@@ -899,6 +902,16 @@ def test_label_oracle_refuses_a_mismatched_label_source(mode, sources, kind, mes
         make = make_ranking_oracle if mode == "ranking" else make_clustering_oracle
         with pytest.raises(ValueError, match=message):
             make(truth, noise)
+
+
+@pytest.mark.parametrize("mode, truth, values", [
+    ("ranking", clu.Clustering([1, 2, 1]), "rank"),
+    ("clustering", rk.Permutation([2, 1, 3]), "assign"),
+])
+def test_label_oracle_refuses_a_truth_of_the_other_kind(mode, truth, values):
+    """A truth without the mode's per-item array is refused by name, not labelled."""
+    with pytest.raises(ValueError, match=f"a {mode} oracle needs a ground truth with a {values}"):
+        LabelOracle(mode, noise=NoiseSpec(), seed=0, ground_truth=truth)
 
 
 @pytest.mark.parametrize("mode", ["ranking", "clustering"])

@@ -110,6 +110,20 @@ def test_move_semantics():
     assert p.order.tolist() == [3, 0, 2, 1]  # original untouched
 
 
+@pytest.mark.parametrize("item, position, name", [
+    (0, 0, "position"), (0, -1, "position"), (0, 5, "position"), (0, 2.0, "position"),
+    (-1, 1, "item"), (4, 1, "item"), (True, 2, "item"), (np.float64(1), 2, "item"),
+])
+def test_move_refuses_an_item_or_position_outside_its_range(item, position, name):
+    """Positions 0 and -1 are not read from the end, and no bad argument reaches numpy."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer in "):
+        rk.Permutation.identity(4).move(item, position)
+
+
+def test_move_takes_numpy_integers():
+    assert rk.Permutation.identity(4).move(np.int64(3), np.uint8(1)).order.tolist() == [3, 0, 1, 2]
+
+
 @given(st.integers(2, 60), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_inversions_match_quadratic_scan(n, seed):
@@ -394,6 +408,38 @@ def test_build_exact_and_unbiased_under_pivot_adversarial_labels():
     seed = 5
     pivot = rk.random_permutation(8, derive_rng(seed, "pivot"))
     oracle = _pivot_adversarial_oracle(pivot, p=2, seed=seed)
+    assert rk.exact_min_error(oracle)[0] > 0
+    assert verify._exhaustive_on(oracle, pivot, seed) is None
+    assert verify._unbiased_on(oracle, pivot, size=2, seed=seed, builds=1500, targets=5) is None
+
+
+def _intransitive_table(n: int, seed: int) -> np.ndarray:
+    """A seeded ranking's labels with a rock-paper-scissors cycle planted on each
+    consecutive triad (a, b, c) of its order: a beats b, b beats c, and c beats a."""
+    truth = rk.random_permutation(n, derive_rng(seed, "truth"))
+    table = (truth.rank[:, None] < truth.rank[None, :]).astype(np.uint8)
+    for t in range(0, n - 2, 3):
+        a, c = truth.order[t], truth.order[t + 2]
+        table[a, c], table[c, a] = 0, 1
+    return table
+
+
+def _tournament_table(n: int, seed: int) -> np.ndarray:
+    """A seeded coin per unordered pair, kept skew-symmetric."""
+    us, vs = upper_pairs(n)
+    coin = derive_rng(seed, "coin").integers(0, 2, size=len(us)).astype(np.uint8)
+    table = np.zeros((n, n), np.uint8)
+    table[us, vs], table[vs, us] = coin, 1 - coin
+    return table
+
+
+@pytest.mark.parametrize("family", [_intransitive_table, _tournament_table])
+def test_build_exact_and_unbiased_under_labels_no_ranking_fits(family):
+    """Exactness and unbiasedness hold for intransitive and random-tournament labels."""
+    seed = 7
+    oracle = LabelOracle("ranking", noise=NoiseSpec(kind="adversarial_file", path="family.csv"),
+                         seed=seed, label_table=family(8, seed))
+    pivot = rk.random_permutation(8, derive_rng(seed, "pivot"))
     assert rk.exact_min_error(oracle)[0] > 0
     assert verify._exhaustive_on(oracle, pivot, seed) is None
     assert verify._unbiased_on(oracle, pivot, size=2, seed=seed, builds=1500, targets=5) is None
