@@ -36,7 +36,6 @@ from .core import (
     stratum_draws,
 )
 from .generic import pair_class
-from .seeding import derive_rng
 
 __all__ = [
     "Clustering",
@@ -47,7 +46,6 @@ __all__ = [
     "local_search_erm",
     "random_clustering",
     "all_assignments",
-    "count_assignments",
     "enumerate_partitions_class",
 ]
 
@@ -88,7 +86,10 @@ class Clustering:
     def n_items(self) -> int:
         return len(self.assign)
 
-    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids
+    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids, but bools read as 0, 1
+        us, vs = np.asarray(us), np.asarray(vs)
+        if us.dtype.kind == "b" or vs.dtype.kind == "b":
+            raise ValueError("pair ids must be integers, not bools")
         return (self.assign.take(us) == self.assign.take(vs)).view(np.uint8)
 
     def to_dict(self) -> dict:
@@ -157,7 +158,7 @@ def build_clustering_estimator(
     params: Params,
     *,
     q: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> RegretEstimator:
     """Cluster-stratified regret estimator around a pivot clustering.
 
@@ -172,8 +173,6 @@ def build_clustering_estimator(
         raise ValueError("clustering estimator needs a clustering-mode oracle")
     if q is None:
         q = sample_size_q(n, pivot.k, params.epsilon, params.c2)
-    if rng is None:
-        rng = derive_rng(params.master_seed, "clustering-build")
     # clusters in use, largest first and ties to the smaller id, as clusters_by_size
     _, cluster, sizes = _ids_in_use(pivot.assign)
     ordered = np.argsort(-sizes, kind="stable")
@@ -203,18 +202,6 @@ def build_clustering_estimator(
 
 
 @lru_cache(maxsize=None)
-def count_assignments(n: int, k: int) -> int:
-    """Number of partitions of n items into at most k nonempty blocks."""
-    # S(n, j) by the standard recurrence, summed over j <= k
-    table = [[0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, k + 1):
-            table[i][j] = table[i - 1][j - 1] + j * table[i - 1][j]
-    return sum(table[n][1 : k + 1])
-
-
-@lru_cache(maxsize=None)
 def all_assignments(n: int, k: int) -> np.ndarray:
     """All canonical assignments (first-occurrence labels 1..k), lex order.
 
@@ -229,14 +216,14 @@ def all_assignments(n: int, k: int) -> np.ndarray:
             f"exact enumeration supports 2 <= n <= {_EXACT_ERM_MAX_N} and "
             f"1 <= k <= {_EXACT_ERM_MAX_K}; use local_search_erm for larger pools"
         )
-    table = np.zeros((count_assignments(n, k), n), dtype=np.int8)  # item 0 takes label 0
+    table = np.zeros((1, n), dtype=np.int8)  # item 0 takes label 0
     used = np.ones(1, dtype=np.int8)  # labels in use by each row built so far
     for i in range(1, n):
         fan = np.minimum(used, k - 1) + 1  # a row's children take labels 0..fan-1
         ends = np.cumsum(fan, dtype=np.int32)  # int32: at most 700,075 rows
         label = (np.arange(ends[-1], dtype=np.int32) - (ends - fan).repeat(fan)).astype(np.int8)
-        table[: len(label), :i] = table[: len(used), :i].repeat(fan, axis=0)
-        table[: len(label), i] = label
+        table = table.repeat(fan, axis=0)
+        table[:, i] = label
         used = np.maximum(used.repeat(fan), label + 1)
     table += 1
     table.flags.writeable = False

@@ -127,6 +127,9 @@ _INT64_MAX = 2**63 - 1
 # one could not be drawn in memory, and past 2**63 not even counted in int64.
 MAX_SAMPLE_SIZE = 2**31 - 1
 
+# Each pair mode's per-item array; a hypothesis or truth without it is of the other kind.
+MODE_ARRAY = {"ranking": "rank", "clustering": "assign"}
+
 
 def sample_size(name: str, formula: Callable[[], float]) -> int:
     """max(1, ceil(formula())), refusing a value that is not finite or exceeds MAX_SAMPLE_SIZE."""
@@ -197,8 +200,8 @@ class RegretEstimator:
     """Weighted sample estimating err(h) - err(pivot).
 
     Pair mode (vs is an array): samples are ordered pairs over the pivot's
-    n items, scored through h.pair_values; the instance space holds
-    n * (n - 1) pairs.  Indexed mode (vs is None): the pivot and h are 0/1
+    n items, scored through h.pair_values of an h of the pivot's type; the
+    instance space holds n * (n - 1) pairs.  Indexed mode (vs is None): the pivot and h are 0/1
     label vectors over len(pivot) instances, and samples are their indices.
     Sample ids are held in index_dtype of the pool and refused outside it.
     weight_num / weight_denom are exact rational weights: the positive
@@ -264,8 +267,8 @@ class RegretEstimator:
                     f"label vector of length {values.shape} does not match pool "
                     f"size {self.measure_count}"
                 )
-        elif getattr(h, "n_items", self.n_items) != self.n_items:
-            raise PoolMismatchError("hypothesis item count does not match estimator")
+        elif type(h) is not type(self.pivot) or h.n_items != self.n_items:
+            raise PoolMismatchError("hypothesis kind or item count does not match the pivot")
         total = 0
         for start in range(0, self.n_samples, _SCAN_BLOCK_PAIRS):
             block = slice(start, start + _SCAN_BLOCK_PAIRS)
@@ -674,8 +677,9 @@ def true_error(h, oracle) -> float | list[float]:
     n = oracle.n
     batch = isinstance(h, (list, tuple))
     hs = list(h) if batch else [h]
-    if any(getattr(g, "n_items", n) != n for g in hs):
-        raise PoolMismatchError("hypothesis item count does not match oracle")
+    values = MODE_ARRAY[oracle.mode]
+    if any(not hasattr(g, values) or g.n_items != n for g in hs):
+        raise PoolMismatchError(f"true_error scores {oracle.mode} hypotheses over {n} items")
     if not hs:
         return []
     mismatches = [0] * len(hs)

@@ -23,6 +23,7 @@ from .core import (
     all_pairs,
     column_coefficients,
     csv_rows,
+    is_integer,
     is_smoothing_floor,
     pack_columns,
     packed_argmin,
@@ -30,7 +31,6 @@ from .core import (
     stratum_draws,
     zero_one,
 )
-from .seeding import derive_rng
 
 __all__ = [
     "FiniteClass",
@@ -89,9 +89,15 @@ class FiniteClass:
     def labels(self) -> np.ndarray:
         return self._labels
 
+    def _pivot_row(self, pivot_idx) -> int:
+        """pivot_idx as an int, refused unless it is an integer (not a bool) in 0..len - 1."""
+        if not (is_integer(pivot_idx) and 0 <= pivot_idx < len(self)):
+            raise ValueError(f"pivot must be an integer in 0..{len(self) - 1}, got {pivot_idx!r}")
+        return int(pivot_idx)
+
     def distance_counts(self, pivot_idx: int) -> np.ndarray:
         """Hamming distance (instance count) from one row to every row."""
-        diff = self.packed_columns ^ self.packed_columns[:, pivot_idx, None]
+        diff = self.packed_columns ^ self.packed_columns[:, self._pivot_row(pivot_idx), None]
         return np.bitwise_count(diff).sum(axis=0, dtype=np.int64)
 
     def distances(self, pivot_idx: int) -> np.ndarray:
@@ -150,9 +156,9 @@ def disagreement_coefficient(
         r_floor = 1.0 / cls.pool_size
     if not (r_floor > 0 and math.isfinite(r_floor)):  # nan compares False, inf scans no radius
         raise ValueError(f"r_floor must be positive and finite, got {r_floor!r}")
-    key = ("theta", int(pivot_idx), float(r_floor))
+    key = ("theta", cls._pivot_row(pivot_idx), float(r_floor))
     if key not in cls._derived:
-        cls._derived[key] = _disagreement_coefficient(cls, int(pivot_idx), float(r_floor))
+        cls._derived[key] = _disagreement_coefficient(cls, *key[1:])
     return cls._derived[key]
 
 
@@ -288,7 +294,7 @@ def build_generic_estimator(
     params: Params,
     *,
     m: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> RegretEstimator:
     """Annulus-stratified estimator around cls.labels[pivot_idx].
 
@@ -306,8 +312,6 @@ def build_generic_estimator(
     mu = params.resolved_mu(pool)
     if m is None:
         m = class_sample_size(cls, pivot_idx, params)[0]
-    if rng is None:
-        rng = derive_rng(params.master_seed, "generic-build")
     shells = annulus_plan(cls, pivot_idx, mu)
     sizes = np.array([len(shell) for shell in shells])
     count, offset, w_num = stratum_draws(sizes, m, rng)

@@ -103,6 +103,8 @@ def induced_permutation(w, features: FeatureSet) -> Permutation:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (features.d,):
         raise ValueError(f"direction must have shape ({features.d},)")
+    if not np.isfinite(w).all():
+        raise ValueError(f"direction must be finite, got {w.tolist()}")
     return Permutation.from_order(_descending((features.vectors @ w)[:, None])[:, 0])
 
 

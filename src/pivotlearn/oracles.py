@@ -34,9 +34,9 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import (
-    _SCAN_BLOCK_PAIRS, BudgetExceededError, ParamError, csv_rows, index_dtype, integer_ids,
-    is_finite_number, is_integer, pair_keys, true_error, unordered_verification_labels,
-    unsigned_max, zero_one,
+    _SCAN_BLOCK_PAIRS, MODE_ARRAY, BudgetExceededError, ParamError, csv_rows, index_dtype,
+    integer_ids, is_finite_number, is_integer, pair_keys, true_error,
+    unordered_verification_labels, unsigned_max, zero_one,
 )
 from .seeding import pair_uniform
 
@@ -190,7 +190,7 @@ class LabelOracle(_Ledger):
             raise ValueError(f"{noise.kind} noise {need} label_table")
         if noise.kind == "distance_decay" and mode != "ranking":
             raise ValueError("distance_decay noise is defined for ranking oracles only")
-        values = "rank" if mode == "ranking" else "assign"
+        values = MODE_ARRAY[mode]
         if ground_truth is not None and not hasattr(ground_truth, values):
             raise ValueError(f"a {mode} oracle needs a ground truth with a {values} array")
         self.mode = mode

@@ -33,7 +33,6 @@ from .core import (
     upper_pairs,
 )
 from .generic import pair_class
-from .seeding import derive_rng
 
 __all__ = [
     "Permutation",
@@ -104,7 +103,10 @@ class Permutation:
             self._order = order
         return self._order
 
-    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids
+    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids, but bools read as 0, 1
+        us, vs = np.asarray(us), np.asarray(vs)
+        if us.dtype.kind == "b" or vs.dtype.kind == "b":
+            raise ValueError("pair ids must be integers, not bools")
         return (self.rank.take(us) < self.rank.take(vs)).view(np.uint8)
 
     def distance_to(self, other: "Permutation") -> float:
@@ -224,7 +226,7 @@ def build_ranking_estimator(
     params: Params,
     *,
     p: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> RegretEstimator:
     """Band-sampled regret estimator around a pivot permutation.
 
@@ -232,7 +234,7 @@ def build_ranking_estimator(
     each nonempty band contributes p draws with repetition at weight
     band_size / p (or all its pairs at weight 1 when band_size <= p).
     Draws are taken in one call, in (item, band) order, so the result
-    depends only on the provided stream, never on scheduling.  Positions,
+    depends only on the caller's stream, never on scheduling.  Positions,
     sample ids and weight numerators are held in the narrowest dtype that
     holds them; only the draws themselves are int64.
     """
@@ -243,8 +245,6 @@ def build_ranking_estimator(
         raise ValueError("ranking estimator needs a ranking-mode oracle")
     if p is None:
         p = sample_size_p(n, params.epsilon, params.c1)
-    if rng is None:
-        rng = derive_rng(params.master_seed, "ranking-build")
     lo, hi = ring_bounds(pivot, p)
     near = np.arange(hi.shape[0] * hi.shape[1]) % hi.shape[1] == 0  # ring 0, always whole
     lo, hi = lo.reshape(-1, 2), hi.reshape(-1, 2)
@@ -282,9 +282,7 @@ def _subset_layers(n: int):
     Arrays are read-only because every caller shares them.
     """
     size = 1 << n
-    count = np.zeros(size, dtype=np.int64)  # popcount of each subset
-    for b in range(n):
-        count[1 << b : 2 << b] = count[: 1 << b] + 1
+    count = np.bitwise_count(np.arange(size))  # members of each subset
     by_count = np.argsort(count, kind="stable")
     starts = np.searchsorted(count[by_count], np.arange(n + 2))
     slot = np.empty(size, dtype=np.int64)

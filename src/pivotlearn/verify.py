@@ -75,12 +75,12 @@ def _pair_case(n: int, k, eta: float, seed: int):
     return oracle, _draw(n, k, derive_rng(seed, "pivot"))
 
 
-def _build(pivot, oracle, size: int, seed: int, **kw):
+def _build(pivot, oracle, size: int, rng):
     """The ranking builder at p = size, or the clustering builder at q = size."""
-    params = Params(epsilon=0.2, master_seed=seed)
+    params = Params(epsilon=0.2)
     if isinstance(pivot, rk.Permutation):
-        return rk.build_ranking_estimator(pivot, oracle, params, p=size, **kw)
-    return clu.build_clustering_estimator(pivot, oracle, params, q=size, **kw)
+        return rk.build_ranking_estimator(pivot, oracle, params, p=size, rng=rng)
+    return clu.build_clustering_estimator(pivot, oracle, params, q=size, rng=rng)
 
 
 def _regrets(pivot, oracle, hypotheses) -> np.ndarray:
@@ -102,14 +102,14 @@ def _exhaustive_on(oracle, pivot, seed: int):
         hs = [rk.Permutation(rank) for rank in rk.all_rank_arrays(n)]
     else:
         hs = [clu.Clustering(assign, k) for assign in clu.all_assignments(n, k)]
-    est = _build(pivot, oracle, n, seed)
+    est = _build(pivot, oracle, n, derive_rng(seed, "b"))
     gap = np.max(np.abs([est.evaluate(h) for h in hs] - _regrets(pivot, oracle, hs)))
     return None if gap <= 1e-12 else f"n={n} k={k} seed={seed}: |estimate - regret| {gap:.3e}"
 
 
 def _pivot_zero(n: int, k, size: int, eta: float, seed: int):
     oracle, pivot = _pair_case(n, k, eta, seed)
-    est = _build(pivot, oracle, size, seed)
+    est = _build(pivot, oracle, size, derive_rng(seed, "b"))
     values = est.evaluate(pivot), est.evaluate_int(pivot)
     return None if values == (0.0, 0) else f"n={n} k={k} size={size}: pivot evaluates to {values}"
 
@@ -124,7 +124,7 @@ def _unbiased_on(oracle, pivot, size: int, seed: int, builds: int, targets: int)
     hs = [_draw(pivot.n_items, getattr(pivot, "k", None), rng) for _ in range(targets)]
     values = np.array([
         [est.evaluate(h) for h in hs]
-        for est in (_build(pivot, oracle, size, seed, rng=derive_rng(seed, "b", b))
+        for est in (_build(pivot, oracle, size, derive_rng(seed, "b", b))
                     for b in range(builds))
     ])
     gaps = np.abs(values.mean(axis=0) - _regrets(pivot, oracle, hs))
@@ -136,7 +136,7 @@ def _unbiased_on(oracle, pivot, size: int, seed: int, builds: int, targets: int)
 def _query_cap(n: int, k, size: int, seed: int):
     """Distinct labels of one build: ranking n(2p + p(ceil log2 n + 1)), clustering nkq."""
     oracle, pivot = _pair_case(n, k, 0.1, seed)
-    _build(pivot, oracle, size, seed, rng=derive_rng(seed, "b"))
+    _build(pivot, oracle, size, derive_rng(seed, "b"))
     got = oracle.counters.distinct_labeled
     ranking_cap = n * (2 * size + size * (int(np.ceil(np.log2(n))) + 1))
     cap = min(ranking_cap if k is None else n * k * size, n * (n - 1))
@@ -275,8 +275,8 @@ def _generic_exhaustive(pool: int, pivot: int, truth: int, flip: float, seed: in
     """With m = pool every annulus enters whole: the estimate is the regret on the class."""
     cls = gen.thresholds_class(pool)
     labels = _generic_labels(cls, truth, flip, seed, "verify", "generic")
-    params = Params(epsilon=0.2, mu=0.05, master_seed=seed)
-    est = gen.build_generic_estimator(cls, pivot, InstanceOracle(labels), params, m=pool)
+    params, rng = Params(epsilon=0.2, mu=0.05), derive_rng(seed, "b")
+    est = gen.build_generic_estimator(cls, pivot, InstanceOracle(labels), params, m=pool, rng=rng)
     err = (cls.labels != labels).mean(axis=1)
     gaps = np.abs([est.evaluate(row) for row in cls.labels] - (err - err[pivot]))
     if gaps.max() > 1e-12 or gaps[pivot] != 0.0:
@@ -289,7 +289,7 @@ def _generic_contract(pool: int, pivot: int, truth: int, flip: float, epsilon: f
     in at least 90% of trials, each with its own noisy labels."""
     cls = gen.thresholds_class(pool)
     bound = epsilon * (cls.distances(pivot) + mu) + 1e-12
-    params = Params(epsilon=epsilon, mu=mu, delta=delta, master_seed=seed)
+    params = Params(epsilon=epsilon, mu=mu, delta=delta)
     hits = 0
     for s in range(trials):
         labels = _generic_labels(cls, truth, flip, seed, "truth", s)
@@ -305,7 +305,8 @@ def _generic_contract(pool: int, pivot: int, truth: int, flip: float, epsilon: f
 def _generic_query_cap(family: str, pool: int, pivot: int, m: int, mu: float):
     cls = getattr(gen, f"{family}_class")(pool)
     oracle = InstanceOracle(cls.labels[pivot])
-    gen.build_generic_estimator(cls, pivot, oracle, Params(epsilon=0.2, mu=mu), m=m)
+    gen.build_generic_estimator(cls, pivot, oracle, Params(epsilon=0.2, mu=mu), m=m,
+                                rng=derive_rng(0, "verify", "cap"))
     got, cap = oracle.counters.distinct_labeled, m * (int(np.ceil(np.log2(1 / mu))) + 1)
     return None if got <= cap else f"{family} pool={pool}: {got} > {cap}"
 

@@ -170,13 +170,14 @@ def test_builders_refuse_bad_stratum_size(task, size):
     cls = gen.thresholds_class(20)
     oracles = {"ranking": make_ranking_oracle(perm), "clustering": make_clustering_oracle(clus),
                "generic": InstanceOracle(cls.labels[5])}
+    rng = derive_rng(0, "build")
     with pytest.raises(ValueError, match="must be an integer >= 1"):
         if task == "ranking":
-            rk.build_ranking_estimator(perm, oracles[task], params, p=size)
+            rk.build_ranking_estimator(perm, oracles[task], params, p=size, rng=rng)
         elif task == "clustering":
-            clu.build_clustering_estimator(clus, oracles[task], params, q=size)
+            clu.build_clustering_estimator(clus, oracles[task], params, q=size, rng=rng)
         else:
-            gen.build_generic_estimator(cls, 5, oracles[task], params, m=size)
+            gen.build_generic_estimator(cls, 5, oracles[task], params, m=size, rng=rng)
     assert oracles[task].counters.raw_calls == 0
 
 
@@ -704,6 +705,41 @@ def test_batched_true_error_empty_and_refusals():
         with pytest.raises(ValueError, match="budget"):
             true_error(batch, capped)
     assert capped.counters.verification_reads == 0
+
+
+def test_hypotheses_of_the_other_kind_are_refused():
+    """A clustering scored on ranking labels, or the reverse, is refused before any read."""
+    n = 6
+    truth = rk.random_permutation(n, derive_rng(0, "t"))
+    c = clu.random_clustering(n, 2, derive_rng(0, "c"))
+    identity = rk.Permutation.identity(n)
+    ranking_oracle = make_ranking_oracle(truth, NoiseSpec(), seed=0)
+    clustering_oracle = make_clustering_oracle(c, NoiseSpec(), seed=0)
+    est = rk.build_ranking_estimator(identity, ranking_oracle, Params(epsilon=0.2), p=2,
+                                     rng=derive_rng(0, "build"))
+    calls = [
+        lambda: true_error(c, ranking_oracle),
+        lambda: true_error([identity, c], ranking_oracle),
+        lambda: regret(identity, c, ranking_oracle),
+        lambda: true_error(identity, clustering_oracle),
+        lambda: est.evaluate(c),
+        lambda: est.evaluate_int(c),
+    ]
+    for call in calls:
+        with pytest.raises(PoolMismatchError):
+            call()
+    assert ranking_oracle.counters.verification_reads == 0
+    assert clustering_oracle.counters.verification_reads == 0
+
+
+@pytest.mark.parametrize("h", [rk.Permutation([3, 1, 2, 4]), clu.Clustering([1, 2, 1, 2], 2)])
+def test_pair_values_refuse_bool_ids(h):
+    """take would read True and False as items 1 and 0."""
+    ids, flags = np.array([0, 1]), np.array([True, False])
+    for us, vs in ((flags, ~flags), (flags, ids[::-1]), (ids, [False, True])):
+        with pytest.raises(ValueError, match="bools"):
+            h.pair_values(us, vs)
+    assert h.pair_values(ids, ids[::-1]).tolist() == h.pair_values([0, 1], [1, 0]).tolist()
 
 
 def test_regret_is_error_difference():

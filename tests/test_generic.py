@@ -89,6 +89,29 @@ def test_ball_radius_zero_and_one():
     assert gen.disagreement_region(cls, np.array([4])).size == 0
 
 
+@pytest.mark.parametrize("pivot", [-1, "len", 2.5, True])
+def test_pivot_indices_are_checked(pivot):
+    """A pivot is an integer row index in 0..len - 1: no wrap, truncation or bool."""
+    cls = gen.thresholds_class(10)
+    pivot = len(cls) if pivot == "len" else pivot
+    gen.disagreement_coefficient(cls, 1, 0.1)  # a cached row-1 value True must not reach
+    oracle = InstanceOracle(cls.labels[0])
+    params, rng = Params(epsilon=0.2, mu=0.1), derive_rng(0, "build")
+    calls = [
+        lambda: gen.ball(cls, pivot, 0.1),
+        lambda: cls.distances(pivot),
+        lambda: gen.disagreement_coefficient(cls, pivot, 0.1),
+        lambda: gen.annulus_plan(cls, pivot, 0.5),
+        lambda: gen.class_sample_size(cls, pivot, params),
+        lambda: gen.build_generic_estimator(cls, pivot, oracle, params, rng=rng),
+        lambda: gen.build_generic_estimator(cls, pivot, oracle, params, m=3, rng=rng),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="pivot must be an integer"):
+            call()
+    assert oracle.counters.raw_calls == 0
+
+
 def test_ball_thresholds_straddle():
     """Radius 0.2 on a 10-point pool keeps thresholds within 2 positions."""
     cls = gen.thresholds_class(10)
@@ -376,7 +399,8 @@ def test_build_matches_loop_reference(family, pool, pivot, mu, m):
 def test_build_requires_instance_oracle():
     cls = gen.thresholds_class(8)
     with pytest.raises(TypeError, match="InstanceOracle"):
-        gen.build_generic_estimator(cls, 0, object(), Params(epsilon=0.2))
+        gen.build_generic_estimator(cls, 0, object(), Params(epsilon=0.2),
+                                    rng=derive_rng(0, "build"))
 
 
 def test_build_query_budget_cap():

@@ -34,6 +34,13 @@ def test_induced_permutation_rejects_ties():
     assert exc.value.pair == (0, 1)
 
 
+def test_induced_permutation_refuses_a_direction_that_is_not_finite():
+    feats = geo.random_features(5, 2, derive_rng(0, "f"))
+    for w in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            geo.induced_permutation(np.array(w), feats)
+
+
 def _reference_orders_2d(features):
     """The per-direction sweep enumerate_orders_2d replaced: one induced_permutation per arc."""
     pairs, normals = geo._pair_normals(features)

@@ -458,7 +458,7 @@ def test_build_uses_formula_p_by_default():
     n = 16
     oracle, pivot = _fixture(n, 34)
     params = Params(epsilon=0.5, c1=1e-3)
-    est = rk.build_ranking_estimator(pivot, oracle, params)
+    est = rk.build_ranking_estimator(pivot, oracle, params, rng=derive_rng(34, "build"))
     assert est.weight_denom == rk.sample_size_p(n, 0.5, 1e-3)
 
 
