@@ -86,9 +86,9 @@ class Clustering:
     def n_items(self) -> int:
         return len(self.assign)
 
-    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids, but bools read as 0, 1
+    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids
         us, vs = np.asarray(us), np.asarray(vs)
-        if us.dtype.kind == "b" or vs.dtype.kind == "b":
+        if us.dtype.kind == "b" or vs.dtype.kind == "b":  # take would read them as 1 and 0
             raise ValueError("pair ids must be integers, not bools")
         return (self.assign.take(us) == self.assign.take(vs)).view(np.uint8)
 

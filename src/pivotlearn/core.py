@@ -201,8 +201,9 @@ class RegretEstimator:
 
     Pair mode (vs is an array): samples are ordered pairs over the pivot's
     n items, scored through h.pair_values of an h of the pivot's type; the
-    instance space holds n * (n - 1) pairs.  Indexed mode (vs is None): the pivot and h are 0/1
-    label vectors over len(pivot) instances, and samples are their indices.
+    instance space holds n * (n - 1) pairs.  Indexed mode (vs is None): the
+    pivot and h are 0/1 label vectors over len(pivot) instances, and
+    samples are their indices.
     Sample ids are held in index_dtype of the pool and refused outside it.
     weight_num / weight_denom are exact rational weights: the positive
     integer numerators are kept in the dtype they come in (a builder's are

@@ -103,9 +103,9 @@ class Permutation:
             self._order = order
         return self._order
 
-    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids, but bools read as 0, 1
+    def pair_values(self, us, vs) -> np.ndarray:  # take: fast with narrow ids
         us, vs = np.asarray(us), np.asarray(vs)
-        if us.dtype.kind == "b" or vs.dtype.kind == "b":
+        if us.dtype.kind == "b" or vs.dtype.kind == "b":  # take would read them as 1 and 0
             raise ValueError("pair ids must be integers, not bools")
         return (self.rank.take(us) < self.rank.take(vs)).view(np.uint8)
 
