@@ -262,7 +262,7 @@ class RegretEstimator:
         to 54464.
         """
         if self.vs is None:
-            values = np.asarray(h, dtype=np.uint8)
+            values = zero_one(h, "label vector")
             if values.shape != (self.measure_count,):
                 raise PoolMismatchError(
                     f"label vector of length {values.shape} does not match pool "

@@ -327,6 +327,9 @@ def class_argmin(cls: FiniteClass, est: RegretEstimator) -> int:
     """
     if est.vs is not None:
         raise ValueError("class_argmin expects an indexed-mode estimator")
+    if est.measure_count != cls.pool_size:
+        raise PoolMismatchError(
+            f"estimator pool of {est.measure_count} does not match class pool {cls.pool_size}")
     coef, base = column_coefficients(est.us, est.labels, est.weight_num, cls.pool_size)
     return packed_argmin(cls.packed_columns, coef, base)[0]
 
@@ -363,9 +366,8 @@ def intervals_class(pool_size: int) -> FiniteClass:
 
 def save_class_csv(cls: FiniteClass, path: str) -> None:
     """One headerless CSV row per hypothesis: its 0/1 label on each pool instance."""
-    with open(path, "w", newline="") as fh:  # the bytes csv.writer writes: CRLF endings
-        for row in cls.labels.tolist():
-            fh.write(",".join(map(str, row)) + "\r\n")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(cls.labels.tolist())
 
 
 def load_class_csv(path: str) -> FiniteClass:

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    PoolMismatchError,
     RegretEstimator,
     packed_argmin,
     pair_coefficients,
@@ -48,7 +49,7 @@ class DisagreementBoundError(AssertionError):
 
 
 class FeatureSet:
-    """One real feature vector per item, held as a read-only copy.
+    """One point in the plane per item, held as a read-only (n, 2) copy.
 
     The planar order class is computed once per feature set, on the first
     enumeration that succeeds, and cached here as (orders, angles, packed
@@ -59,8 +60,8 @@ class FeatureSet:
 
     def __init__(self, vectors):
         vectors = np.array(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] < 2 or vectors.shape[1] < 1:
-            raise ValueError("vectors must be a (n >= 2, d >= 1) array")
+        if vectors.ndim != 2 or vectors.shape[0] < 2 or vectors.shape[1] != 2:
+            raise ValueError("vectors must be a (n >= 2, 2) array")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("feature vectors must be finite")
         vectors.flags.writeable = False
@@ -75,13 +76,9 @@ class FeatureSet:
     def n_items(self) -> int:
         return self._vectors.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self._vectors.shape[1]
 
-
-def random_features(n: int, d: int, rng: np.random.Generator) -> FeatureSet:
-    return FeatureSet(rng.standard_normal((n, d)))
+def random_features(n: int, rng: np.random.Generator) -> FeatureSet:
+    return FeatureSet(rng.standard_normal((n, 2)))
 
 
 def _descending(scores: np.ndarray) -> np.ndarray:
@@ -101,8 +98,8 @@ def _descending(scores: np.ndarray) -> np.ndarray:
 def induced_permutation(w, features: FeatureSet) -> Permutation:
     """Items sorted by decreasing <w, vector>; errors on an exact score tie."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (features.d,):
-        raise ValueError(f"direction must have shape ({features.d},)")
+    if w.shape != (2,):
+        raise ValueError("direction must have shape (2,)")
     if not np.isfinite(w).all():
         raise ValueError(f"direction must be finite, got {w.tolist()}")
     return Permutation.from_order(_descending((features.vectors @ w)[:, None])[:, 0])
@@ -134,8 +131,6 @@ def _planar_class(features: FeatureSet) -> tuple[list[Permutation], np.ndarray, 
     """
     if features._planar is not None:
         return features._planar
-    if features.d != 2:
-        raise ValueError("angular enumeration is defined for d = 2")
     pairs, normals = _pair_normals(features)
     base = np.arctan2(normals[:, 1], normals[:, 0])
     crossings = np.concatenate([base + math.pi / 2, base + 3 * math.pi / 2]) % (2 * math.pi)
@@ -219,6 +214,8 @@ def geometric_erm_2d(est: RegretEstimator, features: FeatureSet) -> Permutation:
     Ties resolve to the order with the smallest witness angle.
     """
     orders, _, table = _planar_class(features)
+    if not isinstance(est.pivot, Permutation) or est.n_items != features.n_items:
+        raise PoolMismatchError(f"the estimator must rank pairs of {features.n_items} items")
     coef, base = pair_coefficients(
         features.n_items, est.us, est.vs, est.labels, est.weight_num, oriented=True
     )

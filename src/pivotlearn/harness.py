@@ -335,7 +335,7 @@ def _clustering(config: ExperimentConfig) -> _Plan:
 
 def _geometric(config: ExperimentConfig) -> _Plan:
     seed = config.params.master_seed
-    features = geo.random_features(config.n, 2, derive_rng(seed, "features"))
+    features = geo.random_features(config.n, derive_rng(seed, "features"))
     oracle = _pair_oracle(
         config, "ranking", lambda rng: geo.induced_permutation(rng.standard_normal(2), features)
     )
@@ -427,14 +427,6 @@ _TRAJECTORY_COLUMNS = (
 )
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def write_run(record: RunRecord, out_dir: str) -> dict:
     """Write record.json, trajectory.csv, and the volatile timings.json."""
     os.makedirs(out_dir, exist_ok=True)
@@ -447,10 +439,9 @@ def write_run(record: RunRecord, out_dir: str) -> dict:
         json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(paths["trajectory"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRAJECTORY_COLUMNS)
-        for row in record.row_dicts():
-            writer.writerow([_cell(row[c]) for c in _TRAJECTORY_COLUMNS])
+        writer = csv.DictWriter(fh, _TRAJECTORY_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(record.row_dicts())
     with open(paths["timings"], "w") as fh:
         json.dump(record.timings_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -541,6 +532,5 @@ def sweep(
             writer.writerow(
                 [axis, "distinct_queries", "final_err", "nu", "excess", "max_build_queries"]
             )
-            for row in summary:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(summary)
     return records, summary

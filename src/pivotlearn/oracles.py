@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import (
     _SCAN_BLOCK_PAIRS, MODE_ARRAY, BudgetExceededError, ParamError, csv_rows, index_dtype,
-    integer_ids, is_finite_number, is_integer, pair_keys, true_error,
+    integer_ids, is_finite_number, is_integer, pair_keys,
     unordered_verification_labels, unsigned_max, zero_one,
 )
 from .seeding import pair_uniform
@@ -166,9 +166,10 @@ class LabelOracle(_Ledger):
 
     Labels come from exactly one source: a ground truth with the mode's
     per-item array (rank, or assign), labelled by its own pair_values under
-    `noise` and `seed`, or an explicit n x n label table, which goes with
-    adversarial_file noise only.  n is the source's item count.  The ledger
-    keys are lo*n + hi (lo < hi) in index_dtype(n*n).
+    `noise` and `seed` (an integer in 0..2**64 - 1), or an explicit n x n
+    0/1 label table, (skew-)symmetric off the diagonal as the mode's labels
+    are, which goes with adversarial_file noise only.  n is the source's
+    item count.  The ledger keys are lo*n + hi (lo < hi) in index_dtype(n*n).
     """
 
     def __init__(
@@ -193,6 +194,17 @@ class LabelOracle(_Ledger):
         values = MODE_ARRAY[mode]
         if ground_truth is not None and not hasattr(ground_truth, values):
             raise ValueError(f"a {mode} oracle needs a ground truth with a {values} array")
+        if not (is_integer(seed) and 0 <= seed < 2**64):  # the label hash reads 64 bits
+            raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
+        if label_table is not None:
+            label_table = zero_one(label_table, "label_table")
+            if label_table.ndim != 2 or len(label_table) != label_table.shape[1]:
+                raise ValueError(f"label_table must be n x n, got shape {label_table.shape}")
+            skew = mode == "ranking"  # off the diagonal, a ranking pair and its mirror differ
+            mirror = label_table ^ label_table.T
+            np.fill_diagonal(mirror, skew)
+            if not (mirror == skew).all():
+                raise ValueError(f"label_table must be {'skew-' * skew}symmetric off the diagonal")
         self.mode = mode
         self.n = int(len(label_table) if ground_truth is None else ground_truth.n_items)
         if self.n < 2:
@@ -329,28 +341,31 @@ def save_oracle(oracle: LabelOracle, csv_path: str) -> str:
     """Write all unordered pair labels as CSV plus a JSON metadata sidecar.
 
     Returns the sidecar path, csv_path + ".json", where load_oracle reads
-    it.  Writing reads the full table once (charged to verification_reads
-    as one full scan), a row u of pairs (u, v > u) at a time, and writes
-    the bytes csv.writer would, CRLF line ends included.
+    it.  Writing reads the full table once, a row u of pairs (u, v > u) at
+    a time, and writes the bytes csv.writer would, CRLF line ends included.
+    The ground truth's error is scored on that read, charged as a second scan.
     """
     sidecar_path = csv_path + ".json"
     n = oracle.n
+    gt = oracle.ground_truth
     ends = (",0\r\n", ",1\r\n")  # a line's label and end
+    mismatches = 0
     with open(csv_path, "w", newline="") as fh:
         fh.write("u,v,label\r\n")
         for u in range(n - 1):
-            vs = np.arange(u + 1, n)
-            labels = unordered_verification_labels(oracle, np.full(len(vs), u), vs)
+            us, vs = np.full(n - 1 - u, u), np.arange(u + 1, n)
+            labels = unordered_verification_labels(oracle, us, vs, scans=1 if gt is None else 2)
+            if gt is not None:
+                mismatches += int(np.count_nonzero(gt.pair_values(us, vs) != labels))
             head = f"{u},"
             fh.write("".join([f"{head}{v}{ends[y]}" for v, y in zip(vs.tolist(), labels.tolist())]))
-    gt = oracle.ground_truth
     meta = {
         "mode": oracle.mode,
         "n": n,
         "noise": asdict(oracle.noise),
         "seed": oracle.seed,
         "ground_truth": None if gt is None else gt.to_dict(),
-        "ground_truth_error": None if gt is None else true_error(gt, oracle),
+        "ground_truth_error": None if gt is None else float(2 * mismatches) / (n * (n - 1)),
     }
     with open(sidecar_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -465,6 +480,8 @@ def load_oracle(
             raise OracleFormatError(f"{sidecar_path}: n must be an integer >= 2, got {n!r}")
         if not is_integer(seed):
             raise OracleFormatError(f"{sidecar_path}: seed must be an integer, got {seed!r}")
+        if not 0 <= seed < 2**64:
+            raise OracleFormatError(f"{sidecar_path}: seed must be in 0..2**64 - 1, got {seed!r}")
     mode = mode or meta.get("mode")
     if mode not in ("ranking", "clustering"):
         raise OracleFormatError("oracle mode unknown: pass mode= or provide the JSON sidecar")

@@ -335,7 +335,7 @@ def _annuli_mass(**case):
 
 
 def _planar(n: int, seed: int):
-    features = geo.random_features(n, 2, derive_rng(seed, "verify", "geom"))
+    features = geo.random_features(n, derive_rng(seed, "verify", "geom"))
     return (features, *geo.enumerate_orders_2d(features))
 
 

@@ -322,7 +322,7 @@ def test_criterion_08_planar_orders_enumeration_and_bounds(note):
     worst_ratio = 0.0
     for n, reps in draws.items():
         for t in range(reps):
-            feats = geo.random_features(n, 2, derive_rng(800 + n, "draw", t))
+            feats = geo.random_features(n, derive_rng(800 + n, "draw", t))
             orders, _ = geo.enumerate_orders_2d(feats)
             assert len(orders) <= n * (n - 1)
 

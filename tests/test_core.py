@@ -1070,7 +1070,7 @@ def test_exact_erm_first_minimizer_tie_break(task):
         est = RegretEstimator(pivot, **pair)
         assert clu.exact_erm(est).assign.tolist() == [1] * 5
     else:
-        feats = geo.random_features(6, 2, derive_rng(3, "tie"))
+        feats = geo.random_features(6, derive_rng(3, "tie"))
         orders, _ = geo.enumerate_orders_2d(feats)
         est = RegretEstimator(orders[-1], **pair)
         assert geo.geometric_erm_2d(est, feats) == orders[0]

@@ -167,7 +167,7 @@ def test_clustering_exact_min_error_matches_predicate_scan(tmp_path, noise, n, k
 @pytest.mark.parametrize("seed", range(4))
 def test_geometric_erm_matches_predicate_scan(seed):
     n = 9
-    feats = geo.random_features(n, 2, derive_rng(seed, "f"))
+    feats = geo.random_features(n, derive_rng(seed, "f"))
     orders, _ = geo.enumerate_orders_2d(feats)
     oracle = make_ranking_oracle(orders[-1], NoiseSpec(kind="uniform_flip", eta=0.2), seed=seed)
     ranks = np.stack([o.rank for o in orders])
@@ -361,7 +361,7 @@ def test_wide_pair_table_memory_is_bounded():
     The n = 60 planar class has 3,540 orders over 1,770 pairs; gathered in
     one block of rows, its int64 ranks took two 50 MB temporaries.
     """
-    orders, _ = geo.enumerate_orders_2d(geo.random_features(60, 2, derive_rng(0, "features")))
+    orders, _ = geo.enumerate_orders_2d(geo.random_features(60, derive_rng(0, "features")))
     ranks = np.stack([h.rank for h in orders]).astype(np.int64)
     assert ranks.shape == (3540, 60)
     tracemalloc.start()

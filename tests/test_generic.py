@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pivotlearn import InstanceOracle, Params
+from pivotlearn import InstanceOracle, Params, PoolMismatchError
 from pivotlearn import generic as gen
 from pivotlearn import ranking as rk
 from pivotlearn import verify
@@ -551,3 +551,31 @@ def test_mu_without_a_finite_reciprocal_is_refused_and_a_tiny_one_plans_every_sh
     shells = gen.annulus_plan(cls, 0, 1e-308)  # radii mu * 2**i past 2**1023
     assert len(shells) == math.ceil(math.log2(1e308)) + 1
     assert sorted(np.concatenate(shells).tolist()) == list(range(8))
+
+
+# ------------------------------------------------- refusals of a foreign pool or label
+
+def _thresholds_estimator():
+    cls = gen.thresholds_class(10)
+    oracle = InstanceOracle(cls.labels[4])
+    est = gen.build_generic_estimator(cls, 2, oracle, Params(epsilon=0.3), m=10,
+                                      rng=derive_rng(0, "b"))
+    return cls, est
+
+
+@pytest.mark.parametrize("one", [0.7, 2, -1], ids=["fraction", "two", "minus-one"])
+def test_indexed_estimator_refuses_a_label_vector_that_is_not_zero_one(one):
+    """A 1 replaced by 0.7, 2 or -1 is refused, not truncated or wrapped to 0, 2 or 255."""
+    cls, est = _thresholds_estimator()
+    row = cls.labels[7].astype(np.int64)
+    assert est.evaluate_int(row) == est.evaluate_int(cls.labels[7])
+    bad = np.where(row == 1, one, row)
+    with pytest.raises(ValueError, match="label vector must be 0 or 1"):
+        est.evaluate_int(bad)
+
+
+@pytest.mark.parametrize("pool", [8, 12])
+def test_class_argmin_refuses_a_class_of_another_pool_size(pool):
+    _, est = _thresholds_estimator()
+    with pytest.raises(PoolMismatchError, match=f"class pool {pool}"):
+        gen.class_argmin(gen.thresholds_class(pool), est)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotlearn import NoiseSpec, Params, make_ranking_oracle
+from pivotlearn import (
+    InstanceOracle, NoiseSpec, Params, PoolMismatchError, make_clustering_oracle,
+    make_ranking_oracle,
+)
+from pivotlearn import clustering as clu
+from pivotlearn import generic as gen
 from pivotlearn import geometric as geo
 from pivotlearn import ranking as rk
 from pivotlearn import verify
@@ -35,7 +40,7 @@ def test_induced_permutation_rejects_ties():
 
 
 def test_induced_permutation_refuses_a_direction_that_is_not_finite():
-    feats = geo.random_features(5, 2, derive_rng(0, "f"))
+    feats = geo.random_features(5, derive_rng(0, "f"))
     for w in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
         with pytest.raises(ValueError, match="finite"):
             geo.induced_permutation(np.array(w), feats)
@@ -124,7 +129,7 @@ def test_feature_vectors_are_a_read_only_copy():
 
 
 def test_mutating_enumeration_results_leaves_the_next_call_intact():
-    feats = geo.random_features(6, 2, derive_rng(11, "f"))
+    feats = geo.random_features(6, derive_rng(11, "f"))
     orders, angles = geo.enumerate_orders_2d(feats)
     expected = ([o.rank.tolist() for o in orders], angles.tolist())
     orders.reverse()
@@ -178,7 +183,7 @@ def test_enumerate_rejects_collinear_points():
 
 
 def test_disagreement_bound_report():
-    feats = geo.random_features(8, 2, derive_rng(5, "f"))
+    feats = geo.random_features(8, derive_rng(5, "f"))
     orders, _ = geo.enumerate_orders_2d(feats)
     radii = [0.0, 1 / 56, 3 / 56, 0.25, 1.0]
     report = geo.verify_disagreement_bound(feats, orders[0], radii)
@@ -192,7 +197,7 @@ def test_disagreement_bound_report():
 
 
 def test_disagreement_bound_rejects_foreign_pivot():
-    feats = geo.random_features(6, 2, derive_rng(6, "f"))
+    feats = geo.random_features(6, derive_rng(6, "f"))
     stranger = rk.Permutation.identity(6)
     orders, _ = geo.enumerate_orders_2d(feats)
     if all(o != stranger for o in orders):
@@ -203,7 +208,7 @@ def test_disagreement_bound_rejects_foreign_pivot():
 def test_geometric_erm_matches_cell_scan():
     for seed in range(5):
         n = 7
-        feats = geo.random_features(n, 2, derive_rng(seed, "f"))
+        feats = geo.random_features(n, derive_rng(seed, "f"))
         orders, angles = geo.enumerate_orders_2d(feats)
         truth = orders[int(derive_rng(seed, "pick").integers(len(orders)))]
         oracle = make_ranking_oracle(truth, NoiseSpec(kind="uniform_flip", eta=0.1),
@@ -217,3 +222,33 @@ def test_geometric_erm_matches_cell_scan():
         # smallest witness angle wins ties
         first = int(np.flatnonzero(np.array(vals) == min(vals))[0])
         assert best == orders[first]
+
+
+@pytest.mark.parametrize("vectors", [np.zeros((4, 1)), np.zeros((4, 3)), np.zeros(4)],
+                         ids=["one-column", "three-columns", "flat"])
+def test_feature_set_holds_points_in_the_plane_only(vectors):
+    with pytest.raises(ValueError, match=r"must be a \(n >= 2, 2\) array"):
+        geo.FeatureSet(vectors)
+
+
+@pytest.mark.parametrize("items", [4, 8])
+def test_geometric_erm_refuses_an_estimator_of_another_item_count(items):
+    truth = rk.random_permutation(6, derive_rng(2, "t"))
+    oracle = make_ranking_oracle(truth, NoiseSpec(kind="none"), seed=2)
+    est = rk.build_ranking_estimator(rk.Permutation.identity(6), oracle, Params(epsilon=0.25),
+                                     p=3, rng=derive_rng(2, "b"))
+    with pytest.raises(PoolMismatchError, match=f"rank pairs of {items} items"):
+        geo.geometric_erm_2d(est, geo.FeatureSet(derive_rng(2, "f").standard_normal((items, 2))))
+
+
+def test_geometric_erm_refuses_an_estimator_that_does_not_rank():
+    cls = gen.thresholds_class(6)
+    indexed = gen.build_generic_estimator(cls, 2, InstanceOracle(cls.labels[3]),
+                                          Params(epsilon=0.3), m=6, rng=derive_rng(2, "b"))
+    truth = clu.random_clustering(6, 2, derive_rng(2, "t"))
+    clustering = clu.build_clustering_estimator(
+        truth, make_clustering_oracle(truth, seed=2), Params(epsilon=0.3), q=3,
+        rng=derive_rng(2, "b"))
+    for est in (indexed, clustering):
+        with pytest.raises(PoolMismatchError, match="rank pairs of 6 items"):
+            geo.geometric_erm_2d(est, geo.FeatureSet(derive_rng(2, "f").standard_normal((6, 2))))

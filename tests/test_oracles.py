@@ -923,3 +923,60 @@ def test_label_oracle_takes_n_from_its_one_source(mode):
         us, vs = np.nonzero(~np.eye(7, dtype=bool))
         assert oracle.n == 7
         assert oracle.verification_labels(us, vs).tolist() == table[us, vs].tolist()
+
+
+def test_budgeted_save_writes_both_files_as_the_unbudgeted_one(tmp_path):
+    """The sidecar's error is scored on the read that writes the rows, so a budget never
+    stops it; verification reads are never budgeted."""
+    n = 6
+    noise = NoiseSpec(kind="uniform_flip", eta=0.2)
+    written = []
+    for budget, name in ((None, "free"), (5, "capped")):
+        oracle = make_ranking_oracle(_perm(n, 14), noise, seed=14, budget=budget)
+        path = tmp_path / f"{name}.csv"
+        sidecar = save_oracle(oracle, str(path))
+        assert oracle.counters.verification_reads == 2 * n * (n - 1)
+        written.append((path.read_bytes(), json.loads(Path(sidecar).read_text())))
+    assert written[0] == written[1]
+    truth = make_ranking_oracle(_perm(n, 14), noise, seed=14)
+    assert written[1][1]["ground_truth_error"] == true_error(_perm(n, 14), truth)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7", -1, 2**64, 2**64 + 1, None],
+                         ids=["float", "bool", "string", "negative", "2**64", "2**64+1", "none"])
+def test_label_oracle_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in 0\.\.2\*\*64 - 1"):
+        make_ranking_oracle(_perm(4, 1), NoiseSpec(kind="uniform_flip", eta=0.1), seed=seed)
+
+
+def test_label_oracle_takes_every_64_bit_seed():
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)):
+        assert make_ranking_oracle(_perm(4, 1), seed=seed).seed == int(seed)
+
+
+def _table_oracle(mode, table):
+    return LabelOracle(mode, seed=0, label_table=table,
+                       noise=NoiseSpec(kind="adversarial_file", path="labels.csv"))
+
+
+@pytest.mark.parametrize("mode, table, message", [
+    ("ranking", np.full((3, 4), 7, np.uint8), r"label_table must be 0 or 1"),
+    ("ranking", np.zeros((3, 4), np.uint8), r"label_table must be n x n, got shape \(3, 4\)"),
+    ("clustering", np.zeros(4, np.uint8), r"label_table must be n x n"),
+    ("ranking", 1 - np.eye(5, dtype=np.uint8), r"label_table must be skew-symmetric"),
+    ("ranking", np.zeros((5, 5), np.uint8), r"label_table must be skew-symmetric"),
+    ("clustering", np.triu(np.ones((4, 4), np.uint8), 1), r"label_table must be symmetric"),
+], ids=["sevens", "not-square", "flat", "ranking-all-ones", "ranking-all-zeros", "clustering-upper"])
+def test_label_oracle_refuses_a_table_no_oracle_could_answer(mode, table, message):
+    with pytest.raises(ValueError, match=message):
+        _table_oracle(mode, table)
+
+
+def test_load_refuses_a_sidecar_seed_outside_64_bits(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("u,v,label\n0,1,1\n0,2,1\n1,2,0\n")
+    for seed in (-1, 2**64):
+        (tmp_path / "in.csv.json").write_text(json.dumps({"mode": "ranking", "seed": seed}))
+        with pytest.raises(OracleFormatError,
+                           match=rf"in\.csv\.json: seed must be in 0\.\.2\*\*64 - 1, got {seed}"):
+            load_oracle(str(path))
